@@ -17,7 +17,7 @@ from .sidorenko import (
     associated_distribution,
     degree_condition,
     entropy_bound_report,
-    sidorenko_check,
+    sidorenko_gap,
 )
 from .strong import minimum_subdecomposition, validate_strong
 from .graphs import connected_graphs_up_to, hom_count
@@ -127,7 +127,10 @@ def cmd_min_subdec(args):
     kind, sd = _load(args.decomp)
     if kind != "strong-decomposition":
         raise _InputError("%s is not a strong decomposition" % args.decomp)
-    u = [int(x) for x in args.u.split(",") if x != ""]
+    try:
+        u = [int(x) for x in args.u.split(",") if x != ""]
+    except ValueError:
+        raise _InputError("--u must be a comma-separated list of integers, not %r" % args.u)
     if not u:
         raise _InputError("--u must list at least one vertex")
     sub = minimum_subdecomposition(sd, u)
@@ -153,11 +156,12 @@ def cmd_sidorenko_sweep(args):
     for g in connected_graphs_up_to(args.max_n):
         if g.num_edges() == 0:
             continue
-        gap = sidorenko_check(host, g)
+        count = hom_count(host, g)
+        gap = sidorenko_gap(host, g, count)
         rows.append(
             {
                 "target": serialize.graph_to_json(g),
-                "hom_count": hom_count(host, g),
+                "hom_count": count,
                 "gap": {"num": str(gap.numerator), "den": str(gap.denominator)},
                 "gap_nonnegative": gap >= 0,
                 "degree_ok": degree_condition(g),
@@ -180,6 +184,10 @@ def cmd_entropy_report(args):
     if g.num_edges() == 0:
         _emit({"error": "target has no edges"})
         return 1
+    validation = validate_strong(sd)
+    if not validation.ok:
+        _emit(serialize.report_to_json(validation))
+        return 1
     report = entropy_bound_report(sd, g)
     _emit(serialize.bound_report_to_json(report), out=args.out)
     return 0
@@ -191,8 +199,6 @@ def build_parser():
         description="Markov-tree gluing, strong tree decompositions, and "
         "Sidorenko-style bound checks at desk scale.",
     )
-    parser.add_argument("--format", choices=["json"], default="json")
-    parser.add_argument("--seed", type=int, default=0, help="reserved for randomized sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="validate a JSON document")

@@ -1,5 +1,6 @@
-"""Simple undirected graphs on dense integer vertices, with brute-force
-homomorphism enumeration and pinned isomorphism search.
+"""Simple undirected graphs on dense integer vertices, with neighbour-pruned
+homomorphism search, pinned isomorphism search and isomorph-free enumeration
+of small graphs.
 
 Everything here is sized for desk-scale instances (a dozen vertices or so);
 the enumeration routines are deterministic backtracking searches whose output
@@ -7,8 +8,7 @@ order is fixed by ascending vertex indices.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
+from itertools import combinations
 
 
 class SizeCapExceeded(ValueError):
@@ -24,7 +24,9 @@ class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
     Edges are stored as a canonically sorted tuple of (min, max) pairs, so
-    structurally equal graphs compare (and hash) equal.
+    structurally equal graphs compare (and hash) equal. The ascending
+    neighbour tuple of every vertex is built once here and kept outside the
+    dataclass fields, so it takes no part in equality or hashing.
     """
 
     n: int
@@ -41,34 +43,27 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError("edge (%d,%d) out of range for n=%d" % (u, v, n))
             canon.add((min(u, v), max(u, v)))
+        edges = tuple(sorted(canon))
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        object.__setattr__(self, "edges", edges)
+        adj = [[] for _ in range(n)]
+        # with edges sorted, every vertex meets its neighbours in ascending order
+        for u, v in edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
 
     def has_edge(self, u, v):
-        return (min(u, v), max(u, v)) in _edge_set(self)
+        return 0 <= u < self.n and v in self._adj[u]
 
     def degree(self, v):
-        return len(_adjacency(self)[v])
+        return len(self._adj[v])
 
     def neighbors(self, v):
-        return _adjacency(self)[v]
+        return self._adj[v]
 
     def num_edges(self):
         return len(self.edges)
-
-
-@lru_cache(maxsize=None)
-def _edge_set(g):
-    return frozenset(g.edges)
-
-
-@lru_cache(maxsize=None)
-def _adjacency(g):
-    adj = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return tuple(tuple(sorted(a)) for a in adj)
 
 
 def vertex_set(vs, n=None):
@@ -147,19 +142,25 @@ def max_degree(g):
 def enumerate_homs(h, g, cap=DEFAULT_HOM_CAP):
     """All adjacency-preserving maps V(h) -> V(g), in lexicographic order.
 
-    Backtracks over h's vertices in ascending order, pruning partial maps
-    that already violate an edge. Refuses instances whose naive candidate
+    Backtracks over h's vertices in ascending order. A vertex with earlier
+    neighbours in h draws its candidates from the neighbours of the first
+    one's image, kept only if adjacent to the other earlier neighbours'
+    images; a vertex without them tries all of V(g). Candidates stay
+    ascending, which fixes the order. Refuses instances whose naive candidate
     space |V(g)|^|V(h)| exceeds cap.
     """
-    return list(_hom_iter(h, g, cap))
+    return [prefix + (w,) for prefix, last in _hom_blocks(h, g, cap) for w in last]
 
 
 def hom_count(h, g, cap=DEFAULT_HOM_CAP):
     """Number of homomorphisms h -> g (without materializing the list)."""
-    return sum(1 for _ in _hom_iter(h, g, cap))
+    return sum(len(last) for _, last in _hom_blocks(h, g, cap))
 
 
-def _hom_iter(h, g, cap=DEFAULT_HOM_CAP):
+def _hom_blocks(h, g, cap=DEFAULT_HOM_CAP):
+    """The homomorphisms h -> g in lexicographic order, grouped by their
+    images of every vertex but the last: pairs (prefix, candidates), where
+    each ascending candidate for the last vertex completes prefix."""
     if h.n == 0:
         raise ValueError("source graph must have at least one vertex")
     if g.n ** h.n > cap:
@@ -168,22 +169,35 @@ def _hom_iter(h, g, cap=DEFAULT_HOM_CAP):
         )
     # earlier[v] = neighbors of v in h with smaller index (already assigned)
     earlier = [[u for u in h.neighbors(v) if u < v] for v in range(h.n)]
+    adj = g._adj
+    everywhere = range(g.n)
     img = [0] * h.n
+    last = h.n - 1
+
+    def candidates(v):
+        ev = earlier[v]
+        if not ev:
+            return everywhere
+        found = adj[img[ev[0]]]
+        for u in ev[1:]:
+            a = adj[img[u]]
+            found = [w for w in found if w in a]
+        return found
 
     def backtrack(v):
-        if v == h.n:
-            yield tuple(img)
+        if v == last:
+            yield tuple(img[:last]), candidates(v)
             return
-        for w in range(g.n):
-            if all(g.has_edge(img[u], w) for u in earlier[v]):
-                img[v] = w
-                yield from backtrack(v + 1)
+        for w in candidates(v):
+            img[v] = w
+            yield from backtrack(v + 1)
 
     yield from backtrack(0)
 
 
 def is_homomorphism(h, g, mapping):
-    return all(g.has_edge(mapping[u], mapping[v]) for u, v in h.edges)
+    adj = g._adj
+    return all(mapping[v] in adj[mapping[u]] for u, v in h.edges)
 
 
 def find_isomorphism_pinned(h1, h2, pin=None):
@@ -217,11 +231,14 @@ def isomorphisms_pinned(h1, h2, pin=None):
         img[v] = w
         used[w] = True
 
+    adj1, adj2 = h1._adj, h2._adj
+
     def ok(v, w):
-        if h1.degree(v) != h2.degree(w):
+        nv, nw = adj1[v], adj2[w]
+        if len(nv) != len(nw):
             return False
-        for u in range(h1.n):
-            if img[u] >= 0 and h1.has_edge(u, v) != h2.has_edge(img[u], w):
+        for u, x in enumerate(img):
+            if x >= 0 and (u in nv) != (x in nw):
                 return False
         return True
 
@@ -251,35 +268,25 @@ def isomorphisms_pinned(h1, h2, pin=None):
     yield from backtrack(0)
 
 
-def canonical_form(g):
-    """Smallest edge tuple over all vertex relabelings; iso-invariant key.
-
-    Only intended for tiny graphs (factorial blowup).
-    """
-    best = None
-    for perm in permutations(range(g.n)):
-        relabeled = tuple(
-            sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges)
-        )
-        if best is None or relabeled < best:
-            best = relabeled
-    return (g.n, best)
-
-
 def all_graphs_up_to(max_n):
-    """One representative per isomorphism class of graphs on 1..max_n vertices."""
-    from itertools import combinations
+    """One representative per isomorphism class of graphs on 1..max_n vertices.
 
+    For each n, candidate edge sets are visited in increasing bit order over
+    the lexicographic vertex pairs. Candidates are bucketed by edge count and
+    sorted degree sequence, and one is kept only when no earlier member of
+    its bucket is isomorphic to it, so every class is represented by its
+    first candidate in that order.
+    """
     reps = []
     for n in range(1, max_n + 1):
         pairs = list(combinations(range(n), 2))
-        seen = set()
+        buckets = {}
         for bits in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-            g = Graph(n, edges)
-            key = canonical_form(g)
-            if key not in seen:
-                seen.add(key)
+            g = Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+            key = (g.num_edges(), tuple(sorted(map(len, g._adj))))
+            bucket = buckets.setdefault(key, [])
+            if not any(find_isomorphism_pinned(g, r) is not None for r in bucket):
+                bucket.append(g)
                 reps.append(g)
     return reps
 

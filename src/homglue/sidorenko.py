@@ -109,8 +109,9 @@ def associated_distribution(sd, g, _entropy_witness=None):
     bag_dists = []
     for i, bag in enumerate(m.bags):
         child = associated_distribution(sd.children[i], g, _entropy_witness)
-        # child lives on 0..|bag|-1; lift its keys to the bag's vertices
-        bag_dists.append(SparseDistribution(bag, g.n, _relabel_keys(child.dist, bag)))
+        # child lives on 0..|bag|-1 and the bag is sorted, so its keys line
+        # up positionally with the bag's vertices
+        bag_dists.append(SparseDistribution(bag, g.n, child.dist.mass))
     for entry in check_marginal_consistency(m, bag_dists):
         assert entry["ok"], (
             "marginal agreement failed on tree edge %s: %s"
@@ -127,13 +128,6 @@ def associated_distribution(sd, g, _entropy_witness=None):
     for key in joint.mass:
         assert is_homomorphism(sd.host, g, key), "support atom is not a homomorphism"
     return AssociatedDistribution(sd, g, joint)
-
-
-def _relabel_keys(dist, new_index_set):
-    # index sets are both sorted, so the positional identification is direct
-    if len(dist.index_set) != len(new_index_set):
-        raise ValueError("index set size mismatch")
-    return dict(dist.mass)
 
 
 def projection_consistency_check(sd, g, u):
@@ -216,13 +210,18 @@ def forest_hom_bound_check(f, g):
     return {"ok": lhs <= rhs, "lhs": lhs, "rhs": rhs}
 
 
-def sidorenko_check(h, g, cap=None):
-    """Exact Sidorenko gap hom(h,g)/n^v(h) - (2e(g)/n^2)^e(h)."""
-    kwargs = {} if cap is None else {"cap": cap}
-    count = hom_count(h, g, **kwargs)
+def sidorenko_gap(h, g, count):
+    """Exact Sidorenko gap count/n^v(h) - (2e(g)/n^2)^e(h), where count is
+    hom(h, g)."""
     density = Fraction(count, g.n ** h.n)
     edge_density = Fraction(2 * g.num_edges(), g.n * g.n)
     return density - edge_density ** h.num_edges()
+
+
+def sidorenko_check(h, g, cap=None):
+    """Exact Sidorenko gap hom(h,g)/n^v(h) - (2e(g)/n^2)^e(h)."""
+    kwargs = {} if cap is None else {"cap": cap}
+    return sidorenko_gap(h, g, hom_count(h, g, **kwargs))
 
 
 def entropy_bound_report(sd, g):
@@ -240,12 +239,13 @@ def entropy_bound_report(sd, g):
     n, e_g = g.n, g.num_edges()
     host = sd.host
     rhs = host.num_edges() * math.log2(2 * e_g / (n * n)) + host.n * math.log2(n)
-    log_hom = math.log2(hom_count(host, g))
+    count = hom_count(host, g)
+    log_hom = math.log2(count)
     assert h_bits <= log_hom + 1e-9, "entropy exceeds the support bound"
     return BoundReport(
         entropy_bits=h_bits,
         rhs_bits=rhs,
         log_hom_bits=log_hom,
         degree_ok=True,
-        sidorenko_gap=sidorenko_check(host, g),
+        sidorenko_gap=sidorenko_gap(host, g, count),
     )

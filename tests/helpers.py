@@ -7,7 +7,7 @@ distributions by direct formula evaluation, and so on.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from homglue.dists import SparseDistribution, marginal
 from homglue.graphs import Graph, find_isomorphism_pinned
@@ -98,8 +98,6 @@ def brute_force_joint(m, bag_dists):
     Enumerates every assignment of the ground set (no support joining), so
     it is independent of both library constructions.
     """
-    from itertools import product
-
     ground = tuple(range(m.ground_size))
     target = bag_dists[0].target_size
     edge_marg = []
@@ -163,3 +161,46 @@ def random_subtree(rng, adj, num_nodes):
         fam.add(nxt)
         frontier.extend(adj[nxt])
     return frozenset(fam)
+
+
+def canonical_form(g):
+    """Smallest edge tuple over all vertex relabelings; iso-invariant key.
+
+    Only intended for tiny graphs (factorial blowup).
+    """
+    best = None
+    for perm in permutations(range(g.n)):
+        relabeled = tuple(
+            sorted((min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges)
+        )
+        if best is None or relabeled < best:
+            best = relabeled
+    return (g.n, best)
+
+
+def canonical_dedup_graphs(max_n):
+    """One graph per isomorphism class on 1..max_n vertices: the first in
+    increasing bit order over the lexicographic vertex pairs, found by
+    canonical-form dedup."""
+    reps = []
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        seen = set()
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+            key = canonical_form(g)
+            if key not in seen:
+                seen.add(key)
+                reps.append(g)
+    return reps
+
+
+def brute_force_homs(h, g):
+    """Every map V(h) -> V(g) in lexicographic order, kept when it sends
+    each edge of h to an edge of g."""
+    edges = set(g.edges)
+    return [
+        m
+        for m in product(range(g.n), repeat=h.n)
+        if all((min(m[u], m[v]), max(m[u], m[v])) in edges for u, v in h.edges)
+    ]

@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import homglue
 from homglue.cli import main
 from homglue.fixtures import write_fixture_dir
 
@@ -166,6 +169,36 @@ def test_entropy_report_command(fixdir, capsys):
     )
     assert code == 0
     assert doc["rhs_bits"] == "4.000000000000"
+
+
+def test_entropy_report_invalid_decomposition_exits_1_without_traceback(fixdir):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "homglue.cli",
+            "entropy-report",
+            os.path.join(fixdir, "bad_condition3.json"),
+            os.path.join(fixdir, "k3.json"),
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["ok"] is False
+    assert doc["violations"][0]["kind"] == "sub-decomposition-not-isomorphic"
+
+
+def test_min_subdec_bad_vertex_list_is_a_parse_failure(fixdir, capsys):
+    code = main(["min-subdec", os.path.join(fixdir, "c4.json"), "--u", "0,x"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: --u")
 
 
 def test_deterministic_output(fixdir, capsys):

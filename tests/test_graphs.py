@@ -5,6 +5,8 @@ import pytest
 from homglue.graphs import (
     Graph,
     SizeCapExceeded,
+    all_graphs_up_to,
+    connected_graphs_up_to,
     enumerate_homs,
     find_isomorphism_pinned,
     hom_count,
@@ -16,11 +18,25 @@ from homglue.graphs import (
 )
 from homglue.fixtures import book, c4, k2, k3, path3, star
 
+from helpers import brute_force_homs, canonical_dedup_graphs
+
 
 def test_graph_canonical_edges():
     g = Graph(3, [(2, 1), (1, 0), (0, 1)])
     assert g.edges == ((0, 1), (1, 2))
     assert g == Graph(3, [(0, 1), (1, 2)])
+
+
+def test_equal_graphs_compare_and_hash_equal():
+    a = Graph(4, [(3, 2), (1, 0), (2, 1), (0, 1)])
+    b = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != Graph(5, [(0, 1), (1, 2), (2, 3)])
+    assert [a.neighbors(v) for v in range(4)] == [(1,), (0, 2), (1, 3), (2,)]
+    assert a.has_edge(2, 1) and not a.has_edge(0, 2)
+    assert not a.has_edge(-1, 2) and not a.has_edge(4, 0) and not a.has_edge(0, 4)
+    assert [a.degree(v) for v in range(4)] == [1, 2, 2, 1]
 
 
 def test_graph_rejects_bad_edges():
@@ -148,3 +164,30 @@ def test_induced_edge_count_matches_filter():
         s = [v for v in range(g.n) if rng.random() < 0.5]
         sub, _ = induced_subgraph(g, s)
         assert sub.num_edges() == induced_edge_count(g, s)
+
+
+def test_homs_match_brute_force_in_order():
+    rng = random.Random(11)
+    hosts = [
+        Graph(3),  # no vertex has an earlier neighbour
+        Graph(4, [(1, 3)]),  # isolated vertices around one edge
+        Graph(4, [(0, 3), (1, 3), (2, 3)]),  # three earlier neighbours
+        Graph(3, [(1, 2)]),  # vertex 1 has no earlier neighbour
+    ]
+    hosts += [_random_graph(rng, rng.randint(1, 5)) for _ in range(30)]
+    for h in hosts:
+        for g in (Graph(1), Graph(3), k3(), _random_graph(rng, rng.randint(1, 6))):
+            assert enumerate_homs(h, g) == brute_force_homs(h, g), (h, g)
+
+
+def test_all_graphs_match_canonical_dedup():
+    for n in range(1, 6):
+        assert all_graphs_up_to(n) == canonical_dedup_graphs(n)
+
+
+def test_isomorphism_class_counts_up_to_six_vertices():
+    graphs = all_graphs_up_to(6)
+    connected = connected_graphs_up_to(6)
+    assert [sum(g.n == n for g in graphs) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
+    assert [sum(g.n == n for g in connected) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+    assert (len(graphs), len(connected)) == (208, 143)
