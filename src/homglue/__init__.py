@@ -29,6 +29,7 @@ from .strong import (
     minimum_subdecomposition,
     strong_isomorphism,
     underlying_graph,
+    validate_document,
     validate_strong,
     zero_strong,
 )
@@ -44,7 +45,9 @@ from .dists import (
 from .sidorenko import (
     AssociatedDistribution,
     BoundReport,
+    InvariantViolation,
     associated_distribution,
+    bound_report,
     brw_distribution,
     degree_condition,
     entropy_bound_report,

@@ -2,8 +2,8 @@
 
 Subcommands: validate, assoc, glue, min-subdec, sidorenko-sweep,
 entropy-report. Output is JSON on standard output; exit codes are 0 for
-success, 1 for a semantic failure (validation violation, assertion, guard),
-2 for unreadable or unrecognized input.
+success, 1 for a semantic failure (validation violation, broken invariant,
+guard), 2 for unreadable or unrecognized input.
 """
 
 import argparse
@@ -12,14 +12,16 @@ import sys
 
 from . import serialize
 from .dists import MarginalMismatch, glue_markov_tree
-from .markov import validate_markov_tree, validate_tree_decomposition
+from .markov import validate_markov_tree
 from .sidorenko import (
+    InvariantViolation,
     associated_distribution,
+    bound_report,
     degree_condition,
     entropy_bound_report,
     sidorenko_gap,
 )
-from .strong import minimum_subdecomposition, validate_strong
+from .strong import minimum_subdecomposition, validate_document, validate_strong
 from .graphs import connected_graphs_up_to, hom_count
 
 SWEEP_VERTEX_LIMIT = 6
@@ -53,18 +55,8 @@ def _emit(doc, out=None):
 
 def cmd_validate(args):
     kind, obj = _load(args.path)
-    if kind == "markov":
-        report = validate_markov_tree(obj)
-    elif kind == "tree-decomposition":
-        report = validate_tree_decomposition(obj)
-    elif kind == "strong-decomposition":
-        report = validate_strong(obj)
-    elif kind == "graph":
-        # graph construction already enforces its invariants
-        from .markov import ValidationReport
-
-        report = ValidationReport()
-    else:
+    report = validate_document(kind, obj)
+    if report is None:
         raise _InputError("no validator for document kind %r" % kind)
     _emit({"kind": kind, **serialize.report_to_json(report)})
     return 0 if report.ok else 1
@@ -86,8 +78,8 @@ def cmd_assoc(args):
         return 1
     try:
         ad = associated_distribution(sd, g)
-        bound = entropy_bound_report(sd, g) if degree_condition(g) else None
-    except AssertionError as e:
+        bound = bound_report(ad) if degree_condition(g) else None
+    except (InvariantViolation, MarginalMismatch) as e:
         _emit({"error": str(e)})
         return 1
     _emit(serialize.distribution_to_json(ad.dist), out=args.out)

@@ -124,7 +124,7 @@ def glue_pair(p12, p23):
     m12 = marginal(p12, shared)
     m23 = marginal(p23, shared)
     if m12 != m23:
-        witness = _first_difference(m12, m23)
+        witness = first_difference(m12.mass, m23.mass)
         raise MarginalMismatch(
             "shared marginals differ at %s" % (witness,), witness=witness
         )
@@ -150,12 +150,14 @@ def glue_pair(p12, p23):
     return SparseDistribution(union, p12.target_size, out)
 
 
-def _first_difference(m1, m2):
-    for key in sorted(set(m1.mass) | set(m2.mass)):
-        a = m1.mass.get(key, Fraction(0))
-        b = m2.mass.get(key, Fraction(0))
-        if a != b:
-            return {"key": list(key), "left": str(a), "right": str(b)}
+def first_difference(a, b, left="left", right="right"):
+    """{"key": list(k), left: str(a[k]), right: str(b[k])} for the first key k in
+    sorted order where the mass dicts a and b differ; None if they agree."""
+    for key in sorted(set(a) | set(b)):
+        pa = a.get(key, Fraction(0))
+        pb = b.get(key, Fraction(0))
+        if pa != pb:
+            return {"key": list(key), left: str(pa), right: str(pb)}
     return None
 
 
@@ -170,7 +172,7 @@ def check_marginal_consistency(m, bag_dists):
         mb = marginal(bag_dists[b], shared)
         entry = {"edge": [a, b], "ok": ma == mb}
         if not entry["ok"]:
-            entry["witness"] = _first_difference(ma, mb)
+            entry["witness"] = first_difference(ma.mass, mb.mass)
         results.append(entry)
     return results
 
@@ -189,6 +191,17 @@ def _check_bag_dists(m, bag_dists):
         raise ValueError("bag distributions disagree on target_size")
 
 
+def _require_agreement(m, bag_dists):
+    """Raise MarginalMismatch on the first tree edge whose bag marginals differ."""
+    for entry in check_marginal_consistency(m, bag_dists):
+        if not entry["ok"]:
+            raise MarginalMismatch(
+                "marginal mismatch on tree edge %s" % (entry["edge"],),
+                witness=entry["witness"],
+                edge=tuple(entry["edge"]),
+            )
+
+
 def glue_markov_tree(m, bag_dists):
     """Joint distribution over the ground set gluing the bag distributions
     along the Markov tree, by leaf elimination (lowest-index leaf first).
@@ -197,14 +210,7 @@ def glue_markov_tree(m, bag_dists):
     reproduces every bag distribution as a marginal and satisfies the
     entropy identity H(joint) = sum_F H(bag_F) - sum_AB H(overlap_AB).
     """
-    _check_bag_dists(m, bag_dists)
-    for entry in check_marginal_consistency(m, bag_dists):
-        if not entry["ok"]:
-            raise MarginalMismatch(
-                "marginal mismatch on tree edge %s" % (entry["edge"],),
-                witness=entry["witness"],
-                edge=tuple(entry["edge"]),
-            )
+    _require_agreement(m, bag_dists)
     return _glue_rec(m, list(range(m.num_bags())), bag_dists)
 
 
@@ -229,14 +235,7 @@ def junction_factorization(m, bag_dists):
     Built by joining bag supports directly, independent of the pairwise
     gluing path; agrees with glue_markov_tree atom-for-atom on valid input.
     """
-    _check_bag_dists(m, bag_dists)
-    for entry in check_marginal_consistency(m, bag_dists):
-        if not entry["ok"]:
-            raise MarginalMismatch(
-                "marginal mismatch on tree edge %s" % (entry["edge"],),
-                witness=entry["witness"],
-                edge=tuple(entry["edge"]),
-            )
+    _require_agreement(m, bag_dists)
 
     ground = vertex_set(v for bag in m.bags for v in bag)
     # join supports: partial assignments as dicts keyed on ground elements

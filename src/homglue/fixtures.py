@@ -7,7 +7,7 @@ import os
 
 from .graphs import Graph
 from .markov import MarkovTree, TreeDecomposition
-from .strong import StrongDecomposition, zero_strong
+from .strong import StrongDecomposition, validate_document, zero_strong
 from . import serialize
 
 
@@ -153,9 +153,6 @@ def load_fixture_bundle(directory, validate=True):
     its module's validator; negative fixtures should be loaded with
     validate=False.
     """
-    from .markov import validate_markov_tree, validate_tree_decomposition
-    from .strong import validate_strong
-
     bundle = {}
     for fn in sorted(os.listdir(directory)):
         if not fn.endswith(".json"):
@@ -165,14 +162,7 @@ def load_fixture_bundle(directory, validate=True):
         kind = serialize.detect_kind(doc)
         obj = serialize.LOADERS[kind](doc)
         if validate:
-            if kind == "markov":
-                report = validate_markov_tree(obj)
-            elif kind == "tree-decomposition":
-                report = validate_tree_decomposition(obj)
-            elif kind == "strong-decomposition":
-                report = validate_strong(obj)
-            else:
-                report = None
+            report = validate_document(kind, obj)
             if report is not None and not report.ok:
                 raise ValueError("fixture %s fails validation: %s" % (fn, report.violations))
         bundle[fn[:-5]] = obj

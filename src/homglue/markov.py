@@ -13,6 +13,11 @@ class NotASubtree(ValueError):
     """A bag subfamily was required to induce a subtree of the bag tree."""
 
 
+class DisconnectedBagTree(ValueError):
+    """Two bag subfamilies that must be joined by a tree path are not
+    connected: the bag tree is not a tree."""
+
+
 class ContainedInSingleBag(ValueError):
     """minimum_covering_subfamily called with U already inside one bag."""
 
@@ -226,7 +231,7 @@ def _shortest_connecting_path(m, fam1, fam2):
                     return path[::-1]
                 nxt.append(w)
         queue = sorted(nxt)
-    raise AssertionError("bag tree is disconnected")
+    raise DisconnectedBagTree("bag tree is disconnected")
 
 
 def minimum_covering_subfamily(d, u):

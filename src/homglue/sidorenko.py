@@ -9,15 +9,13 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dists import (
-    SparseDistribution,
-    check_marginal_consistency,
-    entropy,
-    glue_markov_tree,
-    marginal,
-)
+from .dists import SparseDistribution, entropy, first_difference, glue_markov_tree, marginal
 from .graphs import hom_count, is_forest, is_homomorphism, is_tree, max_degree, vertex_set
 from .strong import minimum_subdecomposition, strong_isomorphism
+
+
+class InvariantViolation(ValueError):
+    """A built distribution breaks an invariant the theory guarantees."""
 
 
 @dataclass(frozen=True)
@@ -89,45 +87,37 @@ def brw_distribution(t, g):
     return SparseDistribution(range(t.n), g.n, mass)
 
 
-def associated_distribution(sd, g, _entropy_witness=None):
+def associated_distribution(sd, g):
     """The level-k distribution on Hom(host(sd), g).
 
     Level 0 is the branching random walk; level k glues the per-bag
-    level-(k-1) distributions along the decomposition's Markov tree.
-    Marginal agreement across every tree edge is asserted exactly before
-    gluing; a failure means the decomposition (or this code) is broken.
-
-    _entropy_witness, if a list, collects (lhs, rhs) pairs of the entropy
-    identity at each gluing step for test instrumentation.
+    level-(k-1) distributions along the decomposition's Markov tree, which
+    raises MarginalMismatch unless they agree exactly across every tree
+    edge. Above level 0, every support atom of the result is checked to be
+    a homomorphism, which raises InvariantViolation otherwise; either
+    failure means the decomposition (or this code) is broken.
     """
     if g.num_edges() == 0:
         raise ValueError("target has no edges")
-    if sd.level == 0:
-        return AssociatedDistribution(sd, g, brw_distribution(sd.host, g))
+    dist = _build(sd, g)
+    if sd.level > 0:
+        for key in dist.mass:
+            if not is_homomorphism(sd.host, g, key):
+                raise InvariantViolation("support atom %s is not a homomorphism" % (key,))
+    return AssociatedDistribution(sd, g, dist)
 
+
+def _build(sd, g):
+    if sd.level == 0:
+        return brw_distribution(sd.host, g)
     m = sd.decomp.markov
-    bag_dists = []
-    for i, bag in enumerate(m.bags):
-        child = associated_distribution(sd.children[i], g, _entropy_witness)
-        # child lives on 0..|bag|-1 and the bag is sorted, so its keys line
-        # up positionally with the bag's vertices
-        bag_dists.append(SparseDistribution(bag, g.n, child.dist.mass))
-    for entry in check_marginal_consistency(m, bag_dists):
-        assert entry["ok"], (
-            "marginal agreement failed on tree edge %s: %s"
-            % (entry["edge"], entry.get("witness"))
-        )
-    joint = glue_markov_tree(m, bag_dists)
-    if isinstance(_entropy_witness, list):
-        lhs = entropy(joint)
-        rhs = sum(entropy(d) for d in bag_dists)
-        for a, b in m.tree:
-            shared = vertex_set(set(m.bags[a]) & set(m.bags[b]))
-            rhs -= entropy(marginal(bag_dists[a], shared))
-        _entropy_witness.append((lhs, rhs))
-    for key in joint.mass:
-        assert is_homomorphism(sd.host, g, key), "support atom is not a homomorphism"
-    return AssociatedDistribution(sd, g, joint)
+    # each child lives on 0..|bag|-1 and the bag is sorted, so its keys line
+    # up positionally with the bag's vertices
+    bag_dists = [
+        SparseDistribution(bag, g.n, _build(child, g).mass)
+        for bag, child in zip(m.bags, sd.children)
+    ]
+    return glue_markov_tree(m, bag_dists)
 
 
 def projection_consistency_check(sd, g, u):
@@ -148,14 +138,9 @@ def projection_consistency_check(sd, g, u):
     transported = SparseDistribution(msd.embedding, g.n, dict(sub.mass))
     result = {"ok": projected == transported, "u": list(u), "embedding": list(msd.embedding)}
     if not result["ok"]:
-        for key in sorted(set(projected.mass) | set(transported.mass)):
-            if projected.mass.get(key) != transported.mass.get(key):
-                result["witness"] = {
-                    "key": list(key),
-                    "projected": str(projected.mass.get(key, 0)),
-                    "sub": str(transported.mass.get(key, 0)),
-                }
-                break
+        result["witness"] = first_difference(
+            projected.mass, transported.mass, "projected", "sub"
+        )
     return result
 
 
@@ -174,14 +159,7 @@ def isomorphism_transport_check(sd1, sd2, iso, g):
         transported[tuple(key2)] = p
     result = {"ok": transported == d2.mass}
     if not result["ok"]:
-        for key in sorted(set(transported) | set(d2.mass)):
-            if transported.get(key) != d2.mass.get(key):
-                result["witness"] = {
-                    "key": list(key),
-                    "transported": str(transported.get(key, 0)),
-                    "actual": str(d2.mass.get(key, 0)),
-                }
-                break
+        result["witness"] = first_difference(transported, d2.mass, "transported", "actual")
     return result
 
 
@@ -226,26 +204,34 @@ def sidorenko_check(h, g, cap=None):
 
 def entropy_bound_report(sd, g):
     """Entropy of the associated distribution against the support bound and
-    the constant-free right-hand side e(H) log2(2e(G)/n^2) + v(H) log2 n.
+    the constant-free right-hand side; see bound_report. Raises ValueError,
+    before building anything, when g fails the degree condition."""
+    if not degree_condition(g):
+        raise ValueError("target fails the degree condition")
+    return bound_report(associated_distribution(sd, g))
+
+
+def bound_report(ad):
+    """Entropy of a built associated distribution against the support bound
+    and the constant-free right-hand side e(H) log2(2e(G)/n^2) + v(H) log2 n.
 
     The comparison with the right-hand side is informational only (the
     theory guarantees it up to an unspecified additive constant); the
-    support bound H(Y) <= log2 hom(H, G) is asserted.
+    support bound H(Y) <= log2 hom(H, G) raises InvariantViolation when it
+    fails.
     """
-    if not degree_condition(g):
-        raise ValueError("target fails the degree condition")
-    ad = associated_distribution(sd, g)
+    g, host = ad.target, ad.sd.host
     h_bits = entropy(ad.dist)
     n, e_g = g.n, g.num_edges()
-    host = sd.host
     rhs = host.num_edges() * math.log2(2 * e_g / (n * n)) + host.n * math.log2(n)
     count = hom_count(host, g)
     log_hom = math.log2(count)
-    assert h_bits <= log_hom + 1e-9, "entropy exceeds the support bound"
+    if h_bits > log_hom + 1e-9:
+        raise InvariantViolation("entropy exceeds the support bound")
     return BoundReport(
         entropy_bits=h_bits,
         rhs_bits=rhs,
         log_hom_bits=log_hom,
-        degree_ok=True,
+        degree_ok=degree_condition(g),
         sidorenko_gap=sidorenko_gap(host, g, count),
     )

@@ -147,6 +147,19 @@ def validate_strong(sd, _path=()):
     return report
 
 
+def validate_document(kind, obj):
+    """Validation report of a loaded document, or None for a kind without a
+    validator. A graph's invariants hold by construction: an empty report."""
+    if kind == "graph":
+        return ValidationReport()
+    validator = {
+        "markov": validate_markov_tree,
+        "tree-decomposition": validate_tree_decomposition,
+        "strong-decomposition": validate_strong,
+    }.get(kind)
+    return None if validator is None else validator(obj)
+
+
 def _as_dict(w):
     return w if isinstance(w, dict) else {"witness": w}
 
@@ -234,14 +247,22 @@ def strong_isomorphism(sd1, sd2, pin=None):
 
 
 def is_strong_isomorphism(sd1, sd2, vertex_map):
-    """Verify a fully specified vertex map as a strong isomorphism."""
+    """Verify a fully specified vertex map as a strong isomorphism; a map
+    without exactly one in-range image per host vertex is a ValueError."""
     if sd1.level != sd2.level:
         return False
-    pin = {v: vertex_map[v] for v in range(sd1.host.n)}
-    for phi in isomorphisms_pinned(sd1.host, sd2.host, pin):
-        if _structure_match(sd1, sd2, phi) is not None:
-            return True
-    return False
+    h1, h2 = sd1.host, sd2.host
+    phi = tuple(vertex_map)
+    if len(phi) != h1.n:
+        raise ValueError("vertex map has %d images for %d vertices" % (len(phi), h1.n))
+    if h1.n != h2.n or h1.num_edges() != h2.num_edges() or len(set(phi)) != h1.n:
+        return False
+    if not all(0 <= w < h2.n for w in phi):
+        raise ValueError("vertex map image out of range")
+    # injective and edge-preserving with equal edge counts: a host isomorphism
+    if not all(h2.has_edge(phi[u], phi[v]) for u, v in h1.edges):
+        return False
+    return _structure_match(sd1, sd2, phi) is not None
 
 
 def _structure_match(sd1, sd2, phi):

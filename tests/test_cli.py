@@ -6,8 +6,10 @@ import sys
 import pytest
 
 import homglue
+from homglue import serialize
 from homglue.cli import main
-from homglue.fixtures import write_fixture_dir
+from homglue.dists import point_mass
+from homglue.fixtures import c4_fixture, write_fixture_dir
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -199,6 +201,57 @@ def test_min_subdec_bad_vertex_list_is_a_parse_failure(fixdir, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: --u")
+
+
+def test_assoc_non_homomorphic_atom_is_a_json_error_under_optimize(fixdir):
+    # python -O strips asserts; the support check must still fire
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
+    script = (
+        "import sys\n"
+        "import homglue.sidorenko as s\n"
+        "from homglue.cli import main\n"
+        "s.is_homomorphism = lambda h, g, key: False\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-O",
+            "-c",
+            script,
+            "assoc",
+            os.path.join(fixdir, "c4.json"),
+            os.path.join(fixdir, "k3.json"),
+        ],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "not a homomorphism" in json.loads(proc.stdout)["error"]
+
+
+def test_min_subdec_disconnected_bag_tree_exits_1_with_one_line(tmp_path, capsys):
+    doc = serialize.strong_to_json(c4_fixture())
+    doc["payload"]["decomp"]["markov"]["tree"] = []
+    path = tmp_path / "c4_disconnected.json"
+    path.write_text(json.dumps(doc))
+    code = main(["min-subdec", str(path), "--u", "1,3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: bag tree is disconnected\n"
+
+
+def test_validate_graph_ok_and_distribution_unsupported(fixdir, tmp_path, capsys):
+    code, doc = run(capsys, "validate", os.path.join(fixdir, "k3.json"))
+    assert code == 0
+    assert doc == {"kind": "graph", "ok": True, "violations": []}
+    dist = tmp_path / "dist.json"
+    dist.write_text(json.dumps(serialize.distribution_to_json(point_mass((0,), 2, (1,)))))
+    assert main(["validate", str(dist)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_deterministic_output(fixdir, capsys):

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
 
-from homglue.dists import entropy, marginal, uniform
+import homglue
+from homglue import sidorenko
+from homglue.dists import SparseDistribution, entropy, marginal, uniform
 from homglue.graphs import Graph, hom_count, is_homomorphism
 from homglue.sidorenko import (
+    InvariantViolation,
     associated_distribution,
     brw_distribution,
     degree_condition,
@@ -116,13 +122,65 @@ def test_associated_support_is_homomorphisms():
                 assert is_homomorphism(sd.host, g, key), (name, key)
 
 
+def _glued_nodes(sd):
+    """Every level >= 1 node of a strong decomposition, root first."""
+    if sd.level > 0:
+        yield sd
+        for child in sd.children:
+            yield from _glued_nodes(child)
+
+
 def test_entropy_identity_at_each_gluing_step():
+    g = k3()
     for sd in (c4_fixture(), book_fixture()):
-        witness = []
-        associated_distribution(sd, k3(), _entropy_witness=witness)
-        assert witness, "no gluing steps recorded"
-        for lhs, rhs in witness:
+        nodes = list(_glued_nodes(sd))
+        assert nodes, "no gluing steps"
+        for node in nodes:
+            m = node.decomp.markov
+            bag_dists = [
+                SparseDistribution(bag, g.n, associated_distribution(child, g).dist.mass)
+                for bag, child in zip(m.bags, node.children)
+            ]
+            lhs = entropy(associated_distribution(node, g).dist)
+            rhs = sum(entropy(d) for d in bag_dists)
+            for a, b in m.tree:
+                shared = tuple(sorted(set(m.bags[a]) & set(m.bags[b])))
+                rhs -= entropy(marginal(bag_dists[a], shared))
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+
+def test_non_homomorphic_atom_raises_invariant_violation(monkeypatch):
+    monkeypatch.setattr(sidorenko, "is_homomorphism", lambda h, g, key: False)
+    with pytest.raises(InvariantViolation):
+        associated_distribution(c4_fixture(), k3())
+
+
+def test_non_homomorphic_atom_raises_under_optimize():
+    # the check must not be an assert, which python -O strips
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
+    script = (
+        "import homglue.sidorenko as s\n"
+        "from homglue.fixtures import c4_fixture, k3\n"
+        "s.is_homomorphism = lambda h, g, key: False\n"
+        "try:\n"
+        "    s.associated_distribution(c4_fixture(), k3())\n"
+        "except s.InvariantViolation:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(3)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_entropy_above_support_bound_raises_invariant_violation(monkeypatch):
+    monkeypatch.setattr(sidorenko, "hom_count", lambda h, g: 1)
+    with pytest.raises(InvariantViolation):
+        entropy_bound_report(c4_fixture(), k3())
 
 
 def test_projection_consistency_bag_and_full():

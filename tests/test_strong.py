@@ -128,6 +128,30 @@ def test_strong_isomorphism_c4_children():
     assert is_strong_isomorphism(sd.children[0], sd.children[1], iso.vertex_map)
 
 
+def test_is_strong_isomorphism_rejects_non_injective_map():
+    sd = c4_fixture()
+    assert not is_strong_isomorphism(sd.children[0], sd.children[1], (0, 0, 1))
+
+
+def test_is_strong_isomorphism_rejects_non_edge_preserving_map():
+    # a bijection, but edge 0-1 of the first path lands on a non-edge
+    sd = c4_fixture()
+    assert not is_strong_isomorphism(sd.children[0], sd.children[1], (0, 1, 2))
+
+
+def test_is_strong_isomorphism_out_of_range_image_is_a_value_error():
+    sd = c4_fixture()
+    with pytest.raises(ValueError):
+        is_strong_isomorphism(sd.children[0], sd.children[1], (0, 2, 3))
+
+
+def test_is_strong_isomorphism_wrong_length_map_is_a_value_error():
+    sd = c4_fixture()
+    for vertex_map in ((0, 2), (0, 2, 1, 3)):
+        with pytest.raises(ValueError):
+            is_strong_isomorphism(sd.children[0], sd.children[1], vertex_map)
+
+
 def test_strong_isomorphism_absent_for_different_trees():
     path = path_fixture()
     star = star_fixture()
