@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import vertex_set
+from .markov import DisconnectedBagTree
 
 
 class MarginalMismatch(ValueError):
@@ -128,9 +129,15 @@ def glue_pair(p12, p23):
         raise MarginalMismatch(
             "shared marginals differ at %s" % (witness,), witness=witness
         )
+    return _couple(p12, p23, m12)
+
+
+def _couple(p12, p23, overlap):
+    """The coupling of glue_pair, given overlap: the agreed marginal of p12
+    and p23 on exactly their shared indices."""
     union = vertex_set(set(p12.index_set) | set(p23.index_set))
-    proj12 = _projector(p12.index_set, shared)
-    proj23 = _projector(p23.index_set, shared)
+    proj12 = _projector(p12.index_set, overlap.index_set)
+    proj23 = _projector(p23.index_set, overlap.index_set)
 
     by_shared = {}
     for key23, q23 in p23.mass.items():
@@ -141,7 +148,7 @@ def glue_pair(p12, p23):
     out = {}
     for key12, q12 in p12.mass.items():
         sk = proj12(key12)
-        denom = m12.mass[sk]
+        denom = overlap.mass[sk]
         for key23, q23 in by_shared.get(sk, ()):
             key = tuple(
                 key12[pos12[v]] if v in pos12 else key23[pos23[v]] for v in union
@@ -161,15 +168,20 @@ def first_difference(a, b, left="left", right="right"):
     return None
 
 
+def _overlap_marginals(m, bag_dists):
+    """(edge, ma, mb) per tree edge, in m.tree order: the marginals of the
+    edge's two bag distributions on the two bags' overlap."""
+    _check_bag_dists(m, bag_dists)
+    for a, b in m.tree:
+        shared = vertex_set(set(m.bags[a]) & set(m.bags[b]))
+        yield (a, b), marginal(bag_dists[a], shared), marginal(bag_dists[b], shared)
+
+
 def check_marginal_consistency(m, bag_dists):
     """Per-tree-edge exact comparison of the two bag marginals on the
     intersection. Returns a list of {edge, ok, witness} entries."""
-    _check_bag_dists(m, bag_dists)
     results = []
-    for a, b in m.tree:
-        shared = vertex_set(set(m.bags[a]) & set(m.bags[b]))
-        ma = marginal(bag_dists[a], shared)
-        mb = marginal(bag_dists[b], shared)
+    for (a, b), ma, mb in _overlap_marginals(m, bag_dists):
         entry = {"edge": [a, b], "ok": ma == mb}
         if not entry["ok"]:
             entry["witness"] = first_difference(ma.mass, mb.mass)
@@ -191,42 +203,63 @@ def _check_bag_dists(m, bag_dists):
         raise ValueError("bag distributions disagree on target_size")
 
 
-def _require_agreement(m, bag_dists):
-    """Raise MarginalMismatch on the first tree edge whose bag marginals differ."""
-    for entry in check_marginal_consistency(m, bag_dists):
-        if not entry["ok"]:
+def _agreed_marginals(m, bag_dists):
+    """{tree edge: the marginal both its bags share on their overlap}.
+
+    Raises MarginalMismatch on the first edge, in m.tree order, whose two
+    bag marginals differ.
+    """
+    agreed = {}
+    for edge, ma, mb in _overlap_marginals(m, bag_dists):
+        if ma != mb:
             raise MarginalMismatch(
-                "marginal mismatch on tree edge %s" % (entry["edge"],),
-                witness=entry["witness"],
-                edge=tuple(entry["edge"]),
+                "marginal mismatch on tree edge %s" % (list(edge),),
+                witness=first_difference(ma.mass, mb.mass),
+                edge=edge,
             )
+        agreed[edge] = ma
+    return agreed
 
 
 def glue_markov_tree(m, bag_dists):
-    """Joint distribution over the ground set gluing the bag distributions
-    along the Markov tree, by leaf elimination (lowest-index leaf first).
+    """Joint distribution over the union of the bags, gluing the bag
+    distributions along the Markov tree breadth first from bag 0.
 
-    Requires exact marginal agreement across every tree edge. The result
+    Every tree edge's two bag marginals are compared once, in m.tree order,
+    before any gluing; the first mismatch raises MarginalMismatch carrying
+    that edge and its witness. Each bag is then coupled onto the joint glued
+    so far given its overlap with its parent bag, whose marginal that
+    comparison computed. A bag "tree" that is not a tree, or a bag whose
+    overlap with the bags glued so far is not its overlap with its parent
+    (running intersection fails), raises ValueError.
+
+    The result is the junction factorization, whatever the gluing order: it
     reproduces every bag distribution as a marginal and satisfies the
     entropy identity H(joint) = sum_F H(bag_F) - sum_AB H(overlap_AB).
     """
-    _require_agreement(m, bag_dists)
-    return _glue_rec(m, list(range(m.num_bags())), bag_dists)
-
-
-def _glue_rec(m, alive, bag_dists):
-    if len(alive) == 1:
-        return bag_dists[alive[0]]
-    alive_set = set(alive)
-    degree = {i: 0 for i in alive}
-    for a, b in m.tree:
-        if a in alive_set and b in alive_set:
-            degree[a] += 1
-            degree[b] += 1
-    leaf = min(i for i in alive if degree[i] <= 1)
-    rest = [i for i in alive if i != leaf]
-    joint_rest = _glue_rec(m, rest, bag_dists)
-    return glue_pair(joint_rest, bag_dists[leaf])
+    agreed = _agreed_marginals(m, bag_dists)
+    k = m.num_bags()
+    if len(m.tree) != k - 1:
+        raise ValueError("bag tree has %d edges for %d bags" % (len(m.tree), k))
+    joint = bag_dists[0]
+    glued = set(m.bags[0])
+    order = [0]
+    for parent in order:  # grows while it is walked: breadth first
+        for child in m.bag_neighbors(parent):
+            if child in order:
+                continue
+            overlap = agreed[min(parent, child), max(parent, child)]
+            if glued.intersection(m.bags[child]) != set(overlap.index_set):
+                raise ValueError(
+                    "running intersection fails at bag %d: it meets the glued "
+                    "bags outside its parent bag %d" % (child, parent)
+                )
+            joint = _couple(joint, bag_dists[child], overlap)
+            glued.update(m.bags[child])
+            order.append(child)
+    if len(order) != k:
+        raise DisconnectedBagTree("bag tree is disconnected")
+    return joint
 
 
 def junction_factorization(m, bag_dists):
@@ -235,7 +268,7 @@ def junction_factorization(m, bag_dists):
     Built by joining bag supports directly, independent of the pairwise
     gluing path; agrees with glue_markov_tree atom-for-atom on valid input.
     """
-    _require_agreement(m, bag_dists)
+    agreed = _agreed_marginals(m, bag_dists)
 
     ground = vertex_set(v for bag in m.bags for v in bag)
     # join supports: partial assignments as dicts keyed on ground elements
@@ -251,19 +284,14 @@ def junction_factorization(m, bag_dists):
                     joined.append(merged)
         partials = joined
 
-    edge_marginals = []
-    for a, b in m.tree:
-        shared = vertex_set(set(m.bags[a]) & set(m.bags[b]))
-        edge_marginals.append((shared, marginal(bag_dists[a], shared)))
-
     out = {}
     target_size = bag_dists[0].target_size
     for part in partials:
         q = Fraction(1)
         for i, bag in enumerate(m.bags):
             q *= bag_dists[i].mass[tuple(part[v] for v in bag)]
-        for shared, em in edge_marginals:
-            q /= em.mass[tuple(part[v] for v in shared)]
+        for em in agreed.values():
+            q /= em.mass[tuple(part[v] for v in em.index_set)]
         key = tuple(part[v] for v in ground)
         out[key] = out.get(key, Fraction(0)) + q
     return SparseDistribution(ground, target_size, out)

@@ -33,7 +33,9 @@ class MarkovTree:
 
     Construction does not validate the semantic invariants (see
     validate_markov_tree); it only normalizes the representation. Duplicate
-    bag contents under distinct indices are allowed.
+    bag contents under distinct indices are allowed. The ascending neighbour
+    tuple of every bag is built once here and kept outside the dataclass
+    fields, so equality and hashing stay on (ground_size, bags, tree).
     """
 
     ground_size: int
@@ -51,21 +53,22 @@ class MarkovTree:
             if i == j or not (0 <= i < len(norm_bags) and 0 <= j < len(norm_bags)):
                 raise ValueError("bad tree edge (%d,%d)" % (i, j))
             norm_tree.add((min(i, j), max(i, j)))
+        norm_tree = tuple(sorted(norm_tree))
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "bags", norm_bags)
-        object.__setattr__(self, "tree", tuple(sorted(norm_tree)))
+        object.__setattr__(self, "tree", norm_tree)
+        adj = [[] for _ in norm_bags]
+        # with the tree sorted, every bag meets its neighbours in ascending order
+        for i, j in norm_tree:
+            adj[i].append(j)
+            adj[j].append(i)
+        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
 
     def num_bags(self):
         return len(self.bags)
 
     def bag_neighbors(self, i):
-        out = []
-        for a, b in self.tree:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        return self._adj[i]
 
 
 @dataclass(frozen=True)
@@ -90,43 +93,6 @@ class ValidationReport:
         self.violations.append({"kind": kind, "witness": witness})
 
 
-def _tree_structure_ok(m):
-    """True iff m.tree is a tree on the bag indices (empty for one bag)."""
-    k = m.num_bags()
-    if len(m.tree) != k - 1:
-        return False
-    seen = {0}
-    stack = [0]
-    adj = {i: m.bag_neighbors(i) for i in range(k)}
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == k
-
-
-def tree_path(m, a, b):
-    """Bag indices on the unique tree path from a to b, inclusive."""
-    if a == b:
-        return [a]
-    prev = {a: None}
-    queue = [a]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in m.bag_neighbors(v):
-                if w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-        queue = nxt
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    return path[::-1]
-
-
 def validate_markov_tree(m):
     """Check the two Markov-tree conditions, reporting witnesses.
 
@@ -134,8 +100,9 @@ def validate_markov_tree(m):
     "running-intersection" (witness: {a, b, c, element}).
     """
     report = ValidationReport()
-    if not _tree_structure_ok(m):
-        report.add("tree-structure", {"num_bags": m.num_bags(), "tree": list(m.tree)})
+    k = m.num_bags()
+    if not (len(m.tree) == k - 1 and induces_subtree(m, range(k))):
+        report.add("tree-structure", {"num_bags": k, "tree": list(m.tree)})
         return report
     covered = set()
     for b in m.bags:
@@ -143,11 +110,11 @@ def validate_markov_tree(m):
     for v in range(m.ground_size):
         if v not in covered:
             report.add("uncovered-element", {"element": v})
-    for a, b in combinations(range(m.num_bags()), 2):
+    for a, b in combinations(range(k), 2):
         shared = set(m.bags[a]) & set(m.bags[b])
         if not shared:
             continue
-        for c in tree_path(m, a, b)[1:-1]:
+        for c in _shortest_connecting_path(m, (a,), (b,))[1:-1]:
             missing = shared - set(m.bags[c])
             if missing:
                 report.add(
@@ -208,7 +175,11 @@ def helly_intersection(m, families):
         if not (f1 & f2):
             return None
     common = frozenset.intersection(*fams)
-    assert common, "Helly property violated on valid subtrees"
+    if not common:
+        raise ValueError(
+            "Helly property violated: pairwise-intersecting subtree families "
+            "share no bag, so the bag tree is not a tree"
+        )
     return min(common)
 
 
@@ -269,7 +240,6 @@ def minimum_covering_subfamily(d, u):
             family = set(_shortest_connecting_path(m, prefix_common, fv))
         elif not (family & fv):
             family |= set(_shortest_connecting_path(m, family, fv))
-    assert family is not None  # common intersection was empty
     return tuple(sorted(family))
 
 

@@ -164,15 +164,11 @@ def _as_dict(w):
     return w if isinstance(w, dict) else {"witness": w}
 
 
-def _bag_position(bag, v):
-    return bag.index(v)
-
-
 def _condition3_holds(sd, i, j, inter):
     m = sd.decomp.markov
     bag_i, bag_j = m.bags[i], m.bags[j]
-    u_i = tuple(_bag_position(bag_i, v) for v in inter)
-    u_j = tuple(_bag_position(bag_j, v) for v in inter)
+    u_i = tuple(bag_i.index(v) for v in inter)
+    u_j = tuple(bag_j.index(v) for v in inter)
     msd_i = minimum_subdecomposition(sd.children[i], u_i)
     msd_j = minimum_subdecomposition(sd.children[j], u_j)
     if msd_i.decomposition.level != msd_j.decomposition.level:
@@ -197,36 +193,24 @@ def minimum_subdecomposition(sd, u):
     if not u:
         raise ValueError("u must be nonempty")
 
+    td = TreeDecomposition(sd.host, sd.base) if sd.level == 0 else sd.decomp
+    try:
+        keep = minimum_covering_subfamily(td, u)
+    except ContainedInSingleBag as e:
+        if sd.level > 0:
+            bag = td.markov.bags[e.bag_index]
+            child_u = tuple(bag.index(v) for v in u)
+            inner = minimum_subdecomposition(sd.children[e.bag_index], child_u)
+            embedding = tuple(bag[v] for v in inner.embedding)
+            return SubDecomposition(inner.decomposition, embedding)
+        keep = (e.bag_index,)
+    sub_td, relabel = retraction(td, keep)
     if sd.level == 0:
-        td = TreeDecomposition(sd.host, sd.base)
-        try:
-            keep = minimum_covering_subfamily(td, u)
-        except ContainedInSingleBag as e:
-            keep = (e.bag_index,)
-        sub_td, relabel = retraction(td, keep)
-        return SubDecomposition(
-            StrongDecomposition(0, sub_td.host, base=sub_td.markov), relabel
-        )
-
-    m = sd.decomp.markov
-    common = set(range(m.num_bags()))
-    for v in u:
-        common &= {i for i, b in enumerate(m.bags) if v in b}
-    if common:
-        x = min(common)
-        bag = m.bags[x]
-        child_u = tuple(_bag_position(bag, v) for v in u)
-        inner = minimum_subdecomposition(sd.children[x], child_u)
-        embedding = tuple(bag[v] for v in inner.embedding)
-        return SubDecomposition(inner.decomposition, embedding)
-
-    keep = minimum_covering_subfamily(sd.decomp, u)
-    sub_td, relabel = retraction(sd.decomp, keep)
-    children = tuple(sd.children[i] for i in keep)
-    return SubDecomposition(
-        StrongDecomposition(sd.level, sub_td.host, decomp=sub_td, children=children),
-        relabel,
-    )
+        sub = StrongDecomposition(0, sub_td.host, base=sub_td.markov)
+    else:
+        children = tuple(sd.children[i] for i in keep)
+        sub = StrongDecomposition(sd.level, sub_td.host, decomp=sub_td, children=children)
+    return SubDecomposition(sub, relabel)
 
 
 def strong_isomorphism(sd1, sd2, pin=None):
@@ -275,7 +259,6 @@ def _structure_match(sd1, sd2, phi):
     if m1.num_bags() != m2.num_bags():
         return None
     images = [vertex_set(phi[v] for v in b) for b in m1.bags]
-    tree2 = set(m2.tree)
     k = m1.num_bags()
     assignment = [-1] * k
     used = [False] * k
@@ -286,15 +269,10 @@ def _structure_match(sd1, sd2, phi):
         for j in range(k):
             if used[j] or m2.bags[j] != images[i]:
                 continue
-            ok = True
-            for a, b in m1.tree:
-                if assignment[a] >= 0 and b == i:
-                    e = (min(assignment[a], j), max(assignment[a], j))
-                    ok = ok and e in tree2
-                if assignment[b] >= 0 and a == i:
-                    e = (min(assignment[b], j), max(assignment[b], j))
-                    ok = ok and e in tree2
-            if not ok:
+            if any(
+                assignment[a] >= 0 and assignment[a] not in m2.bag_neighbors(j)
+                for a in m1.bag_neighbors(i)
+            ):
                 continue
             child_map = _child_vertex_map(m1.bags[i], m2.bags[j], phi)
             if not is_strong_isomorphism(sd1.children[i], sd2.children[j], child_map):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -124,6 +125,38 @@ def test_glue_command(tmp_path, capsys):
     assert code == 0
     assert len(dist["mass"]) == 12
     assert all(e["den"] == "12" for e in dist["mass"])
+
+
+def test_glue_reports_the_first_mismatching_edge_in_sorted_order(tmp_path, capsys):
+    # edges (0,1) and (1,2) both mismatch; the report names (0,1) and its witness
+    def dist(idx, masses):
+        return {
+            "index_set": idx,
+            "target_size": 2,
+            "mass": [
+                {"key": list(k), "num": str(q.numerator), "den": str(q.denominator)}
+                for k, q in masses.items()
+            ],
+        }
+
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    instance = {
+        "markov": {"ground_size": 4, "bags": [[0, 1], [1, 2], [2, 3]], "tree": [[1, 2], [0, 1]]},
+        "bag_dists": [
+            dist([0, 1], {(0, 0): half, (1, 1): half}),
+            dist([1, 2], {(0, 0): third, (1, 1): 2 * third}),
+            dist([2, 3], {(0, 0): Fraction(3, 4), (1, 0): Fraction(1, 4)}),
+        ],
+    }
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    code, doc = run(capsys, "glue", str(path))
+    assert code == 1
+    assert doc == {
+        "error": "marginal mismatch on tree edge [0, 1]",
+        "edge": [0, 1],
+        "witness": {"key": [0], "left": "1/2", "right": "1/3"},
+    }
 
 
 def test_min_subdec_command(fixdir, capsys):

@@ -16,6 +16,7 @@ from homglue.dists import (
     point_mass,
     uniform,
 )
+from homglue.fixtures import bad_markov_tree
 from homglue.markov import MarkovTree, markov_subtrees
 from helpers import brute_force_joint, consistent_bag_dists, random_markov_tree
 
@@ -170,6 +171,34 @@ def test_glue_reports_failing_edge():
     with pytest.raises(MarginalMismatch) as e:
         glue_markov_tree(m, [p, q])
     assert e.value.edge == (0, 1)
+
+
+def test_glue_markov_tree_rejects_running_intersection_failure():
+    # consistent bags, so only the walk's incremental running-intersection
+    # check can refuse: bag 2 meets the glued bags in {0, 2}, its parent in {2}
+    m = bad_markov_tree()
+    dists = consistent_bag_dists(random.Random(5), m, 2)
+    assert all(e["ok"] for e in check_marginal_consistency(m, dists))
+    with pytest.raises(ValueError, match="running intersection fails at bag 2") as e:
+        glue_markov_tree(m, dists)
+    assert not isinstance(e.value, MarginalMismatch)
+
+
+@pytest.mark.parametrize(
+    "bags, tree",
+    [
+        # a forest: one edge short of a tree
+        ([(0, 1), (1, 2), (0, 2)], [(0, 1)]),
+        # k - 1 edges, but they close a cycle and leave bag 3 out
+        ([(0,), (0,), (0,), (1,)], [(0, 1), (1, 2), (0, 2)]),
+    ],
+)
+def test_glue_markov_tree_rejects_a_bag_tree_that_is_not_a_tree(bags, tree):
+    m = MarkovTree(3, bags, tree)
+    dists = consistent_bag_dists(random.Random(6), m, 2)
+    with pytest.raises(ValueError) as e:
+        glue_markov_tree(m, dists)
+    assert not isinstance(e.value, MarginalMismatch)
 
 
 def test_randomized_glue_properties():

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import homglue
 from homglue.graphs import Graph
 from homglue.markov import (
     ContainedInSingleBag,
@@ -59,6 +63,23 @@ def test_validate_malformed_tree():
     assert report.violations[0]["kind"] == "tree-structure"
 
 
+def test_bag_neighbors_match_a_scan_of_the_tree():
+    rng = random.Random(31)
+    for _ in range(60):
+        m = random_markov_tree(rng, rng.randint(1, 9), 3)
+        for i in range(m.num_bags()):
+            scan = sorted([b for a, b in m.tree if a == i] + [a for a, b in m.tree if b == i])
+            assert m.bag_neighbors(i) == tuple(scan)
+
+
+def test_equal_markov_trees_compare_and_hash_equal():
+    m1 = MarkovTree(3, [(1, 0), (2, 1)], [(1, 0)])
+    m2 = MarkovTree(3, [[0, 1], [1, 2]], [(0, 1), (1, 0)])
+    assert m1 == m2 and hash(m1) == hash(m2)
+    assert len({m1, m2}) == 1
+    assert m1 != MarkovTree(3, [(0, 1), (1, 2)])
+
+
 def test_tree_decomposition_validation():
     host = c4()
     good = TreeDecomposition(host, MarkovTree(4, [(0, 1, 2), (0, 2, 3)], [(0, 1)]))
@@ -98,6 +119,31 @@ def test_helly_examples():
     assert helly_intersection(m, [(0, 1)]) == 0
     with pytest.raises(NotASubtree):
         helly_intersection(m, [(0, 2)])
+
+
+def test_helly_on_a_cyclic_bag_tree_is_a_value_error_also_under_optimize():
+    # three pairwise-intersecting subtrees of a 3-cycle share no bag; the
+    # check must raise the same error when python -O strips asserts
+    script = (
+        "from homglue.markov import MarkovTree, helly_intersection\n"
+        "fams = [(0, 1), (1, 2), (0, 2)]\n"
+        "try:\n"
+        "    helly_intersection(MarkovTree(3, fams, fams), fams)\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+    fams = [(0, 1), (1, 2), (0, 2)]
+    with pytest.raises(ValueError, match="Helly property violated") as e:
+        helly_intersection(MarkovTree(3, fams, fams), fams)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == str(e.value) + "\n"
 
 
 def test_helly_matches_brute_force():
