@@ -45,7 +45,12 @@ class _InputError(Exception):
 
 
 def _emit(doc, out=None):
-    text = json.dumps(doc, indent=1, sort_keys=True) + "\n"
+    _write(json.dumps(doc, indent=1, sort_keys=True), out)
+
+
+def _write(text, out=None):
+    """Write a JSON document's text and a newline to the file out, or to stdout."""
+    text += "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -82,7 +87,7 @@ def cmd_assoc(args):
     except (InvariantViolation, MarginalMismatch) as e:
         _emit({"error": str(e)})
         return 1
-    _emit(serialize.distribution_to_json(ad.dist), out=args.out)
+    _write(serialize.distribution_to_text(ad.dist), out=args.out)
     summary = {"atoms": ad.dist.support_size()}
     if bound is not None:
         summary["bound_report"] = serialize.bound_report_to_json(bound)
@@ -111,7 +116,7 @@ def cmd_glue(args):
     except MarginalMismatch as e:
         _emit({"error": str(e), "edge": list(e.edge or ()), "witness": e.witness})
         return 1
-    _emit(serialize.distribution_to_json(joint), out=args.out)
+    _write(serialize.distribution_to_text(joint), out=args.out)
     return 0
 
 

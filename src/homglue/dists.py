@@ -9,6 +9,7 @@ when entropy (in bits) is computed.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .graphs import vertex_set
 from .markov import DisconnectedBagTree
@@ -29,6 +30,14 @@ class SparseDistribution:
 
     Keys are value tuples aligned with the sorted index_set; only strictly
     positive atoms are stored, and the masses must sum to exactly 1.
+
+    Distributions are validated where they enter the program: this
+    constructor, point_mass, uniform and serialize.distribution_from_json
+    check every atom and the total. What the program builds from valid
+    distributions (marginals, couplings, BRW laws, re-indexed children) goes
+    through the unchecked _trusted constructor instead, and each public
+    function checks the total mass of the distribution it returns once
+    (ValueError when it is not exactly 1).
     """
 
     index_set: tuple
@@ -40,7 +49,6 @@ class SparseDistribution:
         if target_size < 0:
             raise ValueError("target_size must be nonnegative")
         norm = {}
-        total = Fraction(0)
         for key, p in mass.items():
             key = tuple(key)
             if len(key) != len(index_set):
@@ -53,12 +61,34 @@ class SparseDistribution:
             if key in norm:
                 raise ValueError("duplicate key %s" % (key,))
             norm[key] = p
-            total += p
-        if total != 1:
-            raise ValueError("total mass is %s, not 1" % total)
         object.__setattr__(self, "index_set", index_set)
         object.__setattr__(self, "target_size", target_size)
         object.__setattr__(self, "mass", norm)
+        self._check_total()
+
+    @classmethod
+    def _trusted(cls, index_set, target_size, mass):
+        """A distribution from parts that are valid by construction: a sorted
+        vertex tuple and a dict of strictly positive Fractions keyed by
+        in-range value tuples of its arity. Nothing is checked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "index_set", index_set)
+        object.__setattr__(p, "target_size", target_size)
+        object.__setattr__(p, "mass", mass)
+        return p
+
+    def _check_total(self):
+        """self, once its masses are checked to sum to exactly 1 (ValueError
+        otherwise). The numerators are summed as integers per denominator,
+        so one Fraction is formed per distinct denominator, not per atom."""
+        by_den = {}
+        for q in self.mass.values():
+            d = q.denominator
+            by_den[d] = by_den.get(d, 0) + q.numerator
+        total = sum(Fraction(n, d) for d, n in by_den.items())
+        if total != 1:
+            raise ValueError("total mass is %s, not 1" % total)
+        return self
 
     def support_size(self):
         return len(self.mass)
@@ -86,12 +116,24 @@ def uniform(index_set, target_size, keys):
 
 
 def _projector(index_set, s):
+    """key -> the tuple of key's values at the indices s, in s's order. A bare
+    itemgetter returns a scalar for one position, so that case is wrapped."""
     positions = [index_set.index(v) for v in s]
-    return lambda key: tuple(key[i] for i in positions)
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (i,) = positions
+        return lambda key: (key[i],)
+    return lambda key: ()
 
 
 def marginal(p, s):
-    """Exact marginal of p onto the index subset s."""
+    """Exact marginal of p onto the index subset s.
+
+    p is trusted as validated; the marginal's atoms are summed without
+    further checks, and its total mass is checked once (ValueError unless
+    exactly 1).
+    """
     s = vertex_set(s)
     if not set(s) <= set(p.index_set):
         raise ValueError("%s is not a subset of the index set" % (s,))
@@ -99,8 +141,8 @@ def marginal(p, s):
     out = {}
     for key, q in p.mass.items():
         k = proj(key)
-        out[k] = out.get(k, Fraction(0)) + q
-    return SparseDistribution(s, p.target_size, out)
+        out[k] = out[k] + q if k in out else q
+    return SparseDistribution._trusted(s, p.target_size, out)._check_total()
 
 
 def entropy(p):
@@ -129,32 +171,45 @@ def glue_pair(p12, p23):
         raise MarginalMismatch(
             "shared marginals differ at %s" % (witness,), witness=witness
         )
-    return _couple(p12, p23, m12)
+    return _couple(p12, p23, m12)._check_total()
 
 
 def _couple(p12, p23, overlap):
     """The coupling of glue_pair, given overlap: the agreed marginal of p12
-    and p23 on exactly their shared indices."""
-    union = vertex_set(set(p12.index_set) | set(p23.index_set))
-    proj12 = _projector(p12.index_set, overlap.index_set)
-    proj23 = _projector(p23.index_set, overlap.index_set)
+    and p23 on exactly their shared indices. Its total mass is not checked.
+
+    Each atom p12(y_12) * p23(y_23) / m(y_shared) is written as one Fraction
+    of integer products, so it is normalised once.
+    """
+    idx12, idx23 = p12.index_set, p23.index_set
+    in12 = set(idx12)
+    only23 = tuple(v for v in idx23 if v not in in12)
+    union = vertex_set(idx12 + only23)
+    proj12 = _projector(idx12, overlap.index_set)
+    proj23 = _projector(idx23, overlap.index_set)
+    tail23 = _projector(idx23, only23)
+    # key12 + tail23(key23) lists the union's values in idx12 + only23 order
+    joined = idx12 + only23
+    to_union = _projector(joined, union) if joined != union else None
 
     by_shared = {}
     for key23, q23 in p23.mass.items():
-        by_shared.setdefault(proj23(key23), []).append((key23, q23))
+        by_shared.setdefault(proj23(key23), []).append(
+            (tail23(key23), q23.numerator, q23.denominator)
+        )
 
-    pos12 = {v: i for i, v in enumerate(p12.index_set)}
-    pos23 = {v: i for i, v in enumerate(p23.index_set)}
     out = {}
     for key12, q12 in p12.mass.items():
         sk = proj12(key12)
-        denom = overlap.mass[sk]
-        for key23, q23 in by_shared.get(sk, ()):
-            key = tuple(
-                key12[pos12[v]] if v in pos12 else key23[pos23[v]] for v in union
-            )
-            out[key] = q12 * q23 / denom
-    return SparseDistribution(union, p12.target_size, out)
+        m = overlap.mass[sk]
+        num = q12.numerator * m.denominator
+        den = q12.denominator * m.numerator
+        for tail, n23, d23 in by_shared.get(sk, ()):
+            key = key12 + tail
+            if to_union is not None:
+                key = to_union(key)
+            out[key] = Fraction(num * n23, den * d23)
+    return SparseDistribution._trusted(union, p12.target_size, out)
 
 
 def first_difference(a, b, left="left", right="right"):
@@ -233,6 +288,11 @@ def glue_markov_tree(m, bag_dists):
     overlap with the bags glued so far is not its overlap with its parent
     (running intersection fails), raises ValueError.
 
+    The bag distributions are trusted as given (they were validated where
+    they entered); the joints glued along the way are not checked, and the
+    returned joint has its total mass checked once, which raises ValueError
+    unless it is exactly 1.
+
     The result is the junction factorization, whatever the gluing order: it
     reproduces every bag distribution as a marginal and satisfies the
     entropy identity H(joint) = sum_F H(bag_F) - sum_AB H(overlap_AB).
@@ -259,14 +319,15 @@ def glue_markov_tree(m, bag_dists):
             order.append(child)
     if len(order) != k:
         raise DisconnectedBagTree("bag tree is disconnected")
-    return joint
+    return joint._check_total()
 
 
 def junction_factorization(m, bag_dists):
     """Closed-form joint: q(y) = prod_F p_F(y_F) / prod_AB m_AB(y_overlap).
 
     Built by joining bag supports directly, independent of the pairwise
-    gluing path; agrees with glue_markov_tree atom-for-atom on valid input.
+    gluing path, and through the validating constructor; agrees with
+    glue_markov_tree atom-for-atom on valid input.
     """
     agreed = _agreed_marginals(m, bag_dists)
 

@@ -13,7 +13,9 @@ Formats:
 All round trips are bit-exact.
 """
 
+import json
 from fractions import Fraction
+from itertools import chain
 
 from .dists import SparseDistribution
 from .graphs import Graph
@@ -25,8 +27,19 @@ def graph_to_json(g):
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
+# Largest vertex count a graph document may declare. Graph allocates one
+# adjacency list per vertex, so n is bounded before anything is built; every
+# fixture and benchmark input is far below it.
+MAX_GRAPH_VERTICES = 10_000
+
+
 def graph_from_json(doc):
-    return Graph(doc["n"], [tuple(e) for e in doc["edges"]])
+    n = doc["n"]
+    if type(n) is not int or not 0 <= n <= MAX_GRAPH_VERTICES:
+        raise ValueError(
+            "n must be an integer from 0 to %d, not %s" % (MAX_GRAPH_VERTICES, json.dumps(n))
+        )
+    return Graph(n, [tuple(e) for e in doc["edges"]])
 
 
 def markov_to_json(m):
@@ -89,6 +102,36 @@ def distribution_to_json(p):
             for k, q in sorted(p.mass.items())
         ],
     }
+
+
+def distribution_to_text(p):
+    """json.dumps(distribution_to_json(p), indent=1, sort_keys=True), byte for
+    byte, written directly instead of through json's pure-Python indenting
+    encoder: every atom fills one template with a slot per key value."""
+    index_set, items = p.index_set, sorted(p.mass.items())
+    if not all(type(x) is int for x in chain(index_set, *p.mass)):
+        # bools and floats take their JSON spelling
+        index_set = tuple(map(json.dumps, index_set))
+        items = [(tuple(map(json.dumps, k)), q) for k, q in items]
+    atom = (
+        '{\n   "den": "%d",\n   "key": '
+        + _list_text(["%s"] * len(index_set), 3)
+        + ',\n   "num": "%d"\n  }'
+    )
+    atoms = [atom % (q.denominator, *k, q.numerator) for k, q in items]
+    return '{\n "index_set": %s,\n "mass": %s,\n "target_size": %s\n}' % (
+        _list_text(map(str, index_set), 1),
+        _list_text(atoms, 1),
+        json.dumps(p.target_size),
+    )
+
+
+def _list_text(texts, depth):
+    """A JSON list of already-encoded items as json.dumps(indent=1) lays it
+    out at nesting depth depth."""
+    sep = "\n" + " " * (depth + 1)
+    body = ("," + sep).join(texts)
+    return "[%s%s\n%s]" % (sep, body, " " * depth) if body else "[]"
 
 
 def distribution_from_json(doc):

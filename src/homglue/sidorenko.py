@@ -43,7 +43,8 @@ def brw_distribution(t, g):
     ordered edge of g; every remaining vertex, attached in BFS order, steps
     to a uniformly random neighbor of its parent's image. Every edge of t
     then has the uniform ordered-edge marginal, which is what makes these
-    distributions gluable.
+    distributions gluable. The atoms are built without validation and their
+    total mass is checked once.
     """
     if not is_tree(t) or t.num_edges() == 0:
         raise ValueError("source must be a tree with at least one edge")
@@ -64,27 +65,28 @@ def brw_distribution(t, g):
                 order.append(w)
                 queue.append(w)
 
-    root_p = Fraction(1, 2 * g.num_edges())
+    # an atom's mass is 1 / (2e(g) * the degrees of its attached vertices'
+    # parent images): one integer denominator, one Fraction per atom
     mass = {}
     img = [-1] * t.n
 
-    def attach(i, prob):
+    def attach(i, den):
         if i == len(order):
-            mass[tuple(img)] = prob
+            mass[tuple(img)] = Fraction(1, den)
             return
         w = order[i]
         pv = img[parent[w]]
-        step = Fraction(1, g.degree(pv))
+        den *= g.degree(pv)
         for z in g.neighbors(pv):
             img[w] = z
-            attach(i + 1, prob * step)
+            attach(i + 1, den)
         img[w] = -1
 
     for a, b in g.edges:
         for x, y in ((a, b), (b, a)):
             img[r0], img[r1] = x, y
-            attach(0, root_p)
-    return SparseDistribution(range(t.n), g.n, mass)
+            attach(0, 2 * g.num_edges())
+    return SparseDistribution._trusted(tuple(range(t.n)), g.n, mass)._check_total()
 
 
 def associated_distribution(sd, g):
@@ -111,13 +113,16 @@ def _build(sd, g):
     if sd.level == 0:
         return brw_distribution(sd.host, g)
     m = sd.decomp.markov
-    # each child lives on 0..|bag|-1 and the bag is sorted, so its keys line
-    # up positionally with the bag's vertices
-    bag_dists = [
-        SparseDistribution(bag, g.n, _build(child, g).mass)
-        for bag, child in zip(m.bags, sd.children)
-    ]
+    bag_dists = [_reindex(_build(child, g), bag) for bag, child in zip(m.bags, sd.children)]
     return glue_markov_tree(m, bag_dists)
+
+
+def _reindex(p, bag):
+    """p, which lives on 0..|bag|-1, moved onto the sorted bag: its keys line
+    up positionally with the bag's vertices, so only the arity can be wrong."""
+    if len(p.index_set) != len(bag):
+        raise ValueError("key %s has wrong arity" % (next(iter(p.mass)),))
+    return SparseDistribution._trusted(bag, p.target_size, p.mass)
 
 
 def projection_consistency_check(sd, g, u):

@@ -6,6 +6,7 @@ distributions by direct formula evaluation, and so on.
 """
 
 import random
+from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -204,3 +205,50 @@ def brute_force_homs(h, g):
         for m in product(range(g.n), repeat=h.n)
         if all((min(m[u], m[v]), max(m[u], m[v])) in edges for u, v in h.edges)
     ]
+
+
+def brw_reference(t, g):
+    """Branching random walk on Hom(t, g) as a running product of Fraction
+    steps: 1/(2e(g)) for the ordered edge under t's first edge, then
+    1/deg(parent image) for each vertex attached in BFS order. Built through
+    the validating constructor."""
+    r0, r1 = t.edges[0]
+    order, parent, seen = [], {}, {r0, r1}
+    queue = deque([r0, r1])
+    while queue:
+        v = queue.popleft()
+        for w in t.neighbors(v):
+            if w not in seen:
+                seen.add(w)
+                parent[w] = v
+                order.append(w)
+                queue.append(w)
+    mass = {}
+
+    def attach(img, i, prob):
+        if i == len(order):
+            mass[tuple(img)] = prob
+            return
+        w = order[i]
+        pv = img[parent[w]]
+        for z in g.neighbors(pv):
+            img[w] = z
+            attach(img, i + 1, prob * Fraction(1, g.degree(pv)))
+        img[w] = -1
+
+    for a, b in g.edges:
+        for x, y in ((a, b), (b, a)):
+            img = [-1] * t.n
+            img[r0], img[r1] = x, y
+            attach(img, 0, Fraction(1, 2 * g.num_edges()))
+    return SparseDistribution(range(t.n), g.n, mass)
+
+
+def random_graph(rng, n, p):
+    """G(n, p) on 0..n-1."""
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
+
+
+def random_tree(rng, n):
+    """Random labelled tree on 0..n-1 (random attachment)."""
+    return Graph(n, random_tree_edges(rng, n))

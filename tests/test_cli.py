@@ -9,8 +9,10 @@ import pytest
 import homglue
 from homglue import serialize
 from homglue.cli import main
-from homglue.dists import point_mass
-from homglue.fixtures import c4_fixture, write_fixture_dir
+from homglue.dists import glue_markov_tree, point_mass
+from homglue.fixtures import bundled_strong_fixtures, c4_fixture, write_fixture_dir
+from homglue.graphs import Graph
+from homglue.sidorenko import associated_distribution
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -102,8 +104,8 @@ def test_assoc_edgeless_target(fixdir, capsys):
     assert doc["error"] == "target has no edges"
 
 
-def test_glue_command(tmp_path, capsys):
-    instance = {
+def k3_edge_instance():
+    return {
         "markov": {"ground_size": 3, "bags": [[0, 1], [1, 2]], "tree": [[0, 1]]},
         "bag_dists": [
             {
@@ -119,12 +121,60 @@ def test_glue_command(tmp_path, capsys):
             for idx in ([0, 1], [1, 2])
         ],
     }
+
+
+def json_route(p):
+    """The distribution document as json.dumps lays it out, with the newline
+    the CLI ends every document with."""
+    return json.dumps(serialize.distribution_to_json(p), indent=1, sort_keys=True) + "\n"
+
+
+def test_glue_command(tmp_path, capsys):
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps(instance))
+    path.write_text(json.dumps(k3_edge_instance()))
     code, dist = run(capsys, "glue", str(path))
     assert code == 0
     assert len(dist["mass"]) == 12
     assert all(e["den"] == "12" for e in dist["mass"])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_assoc_out_file_is_the_json_route(fixdir, tmp_path, capsys, n):
+    target = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    tpath = tmp_path / "k.json"
+    tpath.write_text(json.dumps(serialize.graph_to_json(target)))
+    for name, sd in bundled_strong_fixtures().items():
+        out = tmp_path / (name + ".json")
+        code = main(["assoc", os.path.join(fixdir, name + ".json"), str(tpath), "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0, name
+        assert out.read_text() == json_route(associated_distribution(sd, target).dist), name
+
+
+def test_glue_out_file_is_the_json_route(tmp_path, capsys):
+    instance = k3_edge_instance()
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    out = tmp_path / "joint.json"
+    assert main(["glue", str(path), "--out", str(out)]) == 0
+    capsys.readouterr()
+    m = serialize.markov_from_json(instance["markov"])
+    bags = [serialize.distribution_from_json(d) for d in instance["bag_dists"]]
+    assert out.read_text() == json_route(glue_markov_tree(m, bags))
+
+
+def test_oversized_graph_is_a_parse_failure_before_it_is_built(tmp_path, capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(serialize, "Graph", lambda *a: built.append(a))
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 100000000, "edges": []}))
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert built == []
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: cannot parse")
+    assert "n must be an integer from 0 to %d" % serialize.MAX_GRAPH_VERTICES in captured.err
 
 
 def test_glue_reports_the_first_mismatching_edge_in_sorted_order(tmp_path, capsys):

@@ -1,9 +1,13 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import homglue
 from homglue.dists import (
     MarginalMismatch,
     SparseDistribution,
@@ -36,6 +40,39 @@ def test_distribution_validation():
         SparseDistribution((0,), 2, {(0,): Fraction(1, 2), (2,): Fraction(1, 2)})
     with pytest.raises(ValueError):
         SparseDistribution((0,), 2, {(0, 1): Fraction(1)})  # wrong arity
+
+
+def test_returned_distribution_of_wrong_total_mass_raises():
+    p = uniform((0,), 2, [(0,), (1,)])
+    p.mass[(0,)] = Fraction(1, 4)  # edited after construction: the total is 3/4
+    with pytest.raises(ValueError, match=r"^total mass is 3/4, not 1$"):
+        glue_markov_tree(MarkovTree(1, [(0,)]), [p])
+    with pytest.raises(ValueError, match=r"^total mass is 3/4, not 1$"):
+        marginal(p, (0,))
+
+
+def test_returned_distribution_of_wrong_total_mass_raises_under_optimize():
+    # python -O strips asserts; the total-mass check must still fire
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
+    script = (
+        "from fractions import Fraction\n"
+        "from homglue.dists import glue_markov_tree, uniform\n"
+        "from homglue.markov import MarkovTree\n"
+        "p = uniform((0,), 2, [(0,), (1,)])\n"
+        "p.mass[(0,)] = Fraction(1, 4)\n"
+        "try:\n"
+        "    glue_markov_tree(MarkovTree(1, [(0,)]), [p])\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "total mass is 3/4, not 1\n"
 
 
 def test_marginal_identity_and_product():

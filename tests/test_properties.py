@@ -1,0 +1,95 @@
+"""Property tests on seeded random Markov trees, bag distributions and
+targets: the gluing kernels against their brute-force oracles, the BRW law
+against a running-product reference, and every returned distribution
+against a rebuild through the validating constructor."""
+
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from homglue.dists import SparseDistribution, glue_markov_tree, glue_pair, junction_factorization, marginal
+from homglue.fixtures import bundled_strong_fixtures
+from homglue.sidorenko import associated_distribution, brw_distribution
+from helpers import (
+    brute_force_joint,
+    brw_reference,
+    consistent_bag_dists,
+    random_graph,
+    random_markov_tree,
+    random_tree,
+)
+
+# derandomized and without an example database: the same examples on every run
+PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+def rebuilt(p):
+    """p through the validating constructor."""
+    return SparseDistribution(p.index_set, p.target_size, p.mass)
+
+
+def glue_instance(seed, num_bags, ground_size, target_size, atoms):
+    rng = random.Random(seed)
+    m = random_markov_tree(rng, num_bags, ground_size)
+    return m, consistent_bag_dists(rng, m, target_size, atoms)
+
+
+def random_target(seed, n):
+    """G(n, 1/2) with at least one edge."""
+    rng = random.Random(seed)
+    while True:
+        g = random_graph(rng, n, 0.5)
+        if g.num_edges():
+            return g
+
+
+@PROPERTIES
+@given(
+    seed=seeds,
+    num_bags=st.integers(1, 5),
+    ground_size=st.integers(1, 5),
+    target_size=st.integers(2, 3),
+    atoms=st.integers(1, 12),
+)
+def test_glue_markov_tree_equals_both_oracles(seed, num_bags, ground_size, target_size, atoms):
+    m, dists = glue_instance(seed, num_bags, ground_size, target_size, atoms)
+    joint = glue_markov_tree(m, dists)
+    assert joint == junction_factorization(m, dists)
+    assert joint == brute_force_joint(m, dists)
+    assert rebuilt(joint) == joint
+
+
+@PROPERTIES
+@given(seed=seeds, ground_size=st.integers(2, 5), atoms=st.integers(1, 12), split=st.integers(0, 2**8))
+def test_marginal_and_glue_pair_rebuild_equal(seed, ground_size, atoms, split):
+    _, (joint,) = glue_instance(seed, 1, ground_size, 3, atoms)
+    ground = joint.index_set
+    left = tuple(v for v in ground if split >> v & 1 or v == ground[0])
+    right = tuple(v for v in ground if not split >> v & 1 or v == ground[-1])
+    p12, p23 = marginal(joint, left), marginal(joint, right)
+    assert rebuilt(p12) == p12 and rebuilt(p23) == p23
+    shared = tuple(sorted(set(left) & set(right)))
+    assert marginal(p12, shared) == marginal(p23, shared)
+    glued = glue_pair(p12, p23)
+    assert rebuilt(glued) == glued
+    assert marginal(glued, left) == p12 and marginal(glued, right) == p23
+
+
+@PROPERTIES
+@given(seed=seeds, tree_size=st.integers(2, 5), target_size=st.integers(2, 6))
+def test_brw_distribution_equals_running_product_reference(seed, tree_size, target_size):
+    t = random_tree(random.Random(seed), tree_size)
+    g = random_target(seed, target_size)
+    p = brw_distribution(t, g)
+    assert p == brw_reference(t, g)
+    assert rebuilt(p) == p
+
+
+@PROPERTIES
+@given(seed=seeds, name=st.sampled_from(sorted(bundled_strong_fixtures())), target_size=st.integers(2, 4))
+def test_associated_distribution_rebuilds_equal(seed, name, target_size):
+    sd = bundled_strong_fixtures()[name]
+    dist = associated_distribution(sd, random_target(seed, target_size)).dist
+    assert rebuilt(dist) == dist

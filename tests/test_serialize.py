@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from homglue.dists import SparseDistribution
 from homglue.graphs import Graph
 from homglue.markov import MarkovTree, TreeDecomposition
 from homglue.fixtures import bundled_strong_fixtures, c4, load_fixture_bundle, write_fixture_dir
+from helpers import random_joint
 
 
 def test_graph_round_trip():
@@ -45,6 +47,61 @@ def test_distribution_round_trip():
     assert [e["key"] for e in doc["mass"]] == [[0, 1], [1, 2], [2, 0]]
     assert all(e["den"] == "3" for e in doc["mass"])
     assert serialize.distribution_from_json(json.loads(json.dumps(doc))) == p
+
+
+def json_route(p):
+    return json.dumps(serialize.distribution_to_json(p), indent=1, sort_keys=True)
+
+
+def test_distribution_text_matches_the_json_route_byte_for_byte():
+    big = 2**64
+    cases = [
+        SparseDistribution((), 0, {(): Fraction(1)}),  # empty index set, key ()
+        SparseDistribution((), 3, {(): Fraction(1)}),
+        SparseDistribution((4,), 5, {(2,): Fraction(1)}),  # a single atom
+        SparseDistribution(
+            (0, 3),
+            2,
+            {(0, 1): Fraction(big + 1, 3 * big + 7), (1, 1): Fraction(2 * big + 6, 3 * big + 7)},
+        ),
+        SparseDistribution(
+            (1,), 2, {(0,): Fraction(1, big * big + 1), (1,): Fraction(big * big, big * big + 1)}
+        ),
+    ]
+    rng = random.Random(41)
+    for _ in range(40):
+        ground = tuple(sorted(rng.sample(range(8), rng.randint(1, 5))))
+        cases.append(random_joint(rng, ground, rng.randint(1, 4), atoms=rng.randint(1, 20)))
+    for p in cases:
+        assert serialize.distribution_to_text(p) == json_route(p)
+
+
+@pytest.mark.parametrize(
+    "keys, target_size",
+    [([[True, 1], [0, 0]], 2), ([[True, 0.5], [0, 2]], 2.5)],
+    ids=["bools", "floats"],
+)
+def test_distribution_text_spells_non_integer_values_as_json(keys, target_size):
+    # the loader accepts any value in range, so bools and floats can reach the writer
+    p = serialize.distribution_from_json(
+        {
+            "index_set": [0, 1],
+            "target_size": target_size,
+            "mass": [{"key": k, "num": "1", "den": "2"} for k in keys],
+        }
+    )
+    assert serialize.distribution_to_text(p) == json_route(p)
+
+
+@pytest.mark.parametrize("n", [True, False, -1, 2.0, "3", serialize.MAX_GRAPH_VERTICES + 1, 10**8])
+def test_graph_from_json_rejects_a_bad_vertex_count(n):
+    with pytest.raises(ValueError, match="n must be an integer from 0 to"):
+        serialize.graph_from_json({"n": n, "edges": []})
+
+
+def test_graph_from_json_accepts_the_largest_vertex_count():
+    n = serialize.MAX_GRAPH_VERTICES
+    assert serialize.graph_from_json({"n": n, "edges": [[0, n - 1]]}).num_edges() == 1
 
 
 def test_detect_kind():

@@ -22,7 +22,7 @@ from homglue.sidorenko import (
     projection_consistency_check,
     sidorenko_check,
 )
-from homglue.strong import strong_isomorphism
+from homglue.strong import StrongDecomposition, strong_isomorphism, zero_strong
 from homglue.fixtures import (
     book,
     book_fixture,
@@ -175,6 +175,16 @@ def test_non_homomorphic_atom_raises_under_optimize():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_child_smaller_than_its_bag_raises_wrong_arity():
+    # the children's laws are re-indexed onto their bags unchecked, but not
+    # when a child's host has fewer vertices than its bag
+    sd = c4_fixture()
+    children = (zero_strong(k2()),) + sd.children[1:]
+    broken = StrongDecomposition(1, sd.host, decomp=sd.decomp, children=children)
+    with pytest.raises(ValueError, match=r"^key \(\d, \d\) has wrong arity$"):
+        associated_distribution(broken, k3())
 
 
 def test_entropy_above_support_bound_raises_invariant_violation(monkeypatch):
