@@ -28,7 +28,6 @@ from .strong import (
     SubDecomposition,
     minimum_subdecomposition,
     strong_isomorphism,
-    underlying_graph,
     validate_document,
     validate_strong,
     zero_strong,

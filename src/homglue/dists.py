@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .graphs import vertex_set
-from .markov import DisconnectedBagTree
+from .graphs import is_tree, vertex_set
+from .markov import MarkovTree
 
 
 class MarginalMismatch(ValueError):
@@ -154,29 +154,25 @@ def entropy(p):
 
 def glue_pair(p12, p23):
     """Conditional independent coupling of two distributions along their
-    shared indices.
+    shared indices: glue_markov_tree on the two-bag tree with bags
+    p12.index_set and p23.index_set, whose index sets must therefore be
+    non-negative integers.
 
-    The shared marginals must agree exactly; the result q on the union
+    The shared marginals must agree exactly (MarginalMismatch otherwise,
+    with the first differing key as witness); the result q on the union
     index set satisfies q(y) * m(y_shared) = p12(y_12) * p23(y_23) on every
     atom and reproduces both inputs as marginals. An empty shared set
     yields the product distribution.
     """
-    if p12.target_size != p23.target_size:
-        raise ValueError("target sizes differ")
-    shared = vertex_set(set(p12.index_set) & set(p23.index_set))
-    m12 = marginal(p12, shared)
-    m23 = marginal(p23, shared)
-    if m12 != m23:
-        witness = first_difference(m12.mass, m23.mass)
-        raise MarginalMismatch(
-            "shared marginals differ at %s" % (witness,), witness=witness
-        )
-    return _couple(p12, p23, m12)._check_total()
+    bags = (p12.index_set, p23.index_set)
+    ground_size = max(p12.index_set + p23.index_set, default=-1) + 1
+    return glue_markov_tree(MarkovTree(ground_size, bags, [(0, 1)]), [p12, p23])
 
 
 def _couple(p12, p23, overlap):
-    """The coupling of glue_pair, given overlap: the agreed marginal of p12
-    and p23 on exactly their shared indices. Its total mass is not checked.
+    """The conditional independent coupling of p12 and p23, given overlap:
+    their agreed marginal on exactly their shared indices. Its total mass is
+    not checked.
 
     Each atom p12(y_12) * p23(y_23) / m(y_shared) is written as one Fraction
     of integer products, so it is normalised once.
@@ -278,15 +274,17 @@ def _agreed_marginals(m, bag_dists):
 
 def glue_markov_tree(m, bag_dists):
     """Joint distribution over the union of the bags, gluing the bag
-    distributions along the Markov tree breadth first from bag 0.
+    distributions along the Markov tree breadth first from bag 0. This is
+    the one gluing path: glue_pair is this on a two-bag tree.
 
-    Every tree edge's two bag marginals are compared once, in m.tree order,
-    before any gluing; the first mismatch raises MarginalMismatch carrying
-    that edge and its witness. Each bag is then coupled onto the joint glued
-    so far given its overlap with its parent bag, whose marginal that
-    comparison computed. A bag "tree" that is not a tree, or a bag whose
-    overlap with the bags glued so far is not its overlap with its parent
-    (running intersection fails), raises ValueError.
+    A bag tree that is not a tree (graphs.is_tree on m.bag_tree) raises
+    ValueError first. Every tree edge's two bag marginals are then compared
+    once, in m.tree order, before any gluing; the first mismatch raises
+    MarginalMismatch carrying that edge and its witness. Each bag is then
+    coupled onto the joint glued so far given its overlap with its parent
+    bag, whose marginal that comparison computed. A bag whose overlap with
+    the bags glued so far is not its overlap with its parent (running
+    intersection fails) raises ValueError.
 
     The bag distributions are trusted as given (they were validated where
     they entered); the joints glued along the way are not checked, and the
@@ -297,10 +295,9 @@ def glue_markov_tree(m, bag_dists):
     reproduces every bag distribution as a marginal and satisfies the
     entropy identity H(joint) = sum_F H(bag_F) - sum_AB H(overlap_AB).
     """
+    if not is_tree(m.bag_tree):
+        raise ValueError("bag tree on %d bags is not a tree" % m.num_bags())
     agreed = _agreed_marginals(m, bag_dists)
-    k = m.num_bags()
-    if len(m.tree) != k - 1:
-        raise ValueError("bag tree has %d edges for %d bags" % (len(m.tree), k))
     joint = bag_dists[0]
     glued = set(m.bags[0])
     order = [0]
@@ -317,8 +314,6 @@ def glue_markov_tree(m, bag_dists):
             joint = _couple(joint, bag_dists[child], overlap)
             glued.update(m.bags[child])
             order.append(child)
-    if len(order) != k:
-        raise DisconnectedBagTree("bag tree is disconnected")
     return joint._check_total()
 
 

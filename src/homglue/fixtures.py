@@ -146,12 +146,11 @@ def write_fixture_dir(directory):
     dump("bad_condition3", serialize.strong_to_json(bad_condition3_fixture()))
 
 
-def load_fixture_bundle(directory, validate=True):
+def load_fixture_bundle(directory):
     """Load every JSON document in a directory, keyed by file stem.
 
-    With validate=True (the default), each structural document must pass
-    its module's validator; negative fixtures should be loaded with
-    validate=False.
+    Each structural document must pass its module's validator (ValueError
+    naming the file otherwise), so negative fixtures do not load.
     """
     bundle = {}
     for fn in sorted(os.listdir(directory)):
@@ -161,9 +160,8 @@ def load_fixture_bundle(directory, validate=True):
             doc = json.load(fh)
         kind = serialize.detect_kind(doc)
         obj = serialize.LOADERS[kind](doc)
-        if validate:
-            report = validate_document(kind, obj)
-            if report is not None and not report.ok:
-                raise ValueError("fixture %s fails validation: %s" % (fn, report.violations))
+        report = validate_document(kind, obj)
+        if report is not None and not report.ok:
+            raise ValueError("fixture %s fails validation: %s" % (fn, report.violations))
         bundle[fn[:-5]] = obj
     return bundle

@@ -91,12 +91,6 @@ def induced_subgraph(g, s):
     return Graph(len(s), edges), s
 
 
-def induced_edge_count(g, s):
-    """Number of edges of g with both endpoints in s."""
-    s = set(s)
-    return sum(1 for u, v in g.edges if u in s and v in s)
-
-
 def is_connected(g):
     if g.n == 0:
         return True

@@ -6,7 +6,7 @@ minimum covering subfamilies, retractions, and the line-graph base case.
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, induced_subgraph, is_tree, vertex_set
+from .graphs import Graph, induced_subgraph, is_connected, is_tree, vertex_set
 
 
 class NotASubtree(ValueError):
@@ -33,9 +33,11 @@ class MarkovTree:
 
     Construction does not validate the semantic invariants (see
     validate_markov_tree); it only normalizes the representation. Duplicate
-    bag contents under distinct indices are allowed. The ascending neighbour
-    tuple of every bag is built once here and kept outside the dataclass
-    fields, so equality and hashing stay on (ground_size, bags, tree).
+    bag contents under distinct indices are allowed. The bag tree is kept as
+    bag_tree, a Graph on the bag indices, so a self-loop or an out-of-range
+    tree edge is refused as it is for any Graph and tree is its sorted edge
+    tuple. bag_tree lives outside the dataclass fields, so equality and
+    hashing stay on (ground_size, bags, tree).
     """
 
     ground_size: int
@@ -47,28 +49,18 @@ class MarkovTree:
             raise ValueError("ground_size must be nonnegative")
         if not bags:
             raise ValueError("at least one bag is required")
-        norm_bags = tuple(vertex_set(b, ground_size) for b in bags)
-        norm_tree = set()
-        for i, j in tree:
-            if i == j or not (0 <= i < len(norm_bags) and 0 <= j < len(norm_bags)):
-                raise ValueError("bad tree edge (%d,%d)" % (i, j))
-            norm_tree.add((min(i, j), max(i, j)))
-        norm_tree = tuple(sorted(norm_tree))
+        bags = tuple(vertex_set(b, ground_size) for b in bags)
+        bag_tree = Graph(len(bags), tree)
         object.__setattr__(self, "ground_size", ground_size)
-        object.__setattr__(self, "bags", norm_bags)
-        object.__setattr__(self, "tree", norm_tree)
-        adj = [[] for _ in norm_bags]
-        # with the tree sorted, every bag meets its neighbours in ascending order
-        for i, j in norm_tree:
-            adj[i].append(j)
-            adj[j].append(i)
-        object.__setattr__(self, "_adj", tuple(map(tuple, adj)))
+        object.__setattr__(self, "bags", bags)
+        object.__setattr__(self, "tree", bag_tree.edges)
+        object.__setattr__(self, "bag_tree", bag_tree)
 
     def num_bags(self):
         return len(self.bags)
 
     def bag_neighbors(self, i):
-        return self._adj[i]
+        return self.bag_tree.neighbors(i)
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,7 @@ def validate_markov_tree(m):
     """
     report = ValidationReport()
     k = m.num_bags()
-    if not (len(m.tree) == k - 1 and induces_subtree(m, range(k))):
+    if not is_tree(m.bag_tree):
         report.add("tree-structure", {"num_bags": k, "tree": list(m.tree)})
         return report
     covered = set()
@@ -142,20 +134,10 @@ def bags_containing(m, v):
 
 
 def induces_subtree(m, family):
-    """True iff the bag-index family is nonempty and connected in the tree."""
-    fam = set(family)
-    if not fam:
-        return False
-    start = min(fam)
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in m.bag_neighbors(v):
-            if w in fam and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == fam
+    """True iff the bag-index family is nonempty and connected in the bag
+    tree. An index outside 0..num_bags-1 is a ValueError."""
+    sub, _ = induced_subgraph(m.bag_tree, family)
+    return sub.n > 0 and is_connected(sub)
 
 
 def helly_intersection(m, families):
@@ -249,7 +231,8 @@ def retraction(d, keep):
     Returns (decomposition, relabeling): the decomposition of the subgraph
     of the host induced on the union of kept bags, with vertices relabeled
     to 0..m-1, and relabeling[i] = original vertex. Bags are reindexed in
-    ascending order of their original indices.
+    ascending order of their original indices. A kept family that is not a
+    subtree raises NotASubtree, and a bag index out of range ValueError.
     """
     keep = tuple(sorted(set(keep)))
     if not induces_subtree(d.markov, keep):
@@ -276,11 +259,11 @@ def line_graph(t):
     return Graph(t.num_edges(), edges)
 
 
-def bfs_spanning_tree(g, root=0):
-    """Edge set of the BFS spanning tree of a connected graph, neighbors
-    visited in ascending order."""
-    seen = {root}
-    queue = [root]
+def bfs_spanning_tree(g):
+    """Edge set of the BFS spanning tree of a connected graph from vertex 0,
+    neighbors visited in ascending order."""
+    seen = {0}
+    queue = [0]
     edges = []
     while queue:
         nxt = []
@@ -296,28 +279,17 @@ def bfs_spanning_tree(g, root=0):
     return tuple(sorted(edges))
 
 
-def line_graph_markov_tree(t, choose=None):
-    """Markov tree whose bags are the edges of the tree t and whose tree is
-    a spanning tree of t's line graph.
-
-    choose, if given, maps the line graph to a spanning-tree edge set; the
-    default is BFS from the bag of the lexicographically smallest edge.
-    """
+def line_graph_markov_tree(t):
+    """Markov tree whose bags are the edges of the tree t and whose bag tree
+    is the BFS spanning tree of t's line graph from the bag of the
+    lexicographically smallest edge. Any other spanning tree of the line
+    graph is also a valid bag tree; build MarkovTree(t.n, t.edges, ...)
+    directly for one."""
     if not is_tree(t):
         raise ValueError("input graph is not a tree")
     if t.num_edges() == 0:
         raise ValueError("tree has no edges")
-    lg = line_graph(t)
-    if choose is None:
-        tree_edges = bfs_spanning_tree(lg) if lg.n > 1 else ()
-    else:
-        tree_edges = tuple(choose(lg))
-        if len(tree_edges) != lg.n - 1 or not is_tree(Graph(lg.n, tree_edges)):
-            raise ValueError("selector did not return a spanning tree")
-        for i, j in tree_edges:
-            if not lg.has_edge(i, j):
-                raise ValueError("selected edge (%d,%d) not in line graph" % (i, j))
-    return MarkovTree(t.n, t.edges, tree_edges)
+    return MarkovTree(t.n, t.edges, bfs_spanning_tree(line_graph(t)))
 
 
 def markov_subtrees(m):

@@ -27,19 +27,28 @@ def graph_to_json(g):
     return {"n": g.n, "edges": [list(e) for e in g.edges]}
 
 
-# Largest vertex count a graph document may declare. Graph allocates one
-# adjacency list per vertex, so n is bounded before anything is built; every
-# fixture and benchmark input is far below it.
+# Largest vertex count a graph document, and largest ground set a Markov
+# tree, may declare. Graph allocates one adjacency list per vertex and
+# validation reports every uncovered ground element, so both sizes are
+# bounded before anything is built; every fixture and benchmark input is far
+# below it.
 MAX_GRAPH_VERTICES = 10_000
 
 
-def graph_from_json(doc):
-    n = doc["n"]
-    if type(n) is not int or not 0 <= n <= MAX_GRAPH_VERTICES:
+def _bounded_size(doc, key):
+    """doc[key], refused with ValueError unless it is an int (not a bool)
+    from 0 to MAX_GRAPH_VERTICES."""
+    size = doc[key]
+    if type(size) is not int or not 0 <= size <= MAX_GRAPH_VERTICES:
         raise ValueError(
-            "n must be an integer from 0 to %d, not %s" % (MAX_GRAPH_VERTICES, json.dumps(n))
+            "%s must be an integer from 0 to %d, not %s"
+            % (key, MAX_GRAPH_VERTICES, json.dumps(size))
         )
-    return Graph(n, [tuple(e) for e in doc["edges"]])
+    return size
+
+
+def graph_from_json(doc):
+    return Graph(_bounded_size(doc, "n"), [tuple(e) for e in doc["edges"]])
 
 
 def markov_to_json(m):
@@ -52,7 +61,7 @@ def markov_to_json(m):
 
 def markov_from_json(doc):
     return MarkovTree(
-        doc["ground_size"],
+        _bounded_size(doc, "ground_size"),
         [tuple(b) for b in doc["bags"]],
         [tuple(e) for e in doc["tree"]],
     )

@@ -201,10 +201,9 @@ def sidorenko_gap(h, g, count):
     return density - edge_density ** h.num_edges()
 
 
-def sidorenko_check(h, g, cap=None):
+def sidorenko_check(h, g):
     """Exact Sidorenko gap hom(h,g)/n^v(h) - (2e(g)/n^2)^e(h)."""
-    kwargs = {} if cap is None else {"cap": cap}
-    return sidorenko_gap(h, g, hom_count(h, g, **kwargs))
+    return sidorenko_gap(h, g, hom_count(h, g))
 
 
 def entropy_bound_report(sd, g):

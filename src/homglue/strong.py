@@ -21,6 +21,7 @@ from .markov import (
     MarkovTree,
     TreeDecomposition,
     ValidationReport,
+    line_graph_markov_tree,
     minimum_covering_subfamily,
     retraction,
     validate_markov_tree,
@@ -73,15 +74,9 @@ class StrongIsomorphism:
     bag_map: tuple = None
 
 
-def zero_strong(t, choose=None):
+def zero_strong(t):
     """The level-0 decomposition of a tree: bags are its edges."""
-    from .markov import line_graph_markov_tree
-
-    return StrongDecomposition(0, t, base=line_graph_markov_tree(t, choose))
-
-
-def underlying_graph(sd):
-    return sd.host
+    return StrongDecomposition(0, t, base=line_graph_markov_tree(t))
 
 
 def validate_strong(sd, _path=()):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -175,6 +176,33 @@ def test_oversized_graph_is_a_parse_failure_before_it_is_built(tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: cannot parse")
     assert "n must be an integer from 0 to %d" % serialize.MAX_GRAPH_VERTICES in captured.err
+
+
+def test_oversized_ground_set_is_a_parse_failure_before_validation(tmp_path, capsys):
+    markov = {"ground_size": 3000000, "bags": [[0]], "tree": []}
+    for command, doc in (("validate", markov), ("glue", {"markov": markov, "bag_dists": []})):
+        path = tmp_path / (command + ".json")
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code = main([command, str(path)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2, command
+        assert elapsed < 0.5, command
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: cannot parse")
+        assert "ground_size must be an integer from 0 to %d" % serialize.MAX_GRAPH_VERTICES in captured.err
+
+
+@pytest.mark.parametrize("tree", [[[1, 1]], [[0, 2]], [[-1, 0]]])
+def test_validate_markov_tree_with_a_bad_tree_edge_exits_2(tmp_path, capsys, tree):
+    path = tmp_path / "markov.json"
+    path.write_text(json.dumps({"ground_size": 2, "bags": [[0], [0, 1]], "tree": tree}))
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: cannot parse")
 
 
 def test_glue_reports_the_first_mismatching_edge_in_sorted_order(tmp_path, capsys):

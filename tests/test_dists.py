@@ -13,6 +13,7 @@ from homglue.dists import (
     SparseDistribution,
     check_marginal_consistency,
     entropy,
+    first_difference,
     glue_markov_tree,
     glue_pair,
     junction_factorization,
@@ -22,7 +23,7 @@ from homglue.dists import (
 )
 from homglue.fixtures import bad_markov_tree
 from homglue.markov import MarkovTree, markov_subtrees
-from helpers import brute_force_joint, consistent_bag_dists, random_markov_tree
+from helpers import brute_force_joint, consistent_bag_dists, random_joint, random_markov_tree
 
 
 def ordered_edges_k3():
@@ -147,6 +148,38 @@ def test_glue_pair_mismatch():
     with pytest.raises(MarginalMismatch) as e:
         glue_pair(p, q)
     assert e.value.witness["key"] == [0]
+
+
+def test_glue_pair_is_the_junction_factorization_on_the_two_bag_tree():
+    rng = random.Random(41)
+    cases = [((0, 1), (2,)), ((0, 1, 2), (0, 1, 2))]  # empty overlap, identical sets
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        a = [v for v in range(n) if rng.random() < 0.6]
+        cases.append((tuple(a), tuple(v for v in range(n) if v not in a or rng.random() < 0.4)))
+    for a, b in cases:
+        ground = tuple(sorted(set(a) | set(b)))
+        joint = random_joint(rng, ground, rng.randint(1, 3), atoms=rng.randint(1, 6))
+        p12, p23 = marginal(joint, a), marginal(joint, b)
+        m = MarkovTree(len(ground), [a, b], [(0, 1)])
+        glued = glue_pair(p12, p23)
+        assert glued == junction_factorization(m, [p12, p23])
+        assert glued == brute_force_joint(m, [p12, p23])
+        if set(a) == set(b):
+            assert glued == p12
+
+
+def test_glue_pair_mismatch_witness_and_target_size():
+    p = uniform((0, 1), 2, [(0, 0), (1, 1)])
+    q = SparseDistribution((1, 2), 2, {(0, 1): Fraction(1, 3), (1, 0): Fraction(2, 3)})
+    with pytest.raises(MarginalMismatch) as e:
+        glue_pair(p, q)
+    assert e.value.witness == first_difference(
+        marginal(p, (1,)).mass, marginal(q, (1,)).mass
+    )
+    assert e.value.witness == {"key": [0], "left": "1/2", "right": "1/3"}
+    with pytest.raises(ValueError):
+        glue_pair(p, uniform((1, 2), 3, [(0, 1)]))
 
 
 def test_glue_markov_tree_single_bag():

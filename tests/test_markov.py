@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 
 import pytest
 
@@ -22,7 +23,7 @@ from homglue.markov import (
     validate_markov_tree,
     validate_tree_decomposition,
 )
-from homglue.fixtures import c4, k2
+from homglue.fixtures import book_fixture, c4, k2
 from helpers import (
     brute_force_min_cover,
     random_markov_tree,
@@ -61,6 +62,15 @@ def test_validate_malformed_tree():
     m = MarkovTree(2, [(0,), (1,), (0, 1)], [(0, 1)])  # 3 bags, 1 edge
     report = validate_markov_tree(m)
     assert report.violations[0]["kind"] == "tree-structure"
+
+
+def test_validate_cycle_with_one_bag_left_out():
+    # k - 1 edges, but they close a cycle on bags 0-2 and miss bag 3
+    m = MarkovTree(2, [(0,), (0,), (0,), (1,)], [(0, 1), (1, 2), (0, 2)])
+    report = validate_markov_tree(m)
+    assert report.violations == [
+        {"kind": "tree-structure", "witness": {"num_bags": 4, "tree": [(0, 1), (0, 2), (1, 2)]}}
+    ]
 
 
 def test_bag_neighbors_match_a_scan_of_the_tree():
@@ -110,6 +120,40 @@ def test_bags_containing_induces_subtree_on_valid_instances():
         assert validate_markov_tree(m).ok
         for v in range(m.ground_size):
             assert induces_subtree(m, bags_containing(m, v))
+
+
+def test_induces_subtree_matches_a_brute_force_connectivity_check():
+    rng = random.Random(13)
+    for _ in range(40):
+        k = rng.randint(1, 6)
+        m = random_markov_tree(rng, k, 3)
+        for size in range(k + 1):
+            for fam in combinations(range(k), size):
+                # flood fill from the first member along tree edges inside fam
+                reached = set(fam[:1])
+                grown = True
+                while grown:
+                    grown = False
+                    for a, b in m.tree:
+                        if a in fam and b in fam and (a in reached) != (b in reached):
+                            reached |= {a, b}
+                            grown = True
+                assert induces_subtree(m, fam) == (bool(fam) and reached == set(fam))
+
+
+def test_out_of_range_bag_index_is_refused():
+    m = path_bags()
+    for fam in ([-1], [0, 3]):
+        with pytest.raises(ValueError, match="out of range"):
+            induces_subtree(m, fam)
+    with pytest.raises(ValueError, match="out of range"):
+        retraction(book_fixture().decomp, [-1])
+
+
+@pytest.mark.parametrize("edge", [(1, 1), (0, 3), (-1, 0)])
+def test_markov_tree_refuses_a_self_loop_or_out_of_range_tree_edge(edge):
+    with pytest.raises(ValueError):
+        MarkovTree(3, [(0, 1), (1, 2), (2,)], [edge])
 
 
 def test_helly_examples():
@@ -260,5 +304,5 @@ def test_line_graph_markov_tree_every_spanning_tree_validates():
     for t in small_trees(8):
         lg = line_graph(t)
         for st in spanning_trees(lg):
-            m = line_graph_markov_tree(t, choose=lambda _lg, st=st: st)
+            m = MarkovTree(t.n, t.edges, st)
             assert validate_markov_tree(m).ok

@@ -104,6 +104,18 @@ def test_graph_from_json_accepts_the_largest_vertex_count():
     assert serialize.graph_from_json({"n": n, "edges": [[0, n - 1]]}).num_edges() == 1
 
 
+@pytest.mark.parametrize("k", [True, False, -1, 2.0, "3", serialize.MAX_GRAPH_VERTICES + 1, 10**8])
+def test_markov_from_json_rejects_a_bad_ground_size(k):
+    with pytest.raises(ValueError, match="ground_size must be an integer from 0 to"):
+        serialize.markov_from_json({"ground_size": k, "bags": [[0]], "tree": []})
+
+
+def test_markov_from_json_accepts_the_largest_ground_size():
+    k = serialize.MAX_GRAPH_VERTICES
+    m = serialize.markov_from_json({"ground_size": k, "bags": [[0], [k - 1]], "tree": [[1, 0]]})
+    assert m.ground_size == k and m.tree == ((0, 1),)
+
+
 def test_detect_kind():
     assert serialize.detect_kind({"n": 1, "edges": []}) == "graph"
     assert serialize.detect_kind({"ground_size": 1, "bags": [[0]], "tree": []}) == "markov"

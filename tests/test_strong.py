@@ -7,7 +7,6 @@ from homglue.strong import (
     is_strong_isomorphism,
     minimum_subdecomposition,
     strong_isomorphism,
-    underlying_graph,
     validate_strong,
     zero_strong,
 )
@@ -33,7 +32,7 @@ def test_zero_strong_path():
     sd = path_fixture()
     assert sd.level == 0
     assert validate_strong(sd).ok
-    assert underlying_graph(sd) == Graph(3, [(0, 1), (1, 2)])
+    assert sd.host == Graph(3, [(0, 1), (1, 2)])
 
 
 def test_level0_rejects_non_tree():
@@ -210,6 +209,6 @@ def _subsets_in_multiple_bags(m):
 
 
 def test_underlying_graph():
-    assert underlying_graph(c4_fixture()) == c4()
-    assert underlying_graph(book_fixture()) == book()
-    assert underlying_graph(path_fixture()) == Graph(3, [(0, 1), (1, 2)])
+    assert c4_fixture().host == c4()
+    assert book_fixture().host == book()
+    assert path_fixture().host == Graph(3, [(0, 1), (1, 2)])
