@@ -27,17 +27,40 @@ from .graphs import connected_graphs_up_to, hom_count
 SWEEP_VERTEX_LIMIT = 6
 
 
-def _load(path):
+def _read(path, parse):
+    """parse(doc) for the JSON document doc in the file path.
+
+    A file that cannot be opened or decoded, or a document nested past the
+    recursion limit (in the decoder or in parse), is "cannot read"; a
+    document that parse refuses is "cannot parse".
+    """
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+        try:
+            return parse(doc)
+        except (KeyError, TypeError, ValueError) as e:
+            raise _InputError("cannot parse %s: %s" % (path, e))
+    except (OSError, json.JSONDecodeError, RecursionError) as e:
         raise _InputError("cannot read %s: %s" % (path, e))
-    try:
-        kind = serialize.detect_kind(doc)
-        return kind, serialize.LOADERS[kind](doc)
-    except (KeyError, TypeError, ValueError) as e:
-        raise _InputError("cannot parse %s: %s" % (path, e))
+
+
+def _any_kind(doc):
+    kind = serialize.detect_kind(doc)
+    return kind, serialize.LOADERS[kind](doc)
+
+
+def _load(path, kind):
+    """The object in the file path, which must hold a document of kind."""
+    found, obj = _read(path, _any_kind)
+    if found != kind:
+        raise _InputError("%s is not a %s" % (path, kind.replace("-", " ")))
+    return obj
+
+
+def _glue_instance(doc):
+    m = serialize.markov_from_json(doc["markov"])
+    return m, [serialize.distribution_from_json(d) for d in doc["bag_dists"]]
 
 
 class _InputError(Exception):
@@ -48,7 +71,7 @@ def _emit(doc, out=None):
     _write(json.dumps(doc, indent=1, sort_keys=True), out)
 
 
-def _write(text, out=None):
+def _write(text, out):
     """Write a JSON document's text and a newline to the file out, or to stdout."""
     text += "\n"
     if out:
@@ -59,7 +82,7 @@ def _write(text, out=None):
 
 
 def cmd_validate(args):
-    kind, obj = _load(args.path)
+    kind, obj = _read(args.path, _any_kind)
     report = validate_document(kind, obj)
     if report is None:
         raise _InputError("no validator for document kind %r" % kind)
@@ -68,12 +91,8 @@ def cmd_validate(args):
 
 
 def cmd_assoc(args):
-    kind, sd = _load(args.decomp)
-    if kind != "strong-decomposition":
-        raise _InputError("%s is not a strong decomposition" % args.decomp)
-    gkind, g = _load(args.target)
-    if gkind != "graph":
-        raise _InputError("%s is not a graph" % args.target)
+    sd = _load(args.decomp, "strong-decomposition")
+    g = _load(args.target, "graph")
     if g.num_edges() == 0:
         _emit({"error": "target has no edges"})
         return 1
@@ -97,16 +116,7 @@ def cmd_assoc(args):
 
 
 def cmd_glue(args):
-    try:
-        with open(args.instance) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise _InputError("cannot read %s: %s" % (args.instance, e))
-    try:
-        m = serialize.markov_from_json(doc["markov"])
-        bag_dists = [serialize.distribution_from_json(d) for d in doc["bag_dists"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise _InputError("cannot parse %s: %s" % (args.instance, e))
+    m, bag_dists = _read(args.instance, _glue_instance)
     report = validate_markov_tree(m)
     if not report.ok:
         _emit(serialize.report_to_json(report))
@@ -121,9 +131,7 @@ def cmd_glue(args):
 
 
 def cmd_min_subdec(args):
-    kind, sd = _load(args.decomp)
-    if kind != "strong-decomposition":
-        raise _InputError("%s is not a strong decomposition" % args.decomp)
+    sd = _load(args.decomp, "strong-decomposition")
     try:
         u = [int(x) for x in args.u.split(",") if x != ""]
     except ValueError:
@@ -142,9 +150,7 @@ def cmd_min_subdec(args):
 
 
 def cmd_sidorenko_sweep(args):
-    kind, sd = _load(args.decomp)
-    if kind != "strong-decomposition":
-        raise _InputError("%s is not a strong decomposition" % args.decomp)
+    sd = _load(args.decomp, "strong-decomposition")
     if args.max_n > SWEEP_VERTEX_LIMIT:
         _emit({"error": "max-n %d exceeds limit %d" % (args.max_n, SWEEP_VERTEX_LIMIT)})
         return 1
@@ -169,12 +175,8 @@ def cmd_sidorenko_sweep(args):
 
 
 def cmd_entropy_report(args):
-    kind, sd = _load(args.decomp)
-    if kind != "strong-decomposition":
-        raise _InputError("%s is not a strong decomposition" % args.decomp)
-    gkind, g = _load(args.target)
-    if gkind != "graph":
-        raise _InputError("%s is not a graph" % args.target)
+    sd = _load(args.decomp, "strong-decomposition")
+    g = _load(args.target, "graph")
     if not degree_condition(g):
         _emit({"error": "target fails the degree condition"})
         return 1

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .graphs import is_tree, vertex_set
+from .graphs import bfs, is_tree, vertex_set
 from .markov import MarkovTree
 
 
@@ -274,17 +274,18 @@ def _agreed_marginals(m, bag_dists):
 
 def glue_markov_tree(m, bag_dists):
     """Joint distribution over the union of the bags, gluing the bag
-    distributions along the Markov tree breadth first from bag 0. This is
-    the one gluing path: glue_pair is this on a two-bag tree.
+    distributions along the Markov tree in the order of the breadth-first
+    walk graphs.bfs(m.bag_tree, [0]). This is the one gluing path: glue_pair
+    is this on a two-bag tree.
 
     A bag tree that is not a tree (graphs.is_tree on m.bag_tree) raises
     ValueError first. Every tree edge's two bag marginals are then compared
     once, in m.tree order, before any gluing; the first mismatch raises
-    MarginalMismatch carrying that edge and its witness. Each bag is then
-    coupled onto the joint glued so far given its overlap with its parent
-    bag, whose marginal that comparison computed. A bag whose overlap with
-    the bags glued so far is not its overlap with its parent (running
-    intersection fails) raises ValueError.
+    MarginalMismatch carrying that edge and its witness. Each bag after
+    bag 0 is then coupled onto the joint glued so far given its overlap
+    with its walk parent, whose marginal that comparison computed. A bag
+    whose overlap with the bags glued so far is not its overlap with its
+    parent (running intersection fails) raises ValueError.
 
     The bag distributions are trusted as given (they were validated where
     they entered); the joints glued along the way are not checked, and the
@@ -298,22 +299,19 @@ def glue_markov_tree(m, bag_dists):
     if not is_tree(m.bag_tree):
         raise ValueError("bag tree on %d bags is not a tree" % m.num_bags())
     agreed = _agreed_marginals(m, bag_dists)
+    order, parent = bfs(m.bag_tree, [0])
     joint = bag_dists[0]
     glued = set(m.bags[0])
-    order = [0]
-    for parent in order:  # grows while it is walked: breadth first
-        for child in m.bag_neighbors(parent):
-            if child in order:
-                continue
-            overlap = agreed[min(parent, child), max(parent, child)]
-            if glued.intersection(m.bags[child]) != set(overlap.index_set):
-                raise ValueError(
-                    "running intersection fails at bag %d: it meets the glued "
-                    "bags outside its parent bag %d" % (child, parent)
-                )
-            joint = _couple(joint, bag_dists[child], overlap)
-            glued.update(m.bags[child])
-            order.append(child)
+    for child in order[1:]:
+        p = parent[child]
+        overlap = agreed[min(p, child), max(p, child)]
+        if glued.intersection(m.bags[child]) != set(overlap.index_set):
+            raise ValueError(
+                "running intersection fails at bag %d: it meets the glued "
+                "bags outside its parent bag %d" % (child, p)
+            )
+        joint = _couple(joint, bag_dists[child], overlap)
+        glued.update(m.bags[child])
     return joint._check_total()
 
 

@@ -91,18 +91,29 @@ def induced_subgraph(g, s):
     return Graph(len(s), edges), s
 
 
+def bfs(g, roots):
+    """Breadth-first walk of g from the vertices roots: (order, parent).
+
+    order lists the roots first, in the given order, then the vertices they
+    reach, each vertex's unreached neighbours in ascending order. parent maps
+    every reached vertex to the vertex it was reached from, and each root to
+    None. This is the one traversal behind connectivity, the line-graph bag
+    tree, the branching random walk and Markov-tree gluing.
+    """
+    parent = dict.fromkeys(roots)
+    order = list(parent)
+    for v in order:  # grows while it is walked
+        for w in g._adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
 def is_connected(g):
-    if g.n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in g.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.n
+    """True iff the walk from vertex 0 reaches every vertex; the graph on no
+    vertices is connected."""
+    return g.n == 0 or len(bfs(g, [0])[0]) == g.n
 
 
 def is_forest(g):
@@ -151,7 +162,7 @@ def hom_count(h, g, cap=DEFAULT_HOM_CAP):
     return sum(len(last) for _, last in _hom_blocks(h, g, cap))
 
 
-def _hom_blocks(h, g, cap=DEFAULT_HOM_CAP):
+def _hom_blocks(h, g, cap):
     """The homomorphisms h -> g in lexicographic order, grouped by their
     images of every vertex but the last: pairs (prefix, candidates), where
     each ascending candidate for the last vertex completes prefix."""

@@ -6,7 +6,7 @@ minimum covering subfamilies, retractions, and the line-graph base case.
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, induced_subgraph, is_connected, is_tree, vertex_set
+from .graphs import Graph, bfs, induced_subgraph, is_connected, is_tree, vertex_set
 
 
 class NotASubtree(ValueError):
@@ -259,37 +259,19 @@ def line_graph(t):
     return Graph(t.num_edges(), edges)
 
 
-def bfs_spanning_tree(g):
-    """Edge set of the BFS spanning tree of a connected graph from vertex 0,
-    neighbors visited in ascending order."""
-    seen = {0}
-    queue = [0]
-    edges = []
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in g.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    edges.append((min(v, w), max(v, w)))
-                    nxt.append(w)
-        queue = nxt
-    if len(seen) != g.n:
-        raise ValueError("graph is disconnected")
-    return tuple(sorted(edges))
-
-
 def line_graph_markov_tree(t):
     """Markov tree whose bags are the edges of the tree t and whose bag tree
-    is the BFS spanning tree of t's line graph from the bag of the
-    lexicographically smallest edge. Any other spanning tree of the line
-    graph is also a valid bag tree; build MarkovTree(t.n, t.edges, ...)
-    directly for one."""
+    is made of the parent edges of the breadth-first walk (graphs.bfs) of
+    t's line graph from bag 0, the lexicographically smallest edge. A tree's
+    line graph is connected, so the walk spans it. Any other spanning tree
+    of the line graph is also a valid bag tree; build
+    MarkovTree(t.n, t.edges, ...) directly for one."""
     if not is_tree(t):
         raise ValueError("input graph is not a tree")
     if t.num_edges() == 0:
         raise ValueError("tree has no edges")
-    return MarkovTree(t.n, t.edges, bfs_spanning_tree(line_graph(t)))
+    order, parent = bfs(line_graph(t), [0])
+    return MarkovTree(t.n, t.edges, [(parent[i], i) for i in order[1:]])
 
 
 def markov_subtrees(m):

@@ -5,12 +5,11 @@ density gap.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .dists import SparseDistribution, entropy, first_difference, glue_markov_tree, marginal
-from .graphs import hom_count, is_forest, is_homomorphism, is_tree, max_degree, vertex_set
+from .graphs import bfs, hom_count, is_forest, is_homomorphism, is_tree, max_degree, vertex_set
 from .strong import minimum_subdecomposition, strong_isomorphism
 
 
@@ -39,10 +38,11 @@ class BoundReport:
 def brw_distribution(t, g):
     """Tree-indexed branching random walk distribution on Hom(t, g).
 
-    The lexicographically smallest edge of t lands on a uniformly random
-    ordered edge of g; every remaining vertex, attached in BFS order, steps
-    to a uniformly random neighbor of its parent's image. Every edge of t
-    then has the uniform ordered-edge marginal, which is what makes these
+    The lexicographically smallest edge (r0, r1) of t lands on a uniformly
+    random ordered edge of g; every remaining vertex, attached in the order
+    of the breadth-first walk graphs.bfs(t, [r0, r1]), steps to a uniformly
+    random neighbor of its walk parent's image. Every edge of t then has
+    the uniform ordered-edge marginal, which is what makes these
     distributions gluable. The atoms are built without validation and their
     total mass is checked once.
     """
@@ -52,18 +52,8 @@ def brw_distribution(t, g):
         raise ValueError("target has no edges")
 
     r0, r1 = t.edges[0]
-    order = []
-    parent = {}
-    seen = {r0, r1}
-    queue = deque([r0, r1])
-    while queue:
-        v = queue.popleft()
-        for w in t.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                parent[w] = v
-                order.append(w)
-                queue.append(w)
+    order, parent = bfs(t, [r0, r1])
+    order = order[2:]
 
     # an atom's mass is 1 / (2e(g) * the degrees of its attached vertices'
     # parent images): one integer denominator, one Fraction per atom

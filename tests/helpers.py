@@ -12,7 +12,7 @@ from itertools import combinations, permutations, product
 
 from homglue.dists import SparseDistribution, marginal
 from homglue.graphs import Graph, find_isomorphism_pinned
-from homglue.markov import MarkovTree, TreeDecomposition, induces_subtree
+from homglue.markov import MarkovTree, TreeDecomposition
 
 
 def random_tree_edges(rng, k):
@@ -81,7 +81,7 @@ def brute_force_min_cover(m, u):
     for size in range(1, k + 1):
         found = []
         for fam in combinations(range(k), size):
-            if not induces_subtree(m, fam):
+            if not family_connected(m, fam):
                 continue
             union = set()
             for i in fam:
@@ -91,6 +91,42 @@ def brute_force_min_cover(m, u):
         if found:
             return found
     return []
+
+
+def family_connected(m, fam):
+    """True iff the bag-index family fam is nonempty and connected through
+    tree edges of m with both ends in fam: a flood fill from its first
+    member over m.tree."""
+    reached = set(fam[:1])
+    grown = True
+    while grown:
+        grown = False
+        for a, b in m.tree:
+            if a in fam and b in fam and (a in reached) != (b in reached):
+                reached |= {a, b}
+                grown = True
+    return bool(fam) and reached == set(fam)
+
+
+def bfs_reference(g, roots):
+    """Breadth-first walk of g from roots with a FIFO queue: (order, parent),
+    with the roots first and each vertex's unreached neighbours appended in
+    ascending order; parent maps each root to None."""
+    adj = [[] for _ in range(g.n)]
+    for a, b in g.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    parent = {r: None for r in roots}
+    order = []
+    queue = deque(parent)
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in sorted(adj[v]):
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return order, parent
 
 
 def brute_force_joint(m, bag_dists):
@@ -210,19 +246,12 @@ def brute_force_homs(h, g):
 def brw_reference(t, g):
     """Branching random walk on Hom(t, g) as a running product of Fraction
     steps: 1/(2e(g)) for the ordered edge under t's first edge, then
-    1/deg(parent image) for each vertex attached in BFS order. Built through
-    the validating constructor."""
+    1/deg(parent image) for each vertex attached in the order of
+    bfs_reference(t, t.edges[0]). Built through the validating
+    constructor."""
     r0, r1 = t.edges[0]
-    order, parent, seen = [], {}, {r0, r1}
-    queue = deque([r0, r1])
-    while queue:
-        v = queue.popleft()
-        for w in t.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                parent[w] = v
-                order.append(w)
-                queue.append(w)
+    order, parent = bfs_reference(t, [r0, r1])
+    order = order[2:]
     mass = {}
 
     def attach(img, i, prob):

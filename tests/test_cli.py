@@ -67,6 +67,56 @@ def test_validate_malformed_json(tmp_path, capsys):
     assert main(["validate", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "glue"])
+def test_json_nested_past_the_recursion_limit_exits_2_without_traceback(tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "homglue.cli", command, str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: cannot read")
+
+
+def test_recursion_while_loading_is_unreadable_input(fixdir, tmp_path, capsys, monkeypatch):
+    # a JSON decoder that nests deeper than the recursion limit hands the
+    # loaders documents they cannot recurse through
+    def too_deep(doc):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(serialize.LOADERS, "strong-decomposition", too_deep)
+    monkeypatch.setattr(serialize, "markov_from_json", too_deep)
+    path = os.path.join(fixdir, "c4.json")
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps({"markov": {}, "bag_dists": []}))
+    for argv in (["validate", path], ["assoc", path, path], ["glue", str(instance)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot read %s: maximum recursion depth exceeded\n" % argv[1]
+
+
+def test_a_document_of_the_wrong_kind_exits_2_with_one_line(fixdir, capsys):
+    c4_path, k3_path = os.path.join(fixdir, "c4.json"), os.path.join(fixdir, "k3.json")
+    for argv, message in (
+        (["assoc", k3_path, k3_path], "%s is not a strong decomposition" % k3_path),
+        (["assoc", c4_path, c4_path], "%s is not a graph" % c4_path),
+        (["entropy-report", c4_path, c4_path], "%s is not a graph" % c4_path),
+        (["min-subdec", k3_path, "--u", "0"], "%s is not a strong decomposition" % k3_path),
+        (["sidorenko-sweep", k3_path], "%s is not a strong decomposition" % k3_path),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: %s\n" % message
+
+
 def test_assoc_c4_k3(fixdir, tmp_path, capsys):
     out = tmp_path / "dist.json"
     code, summary = run(

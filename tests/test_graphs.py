@@ -6,18 +6,20 @@ from homglue.graphs import (
     Graph,
     SizeCapExceeded,
     all_graphs_up_to,
+    bfs,
     connected_graphs_up_to,
     enumerate_homs,
     find_isomorphism_pinned,
     hom_count,
     induced_subgraph,
+    is_connected,
     is_forest,
     is_homomorphism,
     max_degree,
 )
 from homglue.fixtures import book, c4, k2, k3, path3, star
 
-from helpers import brute_force_homs, canonical_dedup_graphs
+from helpers import bfs_reference, brute_force_homs, canonical_dedup_graphs, random_graph
 
 
 def test_graph_canonical_edges():
@@ -61,6 +63,29 @@ def test_induced_subgraph_empty_and_nonadjacent():
 def test_induced_subgraph_out_of_range():
     with pytest.raises(ValueError):
         induced_subgraph(c4(), (0, 4))
+
+
+def test_bfs_matches_a_queue_oracle():
+    # sparse G(n, p) leaves graphs disconnected and vertices isolated
+    rng = random.Random(41)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 9), rng.choice([0.1, 0.25, 0.5]))
+        roots = rng.sample(range(g.n), rng.randint(1, min(3, g.n)))
+        order, parent = bfs(g, roots)
+        assert (order, parent) == bfs_reference(g, roots)
+        assert order[: len(roots)] == roots
+        assert len(set(order)) == len(order) and set(order) == set(parent)
+        for v in order[len(roots):]:
+            assert g.has_edge(parent[v], v)
+        assert is_connected(g) == (len(bfs_reference(g, [0])[0]) == g.n)
+
+
+def test_bfs_on_disconnected_graphs_and_isolated_vertices():
+    g = Graph(6, [(0, 3), (3, 1), (4, 5)])
+    assert bfs(g, [0]) == ([0, 3, 1], {0: None, 3: 0, 1: 3})
+    assert bfs(g, [5, 2]) == ([5, 2, 4], {5: None, 2: None, 4: 5})
+    assert bfs(g, [2]) == ([2], {2: None})
+    assert not is_connected(g) and is_connected(Graph(0)) and is_connected(Graph(1))
 
 
 def test_is_forest():

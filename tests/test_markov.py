@@ -25,7 +25,9 @@ from homglue.markov import (
 )
 from homglue.fixtures import book_fixture, c4, k2
 from helpers import (
+    bfs_reference,
     brute_force_min_cover,
+    family_connected,
     random_markov_tree,
     random_subtree,
     small_trees,
@@ -129,16 +131,7 @@ def test_induces_subtree_matches_a_brute_force_connectivity_check():
         m = random_markov_tree(rng, k, 3)
         for size in range(k + 1):
             for fam in combinations(range(k), size):
-                # flood fill from the first member along tree edges inside fam
-                reached = set(fam[:1])
-                grown = True
-                while grown:
-                    grown = False
-                    for a, b in m.tree:
-                        if a in fam and b in fam and (a in reached) != (b in reached):
-                            reached |= {a, b}
-                            grown = True
-                assert induces_subtree(m, fam) == (bool(fam) and reached == set(fam))
+                assert induces_subtree(m, fam) == family_connected(m, fam)
 
 
 def test_out_of_range_bag_index_is_refused():
@@ -306,3 +299,12 @@ def test_line_graph_markov_tree_every_spanning_tree_validates():
         for st in spanning_trees(lg):
             m = MarkovTree(t.n, t.edges, st)
             assert validate_markov_tree(m).ok
+
+
+def test_line_graph_markov_tree_is_the_walk_from_bag_0():
+    for t in small_trees(9):
+        m = line_graph_markov_tree(t)
+        assert validate_markov_tree(m).ok
+        _, parent = bfs_reference(line_graph(t), [0])
+        walk = {(min(p, c), max(p, c)) for c, p in parent.items() if p is not None}
+        assert m.tree == tuple(sorted(walk))

@@ -9,7 +9,7 @@ import pytest
 
 import homglue
 from homglue import sidorenko
-from homglue.dists import SparseDistribution, entropy, marginal, uniform
+from homglue.dists import SparseDistribution, entropy, glue_markov_tree, marginal, uniform
 from homglue.graphs import Graph, hom_count, is_homomorphism
 from homglue.sidorenko import (
     InvariantViolation,
@@ -22,6 +22,7 @@ from homglue.sidorenko import (
     projection_consistency_check,
     sidorenko_check,
 )
+from homglue.markov import MarkovTree, line_graph, validate_markov_tree
 from homglue.strong import StrongDecomposition, strong_isomorphism, zero_strong
 from homglue.fixtures import (
     book,
@@ -34,6 +35,8 @@ from homglue.fixtures import (
     path3,
     star,
 )
+
+from helpers import small_trees, spanning_trees
 
 
 def test_brw_k2_on_k3_is_uniform_ordered_edges():
@@ -80,6 +83,24 @@ def test_brw_edge_marginals_uniform():
             for u, v in t.edges:
                 m = marginal(p, (u, v))
                 assert dict(m.mass) == dict(expect.mass)
+
+
+def test_brw_is_gluing_along_every_spanning_tree_of_the_line_graph():
+    # the level-0 statement: BRW is the gluing of uniform ordered-edge laws
+    # on t's edges along any valid bag tree over them
+    targets = [k3(), Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])]
+    checked = 0
+    for t in small_trees(6):
+        for st in spanning_trees(line_graph(t)):
+            m = MarkovTree(t.n, t.edges, st)
+            if not validate_markov_tree(m).ok:
+                continue
+            for g in targets:
+                ordered = [(a, b) for a, b in g.edges] + [(b, a) for a, b in g.edges]
+                laws = [uniform(bag, g.n, ordered) for bag in m.bags]
+                assert glue_markov_tree(m, laws) == brw_distribution(t, g)
+            checked += 1
+    assert checked == 183
 
 
 def test_brw_rejects_bad_input():
