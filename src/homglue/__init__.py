@@ -6,10 +6,10 @@ decompositions, and desk-scale Sidorenko bound checks.
 from .graphs import (
     Graph,
     enumerate_homs,
-    find_isomorphism_pinned,
     hom_count,
     induced_subgraph,
     is_forest,
+    isomorphisms_pinned,
     max_degree,
 )
 from .markov import (

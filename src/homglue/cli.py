@@ -18,7 +18,6 @@ from .sidorenko import (
     associated_distribution,
     bound_report,
     degree_condition,
-    entropy_bound_report,
     sidorenko_gap,
 )
 from .strong import minimum_subdecomposition, validate_document, validate_strong
@@ -138,6 +137,9 @@ def cmd_min_subdec(args):
         raise _InputError("--u must be a comma-separated list of integers, not %r" % args.u)
     if not u:
         raise _InputError("--u must list at least one vertex")
+    for x in u:
+        if not 0 <= x < sd.host.n:
+            raise _InputError("--u vertex %d out of range for n=%d" % (x, sd.host.n))
     sub = minimum_subdecomposition(sd, u)
     _emit(
         {
@@ -187,7 +189,7 @@ def cmd_entropy_report(args):
     if not validation.ok:
         _emit(serialize.report_to_json(validation))
         return 1
-    report = entropy_bound_report(sd, g)
+    report = bound_report(associated_distribution(sd, g))
     _emit(serialize.bound_report_to_json(report), out=args.out)
     return 0
 

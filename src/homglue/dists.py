@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 
-from .graphs import bfs, is_tree, vertex_set
+from .graphs import bfs, is_tree, require_ints, vertex_set
 from .markov import MarkovTree
 
 
@@ -45,6 +45,8 @@ class SparseDistribution:
     mass: dict
 
     def __init__(self, index_set, target_size, mass):
+        index_set = tuple(index_set)
+        require_ints((index_set, (target_size,), *mass), "index set, target size and key values")
         index_set = vertex_set(index_set)
         if target_size < 0:
             raise ValueError("target_size must be nonnegative")

@@ -1,4 +1,5 @@
-"""Simple undirected graphs on dense integer vertices, with neighbour-pruned
+"""Simple undirected graphs on dense integer vertices, with the one
+breadth-first walk (behind connectivity, forests and trees), neighbour-pruned
 homomorphism search, pinned isomorphism search and isomorph-free enumeration
 of small graphs.
 
@@ -8,14 +9,15 @@ order is fixed by ascending vertex indices.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 
 class SizeCapExceeded(ValueError):
     """Raised when a brute-force enumeration would exceed its candidate cap."""
 
 
-# Default bound on |V(g)|^|V(h)| before enumerate_homs refuses to run.
+# Bound on |V(g)|^|V(h)| before enumerate_homs and hom_count refuse to run,
+# read at each call.
 DEFAULT_HOM_CAP = 10**8
 
 
@@ -79,6 +81,15 @@ def vertex_set(vs, n=None):
     return out
 
 
+def require_ints(rows, what):
+    """Raise ValueError unless every value in the iterables rows is an int.
+    Checked where documents enter: a bool or a float passes every range
+    check."""
+    odd = set(map(type, chain.from_iterable(rows))) - {int}
+    if odd:
+        raise ValueError("%s must be integers, not %s" % (what, min(t.__name__ for t in odd)))
+
+
 def induced_subgraph(g, s):
     """Induced subgraph of g on vertex set s, relabeled to 0..|s|-1.
 
@@ -98,7 +109,7 @@ def bfs(g, roots):
     reach, each vertex's unreached neighbours in ascending order. parent maps
     every reached vertex to the vertex it was reached from, and each root to
     None. This is the one traversal behind connectivity, the line-graph bag
-    tree, the branching random walk and Markov-tree gluing.
+    tree, the branching random walk, Markov-tree gluing and forests.
     """
     parent = dict.fromkeys(roots)
     order = list(parent)
@@ -117,21 +128,14 @@ def is_connected(g):
 
 
 def is_forest(g):
-    """True iff g is acyclic."""
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in g.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+    """True iff g is acyclic: its edge count is its vertex count less its
+    number of components, each found by one walk."""
+    reached, components = set(), 0
+    for v in range(g.n):
+        if v not in reached:
+            reached.update(bfs(g, [v])[0])
+            components += 1
+    return g.num_edges() == g.n - components
 
 
 def is_tree(g):
@@ -144,7 +148,7 @@ def max_degree(g):
     return max(g.degree(v) for v in range(g.n))
 
 
-def enumerate_homs(h, g, cap=DEFAULT_HOM_CAP):
+def enumerate_homs(h, g):
     """All adjacency-preserving maps V(h) -> V(g), in lexicographic order.
 
     Backtracks over h's vertices in ascending order. A vertex with earlier
@@ -152,25 +156,25 @@ def enumerate_homs(h, g, cap=DEFAULT_HOM_CAP):
     one's image, kept only if adjacent to the other earlier neighbours'
     images; a vertex without them tries all of V(g). Candidates stay
     ascending, which fixes the order. Refuses instances whose naive candidate
-    space |V(g)|^|V(h)| exceeds cap.
+    space |V(g)|^|V(h)| exceeds DEFAULT_HOM_CAP.
     """
-    return [prefix + (w,) for prefix, last in _hom_blocks(h, g, cap) for w in last]
+    return [prefix + (w,) for prefix, last in _hom_blocks(h, g) for w in last]
 
 
-def hom_count(h, g, cap=DEFAULT_HOM_CAP):
+def hom_count(h, g):
     """Number of homomorphisms h -> g (without materializing the list)."""
-    return sum(len(last) for _, last in _hom_blocks(h, g, cap))
+    return sum(len(last) for _, last in _hom_blocks(h, g))
 
 
-def _hom_blocks(h, g, cap):
+def _hom_blocks(h, g):
     """The homomorphisms h -> g in lexicographic order, grouped by their
     images of every vertex but the last: pairs (prefix, candidates), where
     each ascending candidate for the last vertex completes prefix."""
     if h.n == 0:
         raise ValueError("source graph must have at least one vertex")
-    if g.n ** h.n > cap:
+    if g.n ** h.n > DEFAULT_HOM_CAP:
         raise SizeCapExceeded(
-            "candidate space %d^%d exceeds cap %d" % (g.n, h.n, cap)
+            "candidate space %d^%d exceeds cap %d" % (g.n, h.n, DEFAULT_HOM_CAP)
         )
     # earlier[v] = neighbors of v in h with smaller index (already assigned)
     earlier = [[u for u in h.neighbors(v) if u < v] for v in range(h.n)]
@@ -205,37 +209,29 @@ def is_homomorphism(h, g, mapping):
     return all(mapping[v] in adj[mapping[u]] for u, v in h.edges)
 
 
-def find_isomorphism_pinned(h1, h2, pin=None):
-    """First graph isomorphism h1 -> h2 extending pin, or None.
-
-    pin is a partial injective map {v1: v2}. The search is deterministic
-    (lexicographic backtracking over h1's vertices ascending) and the result
-    is verified edge-preserving in both directions before being returned.
-    """
-    for phi in isomorphisms_pinned(h1, h2, pin):
-        return phi
-    return None
-
-
 def isomorphisms_pinned(h1, h2, pin=None):
-    """Generate all isomorphisms h1 -> h2 extending pin, lexicographically."""
+    """All isomorphisms h1 -> h2 extending the partial map pin {v1: v2}, in
+    lexicographic order.
+
+    Backtracks over the pinned vertices first, in pin order, each with its
+    pinned image as its only candidate, then over the other vertices of h1
+    ascending, each trying the vertices of h2 ascending. A candidate is taken
+    when it is unused, has the same degree and has the same adjacency to
+    every image already placed, so a pin that is not injective or not
+    consistent yields nothing. A pin outside either graph is a ValueError.
+    """
     pin = dict(pin or {})
     if h1.n != h2.n or h1.num_edges() != h2.num_edges():
         return
-    if sorted(h1.degree(v) for v in range(h1.n)) != sorted(
-        h2.degree(v) for v in range(h2.n)
-    ):
+    if sorted(map(len, h1._adj)) != sorted(map(len, h2._adj)):
         return
-    if len(set(pin.values())) != len(pin):
-        return
+    if not all(0 <= v < h1.n and 0 <= w < h2.n for v, w in pin.items()):
+        raise ValueError("pin out of range")
+    everywhere = range(h2.n)
+    steps = [(v, (w,)) for v, w in pin.items()]
+    steps += [(v, everywhere) for v in range(h1.n) if v not in pin]
     img = [-1] * h1.n
     used = [False] * h2.n
-    for v, w in pin.items():
-        if not (0 <= v < h1.n and 0 <= w < h2.n):
-            raise ValueError("pin out of range")
-        img[v] = w
-        used[w] = True
-
     adj1, adj2 = h1._adj, h2._adj
 
     def ok(v, w):
@@ -247,22 +243,12 @@ def isomorphisms_pinned(h1, h2, pin=None):
                 return False
         return True
 
-    # pinned vertices must themselves be consistent
-    for v in pin:
-        w = img[v]
-        img[v] = -1
-        if not ok(v, w):
-            return
-        img[v] = w
-
-    order = [v for v in range(h1.n) if v not in pin]
-
     def backtrack(i):
-        if i == len(order):
+        if i == len(steps):
             yield tuple(img)
             return
-        v = order[i]
-        for w in range(h2.n):
+        v, candidates = steps[i]
+        for w in candidates:
             if not used[w] and ok(v, w):
                 img[v] = w
                 used[w] = True
@@ -290,7 +276,7 @@ def all_graphs_up_to(max_n):
             g = Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
             key = (g.num_edges(), tuple(sorted(map(len, g._adj))))
             bucket = buckets.setdefault(key, [])
-            if not any(find_isomorphism_pinned(g, r) is not None for r in bucket):
+            if all(next(isomorphisms_pinned(g, r), None) is None for r in bucket):
                 bucket.append(g)
                 reps.append(g)
     return reps

@@ -15,10 +15,9 @@ All round trips are bit-exact.
 
 import json
 from fractions import Fraction
-from itertools import chain
 
 from .dists import SparseDistribution
-from .graphs import Graph
+from .graphs import Graph, require_ints
 from .markov import MarkovTree, TreeDecomposition
 from .strong import StrongDecomposition
 
@@ -48,7 +47,9 @@ def _bounded_size(doc, key):
 
 
 def graph_from_json(doc):
-    return Graph(_bounded_size(doc, "n"), [tuple(e) for e in doc["edges"]])
+    n = _bounded_size(doc, "n")
+    require_ints(doc["edges"], "edge endpoints")
+    return Graph(n, [tuple(e) for e in doc["edges"]])
 
 
 def markov_to_json(m):
@@ -60,10 +61,11 @@ def markov_to_json(m):
 
 
 def markov_from_json(doc):
+    ground_size = _bounded_size(doc, "ground_size")
+    require_ints(doc["bags"], "bag elements")
+    require_ints(doc["tree"], "tree edge endpoints")
     return MarkovTree(
-        _bounded_size(doc, "ground_size"),
-        [tuple(b) for b in doc["bags"]],
-        [tuple(e) for e in doc["tree"]],
+        ground_size, [tuple(b) for b in doc["bags"]], [tuple(e) for e in doc["tree"]]
     )
 
 
@@ -117,21 +119,16 @@ def distribution_to_text(p):
     """json.dumps(distribution_to_json(p), indent=1, sort_keys=True), byte for
     byte, written directly instead of through json's pure-Python indenting
     encoder: every atom fills one template with a slot per key value."""
-    index_set, items = p.index_set, sorted(p.mass.items())
-    if not all(type(x) is int for x in chain(index_set, *p.mass)):
-        # bools and floats take their JSON spelling
-        index_set = tuple(map(json.dumps, index_set))
-        items = [(tuple(map(json.dumps, k)), q) for k, q in items]
     atom = (
         '{\n   "den": "%d",\n   "key": '
-        + _list_text(["%s"] * len(index_set), 3)
+        + _list_text(["%s"] * len(p.index_set), 3)
         + ',\n   "num": "%d"\n  }'
     )
-    atoms = [atom % (q.denominator, *k, q.numerator) for k, q in items]
+    atoms = [atom % (q.denominator, *k, q.numerator) for k, q in sorted(p.mass.items())]
     return '{\n "index_set": %s,\n "mass": %s,\n "target_size": %s\n}' % (
-        _list_text(map(str, index_set), 1),
+        _list_text(map(str, p.index_set), 1),
         _list_text(atoms, 1),
-        json.dumps(p.target_size),
+        p.target_size,
     )
 
 
@@ -144,9 +141,12 @@ def _list_text(texts, depth):
 
 
 def distribution_from_json(doc):
-    mass = {
-        tuple(e["key"]): Fraction(int(e["num"]), int(e["den"])) for e in doc["mass"]
-    }
+    try:
+        mass = {
+            tuple(e["key"]): Fraction(int(e["num"]), int(e["den"])) for e in doc["mass"]
+        }
+    except ZeroDivisionError:
+        raise ValueError("a mass has a zero denominator")
     return SparseDistribution(doc["index_set"], doc["target_size"], mass)
 
 

@@ -12,6 +12,7 @@ from .graphs import (
     Graph,
     induced_subgraph,
     is_forest,
+    is_homomorphism,
     is_tree,
     isomorphisms_pinned,
     vertex_set,
@@ -239,7 +240,7 @@ def is_strong_isomorphism(sd1, sd2, vertex_map):
     if not all(0 <= w < h2.n for w in phi):
         raise ValueError("vertex map image out of range")
     # injective and edge-preserving with equal edge counts: a host isomorphism
-    if not all(h2.has_edge(phi[u], phi[v]) for u, v in h1.edges):
+    if not is_homomorphism(h1, h2, phi):
         return False
     return _structure_match(sd1, sd2, phi) is not None
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 from homglue.dists import SparseDistribution, marginal
-from homglue.graphs import Graph, find_isomorphism_pinned
+from homglue.graphs import Graph, isomorphisms_pinned
 from homglue.markov import MarkovTree, TreeDecomposition
 
 
@@ -129,6 +129,40 @@ def bfs_reference(g, roots):
     return order, parent
 
 
+def brute_force_isomorphisms(h1, h2, pin):
+    """Every permutation of V(h2), in itertools.permutations order, read as a
+    map V(h1) -> V(h2) and kept when it extends the partial map pin and
+    sends h1's edge set onto h2's."""
+    if h1.n != h2.n:
+        return []
+    edges = set(h2.edges)
+    return [
+        phi
+        for phi in permutations(range(h2.n))
+        if all(phi[v] == w for v, w in pin.items())
+        and {(min(phi[u], phi[v]), max(phi[u], phi[v])) for u, v in h1.edges} == edges
+    ]
+
+
+def forest_reference(g):
+    """True iff g is acyclic, by union-find: an edge whose ends already share
+    a root closes a cycle."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in g.edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
 def brute_force_joint(m, bag_dists):
     """Direct evaluation of the junction formula over all full assignments.
 
@@ -168,7 +202,7 @@ def small_trees(max_vertices):
         for t in levels[-1]:
             for v in range(t.n):
                 cand = Graph(n, list(t.edges) + [(v, n - 1)])
-                if not any(find_isomorphism_pinned(cand, r) for r in reps):
+                if all(next(isomorphisms_pinned(cand, r), None) is None for r in reps):
                     reps.append(cand)
         levels.append(reps)
     return [t for level in levels for t in level]

@@ -255,6 +255,64 @@ def test_validate_markov_tree_with_a_bad_tree_edge_exits_2(tmp_path, capsys, tre
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: cannot parse")
 
 
+def _broken_glue_instance(field, value, atom=False):
+    """k3_edge_instance with field set to value in its first bag distribution,
+    or in that distribution's first atom when atom is true."""
+    instance = k3_edge_instance()
+    dist = instance["bag_dists"][0]
+    (dist["mass"][0] if atom else dist)[field] = value
+    return instance
+
+
+def _point_mass_doc(index_set, target_size, key, den="1"):
+    return {
+        "index_set": index_set,
+        "target_size": target_size,
+        "mass": [{"key": key, "num": den, "den": den}],
+    }
+
+
+UNLOADABLE = {
+    "zero-den": _point_mass_doc([0], 2, [0], den="0"),
+    "bool-key": _point_mass_doc([0], 2, [True]),
+    "float-target": _point_mass_doc([0], 2.5, [1]),
+    "bool-edge": {"n": 3, "edges": [[True, 2]]},
+    "float-bag": {"ground_size": 2, "bags": [[0], [1.0]], "tree": [[0, 1]]},
+}
+UNGLUEABLE = {
+    "zero-den": _broken_glue_instance("den", "0", atom=True),
+    "bool-key": _broken_glue_instance("key", [True, 0], atom=True),
+    "float-key": _broken_glue_instance("key", [0, 1.0], atom=True),
+    "float-target": _broken_glue_instance("target_size", 2.5),
+    "bool-index": _broken_glue_instance("index_set", [0, True]),
+    "float-tree": {
+        **k3_edge_instance(),
+        "markov": {"ground_size": 3, "bags": [[0, 1], [1, 2]], "tree": [[0, 1.0]]},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [("validate", d) for d in UNLOADABLE.values()] + [("glue", d) for d in UNGLUEABLE.values()],
+    ids=["validate-" + k for k in UNLOADABLE] + ["glue-" + k for k in UNGLUEABLE],
+)
+def test_zero_denominators_and_non_integer_values_exit_2_without_traceback(tmp_path, command, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "homglue.cli", command, str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: cannot parse")
+
+
 def test_glue_reports_the_first_mismatching_edge_in_sorted_order(tmp_path, capsys):
     # edges (0,1) and (1,2) both mismatch; the report names (0,1) and its witness
     def dist(idx, masses):
@@ -362,6 +420,16 @@ def test_min_subdec_bad_vertex_list_is_a_parse_failure(fixdir, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: --u")
+
+
+@pytest.mark.parametrize("u", ["6", "-1", "0,6"])
+def test_min_subdec_vertex_out_of_range_is_a_parse_failure(fixdir, capsys, u):
+    code = main(["min-subdec", os.path.join(fixdir, "book.json"), "--u=" + u])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    bad = u.split(",")[-1]
+    assert captured.err == "error: --u vertex %s out of range for n=6\n" % bad
 
 
 def test_assoc_non_homomorphic_atom_is_a_json_error_under_optimize(fixdir):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from homglue import graphs
 from homglue.graphs import (
     Graph,
     SizeCapExceeded,
@@ -9,17 +10,24 @@ from homglue.graphs import (
     bfs,
     connected_graphs_up_to,
     enumerate_homs,
-    find_isomorphism_pinned,
     hom_count,
     induced_subgraph,
     is_connected,
     is_forest,
     is_homomorphism,
+    isomorphisms_pinned,
     max_degree,
 )
 from homglue.fixtures import book, c4, k2, k3, path3, star
 
-from helpers import bfs_reference, brute_force_homs, canonical_dedup_graphs, random_graph
+from helpers import (
+    bfs_reference,
+    brute_force_homs,
+    brute_force_isomorphisms,
+    canonical_dedup_graphs,
+    forest_reference,
+    random_graph,
+)
 
 
 def test_graph_canonical_edges():
@@ -94,6 +102,22 @@ def test_is_forest():
     assert not is_forest(c4())
 
 
+def test_is_forest_matches_union_find():
+    rng = random.Random(23)
+    cases = [
+        Graph(0),
+        Graph(1),
+        Graph(5),  # isolated vertices only
+        Graph(7, [(0, 1), (2, 3), (3, 4), (2, 4)]),  # a cycle beside an edge and a vertex
+        Graph(8, [(0, 1), (1, 2), (3, 4), (5, 6), (6, 7)]),  # three paths
+    ]
+    for _ in range(300):
+        cases.append(random_graph(rng, rng.randint(0, 9), rng.choice([0.1, 0.2, 0.4])))
+    results = [is_forest(g) for g in cases]
+    assert results == [forest_reference(g) for g in cases]
+    assert 50 < sum(results) < len(results) - 50  # both answers are exercised
+
+
 def test_max_degree():
     assert max_degree(k3()) == 2
     assert max_degree(star(5)) == 5
@@ -159,15 +183,16 @@ def _random_graph(rng, n):
     return Graph(n, edges)
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
+    monkeypatch.setattr(graphs, "DEFAULT_HOM_CAP", 10)
     with pytest.raises(SizeCapExceeded):
-        hom_count(Graph(5, [(0, 1)]), Graph(10), cap=10)
+        hom_count(Graph(5, [(0, 1)]), Graph(10))
 
 
 def test_pinned_isomorphism_paths():
     p1 = path3()  # 0-1-2
     p2 = Graph(3, [(0, 2), (1, 2)])  # path 0-2-1
-    phi = find_isomorphism_pinned(p1, p2, {0: 0, 2: 1})
+    phi = next(isomorphisms_pinned(p1, p2, {0: 0, 2: 1}), None)
     assert phi == (0, 2, 1)  # middle maps to middle
     # verified edge-preserving both ways
     assert all(p2.has_edge(phi[u], phi[v]) for u, v in p1.edges)
@@ -176,9 +201,39 @@ def test_pinned_isomorphism_paths():
 
 
 def test_pinned_isomorphism_absent_and_identity():
-    assert find_isomorphism_pinned(k3(), c4()) is None
+    assert next(isomorphisms_pinned(k3(), c4()), None) is None
     g = c4()
-    assert find_isomorphism_pinned(g, g, {v: v for v in range(4)}) == (0, 1, 2, 3)
+    assert next(isomorphisms_pinned(g, g, {v: v for v in range(4)}), None) == (0, 1, 2, 3)
+
+
+def test_isomorphisms_pinned_match_brute_force_in_order():
+    rng = random.Random(29)
+    found = inconsistent = non_injective = 0
+    for trial in range(300):
+        n = rng.randint(1, 6)
+        h1 = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        if trial % 2:  # a relabelled copy
+            perm = rng.sample(range(n), n)
+            h2 = Graph(n, [(perm[u], perm[v]) for u, v in h1.edges])
+        else:
+            h2 = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        pinned = rng.sample(range(n), min(n, rng.randint(0, 3)))
+        if trial % 4 == 1:  # a pin the relabelling satisfies
+            pin = {v: perm[v] for v in pinned}
+        else:  # any pin: maybe inconsistent, maybe not injective
+            pin = {v: rng.randrange(n) for v in pinned}
+        non_injective += len(set(pin.values())) < len(pin)
+        expected = brute_force_isomorphisms(h1, h2, pin)
+        assert list(isomorphisms_pinned(h1, h2, pin)) == expected, (h1, h2, pin)
+        found += bool(expected)
+        inconsistent += bool(not expected and brute_force_isomorphisms(h1, h2, {}))
+    assert found > 100 and inconsistent > 20 and non_injective > 20
+
+
+@pytest.mark.parametrize("pin", [{4: 0}, {0: 4}, {-1: 0}, {0: -1}])
+def test_isomorphisms_pinned_refuses_a_pin_out_of_range(pin):
+    with pytest.raises(ValueError, match="pin out of range"):
+        next(isomorphisms_pinned(c4(), c4(), pin))
 
 
 def test_induced_edge_count_matches_filter():

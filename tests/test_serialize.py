@@ -77,20 +77,49 @@ def test_distribution_text_matches_the_json_route_byte_for_byte():
 
 
 @pytest.mark.parametrize(
-    "keys, target_size",
-    [([[True, 1], [0, 0]], 2), ([[True, 0.5], [0, 2]], 2.5)],
-    ids=["bools", "floats"],
+    "index_set, keys, target_size",
+    [
+        ([0, 1], [[True, 1], [0, 0]], 2),
+        ([0, 1], [[1, 0.5], [0, 1]], 2),
+        ([0, True], [[1, 1], [0, 0]], 2),
+        ([0, 1.0], [[1, 1], [0, 0]], 2),
+        ([0, 1], [[1, 1], [0, 0]], 2.5),
+        ([0, 1], [[1, 1], [0, 0]], True),
+    ],
+    ids=["bools", "floats", "bool-index", "float-index", "float-target", "bool-target"],
 )
-def test_distribution_text_spells_non_integer_values_as_json(keys, target_size):
-    # the loader accepts any value in range, so bools and floats can reach the writer
-    p = serialize.distribution_from_json(
-        {
-            "index_set": [0, 1],
-            "target_size": target_size,
-            "mass": [{"key": k, "num": "1", "den": "2"} for k in keys],
-        }
-    )
-    assert serialize.distribution_to_text(p) == json_route(p)
+def test_distribution_from_json_refuses_non_integer_values(index_set, keys, target_size):
+    # a bool or a float would pass every range check and be glued as a value
+    doc = {
+        "index_set": index_set,
+        "target_size": target_size,
+        "mass": [{"key": k, "num": "1", "den": "2"} for k in keys],
+    }
+    with pytest.raises(ValueError, match="integer"):
+        serialize.distribution_from_json(doc)
+
+
+def test_distribution_from_json_refuses_a_zero_denominator():
+    doc = {"index_set": [0], "target_size": 2, "mass": [{"key": [0], "num": "1", "den": "0"}]}
+    with pytest.raises(ValueError, match="zero denominator"):
+        serialize.distribution_from_json(doc)
+
+
+@pytest.mark.parametrize(
+    "load, doc",
+    [
+        (serialize.graph_from_json, {"n": 3, "edges": [[True, 2]]}),
+        (serialize.graph_from_json, {"n": 3, "edges": [[0, 2.0]]}),
+        (serialize.markov_from_json, {"ground_size": 2, "bags": [[0, True]], "tree": []}),
+        (serialize.markov_from_json, {"ground_size": 2, "bags": [[0], [1.0]], "tree": [[0, 1]]}),
+        (serialize.markov_from_json, {"ground_size": 2, "bags": [[0], [1]], "tree": [[0, 1.0]]}),
+        (serialize.markov_from_json, {"ground_size": 2, "bags": [[0], [1]], "tree": [[False, 1]]}),
+    ],
+    ids=["edge-bool", "edge-float", "bag-bool", "bag-float", "tree-float", "tree-bool"],
+)
+def test_structure_loaders_refuse_non_integer_values(load, doc):
+    with pytest.raises(ValueError, match="must be integers, not"):
+        load(doc)
 
 
 @pytest.mark.parametrize("n", [True, False, -1, 2.0, "3", serialize.MAX_GRAPH_VERTICES + 1, 10**8])
