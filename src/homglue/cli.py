@@ -3,7 +3,8 @@
 Subcommands: validate, assoc, glue, min-subdec, sidorenko-sweep,
 entropy-report. Output is JSON on standard output; exit codes are 0 for
 success, 1 for a semantic failure (validation violation, broken invariant,
-guard), 2 for unreadable or unrecognized input.
+guard), 2 for unreadable or unrecognized input or an --out file that cannot
+be written.
 """
 
 import argparse
@@ -71,11 +72,15 @@ def _emit(doc, out=None):
 
 
 def _write(text, out):
-    """Write a JSON document's text and a newline to the file out, or to stdout."""
+    """Write a JSON document's text and a newline to the file out, or to
+    stdout. A file that cannot be written is an input error."""
     text += "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise _InputError("cannot write %s: %s" % (out, e))
     else:
         sys.stdout.write(text)
 

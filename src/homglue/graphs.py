@@ -1,7 +1,7 @@
 """Simple undirected graphs on dense integer vertices, with the one
 breadth-first walk (behind connectivity, forests and trees), neighbour-pruned
-homomorphism search, pinned isomorphism search and isomorph-free enumeration
-of small graphs.
+homomorphism search, isomorphism search with allowed images (pins included)
+and isomorph-free enumeration of small graphs.
 
 Everything here is sized for desk-scale instances (a dozen vertices or so);
 the enumeration routines are deterministic backtracking searches whose output
@@ -209,27 +209,28 @@ def is_homomorphism(h, g, mapping):
     return all(mapping[v] in adj[mapping[u]] for u, v in h.edges)
 
 
-def isomorphisms_pinned(h1, h2, pin=None):
-    """All isomorphisms h1 -> h2 extending the partial map pin {v1: v2}, in
-    lexicographic order.
+def isomorphisms(h1, h2, allowed):
+    """All isomorphisms h1 -> h2 under which each vertex v in allowed maps
+    into the ascending tuple allowed[v]. They come in lexicographic order
+    when allowed lists the vertices 0, 1, ..., k-1 in that order, or allows
+    a single image for each vertex it lists.
 
-    Backtracks over the pinned vertices first, in pin order, each with its
-    pinned image as its only candidate, then over the other vertices of h1
-    ascending, each trying the vertices of h2 ascending. A candidate is taken
-    when it is unused, has the same degree and has the same adjacency to
-    every image already placed, so a pin that is not injective or not
-    consistent yields nothing. A pin outside either graph is a ValueError.
+    Backtracks over the vertices of allowed first, in its order, each trying
+    its allowed images, then over the other vertices of h1 ascending, each
+    trying the vertices of h2 ascending. A candidate is taken when it is
+    unused, has the same degree and has the same adjacency to every image
+    already placed, so an allowed image that no isomorphism can use yields
+    nothing. A vertex or an image outside its graph is a ValueError.
     """
-    pin = dict(pin or {})
     if h1.n != h2.n or h1.num_edges() != h2.num_edges():
         return
     if sorted(map(len, h1._adj)) != sorted(map(len, h2._adj)):
         return
-    if not all(0 <= v < h1.n and 0 <= w < h2.n for v, w in pin.items()):
+    if not all(0 <= v < h1.n and all(0 <= w < h2.n for w in ws) for v, ws in allowed.items()):
         raise ValueError("pin out of range")
     everywhere = range(h2.n)
-    steps = [(v, (w,)) for v, w in pin.items()]
-    steps += [(v, everywhere) for v in range(h1.n) if v not in pin]
+    steps = list(allowed.items())
+    steps += [(v, everywhere) for v in range(h1.n) if v not in allowed]
     img = [-1] * h1.n
     used = [False] * h2.n
     adj1, adj2 = h1._adj, h2._adj
@@ -257,6 +258,14 @@ def isomorphisms_pinned(h1, h2, pin=None):
                 used[w] = False
 
     yield from backtrack(0)
+
+
+def isomorphisms_pinned(h1, h2, pin=None):
+    """All isomorphisms h1 -> h2 extending the partial map pin {v1: v2}, in
+    lexicographic order: isomorphisms with each pinned vertex allowed its
+    pinned image only, so a pin that is not injective or not consistent
+    yields nothing. A pin outside either graph is a ValueError."""
+    yield from isomorphisms(h1, h2, {v: (w,) for v, w in dict(pin or {}).items()})
 
 
 def all_graphs_up_to(max_n):

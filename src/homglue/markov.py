@@ -59,9 +59,6 @@ class MarkovTree:
     def num_bags(self):
         return len(self.bags)
 
-    def bag_neighbors(self, i):
-        return self.bag_tree.neighbors(i)
-
 
 @dataclass(frozen=True)
 class TreeDecomposition:
@@ -173,7 +170,7 @@ def _shortest_connecting_path(m, fam1, fam2):
     while queue:
         nxt = []
         for v in queue:
-            for w in m.bag_neighbors(v):
+            for w in m.bag_tree.neighbors(v):
                 if w in prev:
                     continue
                 prev[w] = v

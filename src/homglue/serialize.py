@@ -82,7 +82,7 @@ def tree_decomposition_from_json(doc):
 def strong_to_json(sd):
     out = {"level": sd.level, "host": graph_to_json(sd.host)}
     if sd.level == 0:
-        out["payload"] = {"base": markov_to_json(sd.base)}
+        out["payload"] = {"base": markov_to_json(sd.decomp.markov)}
     else:
         out["payload"] = {
             "decomp": tree_decomposition_to_json(sd.decomp),
@@ -94,14 +94,18 @@ def strong_to_json(sd):
 def strong_from_json(doc):
     host = graph_from_json(doc["host"])
     payload = doc["payload"]
+    level = _bounded_size(doc, "level")
     if "base" in payload:
-        return StrongDecomposition(doc["level"], host, base=markov_from_json(payload["base"]))
-    return StrongDecomposition(
-        doc["level"],
-        host,
-        decomp=tree_decomposition_from_json(payload["decomp"]),
-        children=tuple(strong_from_json(c) for c in payload["children"]),
-    )
+        return StrongDecomposition(
+            level, host, TreeDecomposition(host, markov_from_json(payload["base"]))
+        )
+    decomp = tree_decomposition_from_json(payload["decomp"])
+    children = tuple(strong_from_json(c) for c in payload["children"])
+    if not children:  # a decomp payload needs children; level 0 is spelt with base
+        raise ValueError(
+            "one child per bag is required" if level else "level 0 requires a base payload only"
+        )
+    return StrongDecomposition(level, host, decomp, children)
 
 
 def distribution_to_json(p):

@@ -1,9 +1,9 @@
 """Recursive level-k strong tree decompositions: the three-condition
 validator, minimum sub-decompositions, and level-aware isomorphism search.
 
-Level 0 decomposes a tree into its edges (with a spanning tree of the line
-graph as the bag tree); level k wraps a tree decomposition whose bags each
-carry a level-(k-1) decomposition of the induced subgraph.
+Every level carries a tree decomposition of its host. At level 0 the host
+is a tree, the bags are its edges and the bag tree spans the line graph; at
+level k each bag carries a level-(k-1) decomposition of the induced subgraph.
 """
 
 from dataclasses import dataclass
@@ -14,12 +14,12 @@ from .graphs import (
     is_forest,
     is_homomorphism,
     is_tree,
+    isomorphisms,
     isomorphisms_pinned,
     vertex_set,
 )
 from .markov import (
     ContainedInSingleBag,
-    MarkovTree,
     TreeDecomposition,
     ValidationReport,
     line_graph_markov_tree,
@@ -34,26 +34,24 @@ from .markov import (
 class StrongDecomposition:
     """Level-k strong tree decomposition of host.
 
-    Exactly one payload is populated: base (a Markov tree over the host's
-    edges) at level 0, or decomp + children (one level-(k-1) decomposition
-    per bag, in bag-index order) at level k > 0.
+    decomp is a tree decomposition of host at every level. At level 0 it is
+    the whole payload (its bags are the host's edges); at level k > 0
+    children holds one level-(k-1) decomposition per bag, in bag-index order.
     """
 
     level: int
     host: Graph
-    base: MarkovTree = None
-    decomp: TreeDecomposition = None
-    children: tuple = None
+    decomp: TreeDecomposition
+    children: tuple = ()
 
     def __post_init__(self):
         if self.level == 0:
-            if self.base is None or self.decomp is not None or self.children is not None:
+            if self.children:
                 raise ValueError("level 0 requires a base payload only")
-        else:
-            if self.base is not None or self.decomp is None or self.children is None:
-                raise ValueError("level k>0 requires decomp and children")
-            if len(self.children) != self.decomp.markov.num_bags():
-                raise ValueError("one child per bag is required")
+        elif not self.children:
+            raise ValueError("level k>0 requires decomp and children")
+        elif len(self.children) != self.decomp.markov.num_bags():
+            raise ValueError("one child per bag is required")
 
 
 @dataclass(frozen=True)
@@ -77,7 +75,7 @@ class StrongIsomorphism:
 
 def zero_strong(t):
     """The level-0 decomposition of a tree: bags are its edges."""
-    return StrongDecomposition(0, t, base=line_graph_markov_tree(t))
+    return StrongDecomposition(0, t, TreeDecomposition(t, line_graph_markov_tree(t)))
 
 
 def validate_strong(sd, _path=()):
@@ -87,30 +85,30 @@ def validate_strong(sd, _path=()):
     """
     report = ValidationReport()
     path = list(_path)
+    if sd.decomp.host != sd.host:
+        report.add("decomp-host-mismatch", {"path": path})
+        return report
+    m = sd.decomp.markov
     if sd.level == 0:
         if not is_tree(sd.host) or sd.host.num_edges() == 0:
             report.add("base-host-not-a-tree", {"path": path})
             return report
-        if sd.base.ground_size != sd.host.n or sd.base.bags != sd.host.edges:
+        if m.bags != sd.host.edges:
             report.add("base-bags-not-host-edges", {"path": path})
             return report
-        for i, j in sd.base.tree:
-            if not set(sd.base.bags[i]) & set(sd.base.bags[j]):
+        for i, j in m.tree:
+            if not set(m.bags[i]) & set(m.bags[j]):
                 report.add(
                     "base-tree-not-in-line-graph", {"path": path, "edge": [i, j]}
                 )
-        inner = validate_markov_tree(sd.base)
-        for v in inner.violations:
-            report.add(v["kind"], {"path": path, **_as_dict(v["witness"])})
-        return report
-
-    if sd.decomp.host != sd.host:
-        report.add("decomp-host-mismatch", {"path": path})
-        return report
-    inner = validate_tree_decomposition(sd.decomp)
+        # the bags are the host's edges, so edge coverage holds already
+        inner = validate_markov_tree(m)
+    else:
+        inner = validate_tree_decomposition(sd.decomp)
     for v in inner.violations:
         report.add(v["kind"], {"path": path, **_as_dict(v["witness"])})
-    m = sd.decomp.markov
+    if sd.level == 0:
+        return report
     for i, bag in enumerate(m.bags):
         child = sd.children[i]
         expected, _ = induced_subgraph(sd.host, bag)
@@ -189,7 +187,7 @@ def minimum_subdecomposition(sd, u):
     if not u:
         raise ValueError("u must be nonempty")
 
-    td = TreeDecomposition(sd.host, sd.base) if sd.level == 0 else sd.decomp
+    td = sd.decomp
     try:
         keep = minimum_covering_subfamily(td, u)
     except ContainedInSingleBag as e:
@@ -201,12 +199,8 @@ def minimum_subdecomposition(sd, u):
             return SubDecomposition(inner.decomposition, embedding)
         keep = (e.bag_index,)
     sub_td, relabel = retraction(td, keep)
-    if sd.level == 0:
-        sub = StrongDecomposition(0, sub_td.host, base=sub_td.markov)
-    else:
-        children = tuple(sd.children[i] for i in keep)
-        sub = StrongDecomposition(sd.level, sub_td.host, decomp=sub_td, children=children)
-    return SubDecomposition(sub, relabel)
+    children = tuple(sd.children[i] for i in keep) if sd.children else ()
+    return SubDecomposition(StrongDecomposition(sd.level, sub_td.host, sub_td, children), relabel)
 
 
 def strong_isomorphism(sd1, sd2, pin=None):
@@ -247,43 +241,31 @@ def is_strong_isomorphism(sd1, sd2, vertex_map):
 
 def _structure_match(sd1, sd2, phi):
     """Check that host isomorphism phi respects the decomposition structure;
-    returns a StrongIsomorphism or None."""
+    returns a StrongIsomorphism or None.
+
+    The bag map is the first isomorphism of the bag trees under which each
+    bag i goes to a bag j holding phi's image of bag i, whose child is
+    strongly isomorphic to child i under the map phi induces.
+    """
     if sd1.level == 0:
         # a 0-strong isomorphism is just a tree isomorphism of the hosts
         return StrongIsomorphism(phi)
     m1, m2 = sd1.decomp.markov, sd2.decomp.markov
-    if m1.num_bags() != m2.num_bags():
-        return None
-    images = [vertex_set(phi[v] for v in b) for b in m1.bags]
-    k = m1.num_bags()
-    assignment = [-1] * k
-    used = [False] * k
-
-    def backtrack(i):
-        if i == k:
-            return True
-        for j in range(k):
-            if used[j] or m2.bags[j] != images[i]:
-                continue
-            if any(
-                assignment[a] >= 0 and assignment[a] not in m2.bag_neighbors(j)
-                for a in m1.bag_neighbors(i)
-            ):
-                continue
-            child_map = _child_vertex_map(m1.bags[i], m2.bags[j], phi)
-            if not is_strong_isomorphism(sd1.children[i], sd2.children[j], child_map):
-                continue
-            assignment[i] = j
-            used[j] = True
-            if backtrack(i + 1):
-                return True
-            assignment[i] = -1
-            used[j] = False
-        return False
-
-    if backtrack(0):
-        return StrongIsomorphism(phi, tuple(assignment))
-    return None
+    allowed = {}
+    for i, bag in enumerate(m1.bags):
+        image = vertex_set(phi[v] for v in bag)
+        allowed[i] = tuple(
+            j
+            for j, bag2 in enumerate(m2.bags)
+            if bag2 == image
+            and is_strong_isomorphism(
+                sd1.children[i], sd2.children[j], _child_vertex_map(bag, bag2, phi)
+            )
+        )
+        if not allowed[i]:
+            return None
+    bag_map = next(isomorphisms(m1.bag_tree, m2.bag_tree, allowed), None)
+    return None if bag_map is None else StrongIsomorphism(phi, bag_map)
 
 
 def _child_vertex_map(bag1, bag2, phi):

@@ -13,6 +13,7 @@ from itertools import combinations, permutations, product
 from homglue.dists import SparseDistribution, marginal
 from homglue.graphs import Graph, isomorphisms_pinned
 from homglue.markov import MarkovTree, TreeDecomposition
+from homglue.strong import StrongDecomposition
 
 
 def random_tree_edges(rng, k):
@@ -142,6 +143,75 @@ def brute_force_isomorphisms(h1, h2, pin):
         if all(phi[v] == w for v, w in pin.items())
         and {(min(phi[u], phi[v]), max(phi[u], phi[v])) for u, v in h1.edges} == edges
     ]
+
+
+def relabel_strong(sd, perm, rng):
+    """Copy of the strong decomposition sd with host vertex v renamed
+    perm[v]. Above level 0 the bag indices are also shuffled with rng; at
+    level 0 the bags stay the host's sorted edges. Each child is relabelled
+    by the map its bag's vertices induce."""
+    host = Graph(sd.host.n, [(perm[u], perm[v]) for u, v in sd.host.edges])
+    m = sd.decomp.markov
+    images = [tuple(sorted(perm[v] for v in bag)) for bag in m.bags]
+    if sd.level == 0:
+        order = [host.edges.index(b) for b in images]
+    else:
+        order = list(range(m.num_bags()))
+        rng.shuffle(order)
+    bags = [None] * len(order)
+    for i, image in enumerate(images):
+        bags[order[i]] = image
+    tree = [(order[a], order[b]) for a, b in m.tree]
+    decomp = TreeDecomposition(host, MarkovTree(host.n, bags, tree))
+    children = [None] * len(sd.children)
+    for i, child in enumerate(sd.children):
+        child_perm = [images[i].index(perm[v]) for v in m.bags[i]]
+        children[order[i]] = relabel_strong(child, child_perm, rng)
+    return StrongDecomposition(sd.level, host, decomp, tuple(children))
+
+
+def brute_force_strong_isomorphism(sd1, sd2, pin):
+    """The lexicographically first (vertex_map, bag_map) of a strong
+    isomorphism sd1 -> sd2 whose vertex map extends pin, or None: every
+    permutation of the host vertices, then of the bag indices, in
+    itertools.permutations order. A bag map sends each bag onto the image of
+    its vertices and the bag tree's edges onto the other's, and the vertex
+    map induces a strong isomorphism on each pair of corresponding
+    children. bag_map is None at level 0."""
+    for phi in brute_force_isomorphisms(sd1.host, sd2.host, pin):
+        bag_map = _brute_force_bag_map(sd1, sd2, phi)
+        if bag_map is not None:
+            return phi, (None if sd1.level == 0 else bag_map)
+    return None
+
+
+def _brute_force_bag_map(sd1, sd2, phi):
+    """The first bag map under which the host isomorphism phi is a strong
+    isomorphism, () at level 0, or None."""
+    image = {tuple(sorted((phi[u], phi[v]))) for u, v in sd1.host.edges}
+    if sd1.level != sd2.level or image != set(sd2.host.edges):
+        return None
+    if sd1.level == 0:
+        return ()
+    m1, m2 = sd1.decomp.markov, sd2.decomp.markov
+    if m1.num_bags() != m2.num_bags():
+        return None
+    tree2 = {frozenset(e) for e in m2.tree}
+    for sigma in permutations(range(m2.num_bags())):
+        if {frozenset((sigma[a], sigma[b])) for a, b in m1.tree} != tree2:
+            continue
+        if all(
+            m2.bags[sigma[i]] == tuple(sorted(phi[v] for v in bag))
+            and _brute_force_bag_map(
+                sd1.children[i],
+                sd2.children[sigma[i]],
+                tuple(m2.bags[sigma[i]].index(phi[v]) for v in bag),
+            )
+            is not None
+            for i, bag in enumerate(m1.bags)
+        ):
+            return sigma
+    return None
 
 
 def forest_reference(g):

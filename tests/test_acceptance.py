@@ -179,7 +179,7 @@ def test_criterion_6_appendix_lemmas():
     while helly_checks < 100:
         k = rng.randint(2, 10)
         m = random_markov_tree(rng, k, 3)
-        adj = {i: m.bag_neighbors(i) for i in range(k)}
+        adj = {i: m.bag_tree.neighbors(i) for i in range(k)}
         fams = [random_subtree(rng, adj, k) for _ in range(rng.randint(2, 4))]
         witness = helly_intersection(m, fams)
         pairwise = all(a & b for a, b in combinations(fams, 2))
@@ -224,7 +224,7 @@ def test_criterion_8_commutes_sweep():
     g = k3()
     proj_checks = 0
     for name, sd in bundled_strong_fixtures().items():
-        bags = sd.base.bags if sd.level == 0 else sd.decomp.markov.bags
+        bags = sd.decomp.markov.bags
         us = set(bags)
         for b1, b2 in combinations(bags, 2):
             inter = tuple(sorted(set(b1) & set(b2)))

@@ -490,3 +490,76 @@ def test_deterministic_output(fixdir, capsys):
     main(args)
     second = capsys.readouterr().out
     assert first == second
+
+
+def _run_process(*argv):
+    """The CLI in a subprocess, so a traceback would show on stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "homglue.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+
+
+OUT_COMMANDS = {
+    "assoc": lambda fix, inst: ["assoc", fix("c4"), fix("k3")],
+    "glue": lambda fix, inst: ["glue", inst],
+    "min-subdec": lambda fix, inst: ["min-subdec", fix("c4"), "--u", "0,2"],
+    "sidorenko-sweep": lambda fix, inst: ["sidorenko-sweep", fix("c4"), "--max-n", "3"],
+    "entropy-report": lambda fix, inst: ["entropy-report", fix("c4"), fix("k3")],
+}
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_to_an_unwritable_path_exits_2_with_one_line(fixdir, tmp_path, command, target):
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(k3_edge_instance()))
+    argv = OUT_COMMANDS[command](lambda name: os.path.join(fixdir, name + ".json"), str(instance))
+    out = str(tmp_path) if target == "directory" else str(tmp_path / "no" / "such" / "x.json")
+    proc = _run_process(*argv, "--out", out)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: cannot write %s:" % out)
+
+
+@pytest.mark.parametrize("level", ["1", None, True, False, 1.0, 0.0, -1])
+def test_a_level_that_is_not_a_nonnegative_int_exits_2(fixdir, tmp_path, capsys, level):
+    k3_path = os.path.join(fixdir, "k3.json")
+    for name, depth in (("path3", 0), ("c4", 0), ("c4", 1)):
+        doc = serialize.strong_to_json(bundled_strong_fixtures()[name])
+        (doc["payload"]["children"][0] if depth else doc)["level"] = level
+        path = str(tmp_path / ("%s-%d.json" % (name, depth)))
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        for argv in (["validate", path], ["assoc", path, k3_path], ["min-subdec", path, "--u", "0"]):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: cannot parse %s: level must be" % path)
+            assert captured.err.count("\n") == 1
+
+
+def test_level0_ground_size_mismatch_exits_2(fixdir, tmp_path, capsys):
+    # a base Markov tree over more vertices than its host has
+    path_doc = serialize.strong_to_json(bundled_strong_fixtures()["path3"])
+    path_doc["payload"]["base"]["ground_size"] = 4
+    c4_doc = serialize.strong_to_json(bundled_strong_fixtures()["c4"])
+    c4_doc["payload"]["children"][1]["payload"]["base"]["ground_size"] = 4
+    for name, doc in (("path3", path_doc), ("c4", c4_doc)):
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(doc))
+        for argv in (
+            ["validate", str(path)],
+            ["assoc", str(path), os.path.join(fixdir, "k3.json")],
+            ["min-subdec", str(path), "--u", "0"],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: cannot parse %s: ground set size does not match host vertex count\n" % path
+            )

@@ -81,7 +81,7 @@ def test_bag_neighbors_match_a_scan_of_the_tree():
         m = random_markov_tree(rng, rng.randint(1, 9), 3)
         for i in range(m.num_bags()):
             scan = sorted([b for a, b in m.tree if a == i] + [a for a, b in m.tree if b == i])
-            assert m.bag_neighbors(i) == tuple(scan)
+            assert m.bag_tree.neighbors(i) == tuple(scan)
 
 
 def test_equal_markov_trees_compare_and_hash_equal():
@@ -188,7 +188,7 @@ def test_helly_matches_brute_force():
     for _ in range(120):
         k = rng.randint(2, 10)
         m = random_markov_tree(rng, k, 3)
-        adj = {i: m.bag_neighbors(i) for i in range(k)}
+        adj = {i: m.bag_tree.neighbors(i) for i in range(k)}
         fams = [random_subtree(rng, adj, k) for _ in range(rng.randint(1, 4))]
         pairwise = all(a & b for a in fams for b in fams)
         witness = helly_intersection(m, fams)

@@ -145,6 +145,36 @@ def test_markov_from_json_accepts_the_largest_ground_size():
     assert m.ground_size == k and m.tree == ((0, 1),)
 
 
+BAD_LEVELS = ["1", None, True, False, 1.0, 0.0, -1]
+
+
+@pytest.mark.parametrize("level", BAD_LEVELS, ids=[json.dumps(v) for v in BAD_LEVELS])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_strong_from_json_refuses_a_level_that_is_not_a_nonnegative_int(level, depth):
+    doc = serialize.strong_to_json(bundled_strong_fixtures()["book"])
+    node = doc
+    for _ in range(depth):
+        node = node["payload"]["children"][0]
+    node["level"] = level
+    with pytest.raises(ValueError, match="level must be an integer from 0 to"):
+        serialize.strong_from_json(doc)
+
+
+def test_strong_from_json_keeps_the_payload_shape_messages():
+    fixtures = bundled_strong_fixtures()
+    path = serialize.strong_to_json(fixtures["path3"])
+    c4_doc = serialize.strong_to_json(fixtures["c4"])
+    childless = dict(c4_doc["payload"], children=[])
+    for doc, message in (
+        (dict(path, level=1), "level k>0 requires decomp and children"),
+        (dict(c4_doc, level=0), "level 0 requires a base payload only"),
+        (dict(c4_doc, level=0, payload=childless), "level 0 requires a base payload only"),
+        (dict(c4_doc, payload=childless), "one child per bag is required"),
+    ):
+        with pytest.raises(ValueError, match="^%s$" % message):
+            serialize.strong_from_json(doc)
+
+
 def test_detect_kind():
     assert serialize.detect_kind({"n": 1, "edges": []}) == "graph"
     assert serialize.detect_kind({"ground_size": 1, "bags": [[0]], "tree": []}) == "markov"

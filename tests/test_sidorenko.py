@@ -229,7 +229,7 @@ def test_projection_consistency_book_shared_edge():
 
 def test_projection_consistency_sweep():
     for name, sd in bundled_strong_fixtures().items():
-        bags = sd.base.bags if sd.level == 0 else sd.decomp.markov.bags
+        bags = sd.decomp.markov.bags
         us = {bag for bag in bags}
         for b1, b2 in combinations(bags, 2):
             inter = tuple(sorted(set(b1) & set(b2)))

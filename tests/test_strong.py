@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from helpers import brute_force_strong_isomorphism, random_tree, relabel_strong
 from homglue.graphs import Graph
 from homglue.markov import MarkovTree, TreeDecomposition
 from homglue.strong import (
@@ -18,6 +21,7 @@ from homglue.fixtures import (
     c4,
     c4_fixture,
     path_fixture,
+    star,
     star_fixture,
 )
 
@@ -37,7 +41,7 @@ def test_zero_strong_path():
 
 def test_level0_rejects_non_tree():
     sd = StrongDecomposition(
-        0, c4(), base=MarkovTree(4, c4().edges, [(0, 1), (1, 2), (2, 3)])
+        0, c4(), TreeDecomposition(c4(), MarkovTree(4, c4().edges, [(0, 1), (1, 2), (2, 3)]))
     )
     report = validate_strong(sd)
     assert [v["kind"] for v in report.violations] == ["base-host-not-a-tree"]
@@ -212,3 +216,140 @@ def test_underlying_graph():
     assert c4_fixture().host == c4()
     assert book_fixture().host == book()
     assert path_fixture().host == Graph(3, [(0, 1), (1, 2)])
+
+
+def _iso_pair(iso):
+    return None if iso is None else (iso.vertex_map, iso.bag_map)
+
+
+def _pins(rng, sd, perm):
+    """0, 1 and 2 pins, each drawn once from perm (consistent) and once at
+    random (often inconsistent)."""
+    n = sd.host.n
+    out = [{}]
+    for size in (1, 2):
+        vs = rng.sample(range(n), min(size, n))
+        out.append({v: perm[v] for v in vs})
+        out.append({v: rng.randrange(n) for v in vs})
+    return out
+
+
+def _oracle_cases(rng, sd):
+    """sd against relabelled copies of itself, pinned 0-2 times."""
+    for _ in range(2):
+        perm = list(range(sd.host.n))
+        rng.shuffle(perm)
+        copy = relabel_strong(sd, perm, rng)
+        assert validate_strong(copy).ok
+        for pin in _pins(rng, sd, perm):
+            yield sd, copy, pin
+
+
+def _assert_matches_oracle(cases):
+    found = 0
+    for sd1, sd2, pin in cases:
+        expected = brute_force_strong_isomorphism(sd1, sd2, pin)
+        assert _iso_pair(strong_isomorphism(sd1, sd2, pin)) == expected, (sd1, sd2, pin)
+        found += expected is not None
+    return found
+
+
+def test_strong_isomorphism_matches_brute_force_on_fixtures_and_their_parts():
+    from itertools import combinations
+
+    rng = random.Random(41)
+    parts = []
+    for sd in bundled_strong_fixtures().values():
+        parts.append(sd)
+        parts.extend(sd.children)
+        for size in (1, 2, 3):
+            for u in combinations(range(sd.host.n), size):
+                parts.append(minimum_subdecomposition(sd, u).decomposition)
+    found = _assert_matches_oracle(case for sd in parts for case in _oracle_cases(rng, sd))
+    # every unpinned and consistently pinned copy is found
+    assert found >= 3 * 2 * len(parts)
+
+
+def _identical_bags(count, tree):
+    # the path 0-1-2 with count copies of the bag {0, 1, 2}
+    host = Graph(3, [(0, 1), (1, 2)])
+    markov = MarkovTree(3, [(0, 1, 2)] * count, tree)
+    children = tuple(zero_strong(host) for _ in range(count))
+    return StrongDecomposition(1, host, TreeDecomposition(host, markov), children)
+
+
+def _star_bags(level, tree):
+    # the star K1,3 with bags {0,1}, {0,2}, {0,3}
+    host = star(3)
+    markov = MarkovTree(4, [(0, 1), (0, 2), (0, 3)], tree)
+    if level == 0:
+        return StrongDecomposition(0, host, TreeDecomposition(host, markov))
+    children = tuple(zero_strong(Graph(2, [(0, 1)])) for _ in range(3))
+    return StrongDecomposition(1, host, TreeDecomposition(host, markov), children)
+
+
+STAR_BAG_TREES = ([(0, 1), (0, 2)], [(0, 1), (1, 2)], [(0, 2), (1, 2)])
+
+
+def test_strong_isomorphism_matches_brute_force_with_duplicate_bags_and_bag_trees():
+    rng = random.Random(43)
+    shapes = [
+        _identical_bags(2, [(0, 1)]),
+        _identical_bags(3, [(0, 1), (1, 2)]),
+        _identical_bags(3, [(0, 1), (0, 2)]),
+    ]
+    shapes += [_star_bags(level, tree) for level in (0, 1) for tree in STAR_BAG_TREES]
+    for sd in shapes:
+        assert validate_strong(sd).ok
+    cases = [case for sd in shapes for case in _oracle_cases(rng, sd)]
+    # the star's three bag trees against each other, pinned and not
+    cases += [
+        (_star_bags(level, t1), _star_bags(level, t2), pin)
+        for level in (0, 1)
+        for t1 in STAR_BAG_TREES
+        for t2 in STAR_BAG_TREES
+        for pin in ({}, {1: 1}, {0: 1}, {1: 2, 2: 1})
+    ]
+    assert _assert_matches_oracle(cases) > 0
+
+
+def test_strong_isomorphism_matches_brute_force_on_non_isomorphic_pairs():
+    rng = random.Random(47)
+    path4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    two_bags = StrongDecomposition(
+        1,
+        path4,
+        TreeDecomposition(path4, MarkovTree(4, [(0, 1), (1, 2, 3)], [(0, 1)])),
+        (zero_strong(Graph(2, [(0, 1)])), zero_strong(Graph(3, [(0, 1), (1, 2)]))),
+    )
+    even = StrongDecomposition(
+        1,
+        path4,
+        TreeDecomposition(path4, MarkovTree(4, [(0, 1, 2), (1, 2, 3)], [(0, 1)])),
+        (zero_strong(Graph(3, [(0, 1), (1, 2)])), zero_strong(Graph(3, [(0, 1), (1, 2)]))),
+    )
+    cases = [
+        (zero_strong(path4), star_fixture(), {}),
+        (two_bags, even, {}),
+        (even, two_bags, {0: 0}),
+        (_identical_bags(2, [(0, 1)]), _identical_bags(3, [(0, 1), (1, 2)]), {}),
+        (c4_fixture(), bad_condition3_fixture(), {}),
+    ]
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        cases.append((zero_strong(random_tree(rng, n)), zero_strong(random_tree(rng, n)), {}))
+    assert validate_strong(two_bags).ok and validate_strong(even).ok
+    _assert_matches_oracle(cases)
+    for sd1, sd2, pin in cases[:5]:
+        assert strong_isomorphism(sd1, sd2, pin) is None
+
+
+def test_constructor_messages_for_each_payload_shape():
+    host = Graph(3, [(0, 1), (1, 2)])
+    td = zero_strong(host).decomp
+    with pytest.raises(ValueError, match="^level 0 requires a base payload only$"):
+        StrongDecomposition(0, host, td, (zero_strong(host),))
+    with pytest.raises(ValueError, match="^level k>0 requires decomp and children$"):
+        StrongDecomposition(1, host, td)
+    with pytest.raises(ValueError, match="^one child per bag is required$"):
+        StrongDecomposition(1, host, td, (zero_strong(host),))
