@@ -67,6 +67,17 @@ class _InputError(Exception):
     pass
 
 
+class _Refused(Exception):
+    """A semantic refusal: main prints its one argument, a JSON document, on
+    stdout and exits 1."""
+
+
+def _require_valid(report):
+    """Refuse the job with the validation report unless report is ok."""
+    if not report.ok:
+        raise _Refused(serialize.report_to_json(report))
+
+
 def _emit(doc, out=None):
     _write(json.dumps(doc, indent=1, sort_keys=True), out)
 
@@ -98,18 +109,13 @@ def cmd_assoc(args):
     sd = _load(args.decomp, "strong-decomposition")
     g = _load(args.target, "graph")
     if g.num_edges() == 0:
-        _emit({"error": "target has no edges"})
-        return 1
-    report = validate_strong(sd)
-    if not report.ok:
-        _emit(serialize.report_to_json(report))
-        return 1
+        raise _Refused({"error": "target has no edges"})
+    _require_valid(validate_strong(sd))
     try:
         ad = associated_distribution(sd, g)
         bound = bound_report(ad) if degree_condition(g) else None
     except (InvariantViolation, MarginalMismatch) as e:
-        _emit({"error": str(e)})
-        return 1
+        raise _Refused({"error": str(e)})
     _write(serialize.distribution_to_text(ad.dist), out=args.out)
     summary = {"atoms": ad.dist.support_size()}
     if bound is not None:
@@ -121,15 +127,11 @@ def cmd_assoc(args):
 
 def cmd_glue(args):
     m, bag_dists = _read(args.instance, _glue_instance)
-    report = validate_markov_tree(m)
-    if not report.ok:
-        _emit(serialize.report_to_json(report))
-        return 1
+    _require_valid(validate_markov_tree(m))
     try:
         joint = glue_markov_tree(m, bag_dists)
     except MarginalMismatch as e:
-        _emit({"error": str(e), "edge": list(e.edge or ()), "witness": e.witness})
-        return 1
+        raise _Refused({"error": str(e), "edge": list(e.edge or ()), "witness": e.witness})
     _write(serialize.distribution_to_text(joint), out=args.out)
     return 0
 
@@ -145,6 +147,7 @@ def cmd_min_subdec(args):
     for x in u:
         if not 0 <= x < sd.host.n:
             raise _InputError("--u vertex %d out of range for n=%d" % (x, sd.host.n))
+    _require_valid(validate_strong(sd))
     sub = minimum_subdecomposition(sd, u)
     _emit(
         {
@@ -158,9 +161,10 @@ def cmd_min_subdec(args):
 
 def cmd_sidorenko_sweep(args):
     sd = _load(args.decomp, "strong-decomposition")
+    if args.max_n < 0:
+        raise _InputError("--max-n must be at least 0, not %d" % args.max_n)
     if args.max_n > SWEEP_VERTEX_LIMIT:
-        _emit({"error": "max-n %d exceeds limit %d" % (args.max_n, SWEEP_VERTEX_LIMIT)})
-        return 1
+        raise _Refused({"error": "max-n %d exceeds limit %d" % (args.max_n, SWEEP_VERTEX_LIMIT)})
     host = sd.host
     rows = []
     for g in connected_graphs_up_to(args.max_n):
@@ -185,15 +189,10 @@ def cmd_entropy_report(args):
     sd = _load(args.decomp, "strong-decomposition")
     g = _load(args.target, "graph")
     if not degree_condition(g):
-        _emit({"error": "target fails the degree condition"})
-        return 1
+        raise _Refused({"error": "target fails the degree condition"})
     if g.num_edges() == 0:
-        _emit({"error": "target has no edges"})
-        return 1
-    validation = validate_strong(sd)
-    if not validation.ok:
-        _emit(serialize.report_to_json(validation))
-        return 1
+        raise _Refused({"error": "target has no edges"})
+    _require_valid(validate_strong(sd))
     report = bound_report(associated_distribution(sd, g))
     _emit(serialize.bound_report_to_json(report), out=args.out)
     return 0
@@ -243,11 +242,19 @@ def build_parser():
     return parser
 
 
+# Built once per process: setting up argparse costs more than most jobs.
+# parse_args keeps no state between calls, and usage text is formatted
+# when it is printed, so every call parses as a fresh parser would.
+_PARSER = build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
+    except _Refused as e:
+        _emit(e.args[0])
+        return 1
     except _InputError as e:
         sys.stderr.write("error: %s\n" % e)
         return 2

@@ -148,10 +148,10 @@ def marginal(p, s):
 
 
 def entropy(p):
-    """Shannon entropy in bits, summed in sorted-key order."""
-    return -sum(
-        float(q) * math.log2(float(q)) for _, q in sorted(p.mass.items())
-    )
+    """Shannon entropy in bits, summed in sorted-key order. Each mass is
+    turned into a float once, by the same integer division float(q) makes."""
+    xs = (q.numerator / q.denominator for _, q in sorted(p.mass.items()))
+    return -sum(x * math.log2(x) for x in xs)
 
 
 def glue_pair(p12, p23):

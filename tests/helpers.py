@@ -5,6 +5,7 @@ covering subtrees are found by exhaustive subset enumeration, joint
 distributions by direct formula evaluation, and so on.
 """
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
@@ -64,6 +65,12 @@ def random_joint(rng, ground, target_size, atoms=6):
     return SparseDistribution(
         ground, target_size, {k: Fraction(w, total) for k, w in weights.items()}
     )
+
+
+def entropy_reference(p):
+    """Shannon entropy in bits as the library first wrote it: float(q)
+    taken twice per atom, summed in sorted-key order."""
+    return -sum(float(q) * math.log2(float(q)) for _, q in sorted(p.mass.items()))
 
 
 def consistent_bag_dists(rng, m, target_size, atoms=6):

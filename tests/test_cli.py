@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -381,6 +382,17 @@ def test_sidorenko_sweep_cap(fixdir, capsys):
     assert "exceeds limit" in doc["error"]
 
 
+def test_sidorenko_sweep_negative_max_n_is_a_parse_failure(fixdir, capsys):
+    path = os.path.join(fixdir, "c4.json")
+    assert main(["sidorenko-sweep", path, "--max-n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-n must be at least 0, not -1\n"
+    code, doc = run(capsys, "sidorenko-sweep", path, "--max-n", "0")
+    assert code == 0
+    assert doc["rows"] == []
+
+
 def test_entropy_report_command(fixdir, capsys):
     code, doc = run(
         capsys,
@@ -462,15 +474,36 @@ def test_assoc_non_homomorphic_atom_is_a_json_error_under_optimize(fixdir):
 
 
 def test_min_subdec_disconnected_bag_tree_exits_1_with_one_line(tmp_path, capsys):
+    # validated before it is searched: the report, as assoc prints it
     doc = serialize.strong_to_json(c4_fixture())
     doc["payload"]["decomp"]["markov"]["tree"] = []
     path = tmp_path / "c4_disconnected.json"
     path.write_text(json.dumps(doc))
     code = main(["min-subdec", str(path), "--u", "1,3"])
     captured = capsys.readouterr()
+    report = {
+        "ok": False,
+        "violations": [
+            {"kind": "tree-structure", "witness": {"num_bags": 2, "path": [], "tree": []}}
+        ],
+    }
     assert code == 1
-    assert captured.out == ""
-    assert captured.err == "error: bag tree is disconnected\n"
+    assert captured.out == json.dumps(report, indent=1, sort_keys=True) + "\n"
+    assert captured.err == ""
+
+
+def test_min_subdec_invalid_decomposition_exits_1_with_the_validation_report(fixdir, tmp_path, capsys):
+    path = os.path.join(fixdir, "bad_condition3.json")
+    assert main(["validate", path]) == 1
+    validated = json.loads(capsys.readouterr().out)
+    out = tmp_path / "sub.json"
+    for extra in ([], ["--out", str(out)]):
+        code = main(["min-subdec", path, "--u", "0,3", *extra])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        assert json.loads(captured.out) == {k: v for k, v in validated.items() if k != "kind"}
+        assert not out.exists()
 
 
 def test_validate_graph_ok_and_distribution_unsupported(fixdir, tmp_path, capsys):
@@ -563,3 +596,74 @@ def test_level0_ground_size_mismatch_exits_2(fixdir, tmp_path, capsys):
             assert captured.err == (
                 "error: cannot parse %s: ground set size does not match host vertex count\n" % path
             )
+
+
+def _in_process(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), a usage error included."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _out_bytes(path):
+    """The bytes written to path, which is then removed; None if none were."""
+    if not path.exists():
+        return None
+    data = path.read_bytes()
+    path.unlink()
+    return data
+
+
+def test_one_parser_answers_interleaved_calls_as_a_fresh_process_does(
+    fixdir, tmp_path, capsys, monkeypatch
+):
+    # usage text is wrapped to the terminal width, so both sides get one
+    monkeypatch.setenv("COLUMNS", "80")
+    fix = lambda name: os.path.join(fixdir, name + ".json")
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(k3_edge_instance()))
+    out = tmp_path / "out.json"
+    calls = [
+        ["validate", fix("c4")],
+        ["assoc", fix("c4"), fix("k3"), "--out", str(out)],
+        ["min-subdec", fix("book")],
+        ["assoc", fix("c4"), fix("k3")],
+        ["glue", str(instance), "--out", str(out)],
+        ["sidorenko-sweep", fix("c4"), "--max-n", "x"],
+        ["glue", str(instance)],
+        ["min-subdec", fix("book"), "--u", "0,1", "--out", str(out)],
+        [],
+        ["min-subdec", fix("book"), "--u", "0,1"],
+        ["sidorenko-sweep", fix("c4"), "--max-n", "3", "--out", str(out)],
+        ["entropy-report", fix("c4"), fix("k3"), "--out", str(out)],
+        ["sidorenko-sweep", fix("c4"), "--max-n", "3"],
+        ["min-subdec", "--help"],
+        ["entropy-report", fix("c4"), fix("k3")],
+        ["validate", fix("bad_markov_tree")],
+        ["assoc", fix("c4")],
+    ]
+    usage_errors = 0
+    for argv in calls:
+        code, stdout, stderr = _in_process(capsys, argv)
+        written = _out_bytes(out)
+        usage_errors += code == 2 and stderr.startswith("usage: homglue")
+        proc = _run_process(*argv)
+        assert (code, stdout, stderr) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert written == _out_bytes(out), argv
+    assert usage_errors == 4
+
+
+def test_main_builds_no_parser(fixdir, capsys, monkeypatch):
+    def no_parser(*args, **kwargs):
+        raise AssertionError("main built an argument parser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+    assert main(["validate", os.path.join(fixdir, "c4.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    with pytest.raises(SystemExit) as e:
+        main(["min-subdec", os.path.join(fixdir, "c4.json")])
+    assert e.value.code == 2
+    assert "the following arguments are required: --u" in capsys.readouterr().err

@@ -21,9 +21,17 @@ from homglue.dists import (
     point_mass,
     uniform,
 )
-from homglue.fixtures import bad_markov_tree
+from homglue.fixtures import bad_markov_tree, bundled_strong_fixtures
+from homglue.graphs import Graph
 from homglue.markov import MarkovTree, markov_subtrees
-from helpers import brute_force_joint, consistent_bag_dists, random_joint, random_markov_tree
+from homglue.sidorenko import associated_distribution
+from helpers import (
+    brute_force_joint,
+    consistent_bag_dists,
+    entropy_reference,
+    random_joint,
+    random_markov_tree,
+)
 
 
 def ordered_edges_k3():
@@ -123,6 +131,14 @@ def test_entropy_at_most_log_support():
     for _ in range(30):
         p = random_joint(rng, (0, 1, 2), 3, atoms=rng.randint(1, 8))
         assert entropy(p) <= math.log2(p.support_size()) + 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_entropy_equals_the_reference_exactly_on_every_fixture_host(n):
+    target = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    for name, sd in bundled_strong_fixtures().items():
+        dist = associated_distribution(sd, target).dist
+        assert entropy(dist) == entropy_reference(dist), name
 
 
 def test_glue_pair_k3_paths():

@@ -1,19 +1,22 @@
 """Property tests on seeded random Markov trees, bag distributions and
 targets: the gluing kernels against their brute-force oracles, the BRW law
-against a running-product reference, and every returned distribution
-against a rebuild through the validating constructor."""
+against a running-product reference, entropy against the formula it
+replaced, and every returned distribution against a rebuild through the
+validating constructor."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from homglue.dists import SparseDistribution, glue_markov_tree, glue_pair, junction_factorization, marginal
+from homglue.dists import SparseDistribution, entropy, glue_markov_tree, glue_pair, junction_factorization, marginal
 from homglue.fixtures import bundled_strong_fixtures
 from homglue.sidorenko import associated_distribution, brw_distribution
 from helpers import (
     brute_force_joint,
     brw_reference,
     consistent_bag_dists,
+    entropy_reference,
     random_graph,
     random_markov_tree,
     random_tree,
@@ -93,3 +96,15 @@ def test_associated_distribution_rebuilds_equal(seed, name, target_size):
     sd = bundled_strong_fixtures()[name]
     dist = associated_distribution(sd, random_target(seed, target_size)).dist
     assert rebuilt(dist) == dist
+
+
+@PROPERTIES
+@given(weights=st.lists(st.integers(1, 10**30), min_size=1, max_size=24), seed=seeds)
+def test_entropy_equals_the_reference_exactly(weights, seed):
+    # weights up to 10**30 give numerators and denominators past the 53 bits
+    # a float holds exactly, so both sides divide big integers
+    total = sum(weights)
+    p = SparseDistribution((0,), len(weights), {(i,): Fraction(w, total) for i, w in enumerate(weights)})
+    _, (joint,) = glue_instance(seed, 1, 3, 3, len(weights))
+    for q in (p, joint, marginal(joint, (0, 2))):
+        assert entropy(q) == entropy_reference(q)
