@@ -19,6 +19,7 @@ from .sidorenko import (
     associated_distribution,
     bound_report,
     degree_condition,
+    entropy_bound_report,
     sidorenko_gap,
 )
 from .strong import minimum_subdecomposition, validate_document, validate_strong
@@ -165,6 +166,7 @@ def cmd_sidorenko_sweep(args):
         raise _InputError("--max-n must be at least 0, not %d" % args.max_n)
     if args.max_n > SWEEP_VERTEX_LIMIT:
         raise _Refused({"error": "max-n %d exceeds limit %d" % (args.max_n, SWEEP_VERTEX_LIMIT)})
+    _require_valid(validate_strong(sd))
     host = sd.host
     rows = []
     for g in connected_graphs_up_to(args.max_n):
@@ -193,7 +195,7 @@ def cmd_entropy_report(args):
     if g.num_edges() == 0:
         raise _Refused({"error": "target has no edges"})
     _require_valid(validate_strong(sd))
-    report = bound_report(associated_distribution(sd, g))
+    report = entropy_bound_report(sd, g)
     _emit(serialize.bound_report_to_json(report), out=args.out)
     return 0
 

@@ -13,11 +13,6 @@ class NotASubtree(ValueError):
     """A bag subfamily was required to induce a subtree of the bag tree."""
 
 
-class DisconnectedBagTree(ValueError):
-    """Two bag subfamilies that must be joined by a tree path are not
-    connected: the bag tree is not a tree."""
-
-
 class ContainedInSingleBag(ValueError):
     """minimum_covering_subfamily called with U already inside one bag."""
 
@@ -99,17 +94,22 @@ def validate_markov_tree(m):
     for v in range(m.ground_size):
         if v not in covered:
             report.add("uncovered-element", {"element": v})
+    # toward[b][c]: the next bag on the tree path from c to b, by the walk
+    # from b; a path in a tree is unique
+    toward = [bfs(m.bag_tree, [b])[1] for b in range(k)]
     for a, b in combinations(range(k), 2):
         shared = set(m.bags[a]) & set(m.bags[b])
         if not shared:
             continue
-        for c in _shortest_connecting_path(m, (a,), (b,))[1:-1]:
+        c = toward[b][a]
+        while c != b:
             missing = shared - set(m.bags[c])
             if missing:
                 report.add(
                     "running-intersection",
                     {"a": a, "b": b, "c": c, "element": min(missing)},
                 )
+            c = toward[b][c]
     return report
 
 
@@ -162,64 +162,54 @@ def helly_intersection(m, families):
     return min(common)
 
 
-def _shortest_connecting_path(m, fam1, fam2):
-    """Bag indices of the shortest tree path between two disjoint subtrees,
-    endpoints included. Unique because the bag tree is a tree."""
-    prev = {i: None for i in fam1}
-    queue = sorted(fam1)
-    while queue:
-        nxt = []
-        for v in queue:
-            for w in m.bag_tree.neighbors(v):
-                if w in prev:
-                    continue
-                prev[w] = v
-                if w in fam2:
-                    path = [w]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    return path[::-1]
-                nxt.append(w)
-        queue = sorted(nxt)
-    raise DisconnectedBagTree("bag tree is disconnected")
-
-
 def minimum_covering_subfamily(d, u):
     """The unique minimum bag subfamily covering u that induces a subtree.
 
     Requires that no single bag contains all of u (otherwise
-    ContainedInSingleBag is raised, carrying the lowest such bag index).
-    Follows the inductive construction: process the elements of u in
-    ascending order, growing the current family by the shortest tree path
-    to each F(u_i) it misses.
+    ContainedInSingleBag is raised, carrying the lowest such bag index) and
+    that the bag tree is a tree (otherwise ValueError). Starting from all
+    bags, prunes a leaf of the bags left while every element of u it holds
+    is held by another bag left. On a valid Markov tree this stops at the
+    minimum family: a larger family left has a leaf outside it, and a leaf
+    of the minimum family is the only bag left in some F(v), a subtree.
     """
     m = d.markov if isinstance(d, TreeDecomposition) else d
     u = vertex_set(u, m.ground_size)
     if not u:
         raise ValueError("u must be nonempty")
-    fams = {v: set(bags_containing(m, v)) for v in u}
+    # held[i]: the elements of u in bag i; holders[v]: the bags left holding v
+    held = [[v for v in u if v in bag] for bag in m.bags]
+    holders = dict.fromkeys(u, 0)
+    for h in held:
+        for v in h:
+            holders[v] += 1
     for v in u:
-        if not fams[v]:
+        if not holders[v]:
             raise ValueError("element %d not covered by any bag" % v)
-    common = set.intersection(*fams.values())
-    if common:
-        raise ContainedInSingleBag(min(common))
+    for i, h in enumerate(held):
+        if len(h) == len(u):
+            raise ContainedInSingleBag(i)
+    tree = m.bag_tree
+    if not is_tree(tree):
+        raise ValueError("bag tree on %d bags is not a tree" % m.num_bags())
 
-    # intersection mode: while the processed prefix still fits in a common
-    # subtree of bags, keep intersecting; afterwards grow the family.
-    prefix_common = fams[u[0]]
-    family = None
-    for v in u[1:]:
-        fv = fams[v]
-        if family is None:
-            merged = prefix_common & fv
-            if merged:
-                prefix_common = merged
-                continue
-            family = set(_shortest_connecting_path(m, prefix_common, fv))
-        elif not (family & fv):
-            family |= set(_shortest_connecting_path(m, family, fv))
-    return tuple(sorted(family))
+    degree = [tree.degree(i) for i in range(tree.n)]
+    left = set(range(tree.n))
+    leaves = [i for i in left if degree[i] == 1]
+    # a kept leaf stays kept: it alone holds some v, and holders never grow
+    while leaves:
+        i = leaves.pop()
+        if any(holders[v] == 1 for v in held[i]):
+            continue
+        left.remove(i)
+        for v in held[i]:
+            holders[v] -= 1
+        for j in tree.neighbors(i):
+            if j in left:
+                degree[j] -= 1
+                if degree[j] == 1:
+                    leaves.append(j)
+    return tuple(sorted(left))
 
 
 def retraction(d, keep):
@@ -231,20 +221,17 @@ def retraction(d, keep):
     ascending order of their original indices. A kept family that is not a
     subtree raises NotASubtree, and a bag index out of range ValueError.
     """
-    keep = tuple(sorted(set(keep)))
-    if not induces_subtree(d.markov, keep):
+    kept_tree, keep = induced_subgraph(d.markov.bag_tree, keep)
+    if kept_tree.n == 0 or not is_connected(kept_tree):
         raise NotASubtree("kept family %s does not induce a subtree" % list(keep))
     union = set()
     for i in keep:
         union.update(d.markov.bags[i])
     sub_host, relabel = induced_subgraph(d.host, union)
     pos = {v: i for i, v in enumerate(relabel)}
-    idx = {old: new for new, old in enumerate(keep)}
     bags = [tuple(pos[v] for v in d.markov.bags[i]) for i in keep]
-    tree = [
-        (idx[a], idx[b]) for a, b in d.markov.tree if a in idx and b in idx
-    ]
-    return TreeDecomposition(sub_host, MarkovTree(sub_host.n, bags, tree)), relabel
+    markov = MarkovTree(sub_host.n, bags, kept_tree.edges)
+    return TreeDecomposition(sub_host, markov), relabel
 
 
 def line_graph(t):

@@ -146,12 +146,20 @@ def _list_text(texts, depth):
 
 def distribution_from_json(doc):
     try:
-        mass = {
-            tuple(e["key"]): Fraction(int(e["num"]), int(e["den"])) for e in doc["mass"]
-        }
+        mass = {tuple(e["key"]): _mass(e["num"], e["den"]) for e in doc["mass"]}
     except ZeroDivisionError:
         raise ValueError("a mass has a zero denominator")
     return SparseDistribution(doc["index_set"], doc["target_size"], mass)
+
+
+def _mass(num, den):
+    """The fraction num/den of two integers written as strings. Anything but
+    a string (a bool, a float, an int, null) is refused with ValueError:
+    int() would truncate a float and read a bool as 0 or 1."""
+    for part in (num, den):
+        if type(part) is not str:
+            raise ValueError("num and den must be strings, not %s" % json.dumps(part))
+    return Fraction(int(num), int(den))
 
 
 def report_to_json(report):

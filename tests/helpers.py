@@ -137,6 +137,41 @@ def bfs_reference(g, roots):
     return order, parent
 
 
+def running_intersection_reference(m):
+    """The violations validate_markov_tree reports, in its order: a bag tree
+    that is not a tree (edge count, then a walk from bag 0), else every
+    uncovered element, then for each pair of bags a < b sharing elements
+    each bag c strictly inside the a-b path, from a's end, that misses a
+    shared element. Paths come from bfs_reference rooted at a."""
+    k = m.num_bags()
+    if len(m.tree) != k - 1 or len(bfs_reference(m.bag_tree, [0])[0]) != k:
+        return [{"kind": "tree-structure", "witness": {"num_bags": k, "tree": list(m.tree)}}]
+    covered = set().union(*m.bags)
+    out = [
+        {"kind": "uncovered-element", "witness": {"element": v}}
+        for v in range(m.ground_size)
+        if v not in covered
+    ]
+    for a, b in combinations(range(k), 2):
+        shared = set(m.bags[a]) & set(m.bags[b])
+        if not shared:
+            continue
+        _, parent = bfs_reference(m.bag_tree, [a])
+        path = [b]
+        while path[-1] != a:
+            path.append(parent[path[-1]])
+        for c in reversed(path[1:-1]):
+            missing = shared - set(m.bags[c])
+            if missing:
+                out.append(
+                    {
+                        "kind": "running-intersection",
+                        "witness": {"a": a, "b": b, "c": c, "element": min(missing)},
+                    }
+                )
+    return out
+
+
 def brute_force_isomorphisms(h1, h2, pin):
     """Every permutation of V(h2), in itertools.permutations order, read as a
     map V(h1) -> V(h2) and kept when it extends the partial map pin and

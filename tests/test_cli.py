@@ -265,16 +265,22 @@ def _broken_glue_instance(field, value, atom=False):
     return instance
 
 
-def _point_mass_doc(index_set, target_size, key, den="1"):
+def _point_mass_doc(index_set, target_size, key, den="1", num=None):
+    """A one-atom distribution document whose mass is num/den, with num
+    equal to den unless given."""
     return {
         "index_set": index_set,
         "target_size": target_size,
-        "mass": [{"key": key, "num": den, "den": den}],
+        "mass": [{"key": key, "num": den if num is None else num, "den": den}],
     }
 
 
 UNLOADABLE = {
     "zero-den": _point_mass_doc([0], 2, [0], den="0"),
+    "float-num": _point_mass_doc([0], 2, [0], num=1.9),
+    "bool-num": _point_mass_doc([0], 2, [0], num=True),
+    "int-den": _point_mass_doc([0], 2, [0], num="1", den=1),
+    "null-den": _point_mass_doc([0], 2, [0], num="1", den=None),
     "bool-key": _point_mass_doc([0], 2, [True]),
     "float-target": _point_mass_doc([0], 2.5, [1]),
     "bool-edge": {"n": 3, "edges": [[True, 2]]},
@@ -282,6 +288,10 @@ UNLOADABLE = {
 }
 UNGLUEABLE = {
     "zero-den": _broken_glue_instance("den", "0", atom=True),
+    "float-num": _broken_glue_instance("num", 1.9, atom=True),
+    "bool-num": _broken_glue_instance("num", True, atom=True),
+    "int-den": _broken_glue_instance("den", 6, atom=True),
+    "null-num": _broken_glue_instance("num", None, atom=True),
     "bool-key": _broken_glue_instance("key", [True, 0], atom=True),
     "float-key": _broken_glue_instance("key", [0, 1.0], atom=True),
     "float-target": _broken_glue_instance("target_size", 2.5),
@@ -391,6 +401,23 @@ def test_sidorenko_sweep_negative_max_n_is_a_parse_failure(fixdir, capsys):
     code, doc = run(capsys, "sidorenko-sweep", path, "--max-n", "0")
     assert code == 0
     assert doc["rows"] == []
+
+
+def test_sidorenko_sweep_invalid_decomposition_exits_1_with_the_validation_report(
+    fixdir, tmp_path, capsys
+):
+    path = os.path.join(fixdir, "bad_condition3.json")
+    assert main(["validate", path]) == 1
+    validated = json.loads(capsys.readouterr().out)
+    out = tmp_path / "sweep.json"
+    for max_n in ("1", "3"):
+        for extra in ([], ["--out", str(out)]):
+            code = main(["sidorenko-sweep", path, "--max-n", max_n, *extra])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.err == ""
+            assert json.loads(captured.out) == {k: v for k, v in validated.items() if k != "kind"}
+            assert not out.exists()
 
 
 def test_entropy_report_command(fixdir, capsys):

@@ -30,6 +30,7 @@ from helpers import (
     family_connected,
     random_markov_tree,
     random_subtree,
+    running_intersection_reference,
     small_trees,
     spanning_trees,
 )
@@ -73,6 +74,26 @@ def test_validate_cycle_with_one_bag_left_out():
     assert report.violations == [
         {"kind": "tree-structure", "witness": {"num_bags": 4, "tree": [(0, 1), (0, 2), (1, 2)]}}
     ]
+
+
+def test_validation_reports_match_the_reference_on_random_bag_trees():
+    # mostly invalid: random bags on random trees, some bag trees not trees
+    rng = random.Random(37)
+    kinds = set()
+    for _ in range(400):
+        k = rng.randint(1, 9)
+        ground = rng.randint(1, 7)
+        if rng.random() < 0.8:
+            tree = [(rng.randrange(i), i) for i in range(1, k)]
+        else:
+            tree = rng.sample(list(combinations(range(k), 2)), rng.randint(0, k - 1 + (k > 2)))
+        bags = [[v for v in range(ground) if rng.random() < 0.4] for _ in range(k)]
+        m = MarkovTree(ground, bags, tree)
+        report = validate_markov_tree(m)
+        assert report.violations == running_intersection_reference(m)
+        assert report.ok == (not report.violations)
+        kinds.update(v["kind"] for v in report.violations)
+    assert kinds == {"tree-structure", "uncovered-element", "running-intersection"}
 
 
 def test_bag_neighbors_match_a_scan_of_the_tree():
@@ -216,8 +237,8 @@ def test_minimum_covering_subfamily_matches_brute_force():
     rng = random.Random(5)
     checked = 0
     while checked < 100:
-        m = random_markov_tree(rng, rng.randint(2, 8), rng.randint(2, 6))
-        u = rng.sample(range(m.ground_size), rng.randint(2, min(4, m.ground_size)))
+        m = random_markov_tree(rng, rng.randint(2, 10), rng.randint(2, 7))
+        u = rng.sample(range(m.ground_size), rng.randint(2, min(5, m.ground_size)))
         common = set(range(m.num_bags()))
         for v in u:
             common &= set(bags_containing(m, v))
@@ -227,6 +248,20 @@ def test_minimum_covering_subfamily_matches_brute_force():
         assert len(minima) == 1, "minimum subfamily must be unique"
         assert minimum_covering_subfamily(m, u) == minima[0]
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "tree", [[], [(0, 1)], [(0, 1), (1, 2), (0, 2)]], ids=["no-edges", "disconnected", "cycle"]
+)
+def test_minimum_covering_subfamily_refuses_a_bag_tree_that_is_not_a_tree(tree):
+    m = MarkovTree(3, [(0, 1), (1, 2), (0, 2)], tree)
+    with pytest.raises(ValueError, match="bag tree on 3 bags is not a tree"):
+        minimum_covering_subfamily(m, (0, 1, 2))
+    # an empty u and a u inside one bag are refused before the tree is tested
+    with pytest.raises(ValueError, match="u must be nonempty"):
+        minimum_covering_subfamily(m, ())
+    with pytest.raises(ContainedInSingleBag):
+        minimum_covering_subfamily(m, (0, 2))
 
 
 def test_retraction():

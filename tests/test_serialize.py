@@ -99,6 +99,22 @@ def test_distribution_from_json_refuses_non_integer_values(index_set, keys, targ
         serialize.distribution_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "num, den",
+    [(1.9, "2"), (True, "2"), ("1", 2), ("1", None), (None, "2"), ("1", False)],
+    ids=["float-num", "bool-num", "int-den", "null-den", "null-num", "bool-den"],
+)
+def test_distribution_from_json_refuses_a_num_or_den_that_is_not_a_string(num, den):
+    # int() would truncate 1.9 to 1 and read true as 1: masses never stated
+    doc = {
+        "index_set": [0],
+        "target_size": 2,
+        "mass": [{"key": [0], "num": num, "den": den}, {"key": [1], "num": num, "den": den}],
+    }
+    with pytest.raises(ValueError, match="num and den must be strings, not "):
+        serialize.distribution_from_json(doc)
+
+
 def test_distribution_from_json_refuses_a_zero_denominator():
     doc = {"index_set": [0], "target_size": 2, "mass": [{"key": [0], "num": "1", "den": "0"}]}
     with pytest.raises(ValueError, match="zero denominator"):
