@@ -113,6 +113,8 @@ def point_mass(index_set, target_size, key):
 
 def uniform(index_set, target_size, keys):
     keys = list(keys)
+    if not keys:
+        raise ValueError("a uniform distribution needs at least one key")
     p = Fraction(1, len(keys))
     return SparseDistribution(index_set, target_size, {tuple(k): p for k in keys})
 
@@ -176,8 +178,9 @@ def _couple(p12, p23, overlap):
     their agreed marginal on exactly their shared indices. Its total mass is
     not checked.
 
-    Each atom p12(y_12) * p23(y_23) / m(y_shared) is written as one Fraction
-    of integer products, so it is normalised once.
+    Each atom p12(y_12) * p23(y_23) / m(y_shared) is written as one pair of
+    integer products, and each distinct pair becomes one Fraction, shared by
+    every atom that has it.
     """
     idx12, idx23 = p12.index_set, p23.index_set
     in12 = set(idx12)
@@ -197,6 +200,7 @@ def _couple(p12, p23, overlap):
         )
 
     out = {}
+    masses = {}
     for key12, q12 in p12.mass.items():
         sk = proj12(key12)
         m = overlap.mass[sk]
@@ -206,7 +210,11 @@ def _couple(p12, p23, overlap):
             key = key12 + tail
             if to_union is not None:
                 key = to_union(key)
-            out[key] = Fraction(num * n23, den * d23)
+            pair = (num * n23, den * d23)
+            q = masses.get(pair)
+            if q is None:
+                q = masses[pair] = Fraction(*pair)
+            out[key] = q
     return SparseDistribution._trusted(union, p12.target_size, out)
 
 

@@ -56,13 +56,18 @@ def brw_distribution(t, g):
     order = order[2:]
 
     # an atom's mass is 1 / (2e(g) * the degrees of its attached vertices'
-    # parent images): one integer denominator, one Fraction per atom
+    # parent images): one integer denominator, and one Fraction per distinct
+    # denominator, shared by every atom that has it
     mass = {}
+    unit = {}
     img = [-1] * t.n
 
     def attach(i, den):
         if i == len(order):
-            mass[tuple(img)] = Fraction(1, den)
+            q = unit.get(den)
+            if q is None:
+                q = unit[den] = Fraction(1, den)
+            mass[tuple(img)] = q
             return
         w = order[i]
         pv = img[parent[w]]
@@ -85,25 +90,41 @@ def associated_distribution(sd, g):
     Level 0 is the branching random walk; level k glues the per-bag
     level-(k-1) distributions along the decomposition's Markov tree, which
     raises MarginalMismatch unless they agree exactly across every tree
-    edge. Above level 0, every support atom of the result is checked to be
-    a homomorphism, which raises InvariantViolation otherwise; either
-    failure means the decomposition (or this code) is broken.
+    edge. Equal children (equal StrongDecomposition values) are built once
+    per call.
+
+    The support is checked on the bags, not on the result. Before a level is
+    glued, every atom of each distinct child's distribution must be a
+    homomorphism of that child's host, every host vertex must lie in a bag,
+    and every host edge must be the image of an edge of some bag's child
+    host; InvariantViolation otherwise. Gluing reproduces each bag's
+    distribution as the result's marginal on that bag, so every support atom
+    of the result is then a homomorphism of host(sd). Any failure means the
+    decomposition (or this code) is broken.
     """
     if g.num_edges() == 0:
         raise ValueError("target has no edges")
-    dist = _build(sd, g)
-    if sd.level > 0:
-        for key in dist.mass:
-            if not is_homomorphism(sd.host, g, key):
-                raise InvariantViolation("support atom %s is not a homomorphism" % (key,))
-    return AssociatedDistribution(sd, g, dist)
+    return AssociatedDistribution(sd, g, _build(sd, g, {}))
 
 
-def _build(sd, g):
+def _build(sd, g, built):
+    """sd's distribution on Hom(sd.host, g). built maps each child already
+    built in this call to its distribution, which a child equal to it
+    reuses; _build depends on (sd, g) alone, so reuse changes nothing."""
     if sd.level == 0:
         return brw_distribution(sd.host, g)
     m = sd.decomp.markov
-    bag_dists = [_reindex(_build(child, g), bag) for bag, child in zip(m.bags, sd.children)]
+    bag_dists = []
+    for bag, child in zip(m.bags, sd.children):
+        law = built.get(child)
+        fresh = law is None
+        if fresh:
+            law = built[child] = _build(child, g, built)
+        p = _reindex(law, bag)
+        if fresh:
+            _require_homs(child.host, g, p)
+        bag_dists.append(p)
+    _require_cover(sd)
     return glue_markov_tree(m, bag_dists)
 
 
@@ -113,6 +134,31 @@ def _reindex(p, bag):
     if len(p.index_set) != len(bag):
         raise ValueError("key %s has wrong arity" % (next(iter(p.mass)),))
     return SparseDistribution._trusted(bag, p.target_size, p.mass)
+
+
+def _require_homs(h, g, p):
+    """InvariantViolation unless every support atom of p is a homomorphism
+    h -> g."""
+    for key in p.mass:
+        if not is_homomorphism(h, g, key):
+            raise InvariantViolation("support atom %s is not a homomorphism" % (key,))
+
+
+def _require_cover(sd):
+    """InvariantViolation unless every vertex of sd.host lies in a bag and
+    every edge (u, v) of sd.host is (bag[a], bag[b]) for an edge (a, b) of
+    that bag's child host: then a joint atom whose projection on every bag
+    is a homomorphism of the bag's child host is one of sd.host."""
+    m = sd.decomp.markov
+    uncovered = set(range(sd.host.n)).difference(*m.bags)
+    if uncovered:
+        raise InvariantViolation("host vertex %d lies in no bag" % min(uncovered))
+    covered = set()
+    for bag, child in zip(m.bags, sd.children):
+        covered.update((bag[a], bag[b]) for a, b in child.host.edges)
+    for e in sd.host.edges:
+        if e not in covered:
+            raise InvariantViolation("host edge %s is an edge of no bag's child host" % (e,))
 
 
 def projection_consistency_check(sd, g, u):
@@ -168,11 +214,13 @@ def degree_condition(g):
 def forest_hom_bound_check(f, g):
     """Check hom(f,g) <= 2^e(f) * n^v(f) * (2e(g)/n^2)^e(f) exactly.
 
-    Requires f to be a forest and g to satisfy the degree condition.
-    Returns {"ok", "lhs", "rhs"} with exact rationals.
+    Requires f to be a forest and g to have a vertex and satisfy the degree
+    condition (ValueError otherwise). Returns {"ok", "lhs", "rhs"} with
+    exact rationals.
     """
     if not is_forest(f):
         raise ValueError("source graph is not a forest")
+    _require_vertices(g)
     if not degree_condition(g):
         raise ValueError("target fails the degree condition")
     lhs = Fraction(hom_count(f, g))
@@ -185,7 +233,8 @@ def forest_hom_bound_check(f, g):
 
 def sidorenko_gap(h, g, count):
     """Exact Sidorenko gap count/n^v(h) - (2e(g)/n^2)^e(h), where count is
-    hom(h, g)."""
+    hom(h, g). A target with no vertices is a ValueError."""
+    _require_vertices(g)
     density = Fraction(count, g.n ** h.n)
     edge_density = Fraction(2 * g.num_edges(), g.n * g.n)
     return density - edge_density ** h.num_edges()
@@ -194,6 +243,12 @@ def sidorenko_gap(h, g, count):
 def sidorenko_check(h, g):
     """Exact Sidorenko gap hom(h,g)/n^v(h) - (2e(g)/n^2)^e(h)."""
     return sidorenko_gap(h, g, hom_count(h, g))
+
+
+def _require_vertices(g):
+    """The densities divide by powers of v(g), so an empty target is refused."""
+    if g.n == 0:
+        raise ValueError("target has no vertices")
 
 
 def entropy_bound_report(sd, g):

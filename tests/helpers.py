@@ -11,8 +11,8 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from homglue.dists import SparseDistribution, marginal
-from homglue.graphs import Graph, isomorphisms_pinned
+from homglue.dists import SparseDistribution, glue_markov_tree, marginal
+from homglue.graphs import Graph, is_homomorphism, isomorphisms_pinned
 from homglue.markov import MarkovTree, TreeDecomposition
 from homglue.strong import StrongDecomposition
 
@@ -417,6 +417,31 @@ def brw_reference(t, g):
             img[r0], img[r1] = x, y
             attach(img, 0, Fraction(1, 2 * g.num_edges()))
     return SparseDistribution(range(t.n), g.n, mass)
+
+
+def associated_reference(sd, g):
+    """The associated distribution of sd on Hom(sd.host, g) built as the
+    library first built it: every child rebuilt wherever it occurs, BRW laws
+    from brw_reference, each child's law moved onto its bag through the
+    validating constructor and the bags glued by glue_markov_tree. Every
+    support atom of the result is then checked to be a homomorphism of
+    sd.host (AssertionError otherwise)."""
+
+    def build(node):
+        if node.level == 0:
+            return brw_reference(node.host, g)
+        m = node.decomp.markov
+        laws = [
+            SparseDistribution(bag, g.n, build(child).mass)
+            for bag, child in zip(m.bags, node.children)
+        ]
+        return glue_markov_tree(m, laws)
+
+    dist = build(sd)
+    for key in dist.mass:
+        if not is_homomorphism(sd.host, g, key):
+            raise AssertionError("support atom %s is not a homomorphism" % (key,))
+    return dist
 
 
 def random_graph(rng, n, p):

@@ -51,6 +51,12 @@ def test_distribution_validation():
         SparseDistribution((0,), 2, {(0, 1): Fraction(1)})  # wrong arity
 
 
+def test_uniform_over_no_keys_is_refused():
+    # each key would get mass 1/0: refused, not ZeroDivisionError
+    with pytest.raises(ValueError, match="^a uniform distribution needs at least one key$"):
+        uniform((0,), 2, [])
+
+
 def test_returned_distribution_of_wrong_total_mass_raises():
     p = uniform((0,), 2, [(0,), (1,)])
     p.mass[(0,)] = Fraction(1, 4)  # edited after construction: the total is 3/4

@@ -1,7 +1,9 @@
 import math
 import os
+import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -22,7 +24,7 @@ from homglue.sidorenko import (
     projection_consistency_check,
     sidorenko_check,
 )
-from homglue.markov import MarkovTree, line_graph, validate_markov_tree
+from homglue.markov import MarkovTree, TreeDecomposition, line_graph, validate_markov_tree
 from homglue.strong import StrongDecomposition, strong_isomorphism, zero_strong
 from homglue.fixtures import (
     book,
@@ -36,7 +38,7 @@ from homglue.fixtures import (
     star,
 )
 
-from helpers import small_trees, spanning_trees
+from helpers import associated_reference, random_graph, small_trees, spanning_trees
 
 
 def test_brw_k2_on_k3_is_uniform_ordered_edges():
@@ -141,6 +143,93 @@ def test_associated_support_is_homomorphisms():
             ad = associated_distribution(sd, g)
             for key in ad.dist.mass:
                 assert is_homomorphism(sd.host, g, key), (name, key)
+
+
+def _reference_targets():
+    """K3, C4, K5 and seeded G(n, 1/2) targets meeting the degree
+    condition, each with at least one edge."""
+    targets = [k3(), c4(), Graph(5, combinations(range(5), 2))]
+    rng = random.Random(12)
+    while len(targets) < 9:
+        g = random_graph(rng, rng.randint(4, 8), 0.5)
+        if g.num_edges() and degree_condition(g):
+            targets.append(g)
+    return targets
+
+
+def test_associated_matches_reference_and_counts_homs():
+    # the reference rebuilds every child and checks every joint atom; the
+    # library builds each distinct child once and checks supports on the bags
+    for name, sd in bundled_strong_fixtures().items():
+        for g in _reference_targets():
+            dist = associated_distribution(sd, g).dist
+            assert dist == associated_reference(sd, g), (name, g)
+            # BRW has full support and gluing joins supports
+            assert dist.support_size() == hom_count(sd.host, g), (name, g)
+
+
+def test_each_distinct_child_is_built_once(monkeypatch):
+    calls = []
+    brw = sidorenko.brw_distribution
+
+    def counted(t, g):
+        calls.append(t)
+        return brw(t, g)
+
+    monkeypatch.setattr(sidorenko, "brw_distribution", counted)
+    # book's two level-1 children are equal, c4's two level-0 children differ
+    for sd in (book_fixture(), c4_fixture()):
+        calls.clear()
+        assert associated_distribution(sd, k3()).dist == associated_reference(sd, k3())
+        assert len(calls) == 2
+
+
+def test_non_homomorphic_child_atom_raises_before_gluing(monkeypatch):
+    brw = sidorenko.brw_distribution
+
+    def with_bad_atom(t, g):
+        # move the first atom's mass to a copy sending t's first edge to a loop
+        p = brw(t, g)
+        mass = dict(p.mass)
+        key = next(iter(mass))
+        q = mass.pop(key)
+        a, b = t.edges[0]
+        bad = key[:b] + (key[a],) + key[b + 1 :]
+        mass[bad] = mass.get(bad, 0) + q
+        return SparseDistribution(p.index_set, p.target_size, mass)
+
+    def no_gluing(m, bag_dists):
+        raise AssertionError("glued a law with a non-homomorphism atom")
+
+    monkeypatch.setattr(sidorenko, "brw_distribution", with_bad_atom)
+    monkeypatch.setattr(sidorenko, "glue_markov_tree", no_gluing)
+    for sd in (c4_fixture(), book_fixture()):
+        with pytest.raises(InvariantViolation, match="is not a homomorphism"):
+            associated_distribution(sd, k3())
+
+
+def test_child_host_missing_a_bag_edge_raises_invariant_violation():
+    # unvalidated: book's second square child loses its edge (2, 3), which
+    # bag (0, 1, 4, 5) sends to host edge (4, 5) and no other bag holds
+    sd = book_fixture()
+    square = sd.children[1]
+    missing = Graph(4, [e for e in square.host.edges if e != (2, 3)])
+    children = (sd.children[0], replace(square, host=missing))
+    broken = StrongDecomposition(2, sd.host, decomp=sd.decomp, children=children)
+    with pytest.raises(InvariantViolation, match=r"^host edge \(4, 5\) is an edge of no"):
+        associated_distribution(broken, k3())
+
+
+def test_host_vertex_in_no_bag_raises_invariant_violation():
+    # unvalidated: c4's decomposition under a host with an isolated vertex 4
+    sd = c4_fixture()
+    host = Graph(5, sd.host.edges)
+    markov = MarkovTree(5, sd.decomp.markov.bags, sd.decomp.markov.tree)
+    broken = StrongDecomposition(
+        1, host, decomp=TreeDecomposition(host, markov), children=sd.children
+    )
+    with pytest.raises(InvariantViolation, match=r"^host vertex 4 lies in no bag$"):
+        associated_distribution(broken, k3())
 
 
 def _glued_nodes(sd):
@@ -285,6 +374,14 @@ def test_entropy_bound_report_edge_equalities():
     assert rep.rhs_bits == pytest.approx(math.log2(6), abs=1e-9)
     assert rep.log_hom_bits == pytest.approx(math.log2(6), abs=1e-9)
     assert rep.sidorenko_gap == 0
+
+
+def test_empty_target_is_refused():
+    # the densities divide by powers of v(g): refused, not ZeroDivisionError
+    with pytest.raises(ValueError, match="^target has no vertices$"):
+        sidorenko_check(k2(), Graph(0))
+    with pytest.raises(ValueError, match="^target has no vertices$"):
+        forest_hom_bound_check(k2(), Graph(0))
 
 
 def test_sidorenko_check_examples():
