@@ -23,9 +23,11 @@ from .sidorenko import (
     sidorenko_gap,
 )
 from .strong import minimum_subdecomposition, validate_document, validate_strong
-from .graphs import connected_graphs_up_to, hom_count
+from .graphs import CONNECTED_CLASSES, connected_graphs_up_to, hom_count
 
-SWEEP_VERTEX_LIMIT = 6
+# The sweep's targets come from the committed table, so its limit is the
+# table's.
+SWEEP_VERTEX_LIMIT = max(CONNECTED_CLASSES)
 
 
 def _read(path, parse):

@@ -112,11 +112,16 @@ def point_mass(index_set, target_size, key):
 
 
 def uniform(index_set, target_size, keys):
-    keys = list(keys)
+    keys = list(map(tuple, keys))
     if not keys:
         raise ValueError("a uniform distribution needs at least one key")
     p = Fraction(1, len(keys))
-    return SparseDistribution(index_set, target_size, {tuple(k): p for k in keys})
+    mass = {}
+    for k in keys:
+        if k in mass:
+            raise ValueError("duplicate key %s" % (k,))
+        mass[k] = p
+    return SparseDistribution(index_set, target_size, mass)
 
 
 def _projector(index_set, s):

@@ -1,7 +1,8 @@
 """Simple undirected graphs on dense integer vertices, with the one
 breadth-first walk (behind connectivity, forests and trees), neighbour-pruned
 homomorphism search, isomorphism search with allowed images (pins included)
-and isomorph-free enumeration of small graphs.
+and a committed table of the connected graphs on up to six vertices, one per
+isomorphism class.
 
 Everything here is sized for desk-scale instances (a dozen vertices or so);
 the enumeration routines are deterministic backtracking searches whose output
@@ -268,28 +269,39 @@ def isomorphisms_pinned(h1, h2, pin=None):
     yield from isomorphisms(h1, h2, {v: (w,) for v, w in dict(pin or {}).items()})
 
 
-def all_graphs_up_to(max_n):
-    """One representative per isomorphism class of graphs on 1..max_n vertices.
-
-    For each n, candidate edge sets are visited in increasing bit order over
-    the lexicographic vertex pairs. Candidates are bucketed by edge count and
-    sorted degree sequence, and one is kept only when no earlier member of
-    its bucket is isomorphic to it, so every class is represented by its
-    first candidate in that order.
-    """
-    reps = []
-    for n in range(1, max_n + 1):
-        pairs = list(combinations(range(n), 2))
-        buckets = {}
-        for bits in range(1 << len(pairs)):
-            g = Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
-            key = (g.num_edges(), tuple(sorted(map(len, g._adj))))
-            bucket = buckets.setdefault(key, [])
-            if all(next(isomorphisms_pinned(g, r), None) is None for r in bucket):
-                bucket.append(g)
-                reps.append(g)
-    return reps
+# The connected graphs on n = 1..6 vertices, one per isomorphism class (1, 1, 2, 6, 21
+# and 112): bit i of a mask is the edge combinations(range(n), 2)[i], each class is
+# its least mask, and masks ascend. tests/test_graphs.py's
+# test_connected_table_matches_the_generator regenerates it with all_graphs_reference.
+CONNECTED_CLASSES = {
+    1: (0,),
+    2: (1,),
+    3: (3, 7),
+    4: (7, 13, 15, 30, 31, 63),
+    5: (15, 29, 31, 58, 59, 62, 63, 126, 127, 185, 187, 191, 207, 220, 221, 223, 254, 255,
+        495, 511, 1023),
+    6: (31, 61, 63, 121, 122, 123, 126, 127, 246, 247, 254, 255, 510, 511, 633, 635, 639,
+        659, 663, 671, 691, 692, 693, 694, 695, 700, 701, 703, 758, 759, 760, 761, 762, 763,
+        766, 767, 922, 923, 926, 927, 954, 955, 956, 957, 958, 959, 1022, 1023, 1749, 1751,
+        1759, 1780, 1781, 1783, 1788, 1789, 1791, 1880, 1881, 1883, 1884, 1885, 1887, 1915,
+        1916, 1917, 1919, 2012, 2013, 2014, 2015, 2046, 2047, 4060, 4061, 4063, 4095, 5873,
+        5875, 5879, 5887, 5907, 5911, 5919, 5941, 5943, 5948, 5949, 5950, 5951, 6007, 6010,
+        6011, 6014, 6015, 6142, 6143, 6654, 6655, 7071, 7100, 7101, 7103, 7166, 7167, 8157,
+        8159, 8191, 15870, 15871, 16383, 32767),
+}
 
 
 def connected_graphs_up_to(max_n):
-    return [g for g in all_graphs_up_to(max_n) if is_connected(g)]
+    """One representative per isomorphism class of connected graphs on
+    1..max_n vertices, read from CONNECTED_CLASSES: ascending vertex count,
+    then ascending edge mask. max_n above the table's largest vertex count
+    is a ValueError; max_n <= 0 gives no graphs."""
+    limit = max(CONNECTED_CLASSES)
+    if max_n > limit:
+        raise ValueError("max_n %d exceeds the table's limit %d" % (max_n, limit))
+    graphs = []
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for bits in CONNECTED_CLASSES[n]:
+            graphs.append(Graph(n, [e for i, e in enumerate(pairs) if bits >> i & 1]))
+    return graphs

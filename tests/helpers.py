@@ -378,6 +378,30 @@ def canonical_dedup_graphs(max_n):
     return reps
 
 
+def all_graphs_reference(max_n):
+    """One representative per isomorphism class of graphs on 1..max_n vertices.
+
+    For each n, candidate edge sets are visited in increasing bit order over
+    the lexicographic vertex pairs. Candidates are bucketed by edge count and
+    sorted degree sequence, and one is kept only when no earlier member of
+    its bucket is isomorphic to it, so every class is represented by its
+    first candidate in that order. This generator regenerates and checks
+    graphs.CONNECTED_CLASSES.
+    """
+    reps = []
+    for n in range(1, max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        buckets = {}
+        for bits in range(1 << len(pairs)):
+            g = Graph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+            key = (g.num_edges(), tuple(sorted(map(len, g._adj))))
+            bucket = buckets.setdefault(key, [])
+            if all(next(isomorphisms_pinned(g, r), None) is None for r in bucket):
+                bucket.append(g)
+                reps.append(g)
+    return reps
+
+
 def brute_force_homs(h, g):
     """Every map V(h) -> V(g) in lexicographic order, kept when it sends
     each edge of h to an edge of g."""

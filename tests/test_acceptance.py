@@ -23,7 +23,6 @@ from homglue.dists import (
     uniform,
 )
 from homglue.graphs import (
-    all_graphs_up_to,
     connected_graphs_up_to,
     hom_count,
     is_forest,
@@ -48,6 +47,7 @@ from homglue.sidorenko import (
 from homglue.strong import strong_isomorphism
 from homglue.fixtures import bundled_strong_fixtures, c4, c4_fixture, k3
 from helpers import (
+    all_graphs_reference,
     brute_force_min_cover,
     consistent_bag_dists,
     random_joint,
@@ -259,8 +259,8 @@ def test_criterion_9_sidorenko_sweep():
 
 def test_criterion_10_forest_bound():
     start = time.time()
-    forests = [f for f in all_graphs_up_to(5) if is_forest(f)]
-    targets = [g for g in all_graphs_up_to(5) if degree_condition(g)]
+    forests = [f for f in all_graphs_reference(5) if is_forest(f)]
+    targets = [g for g in all_graphs_reference(5) if degree_condition(g)]
     checks = 0
     for f in forests:
         for g in targets:

@@ -9,12 +9,14 @@ from fractions import Fraction
 import pytest
 
 import homglue
-from homglue import serialize
+from homglue import cli, serialize
 from homglue.cli import main
 from homglue.dists import glue_markov_tree, point_mass
 from homglue.fixtures import bundled_strong_fixtures, c4_fixture, write_fixture_dir
-from homglue.graphs import Graph
+from homglue.graphs import Graph, is_connected
 from homglue.sidorenko import associated_distribution
+
+from helpers import all_graphs_reference
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -390,6 +392,24 @@ def test_sidorenko_sweep_cap(fixdir, capsys):
     )
     assert code == 1
     assert "exceeds limit" in doc["error"]
+
+
+def test_sidorenko_sweep_from_the_table_matches_the_generator(fixdir, capsys, monkeypatch):
+    paths = [os.path.join(fixdir, name + ".json") for name in ("c4", "book")]
+    from_table = []
+    for path in paths:
+        code = main(["sidorenko-sweep", path, "--max-n", "6"])
+        from_table.append((code, capsys.readouterr().out))
+    generated = all_graphs_reference(6)
+    monkeypatch.setattr(
+        cli,
+        "connected_graphs_up_to",
+        lambda max_n: [g for g in generated if g.n <= max_n and is_connected(g)],
+    )
+    for path, (code, out) in zip(paths, from_table):
+        assert main(["sidorenko-sweep", path, "--max-n", "6"]) == code, path
+        assert capsys.readouterr().out == out, path
+        assert len(json.loads(out)["rows"]) == 142  # every class but K1
 
 
 def test_sidorenko_sweep_negative_max_n_is_a_parse_failure(fixdir, capsys):

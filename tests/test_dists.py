@@ -57,6 +57,14 @@ def test_uniform_over_no_keys_is_refused():
         uniform((0,), 2, [])
 
 
+def test_uniform_names_a_repeated_key():
+    # a dict would keep one copy and report the total mass 1/2 instead
+    with pytest.raises(ValueError, match=r"^duplicate key \(0,\)$"):
+        uniform((0,), 2, [(0,), (0,)])
+    with pytest.raises(ValueError, match=r"^duplicate key \(1, 0\)$"):
+        uniform((0, 1), 2, [(0, 1), [1, 0], (1, 0)])
+
+
 def test_returned_distribution_of_wrong_total_mass_raises():
     p = uniform((0,), 2, [(0,), (1,)])
     p.mass[(0,)] = Fraction(1, 4)  # edited after construction: the total is 3/4

@@ -4,9 +4,9 @@ import pytest
 
 from homglue import graphs
 from homglue.graphs import (
+    CONNECTED_CLASSES,
     Graph,
     SizeCapExceeded,
-    all_graphs_up_to,
     bfs,
     connected_graphs_up_to,
     enumerate_homs,
@@ -21,6 +21,7 @@ from homglue.graphs import (
 from homglue.fixtures import book, c4, k2, k3, path3, star
 
 from helpers import (
+    all_graphs_reference,
     bfs_reference,
     brute_force_homs,
     brute_force_isomorphisms,
@@ -261,12 +262,36 @@ def test_homs_match_brute_force_in_order():
 
 def test_all_graphs_match_canonical_dedup():
     for n in range(1, 6):
-        assert all_graphs_up_to(n) == canonical_dedup_graphs(n)
+        assert all_graphs_reference(n) == canonical_dedup_graphs(n)
 
 
-def test_isomorphism_class_counts_up_to_six_vertices():
-    graphs = all_graphs_up_to(6)
-    connected = connected_graphs_up_to(6)
+@pytest.fixture(scope="module")
+def graphs_up_to_six():
+    """all_graphs_reference(6), generated once for this module (about 2 s)."""
+    return all_graphs_reference(6)
+
+
+def test_isomorphism_class_counts_up_to_six_vertices(graphs_up_to_six):
+    graphs = graphs_up_to_six
+    connected = [g for g in graphs if is_connected(g)]
     assert [sum(g.n == n for g in graphs) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
     assert [sum(g.n == n for g in connected) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
     assert (len(graphs), len(connected)) == (208, 143)
+
+
+def test_connected_table_matches_the_generator(graphs_up_to_six):
+    # all_graphs_reference(n) is the prefix of all_graphs_reference(6) on at
+    # most n vertices, so one generation serves every n
+    assert [len(CONNECTED_CLASSES[n]) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+    for n in range(0, 7):
+        expected = [g for g in graphs_up_to_six if g.n <= n and is_connected(g)]
+        got = connected_graphs_up_to(n)
+        assert type(got) is list
+        assert got == expected, n
+    assert connected_graphs_up_to(-1) == []
+
+
+def test_connected_graphs_beyond_the_table_are_refused_before_any_graph_is_built(monkeypatch):
+    monkeypatch.setattr(graphs, "Graph", None)  # any graph built is a TypeError
+    with pytest.raises(ValueError, match="max_n 7 exceeds the table's limit 6"):
+        connected_graphs_up_to(7)
