@@ -1,15 +1,19 @@
 """Exact finite distributions over vertex assignments, stored support-only
-with Fraction masses, plus the gluing operations: pairwise conditional
-independent coupling and Markov-tree gluing with its entropy identity.
+as positive integer weights over one common denominator, plus the gluing
+operations: pairwise conditional independent coupling and Markov-tree
+gluing with its entropy identity.
 
-Probabilities stay exact rationals throughout; floating point appears only
-when entropy (in bits) is computed.
+Probabilities stay exact rationals throughout, computed on integers;
+fractions.Fraction appears only where distributions enter and in the
+read-only mass view. Floating point appears only when entropy (in bits) is
+computed.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from types import MappingProxyType
 
 from .graphs import bfs, is_tree, require_ints, vertex_set
 from .markov import MarkovTree
@@ -29,11 +33,17 @@ class SparseDistribution:
     """Probability mass function over assignments index_set -> 0..target_size-1.
 
     Keys are value tuples aligned with the sorted index_set; only strictly
-    positive atoms are stored, and the masses must sum to exactly 1.
+    positive atoms are stored. The mass at key is weight[key] / den: positive
+    integer weights over one common denominator, in lowest terms
+    (gcd(den, *weights) == 1), so two distributions are equal exactly when
+    their fields are. The masses must sum to exactly 1, that is the weights
+    to den. mass is a read-only {key: Fraction} view of the same law, built
+    on each read.
 
     Distributions are validated where they enter the program: this
     constructor, point_mass, uniform and serialize.distribution_from_json
-    check every atom and the total. What the program builds from valid
+    check every atom and the total, then store the masses as weights over
+    the lcm of their denominators. What the program builds from valid
     distributions (marginals, couplings, BRW laws, re-indexed children) goes
     through the unchecked _trusted constructor instead, and each public
     function checks the total mass of the distribution it returns once
@@ -42,7 +52,8 @@ class SparseDistribution:
 
     index_set: tuple
     target_size: int
-    mass: dict
+    weight: dict
+    den: int
 
     def __init__(self, index_set, target_size, mass):
         index_set = tuple(index_set)
@@ -63,48 +74,60 @@ class SparseDistribution:
             if key in norm:
                 raise ValueError("duplicate key %s" % (key,))
             norm[key] = p
+        # reduced Fractions over the lcm of their denominators are in lowest
+        # terms together: a prime's highest power in den divides one mass's
+        # denominator, whose numerator and cofactor lack that prime
+        den = math.lcm(*{q.denominator for q in norm.values()})
         object.__setattr__(self, "index_set", index_set)
         object.__setattr__(self, "target_size", target_size)
-        object.__setattr__(self, "mass", norm)
+        object.__setattr__(
+            self, "weight", {k: q.numerator * (den // q.denominator) for k, q in norm.items()}
+        )
+        object.__setattr__(self, "den", den)
         self._check_total()
 
     @classmethod
-    def _trusted(cls, index_set, target_size, mass):
+    def _trusted(cls, index_set, target_size, weight, den):
         """A distribution from parts that are valid by construction: a sorted
-        vertex tuple and a dict of strictly positive Fractions keyed by
-        in-range value tuples of its arity. Nothing is checked."""
+        vertex tuple, and a dict of positive int weights keyed by in-range
+        value tuples of its arity, in lowest terms over the positive int den.
+        Nothing is checked."""
         p = object.__new__(cls)
         object.__setattr__(p, "index_set", index_set)
         object.__setattr__(p, "target_size", target_size)
-        object.__setattr__(p, "mass", mass)
+        object.__setattr__(p, "weight", weight)
+        object.__setattr__(p, "den", den)
         return p
 
     def _check_total(self):
-        """self, once its masses are checked to sum to exactly 1 (ValueError
-        otherwise). The numerators are summed as integers per denominator,
-        so one Fraction is formed per distinct denominator, not per atom."""
-        by_den = {}
-        for q in self.mass.values():
-            d = q.denominator
-            by_den[d] = by_den.get(d, 0) + q.numerator
-        total = sum(Fraction(n, d) for d, n in by_den.items())
-        if total != 1:
-            raise ValueError("total mass is %s, not 1" % total)
+        """self, once its weights are checked to sum to exactly den
+        (ValueError naming the total mass otherwise)."""
+        total = sum(self.weight.values())
+        if total != self.den:
+            raise ValueError("total mass is %s, not 1" % Fraction(total, self.den))
         return self
 
+    @property
+    def mass(self):
+        """{key: Fraction mass}, read-only; one Fraction per distinct weight."""
+        den = self.den
+        share = {w: Fraction(w, den) for w in set(self.weight.values())}
+        return MappingProxyType({k: share[w] for k, w in self.weight.items()})
+
     def support_size(self):
-        return len(self.mass)
+        return len(self.weight)
 
     def __eq__(self, other):
         return (
             isinstance(other, SparseDistribution)
             and self.index_set == other.index_set
             and self.target_size == other.target_size
-            and self.mass == other.mass
+            and self.den == other.den
+            and self.weight == other.weight
         )
 
     def __hash__(self):
-        return hash((self.index_set, self.target_size, frozenset(self.mass.items())))
+        return hash((self.index_set, self.target_size, self.den, frozenset(self.weight.items())))
 
 
 def point_mass(index_set, target_size, key):
@@ -139,26 +162,35 @@ def _projector(index_set, s):
 def marginal(p, s):
     """Exact marginal of p onto the index subset s.
 
-    p is trusted as validated; the marginal's atoms are summed without
-    further checks, and its total mass is checked once (ValueError unless
-    exactly 1).
+    p is trusted as validated; the marginal's weights are summed without
+    further checks and reduced to lowest terms, and its total mass is
+    checked once (ValueError unless exactly 1).
     """
     s = vertex_set(s)
     if not set(s) <= set(p.index_set):
         raise ValueError("%s is not a subset of the index set" % (s,))
     proj = _projector(p.index_set, s)
     out = {}
-    for key, q in p.mass.items():
+    for key, w in p.weight.items():
         k = proj(key)
-        out[k] = out[k] + q if k in out else q
-    return SparseDistribution._trusted(s, p.target_size, out)._check_total()
+        out[k] = out[k] + w if k in out else w
+    g = math.gcd(p.den, *out.values())
+    if g > 1:
+        out = {k: w // g for k, w in out.items()}
+    return SparseDistribution._trusted(s, p.target_size, out, p.den // g)._check_total()
 
 
 def entropy(p):
-    """Shannon entropy in bits, summed in sorted-key order. Each mass is
-    turned into a float once, by the same integer division float(q) makes."""
-    xs = (q.numerator / q.denominator for _, q in sorted(p.mass.items()))
-    return -sum(x * math.log2(x) for x in xs)
+    """Shannon entropy in bits, summed in sorted-key order. Each distinct
+    weight w becomes the float x = w / den, and x * log2(x), once. Integer
+    true division is correctly rounded, so x is the float float(q) makes of
+    the atom's Fraction mass q, whether or not w / den is in lowest terms."""
+    den = p.den
+    terms = {}
+    for w in set(p.weight.values()):
+        x = w / den
+        terms[w] = x * math.log2(x)
+    return -sum([terms[w] for _, w in sorted(p.weight.items())])
 
 
 def glue_pair(p12, p23):
@@ -183,9 +215,15 @@ def _couple(p12, p23, overlap):
     their agreed marginal on exactly their shared indices. Its total mass is
     not checked.
 
-    Each atom p12(y_12) * p23(y_23) / m(y_shared) is written as one pair of
-    integer products, and each distinct pair becomes one Fraction, shared by
-    every atom that has it.
+    With L the lcm of the overlap's weights, an atom's mass
+    p12(y_12) * p23(y_23) / m(y_shared) is w12 * (L // wm) * w23 over the
+    denominator D12 * D23 * L / Dm. Dm divides D12 * D23 * L when the
+    overlap is a marginal of p12, as gluing makes it; otherwise the weights
+    take the factor Dm instead. Each distinct (w12 * (L // wm), y_shared)
+    gets one list of weights, shared by every p12 atom that has it, and the
+    lists are reduced to lowest terms before the atoms are written: the
+    joint holds one int per distinct weight, not one per atom, which keeps
+    its small-object memory at what shared Fractions took.
     """
     idx12, idx23 = p12.index_set, p23.index_set
     in12 = set(idx12)
@@ -199,28 +237,41 @@ def _couple(p12, p23, overlap):
     to_union = _projector(joined, union) if joined != union else None
 
     by_shared = {}
-    for key23, q23 in p23.mass.items():
-        by_shared.setdefault(proj23(key23), []).append(
-            (tail23(key23), q23.numerator, q23.denominator)
-        )
+    for key23, w23 in p23.weight.items():
+        by_shared.setdefault(proj23(key23), []).append((tail23(key23), w23))
+
+    common = math.lcm(*set(overlap.weight.values()))
+    den = p12.den * p23.den * common
+    if den % overlap.den:
+        scale = overlap.den
+    else:
+        den //= overlap.den
+        scale = 1
+    factor = {sk: common // wm * scale for sk, wm in overlap.weight.items()}
+
+    rows = {}
+    plan = []
+    for key12, w12 in p12.weight.items():
+        sk = proj12(key12)
+        f = w12 * factor[sk]
+        row = rows.get((f, sk))
+        if row is None:
+            row = rows[f, sk] = [(tail, f * w23) for tail, w23 in by_shared.get(sk, ())]
+        plan.append((key12, row))
+    g = math.gcd(den, *(w for row in rows.values() for _, w in row))
+    if g > 1:
+        den //= g
+        for row in rows.values():
+            row[:] = [(tail, w // g) for tail, w in row]
 
     out = {}
-    masses = {}
-    for key12, q12 in p12.mass.items():
-        sk = proj12(key12)
-        m = overlap.mass[sk]
-        num = q12.numerator * m.denominator
-        den = q12.denominator * m.numerator
-        for tail, n23, d23 in by_shared.get(sk, ()):
+    for key12, row in plan:
+        for tail, w in row:
             key = key12 + tail
             if to_union is not None:
                 key = to_union(key)
-            pair = (num * n23, den * d23)
-            q = masses.get(pair)
-            if q is None:
-                q = masses[pair] = Fraction(*pair)
-            out[key] = q
-    return SparseDistribution._trusted(union, p12.target_size, out)
+            out[key] = w
+    return SparseDistribution._trusted(union, p12.target_size, out, den)
 
 
 def first_difference(a, b, left="left", right="right"):
@@ -345,7 +396,7 @@ def junction_factorization(m, bag_dists):
     for i, bag in enumerate(m.bags):
         joined = []
         for part in partials:
-            for key, _ in sorted(bag_dists[i].mass.items()):
+            for key in sorted(bag_dists[i].weight):
                 assign = dict(zip(bag, key))
                 if all(part.get(v, assign[v]) == assign[v] for v in assign):
                     merged = dict(part)
@@ -355,12 +406,14 @@ def junction_factorization(m, bag_dists):
 
     out = {}
     target_size = bag_dists[0].target_size
+    bag_masses = [d.mass for d in bag_dists]
+    edge_masses = [(em.index_set, em.mass) for em in agreed.values()]
     for part in partials:
         q = Fraction(1)
-        for i, bag in enumerate(m.bags):
-            q *= bag_dists[i].mass[tuple(part[v] for v in bag)]
-        for em in agreed.values():
-            q /= em.mass[tuple(part[v] for v in em.index_set)]
+        for bag, mass in zip(m.bags, bag_masses):
+            q *= mass[tuple(part[v] for v in bag)]
+        for shared, mass in edge_masses:
+            q /= mass[tuple(part[v] for v in shared)]
         key = tuple(part[v] for v in ground)
         out[key] = out.get(key, Fraction(0)) + q
     return SparseDistribution(ground, target_size, out)

@@ -14,6 +14,7 @@ All round trips are bit-exact.
 """
 
 import json
+import math
 from fractions import Fraction
 
 from .dists import SparseDistribution
@@ -109,14 +110,25 @@ def strong_from_json(doc):
 
 
 def distribution_to_json(p):
+    texts = _mass_texts(p)
     return {
         "index_set": list(p.index_set),
         "target_size": p.target_size,
         "mass": [
-            {"key": list(k), "num": str(q.numerator), "den": str(q.denominator)}
-            for k, q in sorted(p.mass.items())
+            {"key": list(k), "num": texts[w][0], "den": texts[w][1]}
+            for k, w in sorted(p.weight.items())
         ],
     }
+
+
+def _mass_texts(p):
+    """{w: (num, den)} over the distinct weights w of p: the decimal strings
+    of the mass w / p.den in lowest terms."""
+    texts = {}
+    for w in set(p.weight.values()):
+        g = math.gcd(w, p.den)
+        texts[w] = (str(w // g), str(p.den // g))
+    return texts
 
 
 def distribution_to_text(p):
@@ -124,11 +136,15 @@ def distribution_to_text(p):
     byte, written directly instead of through json's pure-Python indenting
     encoder: every atom fills one template with a slot per key value."""
     atom = (
-        '{\n   "den": "%d",\n   "key": '
+        '{\n   "den": "%s",\n   "key": '
         + _list_text(["%s"] * len(p.index_set), 3)
-        + ',\n   "num": "%d"\n  }'
+        + ',\n   "num": "%s"\n  }'
     )
-    atoms = [atom % (q.denominator, *k, q.numerator) for k, q in sorted(p.mass.items())]
+    texts = _mass_texts(p)
+    atoms = []
+    for k, w in sorted(p.weight.items()):
+        num, den = texts[w]
+        atoms.append(atom % (den, *k, num))
     return '{\n "index_set": %s,\n "mass": %s,\n "target_size": %s\n}' % (
         _list_text(map(str, p.index_set), 1),
         _list_text(atoms, 1),

@@ -55,33 +55,35 @@ def brw_distribution(t, g):
     order, parent = bfs(t, [r0, r1])
     order = order[2:]
 
-    # an atom's mass is 1 / (2e(g) * the degrees of its attached vertices'
-    # parent images): one integer denominator, and one Fraction per distinct
-    # denominator, shared by every atom that has it
-    mass = {}
-    unit = {}
+    # an atom's mass is 1 / (2e(g) * d), d the product of the degrees of its
+    # attached vertices' parent images: with L the lcm of the distinct d, its
+    # weight is L // d over the one denominator 2e(g) * L, in lowest terms
+    # since each prime's highest power in L divides some d
+    prod = {}
     img = [-1] * t.n
 
-    def attach(i, den):
+    def attach(i, d):
         if i == len(order):
-            q = unit.get(den)
-            if q is None:
-                q = unit[den] = Fraction(1, den)
-            mass[tuple(img)] = q
+            prod[tuple(img)] = d
             return
         w = order[i]
         pv = img[parent[w]]
-        den *= g.degree(pv)
+        d *= g.degree(pv)
         for z in g.neighbors(pv):
             img[w] = z
-            attach(i + 1, den)
+            attach(i + 1, d)
         img[w] = -1
 
     for a, b in g.edges:
         for x, y in ((a, b), (b, a)):
             img[r0], img[r1] = x, y
-            attach(0, 2 * g.num_edges())
-    return SparseDistribution._trusted(tuple(range(t.n)), g.n, mass)._check_total()
+            attach(0, 1)
+    distinct = set(prod.values())
+    common = math.lcm(*distinct)
+    share = {d: common // d for d in distinct}
+    weight = {key: share[d] for key, d in prod.items()}
+    den = 2 * g.num_edges() * common
+    return SparseDistribution._trusted(tuple(range(t.n)), g.n, weight, den)._check_total()
 
 
 def associated_distribution(sd, g):
@@ -132,14 +134,14 @@ def _reindex(p, bag):
     """p, which lives on 0..|bag|-1, moved onto the sorted bag: its keys line
     up positionally with the bag's vertices, so only the arity can be wrong."""
     if len(p.index_set) != len(bag):
-        raise ValueError("key %s has wrong arity" % (next(iter(p.mass)),))
-    return SparseDistribution._trusted(bag, p.target_size, p.mass)
+        raise ValueError("key %s has wrong arity" % (next(iter(p.weight)),))
+    return SparseDistribution._trusted(bag, p.target_size, p.weight, p.den)
 
 
 def _require_homs(h, g, p):
     """InvariantViolation unless every support atom of p is a homomorphism
     h -> g."""
-    for key in p.mass:
+    for key in p.weight:
         if not is_homomorphism(h, g, key):
             raise InvariantViolation("support atom %s is not a homomorphism" % (key,))
 

@@ -5,14 +5,15 @@ covering subtrees are found by exhaustive subset enumeration, joint
 distributions by direct formula evaluation, and so on.
 """
 
+import json
 import math
 import random
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from homglue.dists import SparseDistribution, glue_markov_tree, marginal
-from homglue.graphs import Graph, is_homomorphism, isomorphisms_pinned
+from homglue.dists import MarginalMismatch, SparseDistribution, first_difference, marginal
+from homglue.graphs import Graph, is_homomorphism, isomorphisms_pinned, vertex_set
 from homglue.markov import MarkovTree, TreeDecomposition
 from homglue.strong import StrongDecomposition
 
@@ -65,6 +66,20 @@ def random_joint(rng, ground, target_size, atoms=6):
     return SparseDistribution(
         ground, target_size, {k: Fraction(w, total) for k, w in weights.items()}
     )
+
+
+def text_reference(p):
+    """The distribution document of p as json.dumps(indent=1, sort_keys=True)
+    lays it out, with num and den read off p's Fraction masses."""
+    doc = {
+        "index_set": list(p.index_set),
+        "target_size": p.target_size,
+        "mass": [
+            {"key": list(k), "num": str(q.numerator), "den": str(q.denominator)}
+            for k, q in sorted(p.mass.items())
+        ],
+    }
+    return json.dumps(doc, indent=1, sort_keys=True)
 
 
 def entropy_reference(p):
@@ -286,21 +301,22 @@ def brute_force_joint(m, bag_dists):
     edge_marg = []
     for a, b in m.tree:
         shared = tuple(sorted(set(m.bags[a]) & set(m.bags[b])))
-        edge_marg.append((shared, marginal(bag_dists[a], shared)))
+        edge_marg.append((shared, marginal(bag_dists[a], shared).mass))
+    bag_masses = [d.mass for d in bag_dists]
     out = {}
     for key in product(range(target), repeat=len(ground)):
         q = Fraction(1)
         ok = True
-        for i, bag in enumerate(m.bags):
+        for bag, mass in zip(m.bags, bag_masses):
             sub = tuple(key[v] for v in bag)
-            if sub not in bag_dists[i].mass:
+            if sub not in mass:
                 ok = False
                 break
-            q *= bag_dists[i].mass[sub]
+            q *= mass[sub]
         if not ok:
             continue
         for shared, em in edge_marg:
-            q /= em.mass[tuple(key[v] for v in shared)]
+            q /= em[tuple(key[v] for v in shared)]
         out[key] = q
     return SparseDistribution(ground, target, out)
 
@@ -447,9 +463,9 @@ def associated_reference(sd, g):
     """The associated distribution of sd on Hom(sd.host, g) built as the
     library first built it: every child rebuilt wherever it occurs, BRW laws
     from brw_reference, each child's law moved onto its bag through the
-    validating constructor and the bags glued by glue_markov_tree. Every
-    support atom of the result is then checked to be a homomorphism of
-    sd.host (AssertionError otherwise)."""
+    validating constructor and the bags glued on Fraction masses by
+    glue_markov_tree_reference. Every support atom of the result is then
+    checked to be a homomorphism of sd.host (AssertionError otherwise)."""
 
     def build(node):
         if node.level == 0:
@@ -459,13 +475,167 @@ def associated_reference(sd, g):
             SparseDistribution(bag, g.n, build(child).mass)
             for bag, child in zip(m.bags, node.children)
         ]
-        return glue_markov_tree(m, laws)
+        return glue_markov_tree_reference(m, laws)
 
     dist = build(sd)
     for key in dist.mass:
         if not is_homomorphism(sd.host, g, key):
             raise AssertionError("support atom %s is not a homomorphism" % (key,))
     return dist
+
+
+# The distribution pipeline as it ran on one Fraction per atom, before
+# distributions were stored as integer weights over a common denominator:
+# check_total_reference, marginal_reference, couple_reference and
+# brw_distribution_reference are the library's _check_total, marginal,
+# _couple and brw_distribution of that time, reading the read-only mass view
+# and returning through the validating constructor.
+
+
+def check_total_reference(mass):
+    """mass, a {key: Fraction} dict, once its masses are checked to sum to
+    exactly 1 (ValueError otherwise). The numerators are summed as integers
+    per denominator, so one Fraction is formed per distinct denominator."""
+    by_den = {}
+    for q in mass.values():
+        d = q.denominator
+        by_den[d] = by_den.get(d, 0) + q.numerator
+    total = sum(Fraction(n, d) for d, n in by_den.items())
+    if total != 1:
+        raise ValueError("total mass is %s, not 1" % total)
+    return mass
+
+
+def _project(index_set, s):
+    """key -> the tuple of key's values at the indices s, in s's order."""
+    positions = [index_set.index(v) for v in s]
+    return lambda key: tuple(key[i] for i in positions)
+
+
+def marginal_reference(p, s):
+    """Exact marginal of p onto the index subset s, summed in Fractions."""
+    s = vertex_set(s)
+    if not set(s) <= set(p.index_set):
+        raise ValueError("%s is not a subset of the index set" % (s,))
+    proj = _project(p.index_set, s)
+    out = {}
+    for key, q in p.mass.items():
+        k = proj(key)
+        out[k] = out[k] + q if k in out else q
+    return SparseDistribution(s, p.target_size, check_total_reference(out))
+
+
+def couple_reference(p12, p23, overlap):
+    """The conditional independent coupling of p12 and p23 given overlap,
+    their agreed marginal on their shared indices: each atom
+    p12(y_12) * p23(y_23) / m(y_shared) written as one pair of integer
+    products, and each distinct pair made one Fraction."""
+    idx12, idx23 = p12.index_set, p23.index_set
+    in12 = set(idx12)
+    only23 = tuple(v for v in idx23 if v not in in12)
+    union = vertex_set(idx12 + only23)
+    proj12 = _project(idx12, overlap.index_set)
+    proj23 = _project(idx23, overlap.index_set)
+    tail23 = _project(idx23, only23)
+    # key12 + tail23(key23) lists the union's values in idx12 + only23 order
+    joined = idx12 + only23
+    to_union = _project(joined, union) if joined != union else None
+    overlap_mass = overlap.mass
+
+    by_shared = {}
+    for key23, q23 in p23.mass.items():
+        by_shared.setdefault(proj23(key23), []).append(
+            (tail23(key23), q23.numerator, q23.denominator)
+        )
+
+    out = {}
+    masses = {}
+    for key12, q12 in p12.mass.items():
+        sk = proj12(key12)
+        m = overlap_mass[sk]
+        num = q12.numerator * m.denominator
+        den = q12.denominator * m.numerator
+        for tail, n23, d23 in by_shared.get(sk, ()):
+            key = key12 + tail
+            if to_union is not None:
+                key = to_union(key)
+            pair = (num * n23, den * d23)
+            q = masses.get(pair)
+            if q is None:
+                q = masses[pair] = Fraction(*pair)
+            out[key] = q
+    return SparseDistribution(union, p12.target_size, out)
+
+
+def glue_markov_tree_reference(m, bag_dists):
+    """glue_markov_tree on Fraction masses: every tree edge's two bag
+    marginals (marginal_reference) compared in m.tree order, then each bag
+    after bag 0 coupled (couple_reference) onto the joint in the order of
+    bfs_reference(m.bag_tree, [0]), given its overlap with its walk parent.
+    For bag laws on a valid Markov tree; MarginalMismatch on the first edge
+    whose marginals differ."""
+    agreed = {}
+    for a, b in m.tree:
+        shared = vertex_set(set(m.bags[a]) & set(m.bags[b]))
+        ma = marginal_reference(bag_dists[a], shared)
+        mb = marginal_reference(bag_dists[b], shared)
+        if ma.mass != mb.mass:
+            raise MarginalMismatch(
+                "marginal mismatch on tree edge %s" % ([a, b],),
+                witness=first_difference(ma.mass, mb.mass),
+                edge=(a, b),
+            )
+        agreed[a, b] = ma
+    order, parent = bfs_reference(m.bag_tree, [0])
+    joint = bag_dists[0]
+    for child in order[1:]:
+        p = parent[child]
+        joint = couple_reference(joint, bag_dists[child], agreed[min(p, child), max(p, child)])
+    return SparseDistribution(joint.index_set, joint.target_size, check_total_reference(joint.mass))
+
+
+def brw_distribution_reference(t, g):
+    """The branching random walk on Hom(t, g) with one Fraction per distinct
+    denominator: an atom's mass is 1 / (2e(g) * the degrees of its attached
+    vertices' parent images), vertices attached in the order of
+    bfs_reference(t, [r0, r1]) for t's first edge (r0, r1)."""
+    r0, r1 = t.edges[0]
+    order, parent = bfs_reference(t, [r0, r1])
+    order = order[2:]
+
+    mass = {}
+    unit = {}
+    img = [-1] * t.n
+
+    def attach(i, den):
+        if i == len(order):
+            q = unit.get(den)
+            if q is None:
+                q = unit[den] = Fraction(1, den)
+            mass[tuple(img)] = q
+            return
+        w = order[i]
+        pv = img[parent[w]]
+        den *= g.degree(pv)
+        for z in g.neighbors(pv):
+            img[w] = z
+            attach(i + 1, den)
+        img[w] = -1
+
+    for a, b in g.edges:
+        for x, y in ((a, b), (b, a)):
+            img[r0], img[r1] = x, y
+            attach(0, 2 * g.num_edges())
+    return SparseDistribution(tuple(range(t.n)), g.n, check_total_reference(mass))
+
+
+def seeded_gnm(seed, n, m):
+    """G(n, m) on 0..n-1: the first m vertex pairs in an order drawn from
+    random.Random(seed).random(), whose sequence Python keeps fixed across
+    versions."""
+    rng = random.Random(seed)
+    pairs = sorted(combinations(range(n), 2), key=lambda _: rng.random())
+    return Graph(n, pairs[:m])
 
 
 def random_graph(rng, n, p):

@@ -66,8 +66,8 @@ def test_uniform_names_a_repeated_key():
 
 
 def test_returned_distribution_of_wrong_total_mass_raises():
-    p = uniform((0,), 2, [(0,), (1,)])
-    p.mass[(0,)] = Fraction(1, 4)  # edited after construction: the total is 3/4
+    p = uniform((0,), 4, [(0,), (1,), (2,), (3,)])
+    del p.weight[(3,)]  # stored weights edited after construction: the total is 3/4
     with pytest.raises(ValueError, match=r"^total mass is 3/4, not 1$"):
         glue_markov_tree(MarkovTree(1, [(0,)]), [p])
     with pytest.raises(ValueError, match=r"^total mass is 3/4, not 1$"):
@@ -78,11 +78,10 @@ def test_returned_distribution_of_wrong_total_mass_raises_under_optimize():
     # python -O strips asserts; the total-mass check must still fire
     src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
     script = (
-        "from fractions import Fraction\n"
         "from homglue.dists import glue_markov_tree, uniform\n"
         "from homglue.markov import MarkovTree\n"
-        "p = uniform((0,), 2, [(0,), (1,)])\n"
-        "p.mass[(0,)] = Fraction(1, 4)\n"
+        "p = uniform((0,), 4, [(0,), (1,), (2,), (3,)])\n"
+        "del p.weight[(3,)]\n"
         "try:\n"
         "    glue_markov_tree(MarkovTree(1, [(0,)]), [p])\n"
         "except ValueError as e:\n"
