@@ -5,7 +5,6 @@ decompositions, and desk-scale Sidorenko bound checks.
 
 from .graphs import (
     Graph,
-    enumerate_homs,
     hom_count,
     induced_subgraph,
     is_forest,

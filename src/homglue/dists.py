@@ -181,16 +181,20 @@ def marginal(p, s):
 
 
 def entropy(p):
-    """Shannon entropy in bits, summed in sorted-key order. Each distinct
-    weight w becomes the float x = w / den, and x * log2(x), once. Integer
-    true division is correctly rounded, so x is the float float(q) makes of
-    the atom's Fraction mass q, whether or not w / den is in lowest terms."""
+    """Shannon entropy in bits, added left to right in sorted-key order (the
+    built-in sum compensates from Python 3.12 on). Each distinct weight w
+    becomes the float x = w / den, and x * log2(x), once. Integer true
+    division is correctly rounded, so x is the float float(q) makes of the
+    atom's Fraction mass q, whether or not w / den is in lowest terms."""
     den = p.den
     terms = {}
     for w in set(p.weight.values()):
         x = w / den
         terms[w] = x * math.log2(x)
-    return -sum([terms[w] for _, w in sorted(p.weight.items())])
+    total = 0
+    for _, w in sorted(p.weight.items()):
+        total += terms[w]
+    return -total
 
 
 def glue_pair(p12, p23):

@@ -17,8 +17,7 @@ class SizeCapExceeded(ValueError):
     """Raised when a brute-force enumeration would exceed its candidate cap."""
 
 
-# Bound on |V(g)|^|V(h)| before enumerate_homs and hom_count refuse to run,
-# read at each call.
+# Bound on |V(g)|^|V(h)| before hom_count refuses to run, read at each call.
 DEFAULT_HOM_CAP = 10**8
 
 
@@ -149,28 +148,16 @@ def max_degree(g):
     return max(g.degree(v) for v in range(g.n))
 
 
-def enumerate_homs(h, g):
-    """All adjacency-preserving maps V(h) -> V(g), in lexicographic order.
+def hom_count(h, g):
+    """Number of adjacency-preserving maps V(h) -> V(g).
 
     Backtracks over h's vertices in ascending order. A vertex with earlier
     neighbours in h draws its candidates from the neighbours of the first
     one's image, kept only if adjacent to the other earlier neighbours'
-    images; a vertex without them tries all of V(g). Candidates stay
-    ascending, which fixes the order. Refuses instances whose naive candidate
-    space |V(g)|^|V(h)| exceeds DEFAULT_HOM_CAP.
+    images; a vertex without them tries all of V(g). The last vertex's
+    candidates are counted, not tried. Refuses instances whose naive
+    candidate space |V(g)|^|V(h)| exceeds DEFAULT_HOM_CAP.
     """
-    return [prefix + (w,) for prefix, last in _hom_blocks(h, g) for w in last]
-
-
-def hom_count(h, g):
-    """Number of homomorphisms h -> g (without materializing the list)."""
-    return sum(len(last) for _, last in _hom_blocks(h, g))
-
-
-def _hom_blocks(h, g):
-    """The homomorphisms h -> g in lexicographic order, grouped by their
-    images of every vertex but the last: pairs (prefix, candidates), where
-    each ascending candidate for the last vertex completes prefix."""
     if h.n == 0:
         raise ValueError("source graph must have at least one vertex")
     if g.n ** h.n > DEFAULT_HOM_CAP:
@@ -179,30 +166,23 @@ def _hom_blocks(h, g):
         )
     # earlier[v] = neighbors of v in h with smaller index (already assigned)
     earlier = [[u for u in h.neighbors(v) if u < v] for v in range(h.n)]
-    adj = g._adj
-    everywhere = range(g.n)
-    img = [0] * h.n
-    last = h.n - 1
+    return _count(0, h.n - 1, earlier, g._adj, range(g.n), [0] * h.n)
 
-    def candidates(v):
-        ev = earlier[v]
-        if not ev:
-            return everywhere
-        found = adj[img[ev[0]]]
-        for u in ev[1:]:
-            a = adj[img[u]]
-            found = [w for w in found if w in a]
-        return found
 
-    def backtrack(v):
-        if v == last:
-            yield tuple(img[:last]), candidates(v)
-            return
-        for w in candidates(v):
-            img[v] = w
-            yield from backtrack(v + 1)
-
-    yield from backtrack(0)
+def _count(v, last, earlier, adj, everywhere, img):
+    """Homomorphisms that extend img's images of the vertices before v."""
+    ev = earlier[v]
+    found = adj[img[ev[0]]] if ev else everywhere
+    for u in ev[1:]:
+        a = adj[img[u]]
+        found = [w for w in found if w in a]
+    if v == last:
+        return len(found)
+    total = 0
+    for w in found:
+        img[v] = w
+        total += _count(v + 1, last, earlier, adj, everywhere, img)
+    return total
 
 
 def is_homomorphism(h, g, mapping):
@@ -232,33 +212,35 @@ def isomorphisms(h1, h2, allowed):
     everywhere = range(h2.n)
     steps = list(allowed.items())
     steps += [(v, everywhere) for v in range(h1.n) if v not in allowed]
-    img = [-1] * h1.n
-    used = [False] * h2.n
-    adj1, adj2 = h1._adj, h2._adj
+    yield from _extend(0, steps, h1._adj, h2._adj, [-1] * h1.n, [False] * h2.n)
 
-    def ok(v, w):
-        nv, nw = adj1[v], adj2[w]
-        if len(nv) != len(nw):
+
+def _extend(i, steps, adj1, adj2, img, used):
+    """The isomorphisms that extend img, which places the vertices of
+    steps[:i] on the images used marks, taking each later step's candidates
+    in order."""
+    if i == len(steps):
+        yield tuple(img)
+        return
+    v, candidates = steps[i]
+    for w in candidates:
+        if not used[w] and _fits(adj1[v], adj2[w], img):
+            img[v] = w
+            used[w] = True
+            yield from _extend(i + 1, steps, adj1, adj2, img, used)
+            img[v] = -1
+            used[w] = False
+
+
+def _fits(nv, nw, img):
+    """True iff a vertex with neighbours nv may map to one with neighbours
+    nw: same degree, and the same adjacency to every image img places."""
+    if len(nv) != len(nw):
+        return False
+    for u, x in enumerate(img):
+        if x >= 0 and (u in nv) != (x in nw):
             return False
-        for u, x in enumerate(img):
-            if x >= 0 and (u in nv) != (x in nw):
-                return False
-        return True
-
-    def backtrack(i):
-        if i == len(steps):
-            yield tuple(img)
-            return
-        v, candidates = steps[i]
-        for w in candidates:
-            if not used[w] and ok(v, w):
-                img[v] = w
-                used[w] = True
-                yield from backtrack(i + 1)
-                img[v] = -1
-                used[w] = False
-
-    yield from backtrack(0)
+    return True
 
 
 def isomorphisms_pinned(h1, h2, pin=None):

@@ -61,29 +61,31 @@ def brw_distribution(t, g):
     # since each prime's highest power in L divides some d
     prod = {}
     img = [-1] * t.n
-
-    def attach(i, d):
-        if i == len(order):
-            prod[tuple(img)] = d
-            return
-        w = order[i]
-        pv = img[parent[w]]
-        d *= g.degree(pv)
-        for z in g.neighbors(pv):
-            img[w] = z
-            attach(i + 1, d)
-        img[w] = -1
-
     for a, b in g.edges:
         for x, y in ((a, b), (b, a)):
             img[r0], img[r1] = x, y
-            attach(0, 1)
+            _attach(0, 1, order, parent, g, img, prod)
     distinct = set(prod.values())
     common = math.lcm(*distinct)
     share = {d: common // d for d in distinct}
     weight = {key: share[d] for key, d in prod.items()}
     den = 2 * g.num_edges() * common
     return SparseDistribution._trusted(tuple(range(t.n)), g.n, weight, den)._check_total()
+
+
+def _attach(i, d, order, parent, g, img, prod):
+    """Record in prod every walk extending img, which places the roots and
+    order[:i], with the product of its parent images' degrees, d so far."""
+    if i == len(order):
+        prod[tuple(img)] = d
+        return
+    w = order[i]
+    pv = img[parent[w]]
+    d *= g.degree(pv)
+    for z in g.neighbors(pv):
+        img[w] = z
+        _attach(i + 1, d, order, parent, g, img, prod)
+    img[w] = -1
 
 
 def associated_distribution(sd, g):
@@ -98,11 +100,11 @@ def associated_distribution(sd, g):
     The support is checked on the bags, not on the result. Before a level is
     glued, every atom of each distinct child's distribution must be a
     homomorphism of that child's host, every host vertex must lie in a bag,
-    and every host edge must be the image of an edge of some bag's child
-    host; InvariantViolation otherwise. Gluing reproduces each bag's
-    distribution as the result's marginal on that bag, so every support atom
-    of the result is then a homomorphism of host(sd). Any failure means the
-    decomposition (or this code) is broken.
+    and the children's host edges, placed on their bags, must be exactly the
+    host's edges; InvariantViolation otherwise. Gluing reproduces each bag's
+    distribution as the result's marginal on that bag, so the support of the
+    result is then all of Hom(host(sd), g) (see _require_cover). Any failure
+    means the decomposition (or this code) is broken.
     """
     if g.num_edges() == 0:
         raise ValueError("target has no edges")
@@ -148,19 +150,25 @@ def _require_homs(h, g, p):
 
 def _require_cover(sd):
     """InvariantViolation unless every vertex of sd.host lies in a bag and
-    every edge (u, v) of sd.host is (bag[a], bag[b]) for an edge (a, b) of
-    that bag's child host: then a joint atom whose projection on every bag
-    is a homomorphism of the bag's child host is one of sd.host."""
+    the children's host edges, each (a, b) placed as (bag[a], bag[b]), are
+    exactly the edges of sd.host. A joint atom is then a homomorphism of
+    sd.host exactly when its projection on every bag is one of that bag's
+    child host; as gluing keeps exactly those atoms whose projections all
+    lie in the bag supports, a support of all of Hom(child host, g) on every
+    bag (as the branching random walk has) glues to all of Hom(sd.host, g)."""
     m = sd.decomp.markov
     uncovered = set(range(sd.host.n)).difference(*m.bags)
     if uncovered:
         raise InvariantViolation("host vertex %d lies in no bag" % min(uncovered))
-    covered = set()
+    placed = set()
     for bag, child in zip(m.bags, sd.children):
-        covered.update((bag[a], bag[b]) for a, b in child.host.edges)
-    for e in sd.host.edges:
-        if e not in covered:
-            raise InvariantViolation("host edge %s is an edge of no bag's child host" % (e,))
+        placed.update((bag[a], bag[b]) for a, b in child.host.edges)
+    missing = set(sd.host.edges) - placed
+    if missing:
+        raise InvariantViolation("host edge %s is an edge of no bag's child host" % (min(missing),))
+    extra = placed - set(sd.host.edges)
+    if extra:
+        raise InvariantViolation("child host edge %s is not a host edge" % (min(extra),))
 
 
 def projection_consistency_check(sd, g, u):
@@ -269,13 +277,14 @@ def bound_report(ad):
     The comparison with the right-hand side is informational only (the
     theory guarantees it up to an unspecified additive constant); the
     support bound H(Y) <= log2 hom(H, G) raises InvariantViolation when it
-    fails.
+    fails. hom(H, G) is the support size, which _require_cover makes all of
+    Hom(H, G), so no search runs here.
     """
     g, host = ad.target, ad.sd.host
     h_bits = entropy(ad.dist)
     n, e_g = g.n, g.num_edges()
     rhs = host.num_edges() * math.log2(2 * e_g / (n * n)) + host.n * math.log2(n)
-    count = hom_count(host, g)
+    count = ad.dist.support_size()
     log_hom = math.log2(count)
     if h_bits > log_hom + 1e-9:
         raise InvariantViolation("entropy exceeds the support bound")

@@ -83,9 +83,13 @@ def text_reference(p):
 
 
 def entropy_reference(p):
-    """Shannon entropy in bits as the library first wrote it: float(q)
-    taken twice per atom, summed in sorted-key order."""
-    return -sum(float(q) * math.log2(float(q)) for _, q in sorted(p.mass.items()))
+    """Shannon entropy in bits by the library's first formula, float(q)
+    taken twice per atom, with the terms added left to right in sorted-key
+    order."""
+    total = 0
+    for _, q in sorted(p.mass.items()):
+        total += float(q) * math.log2(float(q))
+    return -total
 
 
 def consistent_bag_dists(rng, m, target_size, atoms=6):

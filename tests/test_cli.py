@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,14 +10,14 @@ from fractions import Fraction
 import pytest
 
 import homglue
-from homglue import cli, serialize
+from homglue import cli, graphs, serialize
 from homglue.cli import main
 from homglue.dists import glue_markov_tree, point_mass
-from homglue.fixtures import bundled_strong_fixtures, c4_fixture, write_fixture_dir
+from homglue.fixtures import book, bundled_strong_fixtures, c4_fixture, write_fixture_dir
 from homglue.graphs import Graph, is_connected
 from homglue.sidorenko import associated_distribution
 
-from helpers import all_graphs_reference
+from helpers import all_graphs_reference, seeded_gnm
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -449,6 +450,22 @@ def test_entropy_report_command(fixdir, capsys):
     )
     assert code == 0
     assert doc["rhs_bits"] == "4.000000000000"
+
+
+def test_bound_reports_past_the_hom_search_cap(fixdir, tmp_path, capsys, monkeypatch):
+    # 24^6 candidate maps exceed DEFAULT_HOM_CAP, but the bound report reads
+    # hom(book, G) off the support of the distribution already built
+    g = seeded_gnm(1, 24, 60)
+    target = tmp_path / "g.json"
+    target.write_text(json.dumps(serialize.graph_to_json(g)))
+    decomp = os.path.join(fixdir, "book.json")
+    code, summary = run(capsys, "assoc", decomp, str(target), "--out", str(tmp_path / "d.json"))
+    assert code == 0
+    code, report = run(capsys, "entropy-report", decomp, str(target))
+    assert code == 0
+    monkeypatch.setattr(graphs, "DEFAULT_HOM_CAP", 24**6)
+    log_hom = "%.12f" % math.log2(graphs.hom_count(book(), g))
+    assert summary["bound_report"]["log_hom_bits"] == report["log_hom_bits"] == log_hom
 
 
 def test_entropy_report_invalid_decomposition_exits_1_without_traceback(fixdir):

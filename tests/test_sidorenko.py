@@ -1,9 +1,9 @@
+import gc
 import math
 import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -12,7 +12,7 @@ import pytest
 import homglue
 from homglue import sidorenko
 from homglue.dists import SparseDistribution, entropy, glue_markov_tree, marginal, uniform
-from homglue.graphs import Graph, hom_count, is_homomorphism
+from homglue.graphs import Graph, hom_count, is_homomorphism, isomorphisms_pinned
 from homglue.sidorenko import (
     InvariantViolation,
     associated_distribution,
@@ -209,14 +209,38 @@ def test_non_homomorphic_child_atom_raises_before_gluing(monkeypatch):
 
 
 def test_child_host_missing_a_bag_edge_raises_invariant_violation():
-    # unvalidated: book's second square child loses its edge (2, 3), which
-    # bag (0, 1, 4, 5) sends to host edge (4, 5) and no other bag holds
+    # unvalidated: book's second square child is replaced by a consistent
+    # decomposition of the square less its edge (2, 3), which bag
+    # (0, 1, 4, 5) sends to host edge (4, 5) and no other bag holds
     sd = book_fixture()
-    square = sd.children[1]
-    missing = Graph(4, [e for e in square.host.edges if e != (2, 3)])
-    children = (sd.children[0], replace(square, host=missing))
-    broken = StrongDecomposition(2, sd.host, decomp=sd.decomp, children=children)
+    missing = Graph(4, [(0, 1), (0, 2), (1, 3)])
+    markov = MarkovTree(4, [(0, 1, 2), (0, 1, 3)], [(0, 1)])
+    child = StrongDecomposition(
+        1,
+        missing,
+        decomp=TreeDecomposition(missing, markov),
+        children=(
+            zero_strong(Graph(3, [(0, 1), (0, 2)])),  # H[{0,1,2}]: path 1-0-2
+            zero_strong(Graph(3, [(0, 1), (1, 2)])),  # H[{0,1,3}]: path 0-1-3
+        ),
+    )
+    broken = StrongDecomposition(2, sd.host, decomp=sd.decomp, children=(sd.children[0], child))
     with pytest.raises(InvariantViolation, match=r"^host edge \(4, 5\) is an edge of no"):
+        associated_distribution(broken, k3())
+
+
+def test_child_host_edge_outside_the_host_raises_invariant_violation():
+    # unvalidated: the matching {0-1, 2-3} in one bag whose child is the path
+    # 0-1-2-3 would glue 24 atoms on K3, not its 36 homomorphisms
+    host = Graph(4, [(0, 1), (2, 3)])
+    markov = MarkovTree(4, [(0, 1, 2, 3)])
+    broken = StrongDecomposition(
+        1,
+        host,
+        decomp=TreeDecomposition(host, markov),
+        children=(zero_strong(Graph(4, [(0, 1), (1, 2), (2, 3)])),),
+    )
+    with pytest.raises(InvariantViolation, match=r"^child host edge \(1, 2\) is not a host edge$"):
         associated_distribution(broken, k3())
 
 
@@ -287,6 +311,27 @@ def test_non_homomorphic_atom_raises_under_optimize():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_searches_leave_no_reference_cycle():
+    # a nested function that calls itself holds its own closure cell: a cycle
+    # that outlives the call until the cyclic collector runs
+    calls = {
+        "hom_count": lambda: hom_count(c4(), k3()),
+        "isomorphisms_pinned": lambda: list(isomorphisms_pinned(c4(), c4())),
+        "dropped generator": lambda: next(isomorphisms_pinned(c4(), c4())),
+        "brw_distribution": lambda: brw_distribution(path3(), k3()),
+    }
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for name, call in calls.items():
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_child_smaller_than_its_bag_raises_wrong_arity():
     # the children's laws are re-indexed onto their bags unchecked, but not
     # when a child's host has fewer vertices than its bag
@@ -298,9 +343,20 @@ def test_child_smaller_than_its_bag_raises_wrong_arity():
 
 
 def test_entropy_above_support_bound_raises_invariant_violation(monkeypatch):
-    monkeypatch.setattr(sidorenko, "hom_count", lambda h, g: 1)
-    with pytest.raises(InvariantViolation):
+    # hom(C4, K3) = 18 atoms; an entropy one bit above log2(18) breaks the bound
+    monkeypatch.setattr(sidorenko, "entropy", lambda p: math.log2(18) + 1)
+    with pytest.raises(InvariantViolation, match="^entropy exceeds the support bound$"):
         entropy_bound_report(c4_fixture(), k3())
+
+
+def test_bound_report_runs_no_hom_search(monkeypatch):
+    expected = entropy_bound_report(c4_fixture(), k3())
+
+    def refuse(h, g):
+        raise AssertionError("hom_count called")
+
+    monkeypatch.setattr(sidorenko, "hom_count", refuse)
+    assert entropy_bound_report(c4_fixture(), k3()) == expected
 
 
 def test_projection_consistency_bag_and_full():
