@@ -44,10 +44,10 @@ class SparseDistribution:
     constructor, point_mass, uniform and serialize.distribution_from_json
     check every atom and the total, then store the masses as weights over
     the lcm of their denominators. What the program builds from valid
-    distributions (marginals, couplings, BRW laws, re-indexed children) goes
-    through the unchecked _trusted constructor instead, and each public
-    function checks the total mass of the distribution it returns once
-    (ValueError when it is not exactly 1).
+    distributions (marginals, couplings, level-0 edge laws, re-indexed
+    children) goes through the unchecked _trusted constructor instead, and
+    each public function checks the total mass of the distribution it
+    returns once (ValueError when it is not exactly 1).
     """
 
     index_set: tuple
@@ -149,14 +149,15 @@ def uniform(index_set, target_size, keys):
 
 def _projector(index_set, s):
     """key -> the tuple of key's values at the indices s, in s's order. A bare
-    itemgetter returns a scalar for one position, so that case is wrapped."""
+    itemgetter returns a scalar for one position, so one position and none
+    are slices of the key tuple."""
     positions = [index_set.index(v) for v in s]
     if len(positions) > 1:
         return itemgetter(*positions)
     if positions:
         (i,) = positions
-        return lambda key: (key[i],)
-    return lambda key: ()
+        return itemgetter(slice(i, i + 1))
+    return itemgetter(slice(0))
 
 
 def marginal(p, s):
@@ -221,13 +222,11 @@ def _couple(p12, p23, overlap):
 
     With L the lcm of the overlap's weights, an atom's mass
     p12(y_12) * p23(y_23) / m(y_shared) is w12 * (L // wm) * w23 over the
-    denominator D12 * D23 * L / Dm. Dm divides D12 * D23 * L when the
-    overlap is a marginal of p12, as gluing makes it; otherwise the weights
-    take the factor Dm instead. Each distinct (w12 * (L // wm), y_shared)
-    gets one list of weights, shared by every p12 atom that has it, and the
-    lists are reduced to lowest terms before the atoms are written: the
-    joint holds one int per distinct weight, not one per atom, which keeps
-    its small-object memory at what shared Fractions took.
+    denominator D12 * D23 * L / Dm. Each distinct (w12 * (L // wm),
+    y_shared) gets one list of weights, shared by every p12 atom that has
+    it, and the lists are reduced to lowest terms before the atoms are
+    written: the joint holds one int per distinct weight, not one per atom,
+    which keeps its small-object memory at what shared Fractions took.
     """
     idx12, idx23 = p12.index_set, p23.index_set
     in12 = set(idx12)
@@ -245,13 +244,9 @@ def _couple(p12, p23, overlap):
         by_shared.setdefault(proj23(key23), []).append((tail23(key23), w23))
 
     common = math.lcm(*set(overlap.weight.values()))
-    den = p12.den * p23.den * common
-    if den % overlap.den:
-        scale = overlap.den
-    else:
-        den //= overlap.den
-        scale = 1
-    factor = {sk: common // wm * scale for sk, wm in overlap.weight.items()}
+    # overlap is p12's marginal (gluing makes it so), so Dm divides D12
+    den = p12.den * p23.den * common // overlap.den
+    factor = {sk: common // wm for sk, wm in overlap.weight.items()}
 
     rows = {}
     plan = []

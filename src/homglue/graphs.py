@@ -109,7 +109,8 @@ def bfs(g, roots):
     reach, each vertex's unreached neighbours in ascending order. parent maps
     every reached vertex to the vertex it was reached from, and each root to
     None. This is the one traversal behind connectivity, the line-graph bag
-    tree, the branching random walk, Markov-tree gluing and forests.
+    tree, Markov-tree gluing (the branching random walk is level-0 gluing)
+    and forests.
     """
     parent = dict.fromkeys(roots)
     order = list(parent)
@@ -164,6 +165,12 @@ def hom_count(h, g):
         raise SizeCapExceeded(
             "candidate space %d^%d exceeds cap %d" % (g.n, h.n, DEFAULT_HOM_CAP)
         )
+    # the search recurses once per vertex of h: from two target vertices on,
+    # the default cap bounds that depth (2^27 > 10^8), but 1^|V(h)| passes
+    # any cap, so a one-vertex target (no edge: only an edgeless h maps to
+    # it) is answered here
+    if g.n == 1:
+        return int(not h.edges)
     # earlier[v] = neighbors of v in h with smaller index (already assigned)
     earlier = [[u for u in h.neighbors(v) if u < v] for v in range(h.n)]
     return _count(0, h.n - 1, earlier, g._adj, range(g.n), [0] * h.n)

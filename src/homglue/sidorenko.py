@@ -1,7 +1,8 @@
-"""Distributions on homomorphism sets built from strong decompositions, and
-the desk-scale verification suite around Sidorenko's property: degree
-condition, forest homomorphism bound, entropy chain, and the brute-force
-density gap.
+"""Distributions on homomorphism sets glued along strong decompositions, one
+gluing path at every level (level 0, the branching random walk, glues the
+uniform ordered-edge laws on a tree's edges), and the desk-scale
+verification suite around Sidorenko's property: degree condition, forest
+homomorphism bound, entropy chain, and the brute-force density gap.
 """
 
 import math
@@ -9,8 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dists import SparseDistribution, entropy, first_difference, glue_markov_tree, marginal
-from .graphs import bfs, hom_count, is_forest, is_homomorphism, is_tree, max_degree, vertex_set
-from .strong import minimum_subdecomposition, strong_isomorphism
+from .graphs import hom_count, is_forest, is_homomorphism, is_tree, max_degree, vertex_set
+from .strong import minimum_subdecomposition, strong_isomorphism, zero_strong
 
 
 class InvariantViolation(ValueError):
@@ -38,70 +39,38 @@ class BoundReport:
 def brw_distribution(t, g):
     """Tree-indexed branching random walk distribution on Hom(t, g).
 
-    The lexicographically smallest edge (r0, r1) of t lands on a uniformly
-    random ordered edge of g; every remaining vertex, attached in the order
-    of the breadth-first walk graphs.bfs(t, [r0, r1]), steps to a uniformly
-    random neighbor of its walk parent's image. Every edge of t then has
-    the uniform ordered-edge marginal, which is what makes these
-    distributions gluable. The atoms are built without validation and their
-    total mass is checked once.
+    The lexicographically smallest edge of t lands on a uniformly random
+    ordered edge of g and every other vertex steps to a uniformly random
+    neighbour of its walk parent's image, so every edge of t has the uniform
+    ordered-edge marginal, which is what makes these distributions gluable.
+    This is level-0 gluing: the associated distribution of zero_strong(t),
+    the uniform ordered-edge laws on t's edges glued along its line-graph
+    bag tree (every valid bag tree over t's edges gives the same law).
     """
     if not is_tree(t) or t.num_edges() == 0:
         raise ValueError("source must be a tree with at least one edge")
     if g.num_edges() == 0:
         raise ValueError("target has no edges")
-
-    r0, r1 = t.edges[0]
-    order, parent = bfs(t, [r0, r1])
-    order = order[2:]
-
-    # an atom's mass is 1 / (2e(g) * d), d the product of the degrees of its
-    # attached vertices' parent images: with L the lcm of the distinct d, its
-    # weight is L // d over the one denominator 2e(g) * L, in lowest terms
-    # since each prime's highest power in L divides some d
-    prod = {}
-    img = [-1] * t.n
-    for a, b in g.edges:
-        for x, y in ((a, b), (b, a)):
-            img[r0], img[r1] = x, y
-            _attach(0, 1, order, parent, g, img, prod)
-    distinct = set(prod.values())
-    common = math.lcm(*distinct)
-    share = {d: common // d for d in distinct}
-    weight = {key: share[d] for key, d in prod.items()}
-    den = 2 * g.num_edges() * common
-    return SparseDistribution._trusted(tuple(range(t.n)), g.n, weight, den)._check_total()
-
-
-def _attach(i, d, order, parent, g, img, prod):
-    """Record in prod every walk extending img, which places the roots and
-    order[:i], with the product of its parent images' degrees, d so far."""
-    if i == len(order):
-        prod[tuple(img)] = d
-        return
-    w = order[i]
-    pv = img[parent[w]]
-    d *= g.degree(pv)
-    for z in g.neighbors(pv):
-        img[w] = z
-        _attach(i + 1, d, order, parent, g, img, prod)
-    img[w] = -1
+    return associated_distribution(zero_strong(t), g).dist
 
 
 def associated_distribution(sd, g):
     """The level-k distribution on Hom(host(sd), g).
 
-    Level 0 is the branching random walk; level k glues the per-bag
-    level-(k-1) distributions along the decomposition's Markov tree, which
-    raises MarginalMismatch unless they agree exactly across every tree
-    edge. Equal children (equal StrongDecomposition values) are built once
-    per call.
+    Every level glues one law per bag along the decomposition's Markov
+    tree, which raises MarginalMismatch unless they agree exactly across
+    every tree edge. At level 0 each bag is a host edge carrying the uniform
+    law on g's ordered edges, which glue to the branching random walk (see
+    brw_distribution); at level k each bag carries its child's level-(k-1)
+    distribution. Equal children (equal StrongDecomposition values) are
+    built once per call.
 
     The support is checked on the bags, not on the result. Before a level is
     glued, every atom of each distinct child's distribution must be a
     homomorphism of that child's host, every host vertex must lie in a bag,
-    and the children's host edges, placed on their bags, must be exactly the
-    host's edges; InvariantViolation otherwise. Gluing reproduces each bag's
+    and the bags' edges (a level-0 bag is itself one edge; a level-k bag
+    holds its child's host edges, placed on it) must be exactly the host's
+    edges; InvariantViolation otherwise. Gluing reproduces each bag's
     distribution as the result's marginal on that bag, so the support of the
     result is then all of Hom(host(sd), g) (see _require_cover). Any failure
     means the decomposition (or this code) is broken.
@@ -115,19 +84,24 @@ def _build(sd, g, built):
     """sd's distribution on Hom(sd.host, g). built maps each child already
     built in this call to its distribution, which a child equal to it
     reuses; _build depends on (sd, g) alone, so reuse changes nothing."""
-    if sd.level == 0:
-        return brw_distribution(sd.host, g)
     m = sd.decomp.markov
-    bag_dists = []
-    for bag, child in zip(m.bags, sd.children):
-        law = built.get(child)
-        fresh = law is None
-        if fresh:
-            law = built[child] = _build(child, g, built)
-        p = _reindex(law, bag)
-        if fresh:
-            _require_homs(child.host, g, p)
-        bag_dists.append(p)
+    if sd.level == 0:
+        # the uniform law on g's ordered edges, one dict shared by every bag;
+        # _require_cover then makes every bag a host edge
+        steps = {key: 1 for a, b in g.edges for key in ((a, b), (b, a))}
+        den = 2 * g.num_edges()
+        bag_dists = [SparseDistribution._trusted(bag, g.n, steps, den) for bag in m.bags]
+    else:
+        bag_dists = []
+        for bag, child in zip(m.bags, sd.children):
+            law = built.get(child)
+            fresh = law is None
+            if fresh:
+                law = built[child] = _build(child, g, built)
+            p = _reindex(law, bag)
+            if fresh:
+                _require_homs(child.host, g, p)
+            bag_dists.append(p)
     _require_cover(sd)
     return glue_markov_tree(m, bag_dists)
 
@@ -150,19 +124,24 @@ def _require_homs(h, g, p):
 
 def _require_cover(sd):
     """InvariantViolation unless every vertex of sd.host lies in a bag and
-    the children's host edges, each (a, b) placed as (bag[a], bag[b]), are
-    exactly the edges of sd.host. A joint atom is then a homomorphism of
+    the placed child edges are exactly the edges of sd.host: at level 0 the
+    bags themselves, at level k the children's host edges, each (a, b)
+    placed as (bag[a], bag[b]). A joint atom is then a homomorphism of
     sd.host exactly when its projection on every bag is one of that bag's
-    child host; as gluing keeps exactly those atoms whose projections all
-    lie in the bag supports, a support of all of Hom(child host, g) on every
-    bag (as the branching random walk has) glues to all of Hom(sd.host, g)."""
+    child host (at level 0, K2 on the bag); as gluing keeps exactly those
+    atoms whose projections all lie in the bag supports, a support of all of
+    Hom(child host, g) on every bag (as the uniform ordered-edge law has on
+    K2) glues to all of Hom(sd.host, g)."""
     m = sd.decomp.markov
     uncovered = set(range(sd.host.n)).difference(*m.bags)
     if uncovered:
         raise InvariantViolation("host vertex %d lies in no bag" % min(uncovered))
-    placed = set()
-    for bag, child in zip(m.bags, sd.children):
-        placed.update((bag[a], bag[b]) for a, b in child.host.edges)
+    if sd.level == 0:
+        placed = set(m.bags)
+    else:
+        placed = set()
+        for bag, child in zip(m.bags, sd.children):
+            placed.update((bag[a], bag[b]) for a, b in child.host.edges)
     missing = set(sd.host.edges) - placed
     if missing:
         raise InvariantViolation("host edge %s is an edge of no bag's child host" % (min(missing),))

@@ -16,6 +16,7 @@ from homglue.dists import glue_markov_tree, point_mass
 from homglue.fixtures import book, bundled_strong_fixtures, c4_fixture, write_fixture_dir
 from homglue.graphs import Graph, is_connected
 from homglue.sidorenko import associated_distribution
+from homglue.strong import zero_strong
 
 from helpers import all_graphs_reference, seeded_gnm
 
@@ -466,6 +467,21 @@ def test_bound_reports_past_the_hom_search_cap(fixdir, tmp_path, capsys, monkeyp
     monkeypatch.setattr(graphs, "DEFAULT_HOM_CAP", 24**6)
     log_hom = "%.12f" % math.log2(graphs.hom_count(book(), g))
     assert summary["bound_report"]["log_hom_bits"] == report["log_hom_bits"] == log_hom
+
+
+def test_entropy_report_on_a_long_level0_path(tmp_path, capsys):
+    # a path on 1 100 vertices is glued bag by bag, with no recursion per
+    # vertex; on K2 its law is the two alternating maps, each of mass 1/2
+    path = Graph(1100, [(v, v + 1) for v in range(1099)])
+    decomp = tmp_path / "path.json"
+    decomp.write_text(json.dumps(serialize.strong_to_json(zero_strong(path))))
+    target = tmp_path / "k2.json"
+    target.write_text(json.dumps(serialize.graph_to_json(Graph(2, [(0, 1)]))))
+    code, report = run(capsys, "entropy-report", str(decomp), str(target))
+    assert code == 0
+    for field in ("entropy_bits", "rhs_bits", "log_hom_bits"):
+        assert report[field] == "1.000000000000", field
+    assert report["sidorenko_gap"] == {"num": "0", "den": "1"}
 
 
 def test_entropy_report_invalid_decomposition_exits_1_without_traceback(fixdir):

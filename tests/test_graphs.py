@@ -27,6 +27,7 @@ from helpers import (
     canonical_dedup_graphs,
     forest_reference,
     random_graph,
+    small_trees,
 )
 
 
@@ -256,6 +257,15 @@ def test_hom_count_matches_brute_force():
     for h in hosts:
         for g in (Graph(1), Graph(3), k3(), _random_graph(rng, rng.randint(1, 6))):
             assert hom_count(h, g) == len(brute_force_homs(h, g)), (h, g)
+
+
+def test_hom_count_on_a_one_vertex_target():
+    # 1^1500 candidate maps pass the cap; the search would recurse once per
+    # source vertex
+    assert hom_count(Graph(1500), Graph(1)) == 1
+    assert hom_count(Graph(1500, [(1498, 1499)]), Graph(1)) == 0
+    for h in small_trees(5) + [Graph(3), Graph(3, [(0, 2)])]:
+        assert hom_count(h, Graph(1)) == len(brute_force_homs(h, Graph(1))), h
 
 
 def test_all_graphs_match_canonical_dedup():

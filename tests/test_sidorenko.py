@@ -38,7 +38,13 @@ from homglue.fixtures import (
     star,
 )
 
-from helpers import associated_reference, random_graph, small_trees, spanning_trees
+from helpers import (
+    associated_reference,
+    brw_reference,
+    random_graph,
+    small_trees,
+    spanning_trees,
+)
 
 
 def test_brw_k2_on_k3_is_uniform_ordered_edges():
@@ -89,18 +95,22 @@ def test_brw_edge_marginals_uniform():
 
 def test_brw_is_gluing_along_every_spanning_tree_of_the_line_graph():
     # the level-0 statement: BRW is the gluing of uniform ordered-edge laws
-    # on t's edges along any valid bag tree over them
+    # on t's edges along any valid bag tree over them, which is what level 0
+    # of associated_distribution glues along the decomposition's own tree
     targets = [k3(), Graph(4, [(0, 1), (1, 2), (1, 3), (2, 3)])]
     checked = 0
     for t in small_trees(6):
+        walks = [brw_reference(t, g) for g in targets]
         for st in spanning_trees(line_graph(t)):
             m = MarkovTree(t.n, t.edges, st)
             if not validate_markov_tree(m).ok:
                 continue
-            for g in targets:
+            sd = StrongDecomposition(0, t, TreeDecomposition(t, m))
+            for g, walk in zip(targets, walks):
                 ordered = [(a, b) for a, b in g.edges] + [(b, a) for a, b in g.edges]
                 laws = [uniform(bag, g.n, ordered) for bag in m.bags]
-                assert glue_markov_tree(m, laws) == brw_distribution(t, g)
+                assert glue_markov_tree(m, laws) == walk
+                assert associated_distribution(sd, g).dist == walk
             checked += 1
     assert checked == 183
 
@@ -116,7 +126,7 @@ def test_associated_distribution_level0_is_brw():
     from homglue.fixtures import path_fixture
 
     ad = associated_distribution(path_fixture(), k3())
-    assert ad.dist == brw_distribution(path3(), k3())
+    assert ad.dist == brw_reference(path3(), k3())
 
 
 def test_associated_c4_on_k3():
@@ -170,13 +180,14 @@ def test_associated_matches_reference_and_counts_homs():
 
 def test_each_distinct_child_is_built_once(monkeypatch):
     calls = []
-    brw = sidorenko.brw_distribution
+    build = sidorenko._build
 
-    def counted(t, g):
-        calls.append(t)
-        return brw(t, g)
+    def counted(sd, g, built):
+        if sd.level == 0:
+            calls.append(sd)
+        return build(sd, g, built)
 
-    monkeypatch.setattr(sidorenko, "brw_distribution", counted)
+    monkeypatch.setattr(sidorenko, "_build", counted)
     # book's two level-1 children are equal, c4's two level-0 children differ
     for sd in (book_fixture(), c4_fixture()):
         calls.clear()
@@ -185,11 +196,14 @@ def test_each_distinct_child_is_built_once(monkeypatch):
 
 
 def test_non_homomorphic_child_atom_raises_before_gluing(monkeypatch):
-    brw = sidorenko.brw_distribution
+    build = sidorenko._build
 
-    def with_bad_atom(t, g):
+    def with_bad_atom(sd, g, built):
+        if sd.level:
+            return build(sd, g, built)
         # move the first atom's mass to a copy sending t's first edge to a loop
-        p = brw(t, g)
+        t = sd.host
+        p = brw_reference(t, g)
         mass = dict(p.mass)
         key = next(iter(mass))
         q = mass.pop(key)
@@ -201,7 +215,7 @@ def test_non_homomorphic_child_atom_raises_before_gluing(monkeypatch):
     def no_gluing(m, bag_dists):
         raise AssertionError("glued a law with a non-homomorphism atom")
 
-    monkeypatch.setattr(sidorenko, "brw_distribution", with_bad_atom)
+    monkeypatch.setattr(sidorenko, "_build", with_bad_atom)
     monkeypatch.setattr(sidorenko, "glue_markov_tree", no_gluing)
     for sd in (c4_fixture(), book_fixture()):
         with pytest.raises(InvariantViolation, match="is not a homomorphism"):
@@ -241,6 +255,16 @@ def test_child_host_edge_outside_the_host_raises_invariant_violation():
         children=(zero_strong(Graph(4, [(0, 1), (1, 2), (2, 3)])),),
     )
     with pytest.raises(InvariantViolation, match=r"^child host edge \(1, 2\) is not a host edge$"):
+        associated_distribution(broken, k3())
+
+
+def test_level0_bag_off_the_host_edges_raises_invariant_violation():
+    # unvalidated: path 0-1-2 with bags (0, 1) and (0, 2); the level-0 bags
+    # are the placed edges, so host edge (1, 2) lies in no bag
+    host = path3()
+    markov = MarkovTree(3, [(0, 1), (0, 2)], [(0, 1)])
+    broken = StrongDecomposition(0, host, TreeDecomposition(host, markov))
+    with pytest.raises(InvariantViolation, match=r"^host edge \(1, 2\) is an edge of no"):
         associated_distribution(broken, k3())
 
 
