@@ -29,6 +29,13 @@ class Graph:
     structurally equal graphs compare (and hash) equal. The ascending
     neighbour tuple of every vertex is built once here and kept outside the
     dataclass fields, so it takes no part in equality or hashing.
+
+    Graphs are validated where they enter the program: this constructor
+    checks the vertex count and every edge, and canonicalizes the edges.
+    What the program derives from valid graphs (induced subgraphs, among
+    them the bag trees of retractions, and line graphs) goes through the
+    unchecked _trusted constructor instead; only this module and markov.py
+    call it.
     """
 
     n: int
@@ -45,7 +52,18 @@ class Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError("edge (%d,%d) out of range for n=%d" % (u, v, n))
             canon.add((min(u, v), max(u, v)))
-        edges = tuple(sorted(canon))
+        self._fill(n, tuple(sorted(canon)))
+
+    @classmethod
+    def _trusted(cls, n, edges):
+        """A graph from parts that are valid by construction: n >= 0 and a
+        sorted tuple of distinct pairs (u, v) with 0 <= u < v < n. Nothing is
+        checked; only the adjacency is built."""
+        g = object.__new__(cls)
+        g._fill(n, edges)
+        return g
+
+    def _fill(self, n, edges):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
         adj = [[] for _ in range(n)]
@@ -94,12 +112,19 @@ def induced_subgraph(g, s):
     """Induced subgraph of g on vertex set s, relabeled to 0..|s|-1.
 
     Returns (subgraph, relabeling) where relabeling[i] is the vertex of g
-    that became vertex i. The relabeling is monotone (s is sorted).
+    that became vertex i. The relabeling is monotone (s is sorted). The
+    edges are read off the kept vertices' ascending neighbour tuples, which
+    gives them in sorted order at a cost of the kept degrees, and the
+    subgraph is built through the trusted constructor. A vertex outside g
+    is a ValueError.
     """
     s = vertex_set(s, g.n)
     pos = {v: i for i, v in enumerate(s)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges if u in pos and v in pos]
-    return Graph(len(s), edges), s
+    adj = g._adj
+    edges = tuple(
+        (i, pos[w]) for i, v in enumerate(s) for w in adj[v] if w > v and w in pos
+    )
+    return Graph._trusted(len(s), edges), s
 
 
 def bfs(g, roots):
@@ -204,11 +229,14 @@ def isomorphisms(h1, h2, allowed):
     a single image for each vertex it lists.
 
     Backtracks over the vertices of allowed first, in its order, each trying
-    its allowed images, then over the other vertices of h1 ascending, each
-    trying the vertices of h2 ascending. A candidate is taken when it is
-    unused, has the same degree and has the same adjacency to every image
-    already placed, so an allowed image that no isomorphism can use yields
-    nothing. A vertex or an image outside its graph is a ValueError.
+    its allowed images, then over the other vertices of h1 ascending. Such a
+    vertex with a neighbour placed before it tries the neighbours of that
+    neighbour's image, ascending (any other image would break adjacency);
+    one without tries the vertices of h2 ascending. A candidate is taken
+    when it is unused, has the same degree and has the same adjacency to
+    every image already placed, so an allowed image that no isomorphism can
+    use yields nothing. A vertex or an image outside its graph is a
+    ValueError.
     """
     if h1.n != h2.n or h1.num_edges() != h2.num_edges():
         return
@@ -216,9 +244,16 @@ def isomorphisms(h1, h2, allowed):
         return
     if not all(0 <= v < h1.n and all(0 <= w < h2.n for w in ws) for v, ws in allowed.items()):
         raise ValueError("pin out of range")
+    # a step (v, candidates, anchor) draws v's images from candidates, or,
+    # when anchor is a placed neighbour of v, from the neighbours of its image
+    steps = [(v, ws, None) for v, ws in allowed.items()]
+    placed = set(allowed)
     everywhere = range(h2.n)
-    steps = list(allowed.items())
-    steps += [(v, everywhere) for v in range(h1.n) if v not in allowed]
+    for v in range(h1.n):
+        if v not in placed:
+            anchor = next((u for u in h1._adj[v] if u in placed), None)
+            steps.append((v, everywhere, anchor))
+            placed.add(v)
     yield from _extend(0, steps, h1._adj, h2._adj, [-1] * h1.n, [False] * h2.n)
 
 
@@ -229,7 +264,9 @@ def _extend(i, steps, adj1, adj2, img, used):
     if i == len(steps):
         yield tuple(img)
         return
-    v, candidates = steps[i]
+    v, candidates, anchor = steps[i]
+    if anchor is not None:
+        candidates = adj2[img[anchor]]
     for w in candidates:
         if not used[w] and _fits(adj1[v], adj2[w], img):
             img[v] = w

@@ -33,6 +33,11 @@ class MarkovTree:
     tree edge is refused as it is for any Graph and tree is its sorted edge
     tuple. bag_tree lives outside the dataclass fields, so equality and
     hashing stay on (ground_size, bags, tree).
+
+    This constructor checks and normalizes every bag and tree edge; it is
+    the one for Markov trees that enter the program. A retraction, derived
+    from a valid tree decomposition, goes through the unchecked _trusted
+    constructor instead; only this module calls it.
     """
 
     ground_size: int
@@ -45,7 +50,18 @@ class MarkovTree:
         if not bags:
             raise ValueError("at least one bag is required")
         bags = tuple(vertex_set(b, ground_size) for b in bags)
-        bag_tree = Graph(len(bags), tree)
+        self._fill(ground_size, bags, Graph(len(bags), tree))
+
+    @classmethod
+    def _trusted(cls, ground_size, bags, bag_tree):
+        """A Markov tree from parts that are valid by construction: a
+        nonempty tuple of ascending tuples over 0..ground_size-1 and a Graph
+        on the bag indices. Nothing is checked."""
+        m = object.__new__(cls)
+        m._fill(ground_size, bags, bag_tree)
+        return m
+
+    def _fill(self, ground_size, bags, bag_tree):
         object.__setattr__(self, "ground_size", ground_size)
         object.__setattr__(self, "bags", bags)
         object.__setattr__(self, "tree", bag_tree.edges)
@@ -82,18 +98,39 @@ def validate_markov_tree(m):
 
     Violation kinds: "tree-structure", "uncovered-element",
     "running-intersection" (witness: {a, b, c, element}).
+
+    On a tree, the bags holding an element induce a forest, connected
+    exactly when they span one bag-tree edge fewer than their number. One
+    pass over the bags and the tree edges counts that for every element;
+    only when some element's bags fall apart are the witnesses searched
+    for, pair by pair of bags.
     """
     report = ValidationReport()
     k = m.num_bags()
     if not is_tree(m.bag_tree):
         report.add("tree-structure", {"num_bags": k, "tree": list(m.tree)})
         return report
-    covered = set()
+    # parts[v]: bags holding v less the tree edges both of whose bags hold v
+    parts = [0] * m.ground_size
     for b in m.bags:
-        covered.update(b)
-    for v in range(m.ground_size):
-        if v not in covered:
+        for v in b:
+            parts[v] += 1
+    for v, count in enumerate(parts):
+        if not count:
             report.add("uncovered-element", {"element": v})
+    for i, j in m.tree:
+        for v in set(m.bags[i]).intersection(m.bags[j]):
+            parts[v] -= 1
+    if max(parts, default=0) > 1:
+        _running_intersection_witnesses(m, report)
+    return report
+
+
+def _running_intersection_witnesses(m, report):
+    """Add to report, for each pair of bags a < b sharing elements, every
+    bag c strictly inside the a-b path, from a's end, that misses a shared
+    element."""
+    k = m.num_bags()
     # toward[b][c]: the next bag on the tree path from c to b, by the walk
     # from b; a path in a tree is unique
     toward = [bfs(m.bag_tree, [b])[1] for b in range(k)]
@@ -110,15 +147,18 @@ def validate_markov_tree(m):
                     {"a": a, "b": b, "c": c, "element": min(missing)},
                 )
             c = toward[b][c]
-    return report
 
 
 def validate_tree_decomposition(d):
-    """Markov-tree validation plus edge coverage of the host graph."""
+    """Markov-tree validation plus edge coverage of the host graph: an edge
+    is covered when the bags holding its two ends meet."""
     report = validate_markov_tree(d.markov)
-    bag_sets = [set(b) for b in d.markov.bags]
+    holding = [set() for _ in range(d.host.n)]
+    for i, b in enumerate(d.markov.bags):
+        for v in b:
+            holding[v].add(i)
     for u, v in d.host.edges:
-        if not any(u in b and v in b for b in bag_sets):
+        if holding[u].isdisjoint(holding[v]):
             report.add("uncovered-edge", {"edge": [u, v]})
     return report
 
@@ -220,6 +260,10 @@ def retraction(d, keep):
     to 0..m-1, and relabeling[i] = original vertex. Bags are reindexed in
     ascending order of their original indices. A kept family that is not a
     subtree raises NotASubtree, and a bag index out of range ValueError.
+
+    The relabeling is monotone, so the relabeled bags stay ascending, and
+    the kept bag tree is already a Graph on the new bag indices: the Markov
+    tree is built through the trusted constructor, unchecked.
     """
     kept_tree, keep = induced_subgraph(d.markov.bag_tree, keep)
     if kept_tree.n == 0 or not is_connected(kept_tree):
@@ -229,18 +273,22 @@ def retraction(d, keep):
         union.update(d.markov.bags[i])
     sub_host, relabel = induced_subgraph(d.host, union)
     pos = {v: i for i, v in enumerate(relabel)}
-    bags = [tuple(pos[v] for v in d.markov.bags[i]) for i in keep]
-    markov = MarkovTree(sub_host.n, bags, kept_tree.edges)
+    bags = tuple(tuple(pos[v] for v in d.markov.bags[i]) for i in keep)
+    markov = MarkovTree._trusted(sub_host.n, bags, kept_tree)
     return TreeDecomposition(sub_host, markov), relabel
 
 
 def line_graph(t):
-    """Line graph of t: one vertex per edge, adjacency = shared endpoint."""
-    edges = []
-    for i, j in combinations(range(t.num_edges()), 2):
-        if set(t.edges[i]) & set(t.edges[j]):
-            edges.append((i, j))
-    return Graph(t.num_edges(), edges)
+    """Line graph of t: one vertex per edge, adjacency = shared endpoint.
+
+    Pairs the edges around each vertex; two edges of a simple graph share at
+    most one endpoint, so every pair comes out once."""
+    incident = [[] for _ in range(t.n)]
+    for i, (u, v) in enumerate(t.edges):
+        incident[u].append(i)
+        incident[v].append(i)
+    edges = sorted(pair for ids in incident for pair in combinations(ids, 2))
+    return Graph._trusted(t.num_edges(), tuple(edges))
 
 
 def line_graph_markov_tree(t):

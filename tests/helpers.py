@@ -156,6 +156,17 @@ def bfs_reference(g, roots):
     return order, parent
 
 
+def line_graph_reference(t):
+    """Line graph of t by testing every pair of edges for a shared endpoint,
+    built through the validating Graph constructor."""
+    pairs = [
+        (i, j)
+        for i, j in combinations(range(t.num_edges()), 2)
+        if set(t.edges[i]) & set(t.edges[j])
+    ]
+    return Graph(t.num_edges(), pairs)
+
+
 def running_intersection_reference(m):
     """The violations validate_markov_tree reports, in its order: a bag tree
     that is not a tree (edge count, then a walk from bag 0), else every

@@ -228,6 +228,14 @@ def test_isomorphisms_pinned_match_brute_force_in_order():
         found += bool(expected)
         inconsistent += bool(not expected and brute_force_isomorphisms(h1, h2, {}))
     assert found > 100 and inconsistent > 20 and non_injective > 20
+    # disconnected, one pin: a vertex with no neighbour placed before it (0
+    # under the first pin, 3 under every pin but the first) tries every
+    # vertex of h2
+    h1 = Graph(6, [(0, 1), (1, 2), (3, 4), (5, 4)])
+    h2 = Graph(6, [(0, 5), (1, 3), (2, 3), (4, 5)])
+    for pin in ({4: 3}, {1: 5}, {2: 0}):
+        expected = brute_force_isomorphisms(h1, h2, pin)
+        assert expected and list(isomorphisms_pinned(h1, h2, pin)) == expected
 
 
 @pytest.mark.parametrize("pin", [{4: 0}, {0: 4}, {-1: 0}, {0: -1}])

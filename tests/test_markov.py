@@ -77,23 +77,30 @@ def test_validate_cycle_with_one_bag_left_out():
 
 
 def test_validation_reports_match_the_reference_on_random_bag_trees():
-    # mostly invalid: random bags on random trees, some bag trees not trees
+    # random bags on random trees, mostly invalid, some bag trees not trees;
+    # a quarter of the draws are valid Markov trees
     rng = random.Random(37)
     kinds = set()
+    valid = 0
     for _ in range(400):
-        k = rng.randint(1, 9)
+        k = rng.randint(1, 12)
         ground = rng.randint(1, 7)
-        if rng.random() < 0.8:
-            tree = [(rng.randrange(i), i) for i in range(1, k)]
+        if rng.random() < 0.25:
+            m = random_markov_tree(rng, k, ground)
         else:
-            tree = rng.sample(list(combinations(range(k), 2)), rng.randint(0, k - 1 + (k > 2)))
-        bags = [[v for v in range(ground) if rng.random() < 0.4] for _ in range(k)]
-        m = MarkovTree(ground, bags, tree)
+            if rng.random() < 0.8:
+                tree = [(rng.randrange(i), i) for i in range(1, k)]
+            else:
+                tree = rng.sample(list(combinations(range(k), 2)), rng.randint(0, k - 1 + (k > 2)))
+            bags = [[v for v in range(ground) if rng.random() < 0.4] for _ in range(k)]
+            m = MarkovTree(ground, bags, tree)
         report = validate_markov_tree(m)
         assert report.violations == running_intersection_reference(m)
         assert report.ok == (not report.violations)
         kinds.update(v["kind"] for v in report.violations)
+        valid += report.ok
     assert kinds == {"tree-structure", "uncovered-element", "running-intersection"}
+    assert 100 < valid < 200, valid  # valid and invalid trees both drawn
 
 
 def test_bag_neighbors_match_a_scan_of_the_tree():
