@@ -12,7 +12,6 @@ from homglue import (
     SparseDistribution,
     entropy,
     glue_markov_tree,
-    junction_factorization,
     marginal,
 )
 from fractions import Fraction
@@ -37,8 +36,16 @@ def main():
     print("sum H(bag) - H(overlap) = %.10f bits" % rhs)
     print("log2(12) = %.10f bits" % math.log2(12))
 
-    closed_form = junction_factorization(m, [p01, p12])
-    print("closed form agrees atom-for-atom:", closed_form == joint)
+    # the junction factorization q(y) = p01(y0, y1) p12(y1, y2) / m(y1) on
+    # every triple that both bag laws allow
+    m1 = marginal(p01, (1,)).mass
+    closed_form = {
+        (y0, y1, y2): p01.mass[y0, y1] * p12.mass[y1, y2] / m1[(y1,)]
+        for (y0, y1) in p01.mass
+        for (z1, y2) in p12.mass
+        if z1 == y1
+    }
+    print("closed form agrees atom-for-atom:", closed_form == dict(joint.mass))
 
 
 if __name__ == "__main__":

@@ -14,8 +14,6 @@ from .graphs import (
 from .markov import (
     MarkovTree,
     TreeDecomposition,
-    bags_containing,
-    helly_intersection,
     line_graph_markov_tree,
     minimum_covering_subfamily,
     retraction,
@@ -37,7 +35,6 @@ from .dists import (
     entropy,
     glue_markov_tree,
     glue_pair,
-    junction_factorization,
     marginal,
 )
 from .sidorenko import (

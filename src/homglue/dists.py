@@ -41,7 +41,7 @@ class SparseDistribution:
     on each read.
 
     Distributions are validated where they enter the program: this
-    constructor, point_mass, uniform and serialize.distribution_from_json
+    constructor, uniform and serialize.distribution_from_json
     check every atom and the total, then store the masses as weights over
     the lcm of their denominators. What the program builds from valid
     distributions (marginals, couplings, level-0 edge laws, re-indexed
@@ -128,10 +128,6 @@ class SparseDistribution:
 
     def __hash__(self):
         return hash((self.index_set, self.target_size, self.den, frozenset(self.weight.items())))
-
-
-def point_mass(index_set, target_size, key):
-    return SparseDistribution(index_set, target_size, {tuple(key): Fraction(1)})
 
 
 def uniform(index_set, target_size, keys):
@@ -378,41 +374,3 @@ def glue_markov_tree(m, bag_dists):
         joint = _couple(joint, bag_dists[child], overlap)
         glued.update(m.bags[child])
     return joint._check_total()
-
-
-def junction_factorization(m, bag_dists):
-    """Closed-form joint: q(y) = prod_F p_F(y_F) / prod_AB m_AB(y_overlap).
-
-    Built by joining bag supports directly, independent of the pairwise
-    gluing path, and through the validating constructor; agrees with
-    glue_markov_tree atom-for-atom on valid input.
-    """
-    agreed = _agreed_marginals(m, bag_dists)
-
-    ground = vertex_set(v for bag in m.bags for v in bag)
-    # join supports: partial assignments as dicts keyed on ground elements
-    partials = [{}]
-    for i, bag in enumerate(m.bags):
-        joined = []
-        for part in partials:
-            for key in sorted(bag_dists[i].weight):
-                assign = dict(zip(bag, key))
-                if all(part.get(v, assign[v]) == assign[v] for v in assign):
-                    merged = dict(part)
-                    merged.update(assign)
-                    joined.append(merged)
-        partials = joined
-
-    out = {}
-    target_size = bag_dists[0].target_size
-    bag_masses = [d.mass for d in bag_dists]
-    edge_masses = [(em.index_set, em.mass) for em in agreed.values()]
-    for part in partials:
-        q = Fraction(1)
-        for bag, mass in zip(m.bags, bag_masses):
-            q *= mass[tuple(part[v] for v in bag)]
-        for shared, mass in edge_masses:
-            q /= mass[tuple(part[v] for v in shared)]
-        key = tuple(part[v] for v in ground)
-        out[key] = out.get(key, Fraction(0)) + q
-    return SparseDistribution(ground, target_size, out)

@@ -1,6 +1,6 @@
-"""Markov trees over a ground set, tree decompositions of graphs, and the
-subtree machinery built on them: bags containing a vertex, Helly witnesses,
-minimum covering subfamilies, retractions, and the line-graph base case.
+"""Markov trees over a ground set, tree decompositions of graphs, and what
+strong decompositions need of them: validation with witnesses, minimum
+covering subfamilies, retractions, and the line-graph base case.
 """
 
 from dataclasses import dataclass, field
@@ -103,7 +103,7 @@ def validate_markov_tree(m):
     exactly when they span one bag-tree edge fewer than their number. One
     pass over the bags and the tree edges counts that for every element;
     only when some element's bags fall apart are the witnesses searched
-    for, pair by pair of bags.
+    for, pair by pair of the bags holding such elements.
     """
     report = ValidationReport()
     k = m.num_bags()
@@ -121,32 +121,46 @@ def validate_markov_tree(m):
     for i, j in m.tree:
         for v in set(m.bags[i]).intersection(m.bags[j]):
             parts[v] -= 1
-    if max(parts, default=0) > 1:
-        _running_intersection_witnesses(m, report)
+    split = {v for v, count in enumerate(parts) if count > 1}
+    if split:
+        _running_intersection_witnesses(m, report, split)
     return report
 
 
-def _running_intersection_witnesses(m, report):
+def _running_intersection_witnesses(m, report, split):
     """Add to report, for each pair of bags a < b sharing elements, every
     bag c strictly inside the a-b path, from a's end, that misses a shared
-    element."""
-    k = m.num_bags()
-    # toward[b][c]: the next bag on the tree path from c to b, by the walk
-    # from b; a path in a tree is unique
-    toward = [bfs(m.bag_tree, [b])[1] for b in range(k)]
-    for a, b in combinations(range(k), 2):
-        shared = set(m.bags[a]) & set(m.bags[b])
-        if not shared:
-            continue
-        c = toward[b][a]
-        while c != b:
-            missing = shared - set(m.bags[c])
+    element.
+
+    Only a split element, one whose bags fall apart, can be missed: the
+    bags holding any other element form a subtree, which holds the path
+    between two of them. So only the pairs of bags sharing a split element
+    are walked, in order, and only their shared split elements compared.
+    Each path climbs from both ends along the one walk from bag 0.
+    """
+    order, parent = bfs(m.bag_tree, [0])
+    rank = {c: i for i, c in enumerate(order)}  # a bag ranks after its parent
+    holders = {}  # split element -> the bags holding it, ascending
+    for i, bag in enumerate(m.bags):
+        for v in split.intersection(bag):
+            holders.setdefault(v, []).append(i)
+    pairs = {pair for bags in holders.values() for pair in combinations(bags, 2)}
+    for a, b in sorted(pairs):
+        shared = split.intersection(m.bags[a], m.bags[b])
+        from_a, from_b = [a], [b]
+        while from_a[-1] != from_b[-1]:
+            if rank[from_a[-1]] > rank[from_b[-1]]:
+                from_a.append(parent[from_a[-1]])
+            else:
+                from_b.append(parent[from_b[-1]])
+        path = from_a + from_b[-2::-1]
+        for c in path[1:-1]:
+            missing = shared.difference(m.bags[c])
             if missing:
                 report.add(
                     "running-intersection",
                     {"a": a, "b": b, "c": c, "element": min(missing)},
                 )
-            c = toward[b][c]
 
 
 def validate_tree_decomposition(d):
@@ -161,45 +175,6 @@ def validate_tree_decomposition(d):
         if holding[u].isdisjoint(holding[v]):
             report.add("uncovered-edge", {"edge": [u, v]})
     return report
-
-
-def bags_containing(m, v):
-    """Indices of bags containing ground element v (the subfamily F(v))."""
-    if not (0 <= v < m.ground_size):
-        raise ValueError("element %d out of ground range" % v)
-    return tuple(i for i, b in enumerate(m.bags) if v in b)
-
-
-def induces_subtree(m, family):
-    """True iff the bag-index family is nonempty and connected in the bag
-    tree. An index outside 0..num_bags-1 is a ValueError."""
-    sub, _ = induced_subgraph(m.bag_tree, family)
-    return sub.n > 0 and is_connected(sub)
-
-
-def helly_intersection(m, families):
-    """Common bag index of pairwise-intersecting subtree families.
-
-    Returns the lowest common index, or None when some pair is disjoint.
-    By the Helly property for subtrees of a tree, pairwise intersection
-    guarantees a common bag.
-    """
-    fams = [frozenset(f) for f in families]
-    if not fams:
-        raise ValueError("at least one family is required")
-    for f in fams:
-        if not induces_subtree(m, f):
-            raise NotASubtree("family %s does not induce a subtree" % sorted(f))
-    for f1, f2 in combinations(fams, 2):
-        if not (f1 & f2):
-            return None
-    common = frozenset.intersection(*fams)
-    if not common:
-        raise ValueError(
-            "Helly property violated: pairwise-intersecting subtree families "
-            "share no bag, so the bag tree is not a tree"
-        )
-    return min(common)
 
 
 def minimum_covering_subfamily(d, u):
@@ -304,17 +279,3 @@ def line_graph_markov_tree(t):
         raise ValueError("tree has no edges")
     order, parent = bfs(line_graph(t), [0])
     return MarkovTree(t.n, t.edges, [(parent[i], i) for i in order[1:]])
-
-
-def markov_subtrees(m):
-    """All nonempty bag-index families inducing a subtree, ascending size.
-
-    Exponential in the number of bags; meant for small instances only.
-    """
-    k = m.num_bags()
-    out = []
-    for size in range(1, k + 1):
-        for fam in combinations(range(k), size):
-            if induces_subtree(m, fam):
-                out.append(fam)
-    return out

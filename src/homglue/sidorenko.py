@@ -165,7 +165,7 @@ def projection_consistency_check(sd, g, u):
     projected = marginal(full, msd.embedding)
     # transport sub onto the embedded vertex names: embedding is monotone,
     # so keys line up positionally
-    transported = SparseDistribution(msd.embedding, g.n, dict(sub.mass))
+    transported = _reindex(sub, msd.embedding)
     result = {"ok": projected == transported, "u": list(u), "embedding": list(msd.embedding)}
     if not result["ok"]:
         result["witness"] = first_difference(

@@ -1,14 +1,17 @@
-"""Bundled desk-scale fixtures: positive decompositions at levels 0, 1 and 2,
-small target graphs, and negative fixtures that trip each validator condition.
+"""Builders of the committed fixtures: positive decompositions at levels 0,
+1 and 2, small target graphs, and negative fixtures that trip each validator
+condition. Run this file to rewrite the JSON documents under fixtures/:
+
+    PYTHONPATH=src python3 tests/fixture_builders.py
 """
 
 import json
 import os
 
-from .graphs import Graph
-from .markov import MarkovTree, TreeDecomposition
-from .strong import StrongDecomposition, validate_document, zero_strong
-from . import serialize
+from homglue import serialize
+from homglue.graphs import Graph
+from homglue.markov import MarkovTree, TreeDecomposition
+from homglue.strong import StrongDecomposition, zero_strong
 
 
 def k2():
@@ -146,22 +149,5 @@ def write_fixture_dir(directory):
     dump("bad_condition3", serialize.strong_to_json(bad_condition3_fixture()))
 
 
-def load_fixture_bundle(directory):
-    """Load every JSON document in a directory, keyed by file stem.
-
-    Each structural document must pass its module's validator (ValueError
-    naming the file otherwise), so negative fixtures do not load.
-    """
-    bundle = {}
-    for fn in sorted(os.listdir(directory)):
-        if not fn.endswith(".json"):
-            continue
-        with open(os.path.join(directory, fn)) as fh:
-            doc = json.load(fh)
-        kind = serialize.detect_kind(doc)
-        obj = serialize.LOADERS[kind](doc)
-        report = validate_document(kind, obj)
-        if report is not None and not report.ok:
-            raise ValueError("fixture %s fails validation: %s" % (fn, report.violations))
-        bundle[fn[:-5]] = obj
-    return bundle
+if __name__ == "__main__":
+    write_fixture_dir(os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures"))

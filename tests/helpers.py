@@ -14,7 +14,7 @@ from itertools import combinations, permutations, product
 
 from homglue.dists import MarginalMismatch, SparseDistribution, first_difference, marginal
 from homglue.graphs import Graph, is_homomorphism, isomorphisms_pinned, vertex_set
-from homglue.markov import MarkovTree, TreeDecomposition
+from homglue.markov import MarkovTree, NotASubtree, TreeDecomposition
 from homglue.strong import StrongDecomposition
 
 
@@ -121,9 +121,9 @@ def brute_force_min_cover(m, u):
 
 
 def family_connected(m, fam):
-    """True iff the bag-index family fam is nonempty and connected through
-    tree edges of m with both ends in fam: a flood fill from its first
-    member over m.tree."""
+    """True iff the bag-index family fam is nonempty, lies in
+    0..num_bags-1 and is connected through tree edges of m with both ends
+    in fam: a flood fill from its first member over m.tree."""
     reached = set(fam[:1])
     grown = True
     while grown:
@@ -132,7 +132,43 @@ def family_connected(m, fam):
             if a in fam and b in fam and (a in reached) != (b in reached):
                 reached |= {a, b}
                 grown = True
-    return bool(fam) and reached == set(fam)
+    return bool(fam) and reached == set(fam) and reached <= set(range(m.num_bags()))
+
+
+def bags_containing(m, v):
+    """Indices of the bags of m holding the ground element v: F(v)."""
+    return tuple(i for i, b in enumerate(m.bags) if v in b)
+
+
+def markov_subtrees(m):
+    """Every nonempty bag-index family of m that family_connected accepts,
+    by ascending size, then lexicographically. Exponential in the number of
+    bags."""
+    k = m.num_bags()
+    return [
+        fam
+        for size in range(1, k + 1)
+        for fam in combinations(range(k), size)
+        if family_connected(m, fam)
+    ]
+
+
+def helly_intersection(m, families):
+    """The lowest bag index common to the families, each a subtree of m's
+    bag tree (NotASubtree otherwise), or None when two of them are disjoint.
+    By the Helly property of subtrees of a tree, pairwise-intersecting
+    families share a bag; when they do not, the bag tree is no tree, which
+    is a ValueError."""
+    fams = [frozenset(f) for f in families]
+    for f in fams:
+        if not family_connected(m, sorted(f)):
+            raise NotASubtree("family %s does not induce a subtree" % sorted(f))
+    if any(not (f1 & f2) for f1, f2 in combinations(fams, 2)):
+        return None
+    common = frozenset.intersection(*fams)
+    if not common:
+        raise ValueError("Helly property violated: the bag tree is not a tree")
+    return min(common)
 
 
 def bfs_reference(g, roots):
@@ -305,6 +341,16 @@ def forest_reference(g):
     return True
 
 
+def _edge_marginals(m, bag_dists):
+    """(overlap, mass) per tree edge of m: the overlap of the edge's two bags
+    and the first bag's marginal masses on it."""
+    out = []
+    for a, b in m.tree:
+        shared = tuple(sorted(set(m.bags[a]) & set(m.bags[b])))
+        out.append((shared, marginal(bag_dists[a], shared).mass))
+    return out
+
+
 def brute_force_joint(m, bag_dists):
     """Direct evaluation of the junction formula over all full assignments.
 
@@ -313,10 +359,7 @@ def brute_force_joint(m, bag_dists):
     """
     ground = tuple(range(m.ground_size))
     target = bag_dists[0].target_size
-    edge_marg = []
-    for a, b in m.tree:
-        shared = tuple(sorted(set(m.bags[a]) & set(m.bags[b])))
-        edge_marg.append((shared, marginal(bag_dists[a], shared).mass))
+    edge_marg = _edge_marginals(m, bag_dists)
     bag_masses = [d.mass for d in bag_dists]
     out = {}
     for key in product(range(target), repeat=len(ground)):
@@ -334,6 +377,38 @@ def brute_force_joint(m, bag_dists):
             q /= em[tuple(key[v] for v in shared)]
         out[key] = q
     return SparseDistribution(ground, target, out)
+
+
+def junction_factorization(m, bag_dists):
+    """The closed-form joint q(y) = prod_F p_F(y_F) / prod_AB m_AB(y_overlap)
+    of bag laws that agree on every tree edge, over the union of the bags.
+
+    Built by joining the bag supports, bag by bag, into partial
+    assignments, and returned through the validating constructor: it shares
+    no step with glue_markov_tree, and enumerates only what the supports
+    allow, where brute_force_joint tries every full assignment.
+    """
+    ground = vertex_set(v for bag in m.bags for v in bag)
+    partials = [{}]
+    for bag, d in zip(m.bags, bag_dists):
+        joined = []
+        for part in partials:
+            for key in sorted(d.weight):
+                assign = dict(zip(bag, key))
+                if all(part.get(v, x) == x for v, x in assign.items()):
+                    joined.append({**part, **assign})
+        partials = joined
+    edge_marg = _edge_marginals(m, bag_dists)
+    bag_masses = [d.mass for d in bag_dists]
+    out = {}
+    for part in partials:
+        q = Fraction(1)
+        for bag, mass in zip(m.bags, bag_masses):
+            q *= mass[tuple(part[v] for v in bag)]
+        for shared, mass in edge_marg:
+            q /= mass[tuple(part[v] for v in shared)]
+        out[tuple(part[v] for v in ground)] = q
+    return SparseDistribution(ground, bag_dists[0].target_size, out)
 
 
 def small_trees(max_vertices):

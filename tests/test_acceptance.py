@@ -18,7 +18,6 @@ from homglue.dists import (
     entropy,
     glue_markov_tree,
     glue_pair,
-    junction_factorization,
     marginal,
     uniform,
 )
@@ -29,10 +28,6 @@ from homglue.graphs import (
 )
 from homglue.markov import (
     MarkovTree,
-    bags_containing,
-    helly_intersection,
-    induces_subtree,
-    markov_subtrees,
     minimum_covering_subfamily,
     validate_markov_tree,
 )
@@ -45,11 +40,16 @@ from homglue.sidorenko import (
     sidorenko_check,
 )
 from homglue.strong import strong_isomorphism
-from homglue.fixtures import bundled_strong_fixtures, c4, c4_fixture, k3
+from fixture_builders import bundled_strong_fixtures, c4, c4_fixture, k3
 from helpers import (
     all_graphs_reference,
+    bags_containing,
     brute_force_min_cover,
     consistent_bag_dists,
+    family_connected,
+    helly_intersection,
+    junction_factorization,
+    markov_subtrees,
     random_joint,
     random_markov_tree,
     random_subtree,
@@ -173,7 +173,7 @@ def test_criterion_6_appendix_lemmas():
         m = random_markov_tree(rng, rng.randint(1, 8), rng.randint(1, 6))
         assert validate_markov_tree(m).ok
         for v in range(m.ground_size):
-            assert induces_subtree(m, bags_containing(m, v))
+            assert family_connected(m, bags_containing(m, v))
             subtree_checks += 1
     helly_checks = 0
     while helly_checks < 100:

@@ -1,4 +1,6 @@
 import argparse
+import ast
+import importlib
 import json
 import math
 import os
@@ -12,12 +14,12 @@ import pytest
 import homglue
 from homglue import cli, graphs, serialize
 from homglue.cli import main
-from homglue.dists import glue_markov_tree, point_mass
-from homglue.fixtures import book, bundled_strong_fixtures, c4_fixture, write_fixture_dir
+from homglue.dists import glue_markov_tree, uniform
 from homglue.graphs import Graph, is_connected
 from homglue.sidorenko import associated_distribution
 from homglue.strong import zero_strong
 
+from fixture_builders import book, bundled_strong_fixtures, c4_fixture, write_fixture_dir
 from helpers import all_graphs_reference, seeded_gnm
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -64,6 +66,21 @@ def test_validate_bad_condition3(fixdir, capsys):
     code, doc = run(capsys, "validate", os.path.join(fixdir, "bad_condition3.json"))
     assert code == 1
     assert doc["violations"][0]["kind"] == "sub-decomposition-not-isomorphic"
+
+
+@pytest.mark.parametrize(
+    "name, kinds",
+    [
+        ("bad_markov_tree", ["running-intersection"]),
+        ("bad_tree_decomposition", ["uncovered-edge", "uncovered-edge"]),
+        ("bad_condition3", ["sub-decomposition-not-isomorphic"]),
+    ],
+)
+def test_validate_exits_1_on_every_committed_negative_fixture(capsys, name, kinds):
+    code, doc = run(capsys, "validate", os.path.join(FIXDIR, name + ".json"))
+    assert code == 1
+    assert doc["ok"] is False
+    assert [v["kind"] for v in doc["violations"]] == kinds
 
 
 def test_validate_malformed_json(tmp_path, capsys):
@@ -591,7 +608,7 @@ def test_validate_graph_ok_and_distribution_unsupported(fixdir, tmp_path, capsys
     assert code == 0
     assert doc == {"kind": "graph", "ok": True, "violations": []}
     dist = tmp_path / "dist.json"
-    dist.write_text(json.dumps(serialize.distribution_to_json(point_mass((0,), 2, (1,)))))
+    dist.write_text(json.dumps(serialize.distribution_to_json(uniform((0,), 2, [(1,)]))))
     assert main(["validate", str(dist)]) == 2
     assert capsys.readouterr().out == ""
 
@@ -747,3 +764,23 @@ def test_main_builds_no_parser(fixdir, capsys, monkeypatch):
         main(["min-subdec", os.path.join(fixdir, "c4.json")])
     assert e.value.code == 2
     assert "the following arguments are required: --u" in capsys.readouterr().err
+
+
+def test_every_name_the_bench_tracer_wraps_resolves_on_its_module():
+    # trace mode looks up each name of bench/tracer.py's LAYERS table on the
+    # module homglue.<layer>; the table is read off the file, not run
+    with open(os.path.join(os.path.dirname(__file__), "..", "bench", "tracer.py")) as fh:
+        tree = ast.parse(fh.read())
+    (layers,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "LAYERS" for t in node.targets)
+    ]
+    missing = [
+        "%s.%s" % (layer, name)
+        for layer, names in layers.items()
+        for name in names
+        if not callable(getattr(importlib.import_module("homglue." + layer), name, None))
+    ]
+    assert layers and missing == []

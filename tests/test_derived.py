@@ -9,19 +9,25 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from homglue import graphs, markov
-from homglue.fixtures import bundled_strong_fixtures
 from homglue.graphs import Graph, induced_subgraph
 from homglue.markov import (
     MarkovTree,
     TreeDecomposition,
     line_graph,
-    markov_subtrees,
     retraction,
     validate_markov_tree,
 )
 from homglue.serialize import strong_from_json, strong_to_json
 from homglue.strong import StrongDecomposition, validate_strong, zero_strong
-from helpers import line_graph_reference, random_graph, random_markov_tree, random_tree, small_trees
+from fixture_builders import bundled_strong_fixtures
+from helpers import (
+    line_graph_reference,
+    markov_subtrees,
+    random_graph,
+    random_markov_tree,
+    random_tree,
+    small_trees,
+)
 
 PROPERTIES = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -145,6 +151,19 @@ def test_validating_a_level0_path_walks_a_constant_number_of_times(monkeypatch):
         assert validate_strong(sd).ok
         counts.append(len(walks))
     assert counts[2:] == [2, 2]  # the host is a tree, the bag tree is a tree
+
+
+def test_running_intersection_witnesses_take_one_walk(monkeypatch):
+    # a path of 2 000 bags whose element 0 lies only in the first and last
+    k = 2000
+    bags = [(v, v + 1) for v in range(k - 1)] + [(0, k - 1, k)]
+    m = MarkovTree(k + 1, bags, [(i, i + 1) for i in range(k - 1)])
+    walks = count_walks(monkeypatch)
+    report = validate_markov_tree(m)
+    assert walks == [k, k]  # the tree check, then the walk from bag 0
+    assert [v["witness"] for v in report.violations] == [
+        {"a": 0, "b": k - 1, "c": c, "element": 0} for c in range(1, k - 1)
+    ]
 
 
 def triple_path_doc(num_bags):

@@ -16,19 +16,19 @@ from homglue.dists import (
     first_difference,
     glue_markov_tree,
     glue_pair,
-    junction_factorization,
     marginal,
-    point_mass,
     uniform,
 )
-from homglue.fixtures import bad_markov_tree, bundled_strong_fixtures
 from homglue.graphs import Graph
-from homglue.markov import MarkovTree, markov_subtrees
+from homglue.markov import MarkovTree
 from homglue.sidorenko import associated_distribution
+from fixture_builders import bad_markov_tree, bundled_strong_fixtures
 from helpers import (
     brute_force_joint,
     consistent_bag_dists,
     entropy_reference,
+    junction_factorization,
+    markov_subtrees,
     random_joint,
     random_markov_tree,
 )
@@ -113,7 +113,7 @@ def test_marginal_brw_path_on_k3():
     # BRW(path 0-1-2, K3): 12 atoms of mass 1/12; marginal onto the endpoints
     # puts 1/6 on each equal pair and 1/12 on each unequal ordered pair
     from homglue.sidorenko import brw_distribution
-    from homglue.fixtures import k3, path3
+    from fixture_builders import k3, path3
 
     p = brw_distribution(path3(), k3())
     assert set(p.mass.values()) == {Fraction(1, 12)}
@@ -125,7 +125,7 @@ def test_marginal_brw_path_on_k3():
 
 
 def test_entropy_values():
-    assert entropy(point_mass((0,), 5, (3,))) == 0.0
+    assert entropy(uniform((0,), 5, [(3,)])) == 0.0
     twelve = uniform((0, 1), 4, [(i, j) for i in range(4) for j in range(3)])
     assert entropy(twelve) == pytest.approx(math.log2(12), abs=1e-9)
     mixed = SparseDistribution(
@@ -164,7 +164,7 @@ def test_entropy_adds_left_to_right_on_book_k5():
     for _, q in sorted(dist.mass.items()):
         total = total + float(q) * math.log2(float(q))
     assert entropy(dist) == -total
-    assert math.copysign(1.0, entropy(point_mass((0,), 2, (1,)))) == -1.0  # -0.0
+    assert math.copysign(1.0, entropy(uniform((0,), 2, [(1,)]))) == -1.0  # -0.0
 
 
 def test_glue_pair_k3_paths():

@@ -17,7 +17,7 @@ from homglue.graphs import (
     isomorphisms_pinned,
     max_degree,
 )
-from homglue.fixtures import book, c4, k2, k3, path3, star
+from fixture_builders import book, c4, k2, k3, path3, star
 
 from helpers import (
     all_graphs_reference,

@@ -20,9 +20,9 @@ from itertools import combinations, product
 
 from homglue import serialize
 from homglue.cli import main
-from homglue.fixtures import bundled_strong_fixtures, write_fixture_dir
 from homglue.graphs import Graph
 
+from fixture_builders import bundled_strong_fixtures, write_fixture_dir
 from helpers import seeded_gnm
 from test_cli import UNGLUEABLE, k3_edge_instance
 

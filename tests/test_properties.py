@@ -9,14 +9,15 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from homglue.dists import SparseDistribution, entropy, glue_markov_tree, glue_pair, junction_factorization, marginal
-from homglue.fixtures import bundled_strong_fixtures
+from homglue.dists import SparseDistribution, entropy, glue_markov_tree, glue_pair, marginal
 from homglue.sidorenko import associated_distribution, brw_distribution
+from fixture_builders import bundled_strong_fixtures
 from helpers import (
     brute_force_joint,
     brw_reference,
     consistent_bag_dists,
     entropy_reference,
+    junction_factorization,
     random_graph,
     random_markov_tree,
     random_tree,

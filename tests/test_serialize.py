@@ -6,9 +6,8 @@ import pytest
 
 from homglue import serialize
 from homglue.dists import SparseDistribution
-from homglue.graphs import Graph
 from homglue.markov import MarkovTree, TreeDecomposition
-from homglue.fixtures import bundled_strong_fixtures, c4, load_fixture_bundle, write_fixture_dir
+from fixture_builders import bundled_strong_fixtures, c4
 from helpers import random_joint
 
 
@@ -204,18 +203,3 @@ def test_detect_kind():
 def test_graph_invalid_on_load():
     with pytest.raises(ValueError):
         serialize.graph_from_json({"n": 2, "edges": [[0, 5]]})
-
-
-def test_fixture_bundle_validates_structures_and_skips_distributions(tmp_path):
-    write_fixture_dir(str(tmp_path))
-    dist = SparseDistribution((0,), 2, {(1,): Fraction(1)})
-    (tmp_path / "dist.json").write_text(json.dumps(serialize.distribution_to_json(dist)))
-    # one negative fixture per validated kind, each failing in turn
-    for name in ("bad_condition3", "bad_markov_tree", "bad_tree_decomposition"):
-        with pytest.raises(ValueError, match=name):
-            load_fixture_bundle(str(tmp_path))
-        (tmp_path / (name + ".json")).unlink()
-    bundle = load_fixture_bundle(str(tmp_path))
-    assert bundle["dist"] == dist
-    assert bundle["k3"] == Graph(3, [(0, 1), (0, 2), (1, 2)])
-    assert bundle["c4"] == bundled_strong_fixtures()["c4"]

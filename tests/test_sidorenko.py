@@ -26,7 +26,7 @@ from homglue.sidorenko import (
 )
 from homglue.markov import MarkovTree, TreeDecomposition, line_graph, validate_markov_tree
 from homglue.strong import StrongDecomposition, strong_isomorphism, zero_strong
-from homglue.fixtures import (
+from fixture_builders import (
     book,
     book_fixture,
     bundled_strong_fixtures,
@@ -123,7 +123,7 @@ def test_brw_rejects_bad_input():
 
 
 def test_associated_distribution_level0_is_brw():
-    from homglue.fixtures import path_fixture
+    from fixture_builders import path_fixture
 
     ad = associated_distribution(path_fixture(), k3())
     assert ad.dist == brw_reference(path3(), k3())
@@ -318,7 +318,7 @@ def test_non_homomorphic_atom_raises_under_optimize():
     src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
     script = (
         "import homglue.sidorenko as s\n"
-        "from homglue.fixtures import c4_fixture, k3\n"
+        "from fixture_builders import c4_fixture, k3\n"
         "s.is_homomorphism = lambda h, g, key: False\n"
         "try:\n"
         "    s.associated_distribution(c4_fixture(), k3())\n"
@@ -330,7 +330,7 @@ def test_non_homomorphic_atom_raises_under_optimize():
         [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))])},
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -447,7 +447,7 @@ def test_entropy_bound_report_c4_k3():
 
 
 def test_entropy_bound_report_edge_equalities():
-    from homglue.fixtures import edge_fixture
+    from fixture_builders import edge_fixture
 
     rep = entropy_bound_report(edge_fixture(), k3())
     assert rep.entropy_bits == pytest.approx(math.log2(6), abs=1e-9)

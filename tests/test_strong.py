@@ -13,7 +13,7 @@ from homglue.strong import (
     validate_strong,
     zero_strong,
 )
-from homglue.fixtures import (
+from fixture_builders import (
     bad_condition3_fixture,
     book,
     book_fixture,

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homglue import serialize
-from homglue.dists import SparseDistribution, entropy, glue_markov_tree, marginal, point_mass, uniform
-from homglue.fixtures import bundled_strong_fixtures
+from homglue.dists import SparseDistribution, entropy, glue_markov_tree, marginal, uniform
 from homglue.graphs import Graph
 from homglue.markov import MarkovTree
 from homglue.sidorenko import associated_distribution, brw_distribution
+from fixture_builders import bundled_strong_fixtures
 from helpers import (
     associated_reference,
     brw_distribution_reference,
@@ -179,7 +179,7 @@ def test_equal_laws_built_along_different_paths_are_equal_and_hash_equal():
         (marginal(joint, (0, 1)), bag),
         (marginal(joint, (1, 2)), uniform((1, 2), 3, ordered)),
         (marginal(joint, (0, 2)), SparseDistribution((0, 2), 3, {**twelfths, **{(v, v): Fraction(1, 6) for v in range(3)}})),
-        (marginal(bag, ()), point_mass((), 3, ())),
+        (marginal(bag, ()), uniform((), 3, [()])),
         (brw_distribution(complete(2), complete(3)), bag),
     ]
     for p, q in pairs:
