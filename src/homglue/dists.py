@@ -117,15 +117,6 @@ class SparseDistribution:
     def support_size(self):
         return len(self.weight)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparseDistribution)
-            and self.index_set == other.index_set
-            and self.target_size == other.target_size
-            and self.den == other.den
-            and self.weight == other.weight
-        )
-
     def __hash__(self):
         return hash((self.index_set, self.target_size, self.den, frozenset(self.weight.items())))
 
@@ -211,61 +202,49 @@ def glue_pair(p12, p23):
     return glue_markov_tree(MarkovTree(ground_size, bags, [(0, 1)]), [p12, p23])
 
 
-def _couple(p12, p23, overlap):
-    """The conditional independent coupling of p12 and p23, given overlap:
-    their agreed marginal on exactly their shared indices. Its total mass is
-    not checked.
+def _couple(p12, p23):
+    """The conditional independent coupling of p12 and p23 along their shared
+    indices, whose marginals there must agree. Its total mass is not checked.
 
-    With L the lcm of the overlap's weights, an atom's mass
-    p12(y_12) * p23(y_23) / m(y_shared) is w12 * (L // wm) * w23 over the
-    denominator D12 * D23 * L / Dm. Each distinct (w12 * (L // wm),
-    y_shared) gets one list of weights, shared by every p12 atom that has
-    it, and the lists are reduced to lowest terms before the atoms are
-    written: the joint holds one int per distinct weight, not one per atom,
-    which keeps its small-object memory at what shared Fractions took.
+    Group p23's atoms by their values y_shared on the shared indices, with
+    m_s the sum of a group's weights (p23's marginal there is m_s / D23, and
+    so is p12's) and L the lcm of the m_s. An atom's mass
+    p12(y_12) * p23(y_23) / m(y_shared) is then w12 * (L // m_s) * w23 over
+    the denominator D12 * L, reduced to lowest terms by one gcd.
     """
     idx12, idx23 = p12.index_set, p23.index_set
     in12 = set(idx12)
+    shared = tuple(v for v in idx23 if v in in12)
     only23 = tuple(v for v in idx23 if v not in in12)
     union = vertex_set(idx12 + only23)
-    proj12 = _projector(idx12, overlap.index_set)
-    proj23 = _projector(idx23, overlap.index_set)
+    proj12 = _projector(idx12, shared)
+    proj23 = _projector(idx23, shared)
     tail23 = _projector(idx23, only23)
     # key12 + tail23(key23) lists the union's values in idx12 + only23 order
     joined = idx12 + only23
     to_union = _projector(joined, union) if joined != union else None
 
-    by_shared = {}
+    groups = {}
     for key23, w23 in p23.weight.items():
-        by_shared.setdefault(proj23(key23), []).append((tail23(key23), w23))
+        groups.setdefault(proj23(key23), []).append((tail23(key23), w23))
+    group_mass = {sk: sum(w for _, w in group) for sk, group in groups.items()}
+    common = math.lcm(*group_mass.values())
+    factor = {sk: common // ms for sk, ms in group_mass.items()}
 
-    common = math.lcm(*set(overlap.weight.values()))
-    # overlap is p12's marginal (gluing makes it so), so Dm divides D12
-    den = p12.den * p23.den * common // overlap.den
-    factor = {sk: common // wm for sk, wm in overlap.weight.items()}
-
-    rows = {}
-    plan = []
+    out = {}
     for key12, w12 in p12.weight.items():
         sk = proj12(key12)
         f = w12 * factor[sk]
-        row = rows.get((f, sk))
-        if row is None:
-            row = rows[f, sk] = [(tail, f * w23) for tail, w23 in by_shared.get(sk, ())]
-        plan.append((key12, row))
-    g = math.gcd(den, *(w for row in rows.values() for _, w in row))
-    if g > 1:
-        den //= g
-        for row in rows.values():
-            row[:] = [(tail, w // g) for tail, w in row]
-
-    out = {}
-    for key12, row in plan:
-        for tail, w in row:
+        for tail, w23 in groups[sk]:
             key = key12 + tail
             if to_union is not None:
                 key = to_union(key)
-            out[key] = w
+            out[key] = f * w23
+    den = p12.den * common
+    g = math.gcd(den, *out.values())
+    if g > 1:
+        den //= g
+        out = {k: w // g for k, w in out.items()}
     return SparseDistribution._trusted(union, p12.target_size, out, den)
 
 
@@ -280,20 +259,15 @@ def first_difference(a, b, left="left", right="right"):
     return None
 
 
-def _overlap_marginals(m, bag_dists):
-    """(edge, ma, mb) per tree edge, in m.tree order: the marginals of the
-    edge's two bag distributions on the two bags' overlap."""
-    _check_bag_dists(m, bag_dists)
-    for a, b in m.tree:
-        shared = vertex_set(set(m.bags[a]) & set(m.bags[b]))
-        yield (a, b), marginal(bag_dists[a], shared), marginal(bag_dists[b], shared)
-
-
 def check_marginal_consistency(m, bag_dists):
     """Per-tree-edge exact comparison of the two bag marginals on the
-    intersection. Returns a list of {edge, ok, witness} entries."""
+    intersection, in m.tree order. Returns a list of {edge, ok, witness}
+    entries, the witness (first_difference) only where ok is False."""
+    _check_bag_dists(m, bag_dists)
     results = []
-    for (a, b), ma, mb in _overlap_marginals(m, bag_dists):
+    for a, b in m.tree:
+        shared = vertex_set(set(m.bags[a]) & set(m.bags[b]))
+        ma, mb = marginal(bag_dists[a], shared), marginal(bag_dists[b], shared)
         entry = {"edge": [a, b], "ok": ma == mb}
         if not entry["ok"]:
             entry["witness"] = first_difference(ma.mass, mb.mass)
@@ -315,24 +289,6 @@ def _check_bag_dists(m, bag_dists):
         raise ValueError("bag distributions disagree on target_size")
 
 
-def _agreed_marginals(m, bag_dists):
-    """{tree edge: the marginal both its bags share on their overlap}.
-
-    Raises MarginalMismatch on the first edge, in m.tree order, whose two
-    bag marginals differ.
-    """
-    agreed = {}
-    for edge, ma, mb in _overlap_marginals(m, bag_dists):
-        if ma != mb:
-            raise MarginalMismatch(
-                "marginal mismatch on tree edge %s" % (list(edge),),
-                witness=first_difference(ma.mass, mb.mass),
-                edge=edge,
-            )
-        agreed[edge] = ma
-    return agreed
-
-
 def glue_markov_tree(m, bag_dists):
     """Joint distribution over the union of the bags, gluing the bag
     distributions along the Markov tree in the order of the breadth-first
@@ -341,12 +297,12 @@ def glue_markov_tree(m, bag_dists):
 
     A bag tree that is not a tree (graphs.is_tree on m.bag_tree) raises
     ValueError first. Every tree edge's two bag marginals are then compared
-    once, in m.tree order, before any gluing; the first mismatch raises
-    MarginalMismatch carrying that edge and its witness. Each bag after
-    bag 0 is then coupled onto the joint glued so far given its overlap
-    with its walk parent, whose marginal that comparison computed. A bag
-    whose overlap with the bags glued so far is not its overlap with its
-    parent (running intersection fails) raises ValueError.
+    once, by check_marginal_consistency, before any gluing; the first edge,
+    in m.tree order, that is not ok raises MarginalMismatch carrying that
+    edge and its witness. Each bag after bag 0 is then coupled onto the
+    joint glued so far along its overlap with its walk parent. A bag whose
+    overlap with the bags glued so far is not its overlap with its parent
+    (running intersection fails) raises ValueError.
 
     The bag distributions are trusted as given (they were validated where
     they entered); the joints glued along the way are not checked, and the
@@ -359,18 +315,23 @@ def glue_markov_tree(m, bag_dists):
     """
     if not is_tree(m.bag_tree):
         raise ValueError("bag tree on %d bags is not a tree" % m.num_bags())
-    agreed = _agreed_marginals(m, bag_dists)
+    for entry in check_marginal_consistency(m, bag_dists):
+        if not entry["ok"]:
+            raise MarginalMismatch(
+                "marginal mismatch on tree edge %s" % (entry["edge"],),
+                witness=entry["witness"],
+                edge=tuple(entry["edge"]),
+            )
     order, parent = bfs(m.bag_tree, [0])
     joint = bag_dists[0]
     glued = set(m.bags[0])
     for child in order[1:]:
         p = parent[child]
-        overlap = agreed[min(p, child), max(p, child)]
-        if glued.intersection(m.bags[child]) != set(overlap.index_set):
+        if glued.intersection(m.bags[child]) != set(m.bags[p]).intersection(m.bags[child]):
             raise ValueError(
                 "running intersection fails at bag %d: it meets the glued "
                 "bags outside its parent bag %d" % (child, p)
             )
-        joint = _couple(joint, bag_dists[child], overlap)
+        joint = _couple(joint, bag_dists[child])
         glued.update(m.bags[child])
     return joint._check_total()

@@ -33,9 +33,9 @@ class Graph:
     Graphs are validated where they enter the program: this constructor
     checks the vertex count and every edge, and canonicalizes the edges.
     What the program derives from valid graphs (induced subgraphs, among
-    them the bag trees of retractions, and line graphs) goes through the
-    unchecked _trusted constructor instead; only this module and markov.py
-    call it.
+    them the bag trees of retractions, line graphs and the bag trees of
+    line-graph Markov trees) goes through the unchecked _trusted
+    constructor instead; only this module and markov.py call it.
     """
 
     n: int

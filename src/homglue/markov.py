@@ -36,8 +36,9 @@ class MarkovTree:
 
     This constructor checks and normalizes every bag and tree edge; it is
     the one for Markov trees that enter the program. A retraction, derived
-    from a valid tree decomposition, goes through the unchecked _trusted
-    constructor instead; only this module calls it.
+    from a valid tree decomposition, and the line-graph Markov tree of a
+    valid tree go through the unchecked _trusted constructor instead; only
+    this module calls it.
     """
 
     ground_size: int
@@ -278,4 +279,5 @@ def line_graph_markov_tree(t):
     if t.num_edges() == 0:
         raise ValueError("tree has no edges")
     order, parent = bfs(line_graph(t), [0])
-    return MarkovTree(t.n, t.edges, [(parent[i], i) for i in order[1:]])
+    tree = sorted((min(parent[i], i), max(parent[i], i)) for i in order[1:])
+    return MarkovTree._trusted(t.n, t.edges, Graph._trusted(t.num_edges(), tuple(tree)))

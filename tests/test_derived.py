@@ -1,7 +1,8 @@
 """Structures the library derives from valid ones are built unchecked
-(Graph._trusted, MarkovTree._trusted): induced subgraphs, line graphs and
-retractions must equal what the validating constructors build from the
-same parts, and validation must do work linear in its input."""
+(Graph._trusted, MarkovTree._trusted): induced subgraphs, line graphs,
+line-graph Markov trees and retractions must equal what the validating
+constructors build from the same parts, and validation must do work linear
+in its input."""
 
 import random
 from itertools import combinations
@@ -14,6 +15,7 @@ from homglue.markov import (
     MarkovTree,
     TreeDecomposition,
     line_graph,
+    line_graph_markov_tree,
     retraction,
     validate_markov_tree,
 )
@@ -101,6 +103,26 @@ def test_line_graphs_equal_the_all_pairs_reference():
         lg = line_graph(t)
         assert_validated(lg)
         assert graph_parts(lg) == graph_parts(line_graph_reference(t)), t
+
+
+@st.composite
+def trees(draw):
+    """A tree on 2..14 vertices: each vertex after the first hangs from an
+    earlier one, then the vertices are relabelled by a drawn permutation."""
+    n = draw(st.integers(2, 14))
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[draw(st.integers(0, v - 1))], perm[v]) for v in range(1, n)])
+
+
+@PROPERTIES
+@given(trees())
+def test_line_graph_markov_trees_equal_the_validated_build(t):
+    m = line_graph_markov_tree(t)
+    order, parent = graphs.bfs(line_graph_reference(t), [0])
+    rebuilt = MarkovTree(t.n, t.edges, [(parent[i], i) for i in order[1:]])
+    assert markov_parts(m) == markov_parts(rebuilt)
+    assert_validated(m.bag_tree)
+    assert validate_markov_tree(m).ok
 
 
 def test_retractions_equal_the_validated_build():

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import homglue
+from homglue import dists, serialize, sidorenko
 from homglue.dists import (
     MarginalMismatch,
     SparseDistribution,
@@ -22,7 +24,7 @@ from homglue.dists import (
 from homglue.graphs import Graph
 from homglue.markov import MarkovTree
 from homglue.sidorenko import associated_distribution
-from fixture_builders import bad_markov_tree, bundled_strong_fixtures
+from fixture_builders import bad_markov_tree, bundled_strong_fixtures, k3
 from helpers import (
     brute_force_joint,
     consistent_bag_dists,
@@ -32,6 +34,8 @@ from helpers import (
     random_joint,
     random_markov_tree,
 )
+
+FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def ordered_edges_k3():
@@ -113,7 +117,7 @@ def test_marginal_brw_path_on_k3():
     # BRW(path 0-1-2, K3): 12 atoms of mass 1/12; marginal onto the endpoints
     # puts 1/6 on each equal pair and 1/12 on each unequal ordered pair
     from homglue.sidorenko import brw_distribution
-    from fixture_builders import k3, path3
+    from fixture_builders import path3
 
     p = brw_distribution(path3(), k3())
     assert set(p.mass.values()) == {Fraction(1, 12)}
@@ -283,6 +287,68 @@ def test_glue_reports_failing_edge():
     with pytest.raises(MarginalMismatch) as e:
         glue_markov_tree(m, [p, q])
     assert e.value.edge == (0, 1)
+
+
+def test_glue_reports_the_first_of_two_failing_edges_in_tree_order():
+    # bag 1's law on {1, 2} is skewed, so it disagrees with both neighbours
+    m = MarkovTree(4, [(0, 1), (1, 2), (2, 3)], [(1, 2), (0, 1)])
+    dists = [
+        uniform((0, 1), 2, [(0, 0), (1, 1)]),
+        SparseDistribution((1, 2), 2, {(0, 0): Fraction(1, 3), (1, 1): Fraction(2, 3)}),
+        uniform((2, 3), 2, [(0, 0), (1, 1)]),
+    ]
+    entries = check_marginal_consistency(m, dists)
+    assert [(e["edge"], e["ok"]) for e in entries] == [([0, 1], False), ([1, 2], False)]
+    with pytest.raises(MarginalMismatch, match=r"^marginal mismatch on tree edge \[0, 1\]$") as e:
+        glue_markov_tree(m, dists)
+    assert e.value.edge == (0, 1)
+    assert e.value.witness == entries[0]["witness"] == {"key": [0], "left": "1/2", "right": "1/3"}
+
+
+def test_disagreement_is_reported_before_a_running_intersection_failure():
+    # bag 2 meets the glued bags outside its parent, and its law on {2}
+    # disagrees with bag 1's: agreement is checked on every edge first
+    m = bad_markov_tree()
+    dists = [
+        uniform((0, 1), 2, [(0, 0), (1, 1)]),
+        SparseDistribution((2,), 2, {(0,): Fraction(1, 3), (1,): Fraction(2, 3)}),
+        uniform((0, 2), 2, [(0, 0), (1, 1)]),
+    ]
+    with pytest.raises(MarginalMismatch) as e:
+        glue_markov_tree(m, dists)
+    assert e.value.edge == (1, 2)
+
+
+def test_every_glue_checks_agreement_through_check_marginal_consistency(monkeypatch):
+    # the benchmark's tracer wraps dists.check_marginal_consistency by name,
+    # so gluing must call it through the module global, once per glue
+    checks = []
+    glues = []
+    check, glue = dists.check_marginal_consistency, dists.glue_markov_tree
+
+    def counted_check(m, bag_dists):
+        checks.append(m.num_bags())
+        return check(m, bag_dists)
+
+    def counted_glue(m, bag_dists):
+        glues.append(m.num_bags())
+        return glue(m, bag_dists)
+
+    monkeypatch.setattr(dists, "check_marginal_consistency", counted_check)
+    m = MarkovTree(3, [(0, 1), (1, 2)], [(0, 1)])
+    glue_markov_tree(m, [uniform_edge_dist((0, 1)), uniform_edge_dist((1, 2))])
+    assert checks == [2]
+    glue_pair(uniform((0,), 2, [(0,), (1,)]), uniform((1,), 2, [(0,), (1,)]))
+    assert checks == [2, 2]
+
+    del checks[:]
+    monkeypatch.setattr(sidorenko, "glue_markov_tree", counted_glue)
+    with open(os.path.join(FIXDIR, "book.json")) as f:
+        book = serialize.strong_from_json(json.load(f))
+    associated_distribution(book, k3())
+    # book is level 2 with two equal children (C4), each glued from two
+    # distinct level-0 paths: 2 + 1 + 1 distinct glues
+    assert len(glues) == 4 and checks == glues
 
 
 def test_glue_markov_tree_rejects_running_intersection_failure():
