@@ -82,7 +82,10 @@ def _require_valid(report):
 
 
 def _emit(doc, out=None):
-    _write(json.dumps(doc, indent=1, sort_keys=True), out)
+    """Write the JSON document doc as json.dumps(doc, indent=1, sort_keys=True)
+    lays it out, through serialize.json_text: json's C encoder does not
+    indent, and its pure-Python one runs a generator per list and dict."""
+    _write(serialize.json_text(doc), out)
 
 
 def _write(text, out):

@@ -183,18 +183,26 @@ def minimum_covering_subfamily(d, u):
 
     Requires that no single bag contains all of u (otherwise
     ContainedInSingleBag is raised, carrying the lowest such bag index) and
-    that the bag tree is a tree (otherwise ValueError). Starting from all
-    bags, prunes a leaf of the bags left while every element of u it holds
-    is held by another bag left. On a valid Markov tree this stops at the
-    minimum family: a larger family left has a leaf outside it, and a leaf
-    of the minimum family is the only bag left in some F(v), a subtree.
+    that the bag tree is a tree (otherwise ValueError). The lowest bag
+    holding u is looked for first, before anything else is built. Then,
+    starting from all bags, prunes a leaf of the bags left while every
+    element of u it holds is held by another bag left. On a valid Markov
+    tree this stops at the minimum family: a larger family left has a leaf
+    outside it, and a leaf of the minimum family is the only bag left in
+    some F(v), a subtree. Bags are read against a set of u, never u against
+    each bag, so the search is linear in the size of the Markov tree.
     """
     m = d.markov if isinstance(d, TreeDecomposition) else d
     u = vertex_set(u, m.ground_size)
     if not u:
         raise ValueError("u must be nonempty")
-    # held[i]: the elements of u in bag i; holders[v]: the bags left holding v
-    held = [[v for v in u if v in bag] for bag in m.bags]
+    wanted = set(u)
+    for i, bag in enumerate(m.bags):
+        if wanted.issubset(bag):
+            raise ContainedInSingleBag(i)
+    # held[i]: the elements of u in bag i, ascending; holders[v]: the bags
+    # left holding v
+    held = [[v for v in bag if v in wanted] for bag in m.bags]
     holders = dict.fromkeys(u, 0)
     for h in held:
         for v in h:
@@ -202,9 +210,6 @@ def minimum_covering_subfamily(d, u):
     for v in u:
         if not holders[v]:
             raise ValueError("element %d not covered by any bag" % v)
-    for i, h in enumerate(held):
-        if len(h) == len(u):
-            raise ContainedInSingleBag(i)
     tree = m.bag_tree
     if not is_tree(tree):
         raise ValueError("bag tree on %d bags is not a tree" % m.num_bags())

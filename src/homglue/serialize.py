@@ -10,12 +10,15 @@ Formats:
                                    "children": [StrongDecomposition, ...]}}
   SparseDistribution  {"index_set": [...], "target_size": n,
                        "mass": [{"key": [...], "num": str, "den": str}, ...]}
-All round trips are bit-exact.
+All round trips are bit-exact. Every CLI answer is written by json_text,
+which lays a document out as json.dumps(doc, indent=1, sort_keys=True) does.
 """
 
 import json
 import math
 from fractions import Fraction
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .dists import SparseDistribution
 from .graphs import Graph, require_ints
@@ -158,6 +161,116 @@ def _list_text(texts, depth):
     sep = "\n" + " " * (depth + 1)
     body = ("," + sep).join(texts)
     return "[%s%s\n%s]" % (sep, body, " " * depth) if body else "[]"
+
+
+# "\n" and the indent of nesting depths 0..31; deeper ones are made on demand
+_NEWLINES = tuple("\n" + " " * d for d in range(32))
+_INT = frozenset((int,))
+
+
+def _newline(depth):
+    return _NEWLINES[depth] if depth < len(_NEWLINES) else "\n" + " " * depth
+
+
+def json_text(doc):
+    """json.dumps(doc, indent=1, sort_keys=True), byte for byte, for every
+    value json.dumps writes, and with no depth limit.
+
+    json.dumps ignores its C encoder when it indents, and its pure-Python
+    encoder runs a generator per open list or dict. Here one loop walks doc
+    with its own stack of open containers, so nesting is bounded by memory
+    alone, and appends each item's text, separator and indent included, to
+    one list that is joined at the end. A list of ints alone is written in
+    one join, and strings go through json's own C escaping. A circular
+    reference is a ValueError and a value json cannot write a TypeError, as
+    in json.dumps.
+    """
+    out = []
+    open_ids = set()  # the ids of the containers being written
+    # one frame per open container: its (key text, value) pairs left, its
+    # id, the index in out of its first item, the separator before each of
+    # its items and the text that closes it. The first frame holds doc alone.
+    stack = [(iter((("", doc),)), None, 0, "", "")]
+    while True:
+        pairs, cid, first, sep, closer = stack[-1]
+        for prefix, value in pairs:
+            t = type(value)
+            if t is str:
+                out.append(sep + prefix + encode_basestring_ascii(value))
+            elif t is int:
+                out.append(sep + prefix + int.__repr__(value))
+            elif isinstance(value, (list, tuple, dict)):
+                a_dict = isinstance(value, dict)
+                if not value:
+                    out.append(sep + prefix + ("{}" if a_dict else "[]"))
+                    continue
+                depth = len(stack)  # the depth of value's items
+                indent = _newline(depth)
+                if not a_dict and _INT.issuperset(map(type, value)):
+                    body = ("," + indent).join(map(int.__repr__, value))
+                    out.append("%s%s[%s%s%s]" % (sep, prefix, indent, body, _newline(depth - 1)))
+                    continue
+                if id(value) in open_ids:
+                    raise ValueError("Circular reference detected")
+                open_ids.add(id(value))
+                if a_dict:
+                    out.append(sep + prefix + "{")
+                    items = iter([(_key_text(k), v) for k, v in sorted(value.items())])
+                    bracket = "}"
+                else:
+                    out.append(sep + prefix + "[")
+                    items = zip(repeat(""), value)
+                    bracket = "]"
+                stack.append((items, id(value), len(out), "," + indent, _newline(depth - 1) + bracket))
+                break
+            else:
+                out.append(sep + prefix + _scalar_text(value))
+        else:
+            stack.pop()
+            if not stack:
+                return "".join(out)
+            open_ids.discard(cid)
+            out[first] = out[first][1:]  # no comma before the first item
+            out.append(closer)
+
+
+def _scalar_text(value):
+    """The JSON text of a value that is not a list, tuple or dict. The tests
+    run in json's order, and a subclass of str, int or float is written as
+    its base type, as json writes it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
+def _float_text(x):
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _key_text(key):
+    """A dict key as json writes it, quoted and followed by ": ": a float,
+    bool, None or int key is written as the text of its value."""
+    if not isinstance(key, str):
+        if not isinstance(key, (float, int)) and key is not None:
+            raise TypeError(
+                "keys must be str, int, float, bool or None, not %s" % type(key).__name__
+            )
+        key = _scalar_text(key)
+    return encode_basestring_ascii(key) + ": "
 
 
 def distribution_from_json(doc):

@@ -182,6 +182,10 @@ def minimum_subdecomposition(sd, u):
     of u, recurse into the child of the lowest-index such bag; otherwise
     retract to the minimum covering subfamily. At level 0 the bags are
     single edges, so the nonempty-intersection case bottoms out at one bag.
+
+    A covering subfamily of every bag, on a decomposition of sd's own host
+    whose bags cover it, retracts to sd itself: sd is returned as it is,
+    with the identity embedding, and nothing is rebuilt.
     """
     u = vertex_set(u, sd.host.n)
     if not u:
@@ -198,9 +202,18 @@ def minimum_subdecomposition(sd, u):
             embedding = tuple(bag[v] for v in inner.embedding)
             return SubDecomposition(inner.decomposition, embedding)
         keep = (e.bag_index,)
+    if len(keep) == td.markov.num_bags() and _covers_own_host(sd):
+        return SubDecomposition(sd, tuple(range(sd.host.n)))
     sub_td, relabel = retraction(td, keep)
     children = tuple(sd.children[i] for i in keep) if sd.children else ()
     return SubDecomposition(StrongDecomposition(sd.level, sub_td.host, sub_td, children), relabel)
+
+
+def _covers_own_host(sd):
+    """Whether sd's tree decomposition is of sd's host and its bags hold
+    every host vertex: then its retraction to every bag equals sd."""
+    bags = sd.decomp.markov.bags
+    return sd.decomp.host == sd.host and len(set().union(*bags)) == sd.host.n
 
 
 def strong_isomorphism(sd1, sd2, pin=None):

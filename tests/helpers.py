@@ -14,8 +14,15 @@ from itertools import combinations, permutations, product
 
 from homglue.dists import MarginalMismatch, SparseDistribution, first_difference, marginal
 from homglue.graphs import Graph, is_homomorphism, isomorphisms_pinned, vertex_set
-from homglue.markov import MarkovTree, NotASubtree, TreeDecomposition
-from homglue.strong import StrongDecomposition
+from homglue.markov import (
+    ContainedInSingleBag,
+    MarkovTree,
+    NotASubtree,
+    TreeDecomposition,
+    minimum_covering_subfamily,
+    retraction,
+)
+from homglue.strong import StrongDecomposition, SubDecomposition
 
 
 def random_tree_edges(rng, k):
@@ -118,6 +125,29 @@ def brute_force_min_cover(m, u):
         if found:
             return found
     return []
+
+
+def minimum_subdecomposition_reference(sd, u):
+    """strong.minimum_subdecomposition as it was before a covering family of
+    every bag returned sd itself: every covering family, all bags included,
+    is rebuilt by a retraction."""
+    u = vertex_set(u, sd.host.n)
+    if not u:
+        raise ValueError("u must be nonempty")
+    td = sd.decomp
+    try:
+        keep = minimum_covering_subfamily(td, u)
+    except ContainedInSingleBag as e:
+        if sd.level > 0:
+            bag = td.markov.bags[e.bag_index]
+            child_u = tuple(bag.index(v) for v in u)
+            inner = minimum_subdecomposition_reference(sd.children[e.bag_index], child_u)
+            embedding = tuple(bag[v] for v in inner.embedding)
+            return SubDecomposition(inner.decomposition, embedding)
+        keep = (e.bag_index,)
+    sub_td, relabel = retraction(td, keep)
+    children = tuple(sd.children[i] for i in keep) if sd.children else ()
+    return SubDecomposition(StrongDecomposition(sd.level, sub_td.host, sub_td, children), relabel)
 
 
 def family_connected(m, fam):

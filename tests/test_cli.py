@@ -1,5 +1,6 @@
 import argparse
 import ast
+import gc
 import importlib
 import json
 import math
@@ -53,6 +54,31 @@ def test_validate_good_fixture(fixdir, capsys):
     code, doc = run(capsys, "validate", os.path.join(fixdir, "c4.json"))
     assert code == 0
     assert doc["ok"] is True
+
+
+def test_answers_leave_no_reference_cycle(fixdir, capsys):
+    # json.dumps with indent builds its encoder from nested functions that
+    # refer to one another: a reference cycle per answer, which outlives the
+    # call until the cyclic collector runs
+    path = {name: os.path.join(fixdir, name + ".json") for name in ("c4", "book", "bad_markov_tree")}
+    commands = (
+        ["validate", path["c4"]],
+        ["validate", path["bad_markov_tree"]],
+        ["min-subdec", path["book"], "--u", "0,1"],
+        ["sidorenko-sweep", path["c4"], "--max-n", "3"],
+        ["entropy-report", path["c4"], os.path.join(fixdir, "k3.json")],
+    )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for argv in commands:
+            main(argv)
+            assert gc.collect() == 0, argv
+    finally:
+        if enabled:
+            gc.enable()
+    capsys.readouterr()
 
 
 def test_validate_bad_markov(fixdir, capsys):

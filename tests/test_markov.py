@@ -238,6 +238,21 @@ def test_minimum_covering_subfamily_matches_brute_force():
         checked += 1
 
 
+def test_contained_in_single_bag_names_the_lowest_bag_holding_u():
+    rng = random.Random(11)
+    checked = 0
+    while checked < 100:
+        m = random_markov_tree(rng, rng.randint(1, 8), rng.randint(1, 6))
+        u = rng.sample(range(m.ground_size), rng.randint(1, min(3, m.ground_size)))
+        holding = [i for i, bag in enumerate(m.bags) if set(u) <= set(bag)]
+        if not holding:
+            continue
+        with pytest.raises(ContainedInSingleBag) as e:
+            minimum_covering_subfamily(m, u)
+        assert e.value.bag_index == holding[0]
+        checked += 1
+
+
 @pytest.mark.parametrize(
     "tree", [[], [(0, 1)], [(0, 1), (1, 2), (0, 2)]], ids=["no-edges", "disconnected", "cycle"]
 )

@@ -1,12 +1,16 @@
-"""Output digests of assoc, entropy-report and glue, recorded from the
-program as it stood when every distribution held one Fraction per atom.
-Any change to an atom, a mass, an entropy bit, a hom count, a gap, a
-witness, a message or an exit code changes a digest.
+"""Output digests of every subcommand. Those of assoc, entropy-report and
+glue were recorded from the program as it stood when every distribution
+held one Fraction per atom; those of validate, min-subdec and
+sidorenko-sweep from the program as it stood when every answer went
+through json.dumps(indent=1, sort_keys=True) and every minimum
+sub-decomposition was rebuilt by a retraction. Any change to an atom, a
+mass, an entropy bit, a hom count, a gap, a witness, a sub-decomposition,
+an embedding, a message or an exit code changes a digest.
 
 A case's digest is the first 16 hex digits of the sha256 of its exit code,
 stdout, stderr (with the case directory written as <dir>) and the bytes of
-its --out file, when one was written. Every case runs once without --out
-and once with it.
+its --out file, when one was written. Every case of a subcommand with an
+--out option runs once without it and once with it.
 """
 
 import contextlib
@@ -129,11 +133,54 @@ def output_digests(directory):
         with open(ipath, "w") as fh:
             json.dump(instance, fh)
         cases["glue " + name] = ["glue", ipath]
+    return _digests_with_and_without_out(cases, directory)
+
+
+def _digests_with_and_without_out(cases, directory):
     out = os.path.join(directory, "out.json")
     digests = {}
     for case, argv in cases.items():
         digests[case] = _run(argv, directory)
         digests[case + " --out"] = _run(argv + ["--out", out], directory)
+    return digests
+
+
+# A Markov tree whose bag tree is a triangle: its tree-structure witness
+# lists the bag tree's edges as pairs.
+CYCLIC_BAG_TREE = {
+    "ground_size": 3,
+    "bags": [[0, 1], [1, 2], [0, 2]],
+    "tree": [[0, 1], [1, 2], [0, 2]],
+}
+
+
+def structure_digests(directory):
+    """{case: digest} over validate on every fixture and on CYCLIC_BAG_TREE,
+    min-subdec on every strong fixture and every set of one to three of its
+    host's vertices, and sidorenko-sweep on every fixture at every --max-n
+    from -1 to 7, with the inputs written under the directory directory."""
+    write_fixture_dir(directory)
+    fixtures = sorted(f[: -len(".json")] for f in os.listdir(directory))
+    path = {name: os.path.join(directory, name + ".json") for name in fixtures}
+    path["cyclic-bag-tree"] = os.path.join(directory, "cyclic-bag-tree.json")
+    with open(path["cyclic-bag-tree"], "w") as fh:
+        json.dump(CYCLIC_BAG_TREE, fh)
+    digests = {
+        "validate " + name: _run(["validate", path[name]], directory)
+        for name in fixtures + ["cyclic-bag-tree"]
+    }
+    cases = {}
+    for name, sd in sorted(bundled_strong_fixtures().items()):
+        for size in (1, 2, 3):
+            for u in combinations(range(sd.host.n), size):
+                u = ",".join(map(str, u))
+                cases["min-subdec %s %s" % (name, u)] = ["min-subdec", path[name], "--u", u]
+    for name in fixtures:
+        for max_n in range(-1, 8):
+            cases["sidorenko-sweep %s %d" % (name, max_n)] = [
+                "sidorenko-sweep", path[name], "--max-n", str(max_n)
+            ]
+    digests.update(_digests_with_and_without_out(cases, directory))
     return digests
 
 
@@ -343,9 +390,386 @@ DIGESTS_FROM_3_12 = {
     "entropy-report book K5 --out": "3b32313bbee1c5b6",
 }
 
+# The digests of structure_digests, the same on every Python version: none of
+# these answers holds a float.
+STRUCTURE_DIGESTS = {
+    "validate bad_condition3": "749ad9d3b12d8936",
+    "validate bad_markov_tree": "2ac2445177c00713",
+    "validate bad_tree_decomposition": "28a572b857ff6d41",
+    "validate book": "b1f80132c77d2b28",
+    "validate c4": "b1f80132c77d2b28",
+    "validate edge": "b1f80132c77d2b28",
+    "validate edgeless3": "378fc9418a7f357a",
+    "validate k2": "378fc9418a7f357a",
+    "validate k3": "378fc9418a7f357a",
+    "validate path3": "b1f80132c77d2b28",
+    "validate star3": "b1f80132c77d2b28",
+    "validate cyclic-bag-tree": "5cd64dc910c2de9d",
+    "min-subdec book 0": "fa6f62040059eb78",
+    "min-subdec book 0 --out": "871de534236823fd",
+    "min-subdec book 1": "fa6f62040059eb78",
+    "min-subdec book 1 --out": "871de534236823fd",
+    "min-subdec book 2": "243c311fd3aebbf8",
+    "min-subdec book 2 --out": "1e6066ad4569309e",
+    "min-subdec book 3": "99f92a2e11c480f0",
+    "min-subdec book 3 --out": "4c06c1768d6da319",
+    "min-subdec book 4": "a9d422d10a3b8276",
+    "min-subdec book 4 --out": "2999c1a1b72bc940",
+    "min-subdec book 5": "65b9ce41b052c5ae",
+    "min-subdec book 5 --out": "efaca32eed8ed8fc",
+    "min-subdec book 0,1": "fa6f62040059eb78",
+    "min-subdec book 0,1 --out": "871de534236823fd",
+    "min-subdec book 0,2": "243c311fd3aebbf8",
+    "min-subdec book 0,2 --out": "1e6066ad4569309e",
+    "min-subdec book 0,3": "47e3f515c6c10440",
+    "min-subdec book 0,3 --out": "5b6d0c0d0de33a6e",
+    "min-subdec book 0,4": "a9d422d10a3b8276",
+    "min-subdec book 0,4 --out": "2999c1a1b72bc940",
+    "min-subdec book 0,5": "40bcedc4aa2d5678",
+    "min-subdec book 0,5 --out": "4bf6ba45f472e861",
+    "min-subdec book 1,2": "69e72898debbd1f6",
+    "min-subdec book 1,2 --out": "5a13f6db68ed95e9",
+    "min-subdec book 1,3": "99f92a2e11c480f0",
+    "min-subdec book 1,3 --out": "4c06c1768d6da319",
+    "min-subdec book 1,4": "43fe81bfb6c1a7cb",
+    "min-subdec book 1,4 --out": "91bb1e8923008709",
+    "min-subdec book 1,5": "65b9ce41b052c5ae",
+    "min-subdec book 1,5 --out": "efaca32eed8ed8fc",
+    "min-subdec book 2,3": "acb462f10aa0d8f1",
+    "min-subdec book 2,3 --out": "ade65881720df5d2",
+    "min-subdec book 2,4": "b6f819d070a289ce",
+    "min-subdec book 2,4 --out": "41f282a9e25dd024",
+    "min-subdec book 2,5": "b6f819d070a289ce",
+    "min-subdec book 2,5 --out": "41f282a9e25dd024",
+    "min-subdec book 3,4": "b6f819d070a289ce",
+    "min-subdec book 3,4 --out": "41f282a9e25dd024",
+    "min-subdec book 3,5": "b6f819d070a289ce",
+    "min-subdec book 3,5 --out": "41f282a9e25dd024",
+    "min-subdec book 4,5": "4420a41c84bd199d",
+    "min-subdec book 4,5 --out": "8583f991cad3988b",
+    "min-subdec book 0,1,2": "69e72898debbd1f6",
+    "min-subdec book 0,1,2 --out": "5a13f6db68ed95e9",
+    "min-subdec book 0,1,3": "47e3f515c6c10440",
+    "min-subdec book 0,1,3 --out": "5b6d0c0d0de33a6e",
+    "min-subdec book 0,1,4": "43fe81bfb6c1a7cb",
+    "min-subdec book 0,1,4 --out": "91bb1e8923008709",
+    "min-subdec book 0,1,5": "40bcedc4aa2d5678",
+    "min-subdec book 0,1,5 --out": "4bf6ba45f472e861",
+    "min-subdec book 0,2,3": "47e3f515c6c10440",
+    "min-subdec book 0,2,3 --out": "5b6d0c0d0de33a6e",
+    "min-subdec book 0,2,4": "b6f819d070a289ce",
+    "min-subdec book 0,2,4 --out": "41f282a9e25dd024",
+    "min-subdec book 0,2,5": "b6f819d070a289ce",
+    "min-subdec book 0,2,5 --out": "41f282a9e25dd024",
+    "min-subdec book 0,3,4": "b6f819d070a289ce",
+    "min-subdec book 0,3,4 --out": "41f282a9e25dd024",
+    "min-subdec book 0,3,5": "b6f819d070a289ce",
+    "min-subdec book 0,3,5 --out": "41f282a9e25dd024",
+    "min-subdec book 0,4,5": "40bcedc4aa2d5678",
+    "min-subdec book 0,4,5 --out": "4bf6ba45f472e861",
+    "min-subdec book 1,2,3": "d7f29cf4d16c55c9",
+    "min-subdec book 1,2,3 --out": "98133efe162e9d4e",
+    "min-subdec book 1,2,4": "b6f819d070a289ce",
+    "min-subdec book 1,2,4 --out": "41f282a9e25dd024",
+    "min-subdec book 1,2,5": "b6f819d070a289ce",
+    "min-subdec book 1,2,5 --out": "41f282a9e25dd024",
+    "min-subdec book 1,3,4": "b6f819d070a289ce",
+    "min-subdec book 1,3,4 --out": "41f282a9e25dd024",
+    "min-subdec book 1,3,5": "b6f819d070a289ce",
+    "min-subdec book 1,3,5 --out": "41f282a9e25dd024",
+    "min-subdec book 1,4,5": "59ff1ef6ee021851",
+    "min-subdec book 1,4,5 --out": "f41673421b9951b5",
+    "min-subdec book 2,3,4": "b6f819d070a289ce",
+    "min-subdec book 2,3,4 --out": "41f282a9e25dd024",
+    "min-subdec book 2,3,5": "b6f819d070a289ce",
+    "min-subdec book 2,3,5 --out": "41f282a9e25dd024",
+    "min-subdec book 2,4,5": "b6f819d070a289ce",
+    "min-subdec book 2,4,5 --out": "41f282a9e25dd024",
+    "min-subdec book 3,4,5": "b6f819d070a289ce",
+    "min-subdec book 3,4,5 --out": "41f282a9e25dd024",
+    "min-subdec c4 0": "fa6f62040059eb78",
+    "min-subdec c4 0 --out": "871de534236823fd",
+    "min-subdec c4 1": "fa6f62040059eb78",
+    "min-subdec c4 1 --out": "871de534236823fd",
+    "min-subdec c4 2": "0b92d1fb0643a6a9",
+    "min-subdec c4 2 --out": "081dbda05fffe8e3",
+    "min-subdec c4 3": "700c3cceaae2890e",
+    "min-subdec c4 3 --out": "cde3ee8cbcb8d333",
+    "min-subdec c4 0,1": "fa6f62040059eb78",
+    "min-subdec c4 0,1 --out": "871de534236823fd",
+    "min-subdec c4 0,2": "b1efd03633fa003a",
+    "min-subdec c4 0,2 --out": "e027e17813406c32",
+    "min-subdec c4 0,3": "700c3cceaae2890e",
+    "min-subdec c4 0,3 --out": "cde3ee8cbcb8d333",
+    "min-subdec c4 1,2": "0b92d1fb0643a6a9",
+    "min-subdec c4 1,2 --out": "081dbda05fffe8e3",
+    "min-subdec c4 1,3": "0ef89a9087cadf2c",
+    "min-subdec c4 1,3 --out": "52cfc6319156c3ad",
+    "min-subdec c4 2,3": "acb462f10aa0d8f1",
+    "min-subdec c4 2,3 --out": "ade65881720df5d2",
+    "min-subdec c4 0,1,2": "b1efd03633fa003a",
+    "min-subdec c4 0,1,2 --out": "e027e17813406c32",
+    "min-subdec c4 0,1,3": "0ef89a9087cadf2c",
+    "min-subdec c4 0,1,3 --out": "52cfc6319156c3ad",
+    "min-subdec c4 0,2,3": "0a089fbf235a7140",
+    "min-subdec c4 0,2,3 --out": "74963b2e3b3876ef",
+    "min-subdec c4 1,2,3": "0ef89a9087cadf2c",
+    "min-subdec c4 1,2,3 --out": "52cfc6319156c3ad",
+    "min-subdec edge 0": "fa6f62040059eb78",
+    "min-subdec edge 0 --out": "871de534236823fd",
+    "min-subdec edge 1": "fa6f62040059eb78",
+    "min-subdec edge 1 --out": "871de534236823fd",
+    "min-subdec edge 0,1": "fa6f62040059eb78",
+    "min-subdec edge 0,1 --out": "871de534236823fd",
+    "min-subdec path3 0": "fa6f62040059eb78",
+    "min-subdec path3 0 --out": "871de534236823fd",
+    "min-subdec path3 1": "fa6f62040059eb78",
+    "min-subdec path3 1 --out": "871de534236823fd",
+    "min-subdec path3 2": "0b92d1fb0643a6a9",
+    "min-subdec path3 2 --out": "081dbda05fffe8e3",
+    "min-subdec path3 0,1": "fa6f62040059eb78",
+    "min-subdec path3 0,1 --out": "871de534236823fd",
+    "min-subdec path3 0,2": "b1efd03633fa003a",
+    "min-subdec path3 0,2 --out": "e027e17813406c32",
+    "min-subdec path3 1,2": "0b92d1fb0643a6a9",
+    "min-subdec path3 1,2 --out": "081dbda05fffe8e3",
+    "min-subdec path3 0,1,2": "b1efd03633fa003a",
+    "min-subdec path3 0,1,2 --out": "e027e17813406c32",
+    "min-subdec star3 0": "fa6f62040059eb78",
+    "min-subdec star3 0 --out": "871de534236823fd",
+    "min-subdec star3 1": "fa6f62040059eb78",
+    "min-subdec star3 1 --out": "871de534236823fd",
+    "min-subdec star3 2": "243c311fd3aebbf8",
+    "min-subdec star3 2 --out": "1e6066ad4569309e",
+    "min-subdec star3 3": "700c3cceaae2890e",
+    "min-subdec star3 3 --out": "cde3ee8cbcb8d333",
+    "min-subdec star3 0,1": "fa6f62040059eb78",
+    "min-subdec star3 0,1 --out": "871de534236823fd",
+    "min-subdec star3 0,2": "243c311fd3aebbf8",
+    "min-subdec star3 0,2 --out": "1e6066ad4569309e",
+    "min-subdec star3 0,3": "700c3cceaae2890e",
+    "min-subdec star3 0,3 --out": "cde3ee8cbcb8d333",
+    "min-subdec star3 1,2": "69e72898debbd1f6",
+    "min-subdec star3 1,2 --out": "5a13f6db68ed95e9",
+    "min-subdec star3 1,3": "115002dcd7dee40b",
+    "min-subdec star3 1,3 --out": "0aa84fe52edec0a8",
+    "min-subdec star3 2,3": "fb5961bcf4b554fa",
+    "min-subdec star3 2,3 --out": "30842e46937ccc50",
+    "min-subdec star3 0,1,2": "69e72898debbd1f6",
+    "min-subdec star3 0,1,2 --out": "5a13f6db68ed95e9",
+    "min-subdec star3 0,1,3": "115002dcd7dee40b",
+    "min-subdec star3 0,1,3 --out": "0aa84fe52edec0a8",
+    "min-subdec star3 0,2,3": "fb5961bcf4b554fa",
+    "min-subdec star3 0,2,3 --out": "30842e46937ccc50",
+    "min-subdec star3 1,2,3": "fb5961bcf4b554fa",
+    "min-subdec star3 1,2,3 --out": "30842e46937ccc50",
+    "sidorenko-sweep bad_condition3 -1": "3446b9f31d3e5d94",
+    "sidorenko-sweep bad_condition3 -1 --out": "3446b9f31d3e5d94",
+    "sidorenko-sweep bad_condition3 0": "3d12168b1074c1d1",
+    "sidorenko-sweep bad_condition3 0 --out": "3d12168b1074c1d1",
+    "sidorenko-sweep bad_condition3 1": "3d12168b1074c1d1",
+    "sidorenko-sweep bad_condition3 1 --out": "3d12168b1074c1d1",
+    "sidorenko-sweep bad_condition3 2": "3d12168b1074c1d1",
+    "sidorenko-sweep bad_condition3 2 --out": "3d12168b1074c1d1",
+    "sidorenko-sweep bad_condition3 3": "3d12168b1074c1d1",
+    "sidorenko-sweep bad_condition3 3 --out": "3d12168b1074c1d1",
+    "sidorenko-sweep bad_condition3 4": "3d12168b1074c1d1",
+    "sidorenko-sweep bad_condition3 4 --out": "3d12168b1074c1d1",
+    "sidorenko-sweep bad_condition3 5": "3d12168b1074c1d1",
+    "sidorenko-sweep bad_condition3 5 --out": "3d12168b1074c1d1",
+    "sidorenko-sweep bad_condition3 6": "3d12168b1074c1d1",
+    "sidorenko-sweep bad_condition3 6 --out": "3d12168b1074c1d1",
+    "sidorenko-sweep bad_condition3 7": "a6eae4bb5c5292c7",
+    "sidorenko-sweep bad_condition3 7 --out": "a6eae4bb5c5292c7",
+    "sidorenko-sweep bad_markov_tree -1": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree -1 --out": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 0": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 0 --out": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 1": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 1 --out": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 2": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 2 --out": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 3": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 3 --out": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 4": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 4 --out": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 5": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 5 --out": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 6": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 6 --out": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 7": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_markov_tree 7 --out": "dc5b84091f1cd817",
+    "sidorenko-sweep bad_tree_decomposition -1": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition -1 --out": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 0": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 0 --out": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 1": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 1 --out": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 2": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 2 --out": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 3": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 3 --out": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 4": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 4 --out": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 5": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 5 --out": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 6": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 6 --out": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 7": "5f5847a897237a10",
+    "sidorenko-sweep bad_tree_decomposition 7 --out": "5f5847a897237a10",
+    "sidorenko-sweep book -1": "3446b9f31d3e5d94",
+    "sidorenko-sweep book -1 --out": "3446b9f31d3e5d94",
+    "sidorenko-sweep book 0": "4206eb60cd48cb70",
+    "sidorenko-sweep book 0 --out": "2c49348b5f194216",
+    "sidorenko-sweep book 1": "4206eb60cd48cb70",
+    "sidorenko-sweep book 1 --out": "2c49348b5f194216",
+    "sidorenko-sweep book 2": "e13b99ac4bc0cea0",
+    "sidorenko-sweep book 2 --out": "a05b1bd27f703ffc",
+    "sidorenko-sweep book 3": "743363d8dda9b2c4",
+    "sidorenko-sweep book 3 --out": "e46481785a844764",
+    "sidorenko-sweep book 4": "120057ce902807ad",
+    "sidorenko-sweep book 4 --out": "c3ce802e4712e3ff",
+    "sidorenko-sweep book 5": "666fab09f5ddb1de",
+    "sidorenko-sweep book 5 --out": "c613a473c7ad523f",
+    "sidorenko-sweep book 6": "5a09aab9290e7545",
+    "sidorenko-sweep book 6 --out": "83603f643b3cc90a",
+    "sidorenko-sweep book 7": "a6eae4bb5c5292c7",
+    "sidorenko-sweep book 7 --out": "a6eae4bb5c5292c7",
+    "sidorenko-sweep c4 -1": "3446b9f31d3e5d94",
+    "sidorenko-sweep c4 -1 --out": "3446b9f31d3e5d94",
+    "sidorenko-sweep c4 0": "2b9d0f0e23a3054c",
+    "sidorenko-sweep c4 0 --out": "9d3e5839717ea8f3",
+    "sidorenko-sweep c4 1": "2b9d0f0e23a3054c",
+    "sidorenko-sweep c4 1 --out": "9d3e5839717ea8f3",
+    "sidorenko-sweep c4 2": "937c69e463eff2ad",
+    "sidorenko-sweep c4 2 --out": "5f525844fdd6c980",
+    "sidorenko-sweep c4 3": "ccfb474740246d74",
+    "sidorenko-sweep c4 3 --out": "2b99cdce80a6e2e4",
+    "sidorenko-sweep c4 4": "0a97a4665c3edb85",
+    "sidorenko-sweep c4 4 --out": "7ed7baae64c4e3a2",
+    "sidorenko-sweep c4 5": "e167d5959ebaaeda",
+    "sidorenko-sweep c4 5 --out": "b58cae489752e55c",
+    "sidorenko-sweep c4 6": "d9efb72d79955088",
+    "sidorenko-sweep c4 6 --out": "071dc48b16f590e1",
+    "sidorenko-sweep c4 7": "a6eae4bb5c5292c7",
+    "sidorenko-sweep c4 7 --out": "a6eae4bb5c5292c7",
+    "sidorenko-sweep edge -1": "3446b9f31d3e5d94",
+    "sidorenko-sweep edge -1 --out": "3446b9f31d3e5d94",
+    "sidorenko-sweep edge 0": "6346f7bcda1cc9d4",
+    "sidorenko-sweep edge 0 --out": "b9e74eadcfa07f12",
+    "sidorenko-sweep edge 1": "6346f7bcda1cc9d4",
+    "sidorenko-sweep edge 1 --out": "b9e74eadcfa07f12",
+    "sidorenko-sweep edge 2": "5c767a3c80b02388",
+    "sidorenko-sweep edge 2 --out": "1e46e6f22a1f2711",
+    "sidorenko-sweep edge 3": "eface0375fce1ac1",
+    "sidorenko-sweep edge 3 --out": "6117d9532f55d5b2",
+    "sidorenko-sweep edge 4": "7f52a47b11a5e8ec",
+    "sidorenko-sweep edge 4 --out": "0e24d50efcd859ac",
+    "sidorenko-sweep edge 5": "412500d6d1949d8e",
+    "sidorenko-sweep edge 5 --out": "7e62162aac61e15f",
+    "sidorenko-sweep edge 6": "d446336cc34452a0",
+    "sidorenko-sweep edge 6 --out": "206346703713ca15",
+    "sidorenko-sweep edge 7": "a6eae4bb5c5292c7",
+    "sidorenko-sweep edge 7 --out": "a6eae4bb5c5292c7",
+    "sidorenko-sweep edgeless3 -1": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 -1 --out": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 0": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 0 --out": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 1": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 1 --out": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 2": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 2 --out": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 3": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 3 --out": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 4": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 4 --out": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 5": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 5 --out": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 6": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 6 --out": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 7": "4f34d048080dcb89",
+    "sidorenko-sweep edgeless3 7 --out": "4f34d048080dcb89",
+    "sidorenko-sweep k2 -1": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 -1 --out": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 0": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 0 --out": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 1": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 1 --out": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 2": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 2 --out": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 3": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 3 --out": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 4": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 4 --out": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 5": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 5 --out": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 6": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 6 --out": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 7": "4dd3853a2e7da86e",
+    "sidorenko-sweep k2 7 --out": "4dd3853a2e7da86e",
+    "sidorenko-sweep k3 -1": "3713d5e69a784821",
+    "sidorenko-sweep k3 -1 --out": "3713d5e69a784821",
+    "sidorenko-sweep k3 0": "3713d5e69a784821",
+    "sidorenko-sweep k3 0 --out": "3713d5e69a784821",
+    "sidorenko-sweep k3 1": "3713d5e69a784821",
+    "sidorenko-sweep k3 1 --out": "3713d5e69a784821",
+    "sidorenko-sweep k3 2": "3713d5e69a784821",
+    "sidorenko-sweep k3 2 --out": "3713d5e69a784821",
+    "sidorenko-sweep k3 3": "3713d5e69a784821",
+    "sidorenko-sweep k3 3 --out": "3713d5e69a784821",
+    "sidorenko-sweep k3 4": "3713d5e69a784821",
+    "sidorenko-sweep k3 4 --out": "3713d5e69a784821",
+    "sidorenko-sweep k3 5": "3713d5e69a784821",
+    "sidorenko-sweep k3 5 --out": "3713d5e69a784821",
+    "sidorenko-sweep k3 6": "3713d5e69a784821",
+    "sidorenko-sweep k3 6 --out": "3713d5e69a784821",
+    "sidorenko-sweep k3 7": "3713d5e69a784821",
+    "sidorenko-sweep k3 7 --out": "3713d5e69a784821",
+    "sidorenko-sweep path3 -1": "3446b9f31d3e5d94",
+    "sidorenko-sweep path3 -1 --out": "3446b9f31d3e5d94",
+    "sidorenko-sweep path3 0": "b835d1bd16f9f3cb",
+    "sidorenko-sweep path3 0 --out": "206b218698f2d45e",
+    "sidorenko-sweep path3 1": "b835d1bd16f9f3cb",
+    "sidorenko-sweep path3 1 --out": "206b218698f2d45e",
+    "sidorenko-sweep path3 2": "171ec30bcba9ca8c",
+    "sidorenko-sweep path3 2 --out": "5a26f5f1dc049e5f",
+    "sidorenko-sweep path3 3": "042dc17a6e554101",
+    "sidorenko-sweep path3 3 --out": "be10cedd54ec1be4",
+    "sidorenko-sweep path3 4": "a7730422409b8e8c",
+    "sidorenko-sweep path3 4 --out": "f281cef6ee9c607b",
+    "sidorenko-sweep path3 5": "d68772f6538603e7",
+    "sidorenko-sweep path3 5 --out": "825b7162175691aa",
+    "sidorenko-sweep path3 6": "4ad17d2b849fea21",
+    "sidorenko-sweep path3 6 --out": "9d9e10b7b3956060",
+    "sidorenko-sweep path3 7": "a6eae4bb5c5292c7",
+    "sidorenko-sweep path3 7 --out": "a6eae4bb5c5292c7",
+    "sidorenko-sweep star3 -1": "3446b9f31d3e5d94",
+    "sidorenko-sweep star3 -1 --out": "3446b9f31d3e5d94",
+    "sidorenko-sweep star3 0": "67995df32a67439f",
+    "sidorenko-sweep star3 0 --out": "39f6549e1b4d3faf",
+    "sidorenko-sweep star3 1": "67995df32a67439f",
+    "sidorenko-sweep star3 1 --out": "39f6549e1b4d3faf",
+    "sidorenko-sweep star3 2": "b895bea711f79a94",
+    "sidorenko-sweep star3 2 --out": "4d4bf03ab76a4ff5",
+    "sidorenko-sweep star3 3": "e052d85156ce2dba",
+    "sidorenko-sweep star3 3 --out": "e4c8a351ee97b677",
+    "sidorenko-sweep star3 4": "06964851ef092a80",
+    "sidorenko-sweep star3 4 --out": "0bd67f8383838630",
+    "sidorenko-sweep star3 5": "d763217d805e4b74",
+    "sidorenko-sweep star3 5 --out": "e6bbd5d9f221b02a",
+    "sidorenko-sweep star3 6": "4c784f9bd76ac8dd",
+    "sidorenko-sweep star3 6 --out": "f99c19fb58bb39d9",
+    "sidorenko-sweep star3 7": "a6eae4bb5c5292c7",
+    "sidorenko-sweep star3 7 --out": "a6eae4bb5c5292c7",
+}
+
 
 def test_assoc_entropy_report_and_glue_outputs_keep_their_digests(tmp_path):
     expected = dict(DIGESTS)
     if sys.version_info >= (3, 12):
         expected.update(DIGESTS_FROM_3_12)
     assert output_digests(str(tmp_path)) == expected
+
+
+def test_validate_min_subdec_and_sweep_outputs_keep_their_digests(tmp_path):
+    assert structure_digests(str(tmp_path)) == STRUCTURE_DIGESTS

@@ -1,8 +1,11 @@
 import json
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homglue import serialize
 from homglue.dists import SparseDistribution
@@ -73,6 +76,78 @@ def test_distribution_text_matches_the_json_route_byte_for_byte():
         cases.append(random_joint(rng, ground, rng.randint(1, 4), atoms=rng.randint(1, 20)))
     for p in cases:
         assert serialize.distribution_to_text(p) == json_route(p)
+
+
+def indent1(v):
+    return json.dumps(v, indent=1, sort_keys=True)
+
+
+# Strings with non-ASCII letters, quotes, backslashes and control characters
+# beside whatever else hypothesis draws.
+TEXTS = st.text(st.sampled_from('aé"\\\n\t\x00\x1f\u2028\U0001f600') | st.characters(), max_size=8)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64)
+    | st.integers(max_value=-(2**64))
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | TEXTS
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(st.integers(), min_size=1, max_size=5)
+    | st.dictionaries(TEXTS, inner, max_size=5),
+    max_leaves=40,
+)
+WRITER = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@WRITER
+@given(JSON_VALUES)
+def test_json_text_is_json_dumps_with_indent_1_and_sorted_keys(v):
+    assert serialize.json_text(v) == indent1(v)
+
+
+@settings(WRITER, max_examples=60)
+@given(st.lists(st.sampled_from(["list", "tuple", "dict"]), min_size=33, max_size=80), SCALARS)
+def test_json_text_nests_deeper_than_its_indent_table(kinds, leaf):
+    v = leaf
+    for kind in kinds:
+        v = {"k": v, "a": [1, 2]} if kind == "dict" else [v, [3]] if kind == "list" else (v,)
+    assert serialize.json_text(v) == indent1(v)
+
+
+def test_json_text_has_no_depth_limit():
+    depth = 2 * sys.getrecursionlimit()
+    v = [0]
+    for _ in range(depth - 1):
+        v = [v]
+    opening = "".join("[\n" + " " * (d + 1) for d in range(depth))
+    closing = "".join("\n" + " " * d + "]" for d in reversed(range(depth)))
+    assert serialize.json_text(v) == opening + "0" + closing
+
+
+def test_json_text_refuses_what_json_dumps_refuses():
+    loop = [1]
+    loop.append({"a": loop})
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        serialize.json_text(loop)
+    with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
+        serialize.json_text([object()])
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
+        serialize.json_text({(1,): 2})
+    # a value reached twice without a cycle is written twice
+    shared = [[1, "a"]]
+    assert serialize.json_text([shared, shared]) == indent1([shared, shared])
+
+
+def test_json_text_writes_non_str_keys_as_json_does():
+    for key in (1.5, None, 7, True, False, -(2**70), math.inf, math.nan):
+        assert serialize.json_text({key: [key]}) == indent1({key: [key]})
 
 
 @pytest.mark.parametrize(

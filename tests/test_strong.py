@@ -2,7 +2,12 @@ import random
 
 import pytest
 
-from helpers import brute_force_strong_isomorphism, random_tree, relabel_strong
+from helpers import (
+    brute_force_strong_isomorphism,
+    minimum_subdecomposition_reference,
+    random_tree,
+    relabel_strong,
+)
 from homglue.graphs import Graph
 from homglue.markov import MarkovTree, TreeDecomposition
 from homglue.strong import (
@@ -95,6 +100,7 @@ def test_minimum_subdecomposition_full():
         u = tuple(range(sd.host.n))
         sub = minimum_subdecomposition(sd, u)
         assert sub.decomposition.host == sd.host
+        assert sub.decomposition == sd
         assert sub.embedding == u
 
 
@@ -114,6 +120,18 @@ def test_minimum_subdecomposition_always_valid_and_covering():
                 sub = minimum_subdecomposition(sd, u)
                 assert validate_strong(sub.decomposition).ok, (name, u)
                 assert set(u) <= set(sub.embedding), (name, u)
+
+
+def test_minimum_subdecomposition_matches_the_always_retracting_reference():
+    from itertools import combinations
+
+    for name, sd in bundled_strong_fixtures().items():
+        for size in range(1, sd.host.n + 1):
+            for u in combinations(range(sd.host.n), size):
+                sub = minimum_subdecomposition(sd, u)
+                ref = minimum_subdecomposition_reference(sd, u)
+                assert sub.decomposition == ref.decomposition, (name, u)
+                assert sub.embedding == ref.embedding, (name, u)
 
 
 def test_strong_isomorphism_identity():
