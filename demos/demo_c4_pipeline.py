@@ -9,16 +9,11 @@ import json
 import math
 import os
 
-from homglue import (
-    associated_distribution,
-    entropy,
-    entropy_bound_report,
-    hom_count,
-    minimum_subdecomposition,
-    sidorenko_check,
-    validate_strong,
-)
+from homglue.dists import entropy
+from homglue.graphs import hom_count
 from homglue.serialize import graph_from_json, strong_from_json
+from homglue.sidorenko import associated_distribution, entropy_bound_report, sidorenko_check
+from homglue.strong import minimum_subdecomposition, validate_strong
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fixtures")
 

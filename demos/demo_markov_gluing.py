@@ -6,15 +6,10 @@ entropy identity H(joint) = sum H(bag) - sum H(overlap) holds on the nose.
 """
 
 import math
-
-from homglue import (
-    MarkovTree,
-    SparseDistribution,
-    entropy,
-    glue_markov_tree,
-    marginal,
-)
 from fractions import Fraction
+
+from homglue.dists import SparseDistribution, entropy, glue_markov_tree, marginal
+from homglue.markov import MarkovTree
 
 
 def main():

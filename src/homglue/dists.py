@@ -41,13 +41,13 @@ class SparseDistribution:
     on each read.
 
     Distributions are validated where they enter the program: this
-    constructor, uniform and serialize.distribution_from_json
-    check every atom and the total, then store the masses as weights over
-    the lcm of their denominators. What the program builds from valid
-    distributions (marginals, couplings, level-0 edge laws, re-indexed
-    children) goes through the unchecked _trusted constructor instead, and
-    each public function checks the total mass of the distribution it
-    returns once (ValueError when it is not exactly 1).
+    constructor, which serialize.distribution_from_json calls, checks every
+    atom and the total, then stores the masses as weights over the lcm of
+    their denominators. What the program builds from valid distributions
+    (marginals, couplings, level-0 edge laws, re-indexed children) goes
+    through the unchecked _trusted constructor instead, and each public
+    function checks the total mass of the distribution it returns once
+    (ValueError when it is not exactly 1).
     """
 
     index_set: tuple
@@ -119,19 +119,6 @@ class SparseDistribution:
 
     def __hash__(self):
         return hash((self.index_set, self.target_size, self.den, frozenset(self.weight.items())))
-
-
-def uniform(index_set, target_size, keys):
-    keys = list(map(tuple, keys))
-    if not keys:
-        raise ValueError("a uniform distribution needs at least one key")
-    p = Fraction(1, len(keys))
-    mass = {}
-    for k in keys:
-        if k in mass:
-            raise ValueError("duplicate key %s" % (k,))
-        mass[k] = p
-    return SparseDistribution(index_set, target_size, mass)
 
 
 def _projector(index_set, s):

@@ -10,8 +10,9 @@ Formats:
                                    "children": [StrongDecomposition, ...]}}
   SparseDistribution  {"index_set": [...], "target_size": n,
                        "mass": [{"key": [...], "num": str, "den": str}, ...]}
-All round trips are bit-exact. Every CLI answer is written by json_text,
-which lays a document out as json.dumps(doc, indent=1, sort_keys=True) does.
+All round trips are bit-exact. Every CLI answer is laid out as
+json.dumps(doc, indent=1, sort_keys=True) lays it out: a distribution by
+distribution_to_text, every other answer by json_text.
 """
 
 import json
@@ -173,8 +174,9 @@ def _newline(depth):
 
 
 def json_text(doc):
-    """json.dumps(doc, indent=1, sort_keys=True), byte for byte, for every
-    value json.dumps writes, and with no depth limit.
+    """json.dumps(doc, indent=1, sort_keys=True), byte for byte, for a
+    document made of what the CLI's answers hold: str, int, bool and None
+    values in lists, tuples and dicts with str keys. It has no depth limit.
 
     json.dumps ignores its C encoder when it indents, and its pure-Python
     encoder runs a generator per open list or dict. Here one loop walks doc
@@ -182,8 +184,8 @@ def json_text(doc):
     alone, and appends each item's text, separator and indent included, to
     one list that is joined at the end. A list of ints alone is written in
     one join, and strings go through json's own C escaping. A circular
-    reference is a ValueError and a value json cannot write a TypeError, as
-    in json.dumps.
+    reference is a ValueError, as in json.dumps; any other value or key
+    (a float, a subclass of one of these types) is a TypeError.
     """
     out = []
     open_ids = set()  # the ids of the containers being written
@@ -199,21 +201,20 @@ def json_text(doc):
                 out.append(sep + prefix + encode_basestring_ascii(value))
             elif t is int:
                 out.append(sep + prefix + int.__repr__(value))
-            elif isinstance(value, (list, tuple, dict)):
-                a_dict = isinstance(value, dict)
+            elif t is list or t is tuple or t is dict:
                 if not value:
-                    out.append(sep + prefix + ("{}" if a_dict else "[]"))
+                    out.append(sep + prefix + ("{}" if t is dict else "[]"))
                     continue
                 depth = len(stack)  # the depth of value's items
                 indent = _newline(depth)
-                if not a_dict and _INT.issuperset(map(type, value)):
+                if t is not dict and _INT.issuperset(map(type, value)):
                     body = ("," + indent).join(map(int.__repr__, value))
                     out.append("%s%s[%s%s%s]" % (sep, prefix, indent, body, _newline(depth - 1)))
                     continue
                 if id(value) in open_ids:
                     raise ValueError("Circular reference detected")
                 open_ids.add(id(value))
-                if a_dict:
+                if t is dict:
                     out.append(sep + prefix + "{")
                     items = iter([(_key_text(k), v) for k, v in sorted(value.items())])
                     bracket = "}"
@@ -224,7 +225,7 @@ def json_text(doc):
                 stack.append((items, id(value), len(out), "," + indent, _newline(depth - 1) + bracket))
                 break
             else:
-                out.append(sep + prefix + _scalar_text(value))
+                out.append(sep + prefix + _literal_text(value))
         else:
             stack.pop()
             if not stack:
@@ -234,42 +235,21 @@ def json_text(doc):
             out.append(closer)
 
 
-def _scalar_text(value):
-    """The JSON text of a value that is not a list, tuple or dict. The tests
-    run in json's order, and a subclass of str, int or float is written as
-    its base type, as json writes it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
+def _literal_text(value):
+    """The JSON text of None, True or False; TypeError for any other value."""
     if value is None:
         return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
     raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
 
-def _float_text(x):
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
 def _key_text(key):
-    """A dict key as json writes it, quoted and followed by ": ": a float,
-    bool, None or int key is written as the text of its value."""
-    if not isinstance(key, str):
-        if not isinstance(key, (float, int)) and key is not None:
-            raise TypeError(
-                "keys must be str, int, float, bool or None, not %s" % type(key).__name__
-            )
-        key = _scalar_text(key)
+    """A dict key, which must be a str, quoted and followed by ": "."""
+    if type(key) is not str:
+        raise TypeError("keys must be str, not %s" % type(key).__name__)
     return encode_basestring_ascii(key) + ": "
 
 

@@ -9,9 +9,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dists import SparseDistribution, entropy, first_difference, glue_markov_tree, marginal
-from .graphs import hom_count, is_forest, is_homomorphism, is_tree, max_degree, vertex_set
-from .strong import minimum_subdecomposition, strong_isomorphism, zero_strong
+from .dists import SparseDistribution, entropy, glue_markov_tree
+from .graphs import hom_count, is_forest, is_homomorphism, is_tree, max_degree
+from .strong import zero_strong
 
 
 class InvariantViolation(ValueError):
@@ -148,49 +148,6 @@ def _require_cover(sd):
     extra = placed - set(sd.host.edges)
     if extra:
         raise InvariantViolation("child host edge %s is not a host edge" % (min(extra),))
-
-
-def projection_consistency_check(sd, g, u):
-    """Compare the marginal of the full associated distribution on the
-    minimum sub-decomposition containing u with that sub-decomposition's own
-    associated distribution (through the recorded embedding).
-
-    Returns {"ok": bool, "u": ..., "embedding": ...} plus a witness on
-    failure.
-    """
-    u = vertex_set(u, sd.host.n)
-    msd = minimum_subdecomposition(sd, u)
-    full = associated_distribution(sd, g).dist
-    sub = associated_distribution(msd.decomposition, g).dist
-    projected = marginal(full, msd.embedding)
-    # transport sub onto the embedded vertex names: embedding is monotone,
-    # so keys line up positionally
-    transported = _reindex(sub, msd.embedding)
-    result = {"ok": projected == transported, "u": list(u), "embedding": list(msd.embedding)}
-    if not result["ok"]:
-        result["witness"] = first_difference(
-            projected.mass, transported.mass, "projected", "sub"
-        )
-    return result
-
-
-def isomorphism_transport_check(sd1, sd2, iso, g):
-    """Verify that the associated distribution of sd2 is the pullback of
-    sd1's under the strong isomorphism iso (vertex_map: sd1 -> sd2)."""
-    phi = iso.vertex_map
-    d1 = associated_distribution(sd1, g).dist
-    d2 = associated_distribution(sd2, g).dist
-    transported = {}
-    for key, p in d1.mass.items():
-        # atom on host1 becomes the atom h2 with h2[phi[v]] = h1[v]
-        key2 = [None] * len(key)
-        for v, x in enumerate(key):
-            key2[phi[v]] = x
-        transported[tuple(key2)] = p
-    result = {"ok": transported == d2.mass}
-    if not result["ok"]:
-        result["witness"] = first_difference(transported, d2.mass, "transported", "actual")
-    return result
 
 
 def degree_condition(g):

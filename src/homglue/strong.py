@@ -106,7 +106,7 @@ def validate_strong(sd, _path=()):
     else:
         inner = validate_tree_decomposition(sd.decomp)
     for v in inner.violations:
-        report.add(v["kind"], {"path": path, **_as_dict(v["witness"])})
+        report.add(v["kind"], {"path": path, **v["witness"]})
     if sd.level == 0:
         return report
     for i, bag in enumerate(m.bags):
@@ -152,10 +152,6 @@ def validate_document(kind, obj):
         "strong-decomposition": validate_strong,
     }.get(kind)
     return None if validator is None else validator(obj)
-
-
-def _as_dict(w):
-    return w if isinstance(w, dict) else {"witness": w}
 
 
 def _condition3_holds(sd, i, j, inter):

@@ -22,7 +22,8 @@ from homglue.markov import (
     minimum_covering_subfamily,
     retraction,
 )
-from homglue.strong import StrongDecomposition, SubDecomposition
+from homglue.sidorenko import associated_distribution
+from homglue.strong import StrongDecomposition, SubDecomposition, minimum_subdecomposition
 
 
 def random_tree_edges(rng, k):
@@ -439,6 +440,62 @@ def junction_factorization(m, bag_dists):
             q /= mass[tuple(part[v] for v in shared)]
         out[tuple(part[v] for v in ground)] = q
     return SparseDistribution(ground, bag_dists[0].target_size, out)
+
+
+def uniform(index_set, target_size, keys):
+    """The uniform law on the distinct keys, through the validating
+    constructor."""
+    keys = [tuple(k) for k in keys]
+    assert len(set(keys)) == len(keys), "repeated key"
+    return SparseDistribution(index_set, target_size, dict.fromkeys(keys, Fraction(1, len(keys))))
+
+
+# The paper's two consistency lemmas, checked on built distributions: the
+# associated distribution projects onto each minimum sub-decomposition's own
+# law, and it is transported along strong isomorphisms.
+
+
+def projection_consistency_check(sd, g, u):
+    """Compare the marginal of the full associated distribution on the
+    minimum sub-decomposition containing u with that sub-decomposition's own
+    associated distribution, moved onto the parent vertices through the
+    recorded embedding.
+
+    Returns {"ok": bool, "u": ..., "embedding": ...} plus a witness on
+    failure.
+    """
+    u = vertex_set(u, sd.host.n)
+    msd = minimum_subdecomposition(sd, u)
+    full = associated_distribution(sd, g).dist
+    sub = associated_distribution(msd.decomposition, g).dist
+    projected = marginal(full, msd.embedding)
+    # the embedding is monotone, so sub's keys line up positionally with it
+    transported = SparseDistribution(msd.embedding, sub.target_size, sub.mass)
+    result = {"ok": projected == transported, "u": list(u), "embedding": list(msd.embedding)}
+    if not result["ok"]:
+        result["witness"] = first_difference(
+            projected.mass, transported.mass, "projected", "sub"
+        )
+    return result
+
+
+def isomorphism_transport_check(sd1, sd2, iso, g):
+    """Verify that the associated distribution of sd2 is the pullback of
+    sd1's under the strong isomorphism iso (vertex_map: sd1 -> sd2)."""
+    phi = iso.vertex_map
+    d1 = associated_distribution(sd1, g).dist
+    d2 = associated_distribution(sd2, g).dist
+    transported = {}
+    for key, p in d1.mass.items():
+        # atom on host1 becomes the atom h2 with h2[phi[v]] = h1[v]
+        key2 = [None] * len(key)
+        for v, x in enumerate(key):
+            key2[phi[v]] = x
+        transported[tuple(key2)] = p
+    result = {"ok": transported == d2.mass}
+    if not result["ok"]:
+        result["witness"] = first_difference(transported, d2.mass, "transported", "actual")
+    return result
 
 
 def small_trees(max_vertices):

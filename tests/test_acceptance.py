@@ -19,7 +19,6 @@ from homglue.dists import (
     glue_markov_tree,
     glue_pair,
     marginal,
-    uniform,
 )
 from homglue.graphs import (
     connected_graphs_up_to,
@@ -35,8 +34,6 @@ from homglue.sidorenko import (
     associated_distribution,
     degree_condition,
     forest_hom_bound_check,
-    isomorphism_transport_check,
-    projection_consistency_check,
     sidorenko_check,
 )
 from homglue.strong import strong_isomorphism
@@ -48,11 +45,14 @@ from helpers import (
     consistent_bag_dists,
     family_connected,
     helly_intersection,
+    isomorphism_transport_check,
     junction_factorization,
     markov_subtrees,
+    projection_consistency_check,
     random_joint,
     random_markov_tree,
     random_subtree,
+    uniform,
 )
 
 TOL = 1e-9

@@ -15,13 +15,13 @@ import pytest
 import homglue
 from homglue import cli, graphs, serialize
 from homglue.cli import main
-from homglue.dists import glue_markov_tree, uniform
+from homglue.dists import glue_markov_tree
 from homglue.graphs import Graph, is_connected
 from homglue.sidorenko import associated_distribution
 from homglue.strong import zero_strong
 
 from fixture_builders import book, bundled_strong_fixtures, c4_fixture, write_fixture_dir
-from helpers import all_graphs_reference, seeded_gnm
+from helpers import all_graphs_reference, seeded_gnm, uniform
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -107,6 +107,70 @@ def test_validate_exits_1_on_every_committed_negative_fixture(capsys, name, kind
     assert code == 1
     assert doc["ok"] is False
     assert [v["kind"] for v in doc["violations"]] == kinds
+
+
+def _fixture_doc(name):
+    with open(os.path.join(FIXDIR, name + ".json")) as fh:
+        return json.load(fh)
+
+
+def _swap_base_bags(doc):
+    doc["payload"]["base"]["bags"] = [[0, 1], [0, 2]]
+    return doc
+
+
+def _drop_last_host_edge(doc):
+    doc["host"]["edges"].pop()
+    return doc
+
+
+def _wrap_at_level_2(child):
+    host = child["host"]
+    markov = {"ground_size": host["n"], "bags": [list(range(host["n"]))], "tree": []}
+    return {
+        "level": 2,
+        "host": host,
+        "payload": {"decomp": {"host": host, "markov": markov}, "children": [child]},
+    }
+
+
+def _path4_with_bag_tree(tree):
+    edges = [[0, 1], [1, 2], [2, 3]]
+    return {
+        "level": 0,
+        "host": {"n": 4, "edges": edges},
+        "payload": {"base": {"ground_size": 4, "bags": edges, "tree": tree}},
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, kinds",
+    [
+        (_swap_base_bags(_fixture_doc("path3")), ["base-bags-not-host-edges"]),
+        (_drop_last_host_edge(_fixture_doc("c4")), ["decomp-host-mismatch"]),
+        (_wrap_at_level_2(_fixture_doc("path3")), ["child-level-mismatch"]),
+        # bags 0 and 2, (0, 1) and (2, 3), share no vertex, and the path
+        # between bags 0 and 1 runs through bag 2, which misses vertex 1
+        (
+            _path4_with_bag_tree([[0, 2], [1, 2]]),
+            ["base-tree-not-in-line-graph", "running-intersection"],
+        ),
+    ],
+    ids=[
+        "base-bags-not-host-edges",
+        "decomp-host-mismatch",
+        "child-level-mismatch",
+        "base-tree-not-in-line-graph",
+    ],
+)
+def test_validate_exits_1_on_each_one_step_corruption(tmp_path, capsys, doc, kinds):
+    # one broken condition per document, each a kind no committed fixture has
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "validate", str(path))
+    assert code == 1
+    assert out["kind"] == "strong-decomposition"
+    assert [v["kind"] for v in out["violations"]] == kinds
 
 
 def test_validate_malformed_json(tmp_path, capsys):

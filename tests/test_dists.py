@@ -19,7 +19,6 @@ from homglue.dists import (
     glue_markov_tree,
     glue_pair,
     marginal,
-    uniform,
 )
 from homglue.graphs import Graph
 from homglue.markov import MarkovTree
@@ -33,6 +32,7 @@ from helpers import (
     markov_subtrees,
     random_joint,
     random_markov_tree,
+    uniform,
 )
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -55,20 +55,6 @@ def test_distribution_validation():
         SparseDistribution((0,), 2, {(0, 1): Fraction(1)})  # wrong arity
 
 
-def test_uniform_over_no_keys_is_refused():
-    # each key would get mass 1/0: refused, not ZeroDivisionError
-    with pytest.raises(ValueError, match="^a uniform distribution needs at least one key$"):
-        uniform((0,), 2, [])
-
-
-def test_uniform_names_a_repeated_key():
-    # a dict would keep one copy and report the total mass 1/2 instead
-    with pytest.raises(ValueError, match=r"^duplicate key \(0,\)$"):
-        uniform((0,), 2, [(0,), (0,)])
-    with pytest.raises(ValueError, match=r"^duplicate key \(1, 0\)$"):
-        uniform((0, 1), 2, [(0, 1), [1, 0], (1, 0)])
-
-
 def test_returned_distribution_of_wrong_total_mass_raises():
     p = uniform((0,), 4, [(0,), (1,), (2,), (3,)])
     del p.weight[(3,)]  # stored weights edited after construction: the total is 3/4
@@ -82,9 +68,10 @@ def test_returned_distribution_of_wrong_total_mass_raises_under_optimize():
     # python -O strips asserts; the total-mass check must still fire
     src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
     script = (
-        "from homglue.dists import glue_markov_tree, uniform\n"
+        "from fractions import Fraction\n"
+        "from homglue.dists import SparseDistribution, glue_markov_tree\n"
         "from homglue.markov import MarkovTree\n"
-        "p = uniform((0,), 4, [(0,), (1,), (2,), (3,)])\n"
+        "p = SparseDistribution((0,), 4, {(x,): Fraction(1, 4) for x in range(4)})\n"
         "del p.weight[(3,)]\n"
         "try:\n"
         "    glue_markov_tree(MarkovTree(1, [(0,)]), [p])\n"

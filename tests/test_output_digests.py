@@ -18,7 +18,6 @@ import hashlib
 import io
 import json
 import os
-import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -381,17 +380,7 @@ DIGESTS = {
     "glue broken-float-tree --out": "3627dc05bbfc6548",
 }
 
-# From Python 3.12 on, sum() adds floats with compensated summation, so an
-# entropy can differ in its last bits, and the printed entropy_bits of these
-# cases in its twelfth decimal (recorded from the same program on 3.12).
-DIGESTS_FROM_3_12 = {
-    "assoc book K5 --out": "a3af145c3800d972",
-    "entropy-report book K5": "9aebd9b8754e0b23",
-    "entropy-report book K5 --out": "3b32313bbee1c5b6",
-}
-
-# The digests of structure_digests, the same on every Python version: none of
-# these answers holds a float.
+# The digests of structure_digests.
 STRUCTURE_DIGESTS = {
     "validate bad_condition3": "749ad9d3b12d8936",
     "validate bad_markov_tree": "2ac2445177c00713",
@@ -765,10 +754,7 @@ STRUCTURE_DIGESTS = {
 
 
 def test_assoc_entropy_report_and_glue_outputs_keep_their_digests(tmp_path):
-    expected = dict(DIGESTS)
-    if sys.version_info >= (3, 12):
-        expected.update(DIGESTS_FROM_3_12)
-    assert output_digests(str(tmp_path)) == expected
+    assert output_digests(str(tmp_path)) == DIGESTS
 
 
 def test_validate_min_subdec_and_sweep_outputs_keep_their_digests(tmp_path):

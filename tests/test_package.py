@@ -1,0 +1,145 @@
+"""The package is what its program calls.
+
+Every top-level definition in src/homglue is reached from cli.main or from
+one of ENTRY_POINTS, no entry point is stale, and every module uses every
+name it imports. Test-only builders and oracles live under tests/.
+
+Reachability is a static walk over names, by ast. A top-level definition
+(a function, a class or an assignment) reaches the top-level definitions it
+names: directly, through a name it imported from another module of the
+package, or as an attribute of such a module (serialize.json_text). A class
+reaches whatever its body names, methods included.
+"""
+
+import ast
+import pathlib
+
+import homglue
+
+PACKAGE = pathlib.Path(homglue.__file__).parent
+
+# The definitions that callers outside the package use and cli.main does
+# not reach, each with its callers. What those callers use that cli.main
+# reaches (the loaders, strong_isomorphism, DEFAULT_HOM_CAP, ...) is not
+# listed: an entry that cli.main reaches is stale.
+ENTRY_POINTS = {
+    ("sidorenko", "sidorenko_check"): "gap benchmark jobs, bench/tracer.py LAYERS",
+    ("sidorenko", "forest_hom_bound_check"): "gap benchmark jobs, bench/tracer.py LAYERS",
+    ("sidorenko", "brw_distribution"): "bench/tracer.py LAYERS",
+    ("dists", "glue_pair"): "bench/tracer.py LAYERS",
+    ("serialize", "distribution_to_json"): "bench/tracer.py LAYERS",
+    ("strong", "zero_strong"): "CI's step that validates the largest level-0 path",
+}
+
+
+def _parse():
+    """(defs, imports, trees): defs[module][name] is the node of a top-level
+    definition; imports[module][name] is (source module, its name) for a
+    name imported from the package, with None as the name for a module
+    imported whole, and None for a name imported from elsewhere."""
+    defs, imports, trees = {}, {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = path.stem
+        tree = trees[module] = ast.parse(path.read_text(), str(path))
+        defs[module], imports[module] = {}, {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[module][node.name] = node
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for name in ast.walk(target):
+                        if isinstance(name, ast.Name):
+                            defs[module][name.id] = node
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    source = (node.module, alias.name) if node.module else (alias.name, None)
+                    imports[module][alias.asname or alias.name] = source
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imports[module][alias.asname or alias.name.split(".")[0]] = None
+    return defs, imports, trees
+
+
+DEFS, IMPORTS, TREES = _parse()
+
+
+def _resolve(module, name):
+    """The (module, name) of the top-level definition that name stands for
+    in module, following imports; None for anything else."""
+    while name not in DEFS[module]:
+        source = IMPORTS[module].get(name)
+        if source is None or source[1] is None:
+            return None
+        module, name = source
+    return module, name
+
+
+def _refers_to(module, node):
+    """The top-level definitions of the package that node names."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            target = _resolve(module, sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            source = IMPORTS[module].get(sub.value.id)
+            whole = source is not None and source[1] is None
+            target = _resolve(source[0], sub.attr) if whole else None
+        else:
+            continue
+        if target is not None:
+            found.add(target)
+    return found
+
+
+def _reached(roots):
+    """The definitions reached from roots; a root the package does not
+    define reaches nothing."""
+    seen = set(roots)
+    todo = list(roots)
+    while todo:
+        module, name = todo.pop()
+        node = DEFS.get(module, {}).get(name)
+        for target in (set() if node is None else _refers_to(module, node)) - seen:
+            seen.add(target)
+            todo.append(target)
+    return seen
+
+
+def _where(module, name):
+    return "homglue.%s.%s (%s.py:%d)" % (module, name, module, DEFS[module][name].lineno)
+
+
+def test_every_definition_is_reached_from_the_cli_or_an_entry_point():
+    reached = _reached([("cli", "main"), *ENTRY_POINTS])
+    unreached = [
+        _where(module, name)
+        for module, names in sorted(DEFS.items())
+        for name in names
+        if (module, name) not in reached
+    ]
+    assert not unreached, "reached neither from cli.main nor from ENTRY_POINTS: " + ", ".join(
+        unreached
+    )
+
+
+def test_every_entry_point_exists_and_is_not_reached_from_the_cli():
+    missing = ["homglue.%s.%s" % e for e in ENTRY_POINTS if e[1] not in DEFS.get(e[0], {})]
+    assert not missing, "ENTRY_POINTS names what the package does not define: " + ", ".join(
+        missing
+    )
+    from_main = _reached([("cli", "main")])
+    stale = ["homglue.%s.%s" % e for e in ENTRY_POINTS if e in from_main]
+    assert not stale, "ENTRY_POINTS names what cli.main already reaches: " + ", ".join(stale)
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for module, tree in sorted(TREES.items()):
+        used = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += ["%s.py imports %s" % (module, name) for name in IMPORTS[module] if name not in used]
+    assert not unused, "never used: " + ", ".join(unused)

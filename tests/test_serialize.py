@@ -85,14 +85,14 @@ def indent1(v):
 # Strings with non-ASCII letters, quotes, backslashes and control characters
 # beside whatever else hypothesis draws.
 TEXTS = st.text(st.sampled_from('aé"\\\n\t\x00\x1f\u2028\U0001f600') | st.characters(), max_size=8)
+# The values the CLI's answers hold: no floats (a float is written by
+# bound_report_to_json as a decimal string first).
 SCALARS = (
     st.none()
     | st.booleans()
     | st.integers()
     | st.integers(min_value=2**64)
     | st.integers(max_value=-(2**64))
-    | st.floats()
-    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
     | TEXTS
 )
 JSON_VALUES = st.recursive(
@@ -138,16 +138,25 @@ def test_json_text_refuses_what_json_dumps_refuses():
         serialize.json_text(loop)
     with pytest.raises(TypeError, match="Object of type object is not JSON serializable"):
         serialize.json_text([object()])
-    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
+    with pytest.raises(TypeError, match="keys must be str, not tuple"):
         serialize.json_text({(1,): 2})
     # a value reached twice without a cycle is written twice
     shared = [[1, "a"]]
     assert serialize.json_text([shared, shared]) == indent1([shared, shared])
 
 
-def test_json_text_writes_non_str_keys_as_json_does():
-    for key in (1.5, None, 7, True, False, -(2**70), math.inf, math.nan):
-        assert serialize.json_text({key: [key]}) == indent1({key: [key]})
+class Text(str):
+    pass
+
+
+def test_json_text_refuses_floats_non_str_keys_and_subclasses():
+    # the CLI's answers hold none of these, so the writer has no branch for them
+    for value in (1.5, math.nan, -0.0, Text("a"), {"a": Text("b")}, [True, 2.0]):
+        with pytest.raises(TypeError, match="^Object of type (float|Text) is not JSON serializable$"):
+            serialize.json_text(value)
+    for key in (1.5, None, 7, True, Text("a")):
+        with pytest.raises(TypeError, match="^keys must be str, not (float|NoneType|int|bool|Text)$"):
+            serialize.json_text({key: [1]})
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import pytest
 
 import homglue
 from homglue import sidorenko
-from homglue.dists import SparseDistribution, entropy, glue_markov_tree, marginal, uniform
+from homglue.dists import SparseDistribution, entropy, glue_markov_tree, marginal
 from homglue.graphs import Graph, hom_count, is_homomorphism, isomorphisms_pinned
 from homglue.sidorenko import (
     InvariantViolation,
@@ -20,8 +20,6 @@ from homglue.sidorenko import (
     degree_condition,
     entropy_bound_report,
     forest_hom_bound_check,
-    isomorphism_transport_check,
-    projection_consistency_check,
     sidorenko_check,
 )
 from homglue.markov import MarkovTree, TreeDecomposition, line_graph, validate_markov_tree
@@ -41,9 +39,12 @@ from fixture_builders import (
 from helpers import (
     associated_reference,
     brw_reference,
+    isomorphism_transport_check,
+    projection_consistency_check,
     random_graph,
     small_trees,
     spanning_trees,
+    uniform,
 )
 
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homglue import serialize
-from homglue.dists import SparseDistribution, entropy, glue_markov_tree, marginal, uniform
+from homglue.dists import SparseDistribution, entropy, glue_markov_tree, marginal
 from homglue.graphs import Graph
 from homglue.markov import MarkovTree
 from homglue.sidorenko import associated_distribution, brw_distribution
@@ -28,6 +28,7 @@ from helpers import (
     random_markov_tree,
     seeded_gnm,
     text_reference,
+    uniform,
 )
 
 
