@@ -13,7 +13,7 @@ import sys
 
 from . import serialize
 from .dists import MarginalMismatch, glue_markov_tree
-from .markov import validate_markov_tree
+from .markov import ValidationFailed, validate_markov_tree
 from .sidorenko import (
     InvariantViolation,
     associated_distribution,
@@ -72,13 +72,8 @@ class _InputError(Exception):
 
 class _Refused(Exception):
     """A semantic refusal: main prints its one argument, a JSON document, on
-    stdout and exits 1."""
-
-
-def _require_valid(report):
-    """Refuse the job with the validation report unless report is ok."""
-    if not report.ok:
-        raise _Refused(serialize.report_to_json(report))
+    stdout and exits 1. An input its validator refuses (ValidationFailed)
+    ends the same way, with the validation report as the document."""
 
 
 def _emit(doc, out=None):
@@ -116,24 +111,24 @@ def cmd_assoc(args):
     g = _load(args.target, "graph")
     if g.num_edges() == 0:
         raise _Refused({"error": "target has no edges"})
-    _require_valid(validate_strong(sd))
     try:
         ad = associated_distribution(sd, g)
-        bound = bound_report(ad) if degree_condition(g) else None
+        # the summary is written only beside an --out file
+        bound = bound_report(ad) if args.out and degree_condition(g) else None
     except (InvariantViolation, MarginalMismatch) as e:
         raise _Refused({"error": str(e)})
     _write(serialize.distribution_to_text(ad.dist), out=args.out)
-    summary = {"atoms": ad.dist.support_size()}
-    if bound is not None:
-        summary["bound_report"] = serialize.bound_report_to_json(bound)
     if args.out:
+        summary = {"atoms": ad.dist.support_size()}
+        if bound is not None:
+            summary["bound_report"] = serialize.bound_report_to_json(bound)
         _emit(summary)
     return 0
 
 
 def cmd_glue(args):
     m, bag_dists = _read(args.instance, _glue_instance)
-    _require_valid(validate_markov_tree(m))
+    validate_markov_tree(m).require()
     try:
         joint = glue_markov_tree(m, bag_dists)
     except MarginalMismatch as e:
@@ -153,7 +148,7 @@ def cmd_min_subdec(args):
     for x in u:
         if not 0 <= x < sd.host.n:
             raise _InputError("--u vertex %d out of range for n=%d" % (x, sd.host.n))
-    _require_valid(validate_strong(sd))
+    validate_strong(sd).require()
     sub = minimum_subdecomposition(sd, u)
     _emit(
         {
@@ -171,7 +166,7 @@ def cmd_sidorenko_sweep(args):
         raise _InputError("--max-n must be at least 0, not %d" % args.max_n)
     if args.max_n > SWEEP_VERTEX_LIMIT:
         raise _Refused({"error": "max-n %d exceeds limit %d" % (args.max_n, SWEEP_VERTEX_LIMIT)})
-    _require_valid(validate_strong(sd))
+    validate_strong(sd).require()
     host = sd.host
     rows = []
     for g in connected_graphs_up_to(args.max_n):
@@ -199,7 +194,6 @@ def cmd_entropy_report(args):
         raise _Refused({"error": "target fails the degree condition"})
     if g.num_edges() == 0:
         raise _Refused({"error": "target has no edges"})
-    _require_valid(validate_strong(sd))
     report = entropy_bound_report(sd, g)
     _emit(serialize.bound_report_to_json(report), out=args.out)
     return 0
@@ -261,6 +255,9 @@ def main(argv=None):
         return args.func(args)
     except _Refused as e:
         _emit(e.args[0])
+        return 1
+    except ValidationFailed as e:
+        _emit(serialize.report_to_json(e.report))
         return 1
     except _InputError as e:
         sys.stderr.write("error: %s\n" % e)

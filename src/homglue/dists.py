@@ -235,14 +235,14 @@ def _couple(p12, p23):
     return SparseDistribution._trusted(union, p12.target_size, out, den)
 
 
-def first_difference(a, b, left="left", right="right"):
-    """{"key": list(k), left: str(a[k]), right: str(b[k])} for the first key k in
-    sorted order where the mass dicts a and b differ; None if they agree."""
+def first_difference(a, b):
+    """{"key": list(k), "left": str(a[k]), "right": str(b[k])} for the first key
+    k in sorted order where the mass dicts a and b differ; None if they agree."""
     for key in sorted(set(a) | set(b)):
         pa = a.get(key, Fraction(0))
         pb = b.get(key, Fraction(0))
         if pa != pb:
-            return {"key": list(key), left: str(pa), right: str(pb)}
+            return {"key": list(key), "left": str(pa), "right": str(pb)}
     return None
 
 

@@ -254,26 +254,34 @@ def isomorphisms(h1, h2, allowed):
             anchor = next((u for u in h1._adj[v] if u in placed), None)
             steps.append((v, everywhere, anchor))
             placed.add(v)
-    yield from _extend(0, steps, h1._adj, h2._adj, [-1] * h1.n, [False] * h2.n)
-
-
-def _extend(i, steps, adj1, adj2, img, used):
-    """The isomorphisms that extend img, which places the vertices of
-    steps[:i] on the images used marks, taking each later step's candidates
-    in order."""
-    if i == len(steps):
-        yield tuple(img)
+    if not steps:
+        yield ()
         return
-    v, candidates, anchor = steps[i]
-    if anchor is not None:
-        candidates = adj2[img[anchor]]
-    for w in candidates:
-        if not used[w] and _fits(adj1[v], adj2[w], img):
-            img[v] = w
-            used[w] = True
-            yield from _extend(i + 1, steps, adj1, adj2, img, used)
+    adj1, adj2 = h1._adj, h2._adj
+    img, used = [-1] * h1.n, [False] * h2.n
+    # depth first without recursion, whose limit a large h1 would pass:
+    # tries holds the candidates left to each step begun, every step before
+    # the last of them is placed, and the last leaves its image before it
+    # tries the next (the first step has no anchor)
+    tries = [iter(steps[0][1])]
+    while tries:
+        v = steps[len(tries) - 1][0]
+        if img[v] >= 0:
+            used[img[v]] = False
             img[v] = -1
-            used[w] = False
+        for w in tries[-1]:
+            if not used[w] and _fits(adj1[v], adj2[w], img):
+                break
+        else:
+            tries.pop()
+            continue
+        img[v] = w
+        used[w] = True
+        if len(tries) == len(steps):
+            yield tuple(img)
+        else:
+            _, candidates, anchor = steps[len(tries)]
+            tries.append(iter(candidates if anchor is None else adj2[img[anchor]]))
 
 
 def _fits(nv, nw, img):

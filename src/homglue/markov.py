@@ -84,14 +84,29 @@ class TreeDecomposition:
             raise ValueError("ground set size does not match host vertex count")
 
 
+class ValidationFailed(ValueError):
+    """An input refused by its validator; report holds the violations."""
+
+    def __init__(self, report):
+        super().__init__("invalid input: %s" % report.violations[0]["kind"])
+        self.report = report
+
+
 @dataclass
 class ValidationReport:
-    ok: bool = True
     violations: list = field(default_factory=list)
 
+    @property
+    def ok(self):
+        return not self.violations
+
     def add(self, kind, witness):
-        self.ok = False
         self.violations.append({"kind": kind, "witness": witness})
+
+    def require(self):
+        """Raise ValidationFailed, carrying this report, unless it is ok."""
+        if self.violations:
+            raise ValidationFailed(self)
 
 
 def validate_markov_tree(m):
@@ -178,8 +193,9 @@ def validate_tree_decomposition(d):
     return report
 
 
-def minimum_covering_subfamily(d, u):
-    """The unique minimum bag subfamily covering u that induces a subtree.
+def minimum_covering_subfamily(m, u):
+    """The unique minimum bag subfamily of the Markov tree m covering u that
+    induces a subtree.
 
     Requires that no single bag contains all of u (otherwise
     ContainedInSingleBag is raised, carrying the lowest such bag index) and
@@ -192,7 +208,6 @@ def minimum_covering_subfamily(d, u):
     some F(v), a subtree. Bags are read against a set of u, never u against
     each bag, so the search is linear in the size of the Markov tree.
     """
-    m = d.markov if isinstance(d, TreeDecomposition) else d
     u = vertex_set(u, m.ground_size)
     if not u:
         raise ValueError("u must be nonempty")

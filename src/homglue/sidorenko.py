@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .dists import SparseDistribution, entropy, glue_markov_tree
 from .graphs import hom_count, is_forest, is_homomorphism, is_tree, max_degree
-from .strong import zero_strong
+from .strong import validate_strong, zero_strong
 
 
 class InvariantViolation(ValueError):
@@ -45,13 +45,14 @@ def brw_distribution(t, g):
     ordered-edge marginal, which is what makes these distributions gluable.
     This is level-0 gluing: the associated distribution of zero_strong(t),
     the uniform ordered-edge laws on t's edges glued along its line-graph
-    bag tree (every valid bag tree over t's edges gives the same law).
+    bag tree (every valid bag tree over t's edges gives the same law). That
+    decomposition is valid by construction, so it is built unvalidated.
     """
     if not is_tree(t) or t.num_edges() == 0:
         raise ValueError("source must be a tree with at least one edge")
     if g.num_edges() == 0:
         raise ValueError("target has no edges")
-    return associated_distribution(zero_strong(t), g).dist
+    return _build(zero_strong(t), g, {})
 
 
 def associated_distribution(sd, g):
@@ -65,29 +66,32 @@ def associated_distribution(sd, g):
     distribution. Equal children (equal StrongDecomposition values) are
     built once per call.
 
-    The support is checked on the bags, not on the result. Before a level is
-    glued, every atom of each distinct child's distribution must be a
-    homomorphism of that child's host, every host vertex must lie in a bag,
-    and the bags' edges (a level-0 bag is itself one edge; a level-k bag
-    holds its child's host edges, placed on it) must be exactly the host's
-    edges; InvariantViolation otherwise. Gluing reproduces each bag's
-    distribution as the result's marginal on that bag, so the support of the
-    result is then all of Hom(host(sd), g) (see _require_cover). Any failure
-    means the decomposition (or this code) is broken.
+    The distribution is defined for a strong decomposition only: after a
+    target without edges (ValueError), sd is refused unless validate_strong
+    passes it (ValidationFailed, carrying the report). Validity puts every
+    host vertex and edge in a bag and makes each child's host the host
+    induced on its bag. Gluing keeps exactly the atoms whose projections all
+    lie in the bag supports, so as each bag's support is all of Hom(child
+    host, g) (at level 0, of K2), the result's is all of Hom(host(sd), g).
+    Every atom of each distinct child's distribution must be a homomorphism
+    of that child's host; InvariantViolation otherwise, which means this
+    code is broken.
     """
     if g.num_edges() == 0:
         raise ValueError("target has no edges")
+    validate_strong(sd).require()
     return AssociatedDistribution(sd, g, _build(sd, g, {}))
 
 
 def _build(sd, g, built):
-    """sd's distribution on Hom(sd.host, g). built maps each child already
-    built in this call to its distribution, which a child equal to it
-    reuses; _build depends on (sd, g) alone, so reuse changes nothing."""
+    """sd's distribution on Hom(sd.host, g), for a valid sd. built maps each
+    child already built in this call to its distribution, which a child
+    equal to it reuses; _build depends on (sd, g) alone, so reuse changes
+    nothing."""
     m = sd.decomp.markov
     if sd.level == 0:
-        # the uniform law on g's ordered edges, one dict shared by every bag;
-        # _require_cover then makes every bag a host edge
+        # the uniform law on g's ordered edges, one dict shared by every bag,
+        # each of which is a host edge
         steps = {key: 1 for a, b in g.edges for key in ((a, b), (b, a))}
         den = 2 * g.num_edges()
         bag_dists = [SparseDistribution._trusted(bag, g.n, steps, den) for bag in m.bags]
@@ -98,20 +102,13 @@ def _build(sd, g, built):
             fresh = law is None
             if fresh:
                 law = built[child] = _build(child, g, built)
-            p = _reindex(law, bag)
+            # the child's host is the host induced on the sorted bag, so the
+            # law's keys line up positionally with the bag's vertices
+            p = SparseDistribution._trusted(bag, law.target_size, law.weight, law.den)
             if fresh:
                 _require_homs(child.host, g, p)
             bag_dists.append(p)
-    _require_cover(sd)
     return glue_markov_tree(m, bag_dists)
-
-
-def _reindex(p, bag):
-    """p, which lives on 0..|bag|-1, moved onto the sorted bag: its keys line
-    up positionally with the bag's vertices, so only the arity can be wrong."""
-    if len(p.index_set) != len(bag):
-        raise ValueError("key %s has wrong arity" % (next(iter(p.weight)),))
-    return SparseDistribution._trusted(bag, p.target_size, p.weight, p.den)
 
 
 def _require_homs(h, g, p):
@@ -122,38 +119,9 @@ def _require_homs(h, g, p):
             raise InvariantViolation("support atom %s is not a homomorphism" % (key,))
 
 
-def _require_cover(sd):
-    """InvariantViolation unless every vertex of sd.host lies in a bag and
-    the placed child edges are exactly the edges of sd.host: at level 0 the
-    bags themselves, at level k the children's host edges, each (a, b)
-    placed as (bag[a], bag[b]). A joint atom is then a homomorphism of
-    sd.host exactly when its projection on every bag is one of that bag's
-    child host (at level 0, K2 on the bag); as gluing keeps exactly those
-    atoms whose projections all lie in the bag supports, a support of all of
-    Hom(child host, g) on every bag (as the uniform ordered-edge law has on
-    K2) glues to all of Hom(sd.host, g)."""
-    m = sd.decomp.markov
-    uncovered = set(range(sd.host.n)).difference(*m.bags)
-    if uncovered:
-        raise InvariantViolation("host vertex %d lies in no bag" % min(uncovered))
-    if sd.level == 0:
-        placed = set(m.bags)
-    else:
-        placed = set()
-        for bag, child in zip(m.bags, sd.children):
-            placed.update((bag[a], bag[b]) for a, b in child.host.edges)
-    missing = set(sd.host.edges) - placed
-    if missing:
-        raise InvariantViolation("host edge %s is an edge of no bag's child host" % (min(missing),))
-    extra = placed - set(sd.host.edges)
-    if extra:
-        raise InvariantViolation("child host edge %s is not a host edge" % (min(extra),))
-
-
 def degree_condition(g):
-    """max_degree(g) <= 4|E(g)|/|V(g)|, evaluated in exact integers."""
-    if g.n == 0:
-        return True
+    """max_degree(g) <= 4|E(g)|/|V(g)|, evaluated in exact integers; the
+    graph on no vertices passes."""
     return max_degree(g) * g.n <= 4 * g.num_edges()
 
 
@@ -213,8 +181,9 @@ def bound_report(ad):
     The comparison with the right-hand side is informational only (the
     theory guarantees it up to an unspecified additive constant); the
     support bound H(Y) <= log2 hom(H, G) raises InvariantViolation when it
-    fails. hom(H, G) is the support size, which _require_cover makes all of
-    Hom(H, G), so no search runs here.
+    fails. hom(H, G) is the support size: associated_distribution builds
+    only on a valid decomposition, whose support is all of Hom(H, G), so no
+    search runs here.
     """
     g, host = ad.target, ad.sd.host
     h_bits = entropy(ad.dist)

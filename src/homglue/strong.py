@@ -120,7 +120,6 @@ def validate_strong(sd, _path=()):
             continue
         sub = validate_strong(child, _path=path + [i])
         report.violations.extend(sub.violations)
-        report.ok = report.ok and sub.ok
     if not report.ok:
         return report
 
@@ -189,7 +188,7 @@ def minimum_subdecomposition(sd, u):
 
     td = sd.decomp
     try:
-        keep = minimum_covering_subfamily(td, u)
+        keep = minimum_covering_subfamily(td.markov, u)
     except ContainedInSingleBag as e:
         if sd.level > 0:
             bag = td.markov.bags[e.bag_index]

@@ -137,7 +137,7 @@ def minimum_subdecomposition_reference(sd, u):
         raise ValueError("u must be nonempty")
     td = sd.decomp
     try:
-        keep = minimum_covering_subfamily(td, u)
+        keep = minimum_covering_subfamily(td.markov, u)
     except ContainedInSingleBag as e:
         if sd.level > 0:
             bag = td.markov.bags[e.bag_index]
@@ -473,9 +473,7 @@ def projection_consistency_check(sd, g, u):
     transported = SparseDistribution(msd.embedding, sub.target_size, sub.mass)
     result = {"ok": projected == transported, "u": list(u), "embedding": list(msd.embedding)}
     if not result["ok"]:
-        result["witness"] = first_difference(
-            projected.mass, transported.mass, "projected", "sub"
-        )
+        result["witness"] = first_difference(projected.mass, transported.mass)
     return result
 
 
@@ -494,7 +492,7 @@ def isomorphism_transport_check(sd1, sd2, iso, g):
         transported[tuple(key2)] = p
     result = {"ok": transported == d2.mass}
     if not result["ok"]:
-        result["witness"] = first_difference(transported, d2.mass, "transported", "actual")
+        result["witness"] = first_difference(transported, d2.mass)
     return result
 
 

@@ -17,8 +17,9 @@ from homglue import cli, graphs, serialize
 from homglue.cli import main
 from homglue.dists import glue_markov_tree
 from homglue.graphs import Graph, is_connected
+from homglue.markov import MarkovTree, TreeDecomposition
 from homglue.sidorenko import associated_distribution
-from homglue.strong import zero_strong
+from homglue.strong import StrongDecomposition, zero_strong
 
 from fixture_builders import book, bundled_strong_fixtures, c4_fixture, write_fixture_dir
 from helpers import all_graphs_reference, seeded_gnm, uniform
@@ -134,6 +135,17 @@ def _wrap_at_level_2(child):
     }
 
 
+def _c4_twice_at_level_2(c4):
+    """c4 in both of two bags holding all of its host: they share a 4-cycle."""
+    host = c4["host"]
+    markov = {"ground_size": 4, "bags": [[0, 1, 2, 3], [0, 1, 2, 3]], "tree": [[0, 1]]}
+    return {
+        "level": 2,
+        "host": host,
+        "payload": {"decomp": {"host": host, "markov": markov}, "children": [c4, c4]},
+    }
+
+
 def _path4_with_bag_tree(tree):
     edges = [[0, 1], [1, 2], [2, 3]]
     return {
@@ -155,12 +167,14 @@ def _path4_with_bag_tree(tree):
             _path4_with_bag_tree([[0, 2], [1, 2]]),
             ["base-tree-not-in-line-graph", "running-intersection"],
         ),
+        (_c4_twice_at_level_2(_fixture_doc("c4")), ["intersection-not-forest"]),
     ],
     ids=[
         "base-bags-not-host-edges",
         "decomp-host-mismatch",
         "child-level-mismatch",
         "base-tree-not-in-line-graph",
+        "intersection-not-forest",
     ],
 )
 def test_validate_exits_1_on_each_one_step_corruption(tmp_path, capsys, doc, kinds):
@@ -589,6 +603,39 @@ def test_entropy_report_on_a_long_level0_path(tmp_path, capsys):
     for field in ("entropy_bits", "rhs_bits", "log_hom_bits"):
         assert report[field] == "1.000000000000", field
     assert report["sidorenko_gap"] == {"num": "0", "den": "1"}
+
+
+def test_a_two_bag_path_past_the_recursion_limit_validates_and_answers(tmp_path, capsys):
+    # condition 3 pins all 1 200 vertices of the two children's shared path,
+    # and the isomorphism search places them one by one, with no recursion
+    # per vertex
+    n = 1200
+    path = Graph(n, [(v, v + 1) for v in range(n - 1)])
+    markov = MarkovTree(n, [range(n), range(n)], [(0, 1)])
+    child = zero_strong(path)
+    sd = StrongDecomposition(1, path, TreeDecomposition(path, markov), (child, child))
+    decomp = tmp_path / "two_bags.json"
+    decomp.write_text(json.dumps(serialize.strong_to_json(sd)))
+    code, report = run(capsys, "validate", str(decomp))
+    assert code == 0 and report["ok"] is True
+    code, sub = run(capsys, "min-subdec", str(decomp), "--u", "0,5")
+    assert code == 0
+    assert sub["embedding"] == list(range(6))
+    assert sub["decomposition"]["host"]["edges"] == [[v, v + 1] for v in range(5)]
+
+
+def test_assoc_builds_the_bound_report_only_for_the_summary(fixdir, tmp_path, capsys, monkeypatch):
+    # the summary, bound report included, is written only beside --out
+    calls = []
+    bound_report = cli.bound_report
+    monkeypatch.setattr(cli, "bound_report", lambda ad: calls.append(ad) or bound_report(ad))
+    argv = ["assoc", os.path.join(fixdir, "c4.json"), os.path.join(fixdir, "k3.json")]
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)["mass"]) == 18
+    assert calls == []
+    code, summary = run(capsys, *argv, "--out", str(tmp_path / "dist.json"))
+    assert code == 0 and "bound_report" in summary
+    assert len(calls) == 1
 
 
 def test_entropy_report_invalid_decomposition_exits_1_without_traceback(fixdir):

@@ -209,16 +209,14 @@ def test_helly_matches_brute_force():
 
 
 def test_minimum_covering_subfamily_examples():
-    d = TreeDecomposition(
-        Graph(4, [(0, 1), (1, 2), (2, 3)]), path_bags()
-    )
-    assert minimum_covering_subfamily(d, (0, 3)) == (0, 1, 2)
-    assert minimum_covering_subfamily(d, (0, 2)) == (0, 1)
+    m = path_bags()
+    assert minimum_covering_subfamily(m, (0, 3)) == (0, 1, 2)
+    assert minimum_covering_subfamily(m, (0, 2)) == (0, 1)
     with pytest.raises(ContainedInSingleBag) as e:
-        minimum_covering_subfamily(d, (1, 2))
+        minimum_covering_subfamily(m, (1, 2))
     assert e.value.bag_index == 1
     with pytest.raises(ValueError):
-        minimum_covering_subfamily(d, ())
+        minimum_covering_subfamily(m, ())
 
 
 def test_minimum_covering_subfamily_matches_brute_force():

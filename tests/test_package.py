@@ -1,8 +1,10 @@
 """The package is what its program calls.
 
 Every top-level definition in src/homglue is reached from cli.main or from
-one of ENTRY_POINTS, no entry point is stale, and every module uses every
-name it imports. Test-only builders and oracles live under tests/.
+one of ENTRY_POINTS, no entry point is stale, every module uses every name
+it imports and the CLI loads every module. Test-only builders and oracles
+live under tests/. No check is an assert statement, and nothing is cached
+by a decorator.
 
 Reachability is a static walk over names, by ast. A top-level definition
 (a function, a class or an assignment) reaches the top-level definitions it
@@ -12,7 +14,10 @@ reaches whatever its body names, methods included.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import homglue
 
@@ -143,3 +148,38 @@ def test_every_imported_name_is_used():
         }
         unused += ["%s.py imports %s" % (module, name) for name in IMPORTS[module] if name not in used]
     assert not unused, "never used: " + ", ".join(unused)
+
+
+def _decorator_name(d):
+    d = d.func if isinstance(d, ast.Call) else d
+    return getattr(d, "attr", getattr(d, "id", None))
+
+
+def test_no_assert_statements_or_cache_decorators():
+    # python -O strips assert statements, so a check in the package must
+    # raise; and the package keeps no module-global unbounded caches, so no
+    # function or method is decorated with functools.cache or lru_cache
+    found = []
+    for module, tree in sorted(TREES.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assert):
+                found.append("assert statement at %s.py:%d" % (module, node.lineno))
+            for d in getattr(node, "decorator_list", ()):
+                if _decorator_name(d) in ("cache", "lru_cache"):
+                    found.append("cache decorator at %s.py:%d" % (module, d.lineno))
+    assert not found, ", ".join(found)
+
+
+def test_the_cli_loads_every_module():
+    # in a fresh interpreter, which has loaded no module of the package yet
+    script = "import sys, homglue.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    package = {"homglue" if module == "__init__" else "homglue." + module for module in TREES}
+    unloaded = sorted(package - set(proc.stdout.split()))
+    assert not unloaded, "import homglue.cli leaves unloaded: " + ", ".join(unloaded)

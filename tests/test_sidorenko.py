@@ -22,8 +22,14 @@ from homglue.sidorenko import (
     forest_hom_bound_check,
     sidorenko_check,
 )
-from homglue.markov import MarkovTree, TreeDecomposition, line_graph, validate_markov_tree
-from homglue.strong import StrongDecomposition, strong_isomorphism, zero_strong
+from homglue.markov import (
+    MarkovTree,
+    TreeDecomposition,
+    ValidationFailed,
+    line_graph,
+    validate_markov_tree,
+)
+from homglue.strong import StrongDecomposition, strong_isomorphism, validate_strong, zero_strong
 from fixture_builders import (
     book,
     book_fixture,
@@ -223,10 +229,19 @@ def test_non_homomorphic_child_atom_raises_before_gluing(monkeypatch):
             associated_distribution(sd, k3())
 
 
+def _assert_refused(sd, kind):
+    """associated_distribution refuses sd with validate_strong's report, whose
+    one violation is of kind."""
+    with pytest.raises(ValidationFailed) as e:
+        associated_distribution(sd, k3())
+    assert e.value.report == validate_strong(sd)
+    assert [v["kind"] for v in e.value.report.violations] == [kind]
+
+
 def test_child_host_missing_a_bag_edge_raises_invariant_violation():
-    # unvalidated: book's second square child is replaced by a consistent
-    # decomposition of the square less its edge (2, 3), which bag
-    # (0, 1, 4, 5) sends to host edge (4, 5) and no other bag holds
+    # book's second square child is replaced by a consistent decomposition
+    # of the square less its edge (2, 3), which bag (0, 1, 4, 5) sends to
+    # host edge (4, 5) and no other bag holds; validation refuses it
     sd = book_fixture()
     missing = Graph(4, [(0, 1), (0, 2), (1, 3)])
     markov = MarkovTree(4, [(0, 1, 2), (0, 1, 3)], [(0, 1)])
@@ -240,13 +255,12 @@ def test_child_host_missing_a_bag_edge_raises_invariant_violation():
         ),
     )
     broken = StrongDecomposition(2, sd.host, decomp=sd.decomp, children=(sd.children[0], child))
-    with pytest.raises(InvariantViolation, match=r"^host edge \(4, 5\) is an edge of no"):
-        associated_distribution(broken, k3())
+    _assert_refused(broken, "child-host-mismatch")
 
 
 def test_child_host_edge_outside_the_host_raises_invariant_violation():
-    # unvalidated: the matching {0-1, 2-3} in one bag whose child is the path
-    # 0-1-2-3 would glue 24 atoms on K3, not its 36 homomorphisms
+    # the matching {0-1, 2-3} in one bag whose child is the path 0-1-2-3
+    # would glue 24 atoms on K3, not its 36 homomorphisms
     host = Graph(4, [(0, 1), (2, 3)])
     markov = MarkovTree(4, [(0, 1, 2, 3)])
     broken = StrongDecomposition(
@@ -255,30 +269,27 @@ def test_child_host_edge_outside_the_host_raises_invariant_violation():
         decomp=TreeDecomposition(host, markov),
         children=(zero_strong(Graph(4, [(0, 1), (1, 2), (2, 3)])),),
     )
-    with pytest.raises(InvariantViolation, match=r"^child host edge \(1, 2\) is not a host edge$"):
-        associated_distribution(broken, k3())
+    _assert_refused(broken, "child-host-mismatch")
 
 
 def test_level0_bag_off_the_host_edges_raises_invariant_violation():
-    # unvalidated: path 0-1-2 with bags (0, 1) and (0, 2); the level-0 bags
-    # are the placed edges, so host edge (1, 2) lies in no bag
+    # path 0-1-2 with bags (0, 1) and (0, 2): the level-0 bags would be the
+    # placed edges, so host edge (1, 2) would lie in no bag
     host = path3()
     markov = MarkovTree(3, [(0, 1), (0, 2)], [(0, 1)])
     broken = StrongDecomposition(0, host, TreeDecomposition(host, markov))
-    with pytest.raises(InvariantViolation, match=r"^host edge \(1, 2\) is an edge of no"):
-        associated_distribution(broken, k3())
+    _assert_refused(broken, "base-bags-not-host-edges")
 
 
 def test_host_vertex_in_no_bag_raises_invariant_violation():
-    # unvalidated: c4's decomposition under a host with an isolated vertex 4
+    # c4's decomposition under a host with an isolated vertex 4
     sd = c4_fixture()
     host = Graph(5, sd.host.edges)
     markov = MarkovTree(5, sd.decomp.markov.bags, sd.decomp.markov.tree)
     broken = StrongDecomposition(
         1, host, decomp=TreeDecomposition(host, markov), children=sd.children
     )
-    with pytest.raises(InvariantViolation, match=r"^host vertex 4 lies in no bag$"):
-        associated_distribution(broken, k3())
+    _assert_refused(broken, "uncovered-element")
 
 
 def _glued_nodes(sd):
@@ -358,13 +369,12 @@ def test_searches_leave_no_reference_cycle():
 
 
 def test_child_smaller_than_its_bag_raises_wrong_arity():
-    # the children's laws are re-indexed onto their bags unchecked, but not
-    # when a child's host has fewer vertices than its bag
+    # the children's laws are keyed positionally on their bags, which a
+    # child host with fewer vertices than its bag cannot be
     sd = c4_fixture()
     children = (zero_strong(k2()),) + sd.children[1:]
     broken = StrongDecomposition(1, sd.host, decomp=sd.decomp, children=children)
-    with pytest.raises(ValueError, match=r"^key \(\d, \d\) has wrong arity$"):
-        associated_distribution(broken, k3())
+    _assert_refused(broken, "child-host-mismatch")
 
 
 def test_entropy_above_support_bound_raises_invariant_violation(monkeypatch):
@@ -423,6 +433,7 @@ def test_degree_condition():
     assert degree_condition(k3())
     assert not degree_condition(star(5))
     assert degree_condition(Graph(4))
+    assert degree_condition(Graph(0))
 
 
 def test_forest_hom_bound_examples():

@@ -63,6 +63,22 @@ def test_condition3_violation_flagged():
     ]
 
 
+def test_condition3_on_a_cyclic_and_on_an_empty_intersection():
+    # two bags holding all of C4 share its 4-cycle, which is not a forest
+    sd = c4_fixture()
+    markov = MarkovTree(4, [(0, 1, 2, 3), (0, 1, 2, 3)], [(0, 1)])
+    cyclic = StrongDecomposition(2, sd.host, TreeDecomposition(sd.host, markov), (sd, sd))
+    assert validate_strong(cyclic).violations == [
+        {"kind": "intersection-not-forest", "witness": {"path": [], "edge": [0, 1]}}
+    ]
+    # the bags of the matching {0-1, 2-3} share nothing: condition 3 is vacuous
+    matching = Graph(4, [(0, 1), (2, 3)])
+    markov = MarkovTree(4, [(0, 1), (2, 3)], [(0, 1)])
+    k2 = zero_strong(Graph(2, [(0, 1)]))
+    disjoint = StrongDecomposition(1, matching, TreeDecomposition(matching, markov), (k2, k2))
+    assert validate_strong(disjoint).ok
+
+
 def test_child_host_mismatch_flagged():
     # Y's child replaced by a decomposition of a different tree shape
     host = c4()
