@@ -8,7 +8,10 @@ be written.
 """
 
 import argparse
+import contextlib
 import json
+import os
+import stat
 import sys
 
 from . import serialize
@@ -85,16 +88,40 @@ def _emit(doc, out=None):
 
 def _write(text, out):
     """Write a JSON document's text and a newline to the file out, or to
-    stdout. A file that cannot be written is an input error."""
+    stdout when out is None. A file that cannot be written is an input error.
+
+    An existing file is rewritten in place, then truncated to the length
+    written: truncating it to zero first, as open(out, "w") does, costs more
+    than the write itself on some file systems. Its inode, mode and links
+    stay as they were. Only a regular file is truncated (/dev/null, a FIFO or
+    a terminal cannot be). A write that fails leaves the file empty, never
+    part of the new text beside the old one's tail.
+    """
     text += "\n"
-    if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise _InputError("cannot write %s: %s" % (out, e))
-    else:
+    if out is None:
         sys.stdout.write(text)
+        return
+    try:
+        fd = os.open(out, os.O_WRONLY | os.O_CREAT, 0o666)
+    except OSError as e:
+        raise _InputError("cannot write %s: %s" % (out, e))
+    fh = open(fd, "w", closefd=False)
+    try:
+        fh.write(text)
+        fh.flush()
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, fh.tell())
+    except OSError as e:
+        # closing flushes what the failed write left buffered; only then can
+        # nothing more reach the file
+        with contextlib.suppress(OSError):
+            fh.close()
+        with contextlib.suppress(OSError):
+            os.ftruncate(fd, 0)
+        raise _InputError("cannot write %s: %s" % (out, e))
+    finally:
+        fh.close()
+        os.close(fd)
 
 
 def cmd_validate(args):
@@ -114,11 +141,11 @@ def cmd_assoc(args):
     try:
         ad = associated_distribution(sd, g)
         # the summary is written only beside an --out file
-        bound = bound_report(ad) if args.out and degree_condition(g) else None
+        bound = bound_report(ad) if args.out is not None and degree_condition(g) else None
     except (InvariantViolation, MarginalMismatch) as e:
         raise _Refused({"error": str(e)})
     _write(serialize.distribution_to_text(ad.dist), out=args.out)
-    if args.out:
+    if args.out is not None:
         summary = {"atoms": ad.dist.support_size()}
         if bound is not None:
             summary["bound_report"] = serialize.bound_report_to_json(bound)

@@ -13,13 +13,17 @@ Formats:
 All round trips are bit-exact. Every CLI answer is laid out as
 json.dumps(doc, indent=1, sort_keys=True) lays it out: a distribution by
 distribution_to_text, every other answer by json_text.
+distribution_to_text joins its atoms' text from column iterators (fixed
+text, key values, den and num, each a repeat or a map over the sorted
+keys), so no Python code runs per atom.
 """
 
 import json
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .dists import SparseDistribution
 from .graphs import Graph, require_ints
@@ -114,44 +118,64 @@ def strong_from_json(doc):
 
 
 def distribution_to_json(p):
-    texts = _mass_texts(p)
+    nums, dens = _mass_texts(p)
     return {
         "index_set": list(p.index_set),
         "target_size": p.target_size,
         "mass": [
-            {"key": list(k), "num": texts[w][0], "den": texts[w][1]}
+            {"key": list(k), "num": nums[w], "den": dens[w]}
             for k, w in sorted(p.weight.items())
         ],
     }
 
 
 def _mass_texts(p):
-    """{w: (num, den)} over the distinct weights w of p: the decimal strings
-    of the mass w / p.den in lowest terms."""
-    texts = {}
+    """({w: num}, {w: den}) over the distinct weights w of p: the decimal
+    strings of the mass w / p.den in lowest terms."""
+    nums, dens = {}, {}
     for w in set(p.weight.values()):
         g = math.gcd(w, p.den)
-        texts[w] = (str(w // g), str(p.den // g))
-    return texts
+        nums[w] = str(w // g)
+        dens[w] = str(p.den // g)
+    return nums, dens
 
 
 def distribution_to_text(p):
     """json.dumps(distribution_to_json(p), indent=1, sort_keys=True), byte for
     byte, written directly instead of through json's pure-Python indenting
-    encoder: every atom fills one template with a slot per key value."""
-    atom = (
-        '{\n   "den": "%s",\n   "key": '
-        + _list_text(["%s"] * len(p.index_set), 3)
-        + ',\n   "num": "%s"\n  }'
-    )
-    texts = _mass_texts(p)
-    atoms = []
-    for k, w in sorted(p.weight.items()):
-        num, den = texts[w]
-        atoms.append(atom % (den, *k, num))
+    encoder.
+
+    The atoms' text is one join over columns zipped atom by atom: the fixed
+    text between two slots is a repeat, each key position maps the sorted
+    keys through itemgetter and a table of value strings, and den and num
+    map the weights, in key order, through the tables of _mass_texts. So no
+    Python code runs per atom. The value table holds only the values that
+    occur, never one string per target value: target_size is unbounded.
+    """
+    keys = sorted(p.weight)
+    ws = list(map(p.weight.__getitem__, keys))
+    nums, dens = _mass_texts(p)
+    seen = set(chain.from_iterable(keys))
+    values = dict(zip(seen, map(str, seen)))
+    n = len(p.index_set)
+    columns = [
+        chain(('{\n   "den": "',), repeat(',\n  {\n   "den": "')),
+        map(dens.__getitem__, ws),
+    ]
+    if n:
+        columns.append(repeat('",\n   "key": [\n    '))
+        for i in range(n):
+            if i:
+                columns.append(repeat(",\n    "))
+            columns.append(map(values.__getitem__, map(itemgetter(i), keys)))
+        columns.append(repeat('\n   ],\n   "num": "'))
+    else:
+        columns.append(repeat('",\n   "key": [],\n   "num": "'))
+    columns += [map(nums.__getitem__, ws), repeat('"\n  }')]
+    atoms = "".join(chain.from_iterable(zip(*columns)))
     return '{\n "index_set": %s,\n "mass": %s,\n "target_size": %s\n}' % (
         _list_text(map(str, p.index_set), 1),
-        _list_text(atoms, 1),
+        _list_text((atoms,), 1),
         p.target_size,
     )
 

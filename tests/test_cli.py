@@ -315,6 +315,17 @@ def test_glue_command(tmp_path, capsys):
     assert all(e["den"] == "12" for e in dist["mass"])
 
 
+def test_glue_with_one_law_for_two_bags_exits_1_with_one_line(tmp_path, capsys):
+    instance = k3_edge_instance()
+    del instance["bag_dists"][1]
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    assert main(["glue", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: one distribution per bag is required\n"
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_assoc_out_file_is_the_json_route(fixdir, tmp_path, capsys, n):
     target = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
@@ -779,18 +790,83 @@ OUT_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("target", ["directory", "missing-parent"])
-@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
-def test_out_to_an_unwritable_path_exits_2_with_one_line(fixdir, tmp_path, command, target):
+def out_argv(fixdir, tmp_path, command):
+    """The argv of command in OUT_COMMANDS, without --out."""
     instance = tmp_path / "instance.json"
     instance.write_text(json.dumps(k3_edge_instance()))
-    argv = OUT_COMMANDS[command](lambda name: os.path.join(fixdir, name + ".json"), str(instance))
-    out = str(tmp_path) if target == "directory" else str(tmp_path / "no" / "such" / "x.json")
+    return OUT_COMMANDS[command](lambda name: os.path.join(fixdir, name + ".json"), str(instance))
+
+
+@pytest.mark.parametrize("target", ["directory", "missing-parent", "empty"])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_to_an_unwritable_path_exits_2_with_one_line(fixdir, tmp_path, command, target):
+    argv = out_argv(fixdir, tmp_path, command)
+    out = {
+        "directory": str(tmp_path),
+        "missing-parent": str(tmp_path / "no" / "such" / "x.json"),
+        "empty": "",
+    }[target]
     proc = _run_process(*argv, "--out", out)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: cannot write %s:" % out)
+
+
+@pytest.mark.parametrize("via", ["path", "symlink"])
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_rewrites_an_existing_file_in_place(fixdir, tmp_path, capsys, command, via):
+    argv = out_argv(fixdir, tmp_path, command)
+    code = main(argv)
+    answer = capsys.readouterr().out.encode()
+    target = tmp_path / "out.json"
+    target.write_bytes(b"x" * 1_000_000)  # far longer than any answer
+    target.chmod(0o640)
+    inode = target.stat().st_ino
+    out = target
+    if via == "symlink":
+        out = tmp_path / "link.json"
+        out.symlink_to(target)
+    assert main(argv + ["--out", str(out)]) == code
+    capsys.readouterr()
+    assert out.is_symlink() == (via == "symlink")
+    assert target.read_bytes() == answer
+    assert target.stat().st_ino == inode
+    assert target.stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_to_dev_null_exits_0(fixdir, tmp_path, capsys, command):
+    # /dev/null cannot be truncated; only a regular file is
+    assert main(out_argv(fixdir, tmp_path, command) + ["--out", os.devnull]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_write_that_fails_part_way_leaves_an_empty_file(fixdir, tmp_path):
+    # The child caps the size of the files it writes at 1 000 bytes and
+    # ignores SIGXFSZ, so a write past the cap fails with EFBIG; book's
+    # answer on K3 is far longer. The limit acts on the child alone.
+    child = (
+        "import resource, signal, sys\n"
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))\n"
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+        "from homglue.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    (tmp_path / "f").write_bytes(b"x" * 5000)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
+    book, k3 = (os.path.join(fixdir, name + ".json") for name in ("book", "k3"))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "assoc", book, k3, "--out", "f"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: cannot write f: [Errno 27] File too large\n"
+    assert (tmp_path / "f").read_bytes() == b""
 
 
 @pytest.mark.parametrize("level", ["1", None, True, False, 1.0, 0.0, -1])

@@ -56,6 +56,11 @@ def test_graph_rejects_bad_edges():
         Graph(3, [(0, 3)])
 
 
+def test_graph_refuses_a_negative_vertex_count():
+    with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+        Graph(-1)
+
+
 def test_induced_subgraph_of_c4():
     sub, relabel = induced_subgraph(c4(), (0, 1, 2))
     assert relabel == (0, 1, 2)

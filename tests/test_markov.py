@@ -177,6 +177,11 @@ def test_markov_tree_refuses_a_self_loop_or_out_of_range_tree_edge(edge):
         MarkovTree(3, [(0, 1), (1, 2), (2,)], [edge])
 
 
+def test_markov_tree_refuses_no_bags():
+    with pytest.raises(ValueError, match="^at least one bag is required$"):
+        MarkovTree(3, [])
+
+
 def test_helly_examples():
     m = path_bags()
     assert helly_intersection(m, [(0, 1), (1, 2), (0, 1, 2)]) == 1

@@ -69,6 +69,8 @@ def test_distribution_text_matches_the_json_route_byte_for_byte():
         SparseDistribution(
             (1,), 2, {(0,): Fraction(1, big * big + 1), (1,): Fraction(big * big, big * big + 1)}
         ),
+        # a writer that made one string per target value would not finish
+        SparseDistribution((0, 2), 10**12, {(10, 99): Fraction(1, 3), (42, 17): Fraction(2, 3)}),
     ]
     rng = random.Random(41)
     for _ in range(40):

@@ -189,6 +189,15 @@ def test_is_strong_isomorphism_wrong_length_map_is_a_value_error():
             is_strong_isomorphism(sd.children[0], sd.children[1], vertex_map)
 
 
+def test_is_strong_isomorphism_rejects_decompositions_of_different_levels():
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    level1 = StrongDecomposition(
+        1, p3, TreeDecomposition(p3, MarkovTree(3, [(0, 1, 2)])), (zero_strong(p3),)
+    )
+    assert validate_strong(level1).ok
+    assert not is_strong_isomorphism(zero_strong(p3), level1, (0, 1, 2))
+
+
 def test_strong_isomorphism_absent_for_different_trees():
     path = path_fixture()
     star = star_fixture()
