@@ -159,7 +159,7 @@ def cmd_glue(args):
     try:
         joint = glue_markov_tree(m, bag_dists)
     except MarginalMismatch as e:
-        raise _Refused({"error": str(e), "edge": list(e.edge or ()), "witness": e.witness})
+        raise _Refused({"error": str(e), "edge": list(e.edge), "witness": e.witness})
     _write(serialize.distribution_to_text(joint), out=args.out)
     return 0
 
@@ -289,7 +289,7 @@ def main(argv=None):
     except _InputError as e:
         sys.stderr.write("error: %s\n" % e)
         return 2
-    except (ValueError, MarginalMismatch) as e:
+    except ValueError as e:
         sys.stderr.write("error: %s\n" % e)
         return 1
 

@@ -22,7 +22,7 @@ from .markov import MarkovTree
 class MarginalMismatch(ValueError):
     """Two distributions disagree on a shared marginal."""
 
-    def __init__(self, message, witness=None, edge=None):
+    def __init__(self, message, witness, edge):
         super().__init__(message)
         self.witness = witness
         self.edge = edge

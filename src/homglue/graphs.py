@@ -13,10 +13,6 @@ from dataclasses import dataclass
 from itertools import chain, combinations
 
 
-class SizeCapExceeded(ValueError):
-    """Raised when a brute-force enumeration would exceed its candidate cap."""
-
-
 # Bound on |V(g)|^|V(h)| before hom_count refuses to run, read at each call.
 DEFAULT_HOM_CAP = 10**8
 
@@ -187,7 +183,7 @@ def hom_count(h, g):
     if h.n == 0:
         raise ValueError("source graph must have at least one vertex")
     if g.n ** h.n > DEFAULT_HOM_CAP:
-        raise SizeCapExceeded(
+        raise ValueError(
             "candidate space %d^%d exceeds cap %d" % (g.n, h.n, DEFAULT_HOM_CAP)
         )
     # the search recurses once per vertex of h: from two target vertices on,
@@ -270,7 +266,7 @@ def isomorphisms(h1, h2, allowed):
             used[img[v]] = False
             img[v] = -1
         for w in tries[-1]:
-            if not used[w] and _fits(adj1[v], adj2[w], img):
+            if not used[w] and _fits(adj1[v], adj2[w], img, used):
                 break
         else:
             tries.pop()
@@ -284,15 +280,27 @@ def isomorphisms(h1, h2, allowed):
             tries.append(iter(candidates if anchor is None else adj2[img[anchor]]))
 
 
-def _fits(nv, nw, img):
+def _fits(nv, nw, img, used):
     """True iff a vertex with neighbours nv may map to one with neighbours
-    nw: same degree, and the same adjacency to every image img places."""
+    nw: same degree, and the same adjacency to every image img places.
+
+    used marks exactly the images placed, one per placed vertex, so it is
+    enough that every placed neighbour's image lies in nw and that nw holds
+    no more used images than that: the cost is the degrees, not |V(h1)|.
+    """
     if len(nv) != len(nw):
         return False
-    for u, x in enumerate(img):
-        if x >= 0 and (u in nv) != (x in nw):
-            return False
-    return True
+    placed = 0
+    for u in nv:
+        x = img[u]
+        if x >= 0:
+            if x not in nw:
+                return False
+            placed += 1
+    for x in nw:
+        if used[x]:
+            placed -= 1
+    return placed == 0
 
 
 def isomorphisms_pinned(h1, h2, pin=None):

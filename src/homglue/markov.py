@@ -9,18 +9,6 @@ from itertools import combinations
 from .graphs import Graph, bfs, induced_subgraph, is_connected, is_tree, vertex_set
 
 
-class NotASubtree(ValueError):
-    """A bag subfamily was required to induce a subtree of the bag tree."""
-
-
-class ContainedInSingleBag(ValueError):
-    """minimum_covering_subfamily called with U already inside one bag."""
-
-    def __init__(self, bag_index):
-        super().__init__("target set contained in bag %d" % bag_index)
-        self.bag_index = bag_index
-
-
 @dataclass(frozen=True)
 class MarkovTree:
     """A family of bags over ground set 0..ground_size-1 plus a tree on the
@@ -195,18 +183,17 @@ def validate_tree_decomposition(d):
 
 def minimum_covering_subfamily(m, u):
     """The unique minimum bag subfamily of the Markov tree m covering u that
-    induces a subtree.
+    induces a subtree, as ascending bag indices.
 
-    Requires that no single bag contains all of u (otherwise
-    ContainedInSingleBag is raised, carrying the lowest such bag index) and
-    that the bag tree is a tree (otherwise ValueError). The lowest bag
-    holding u is looked for first, before anything else is built. Then,
-    starting from all bags, prunes a leaf of the bags left while every
-    element of u it holds is held by another bag left. On a valid Markov
-    tree this stops at the minimum family: a larger family left has a leaf
-    outside it, and a leaf of the minimum family is the only bag left in
-    some F(v), a subtree. Bags are read against a set of u, never u against
-    each bag, so the search is linear in the size of the Markov tree.
+    When some bag holds all of u, that is (i,) for the lowest such bag i,
+    looked for first, before anything else is built or checked. Otherwise
+    the bag tree must be a tree (ValueError otherwise). Then, starting from
+    all bags, prunes a leaf of the bags left while every element of u it
+    holds is held by another bag left. On a valid Markov tree this stops at
+    the minimum family: a larger family left has a leaf outside it, and a
+    leaf of the minimum family is the only bag left in some F(v), a
+    subtree. Bags are read against a set of u, never u against each bag, so
+    the search is linear in the size of the Markov tree.
     """
     u = vertex_set(u, m.ground_size)
     if not u:
@@ -214,7 +201,7 @@ def minimum_covering_subfamily(m, u):
     wanted = set(u)
     for i, bag in enumerate(m.bags):
         if wanted.issubset(bag):
-            raise ContainedInSingleBag(i)
+            return (i,)
     # held[i]: the elements of u in bag i, ascending; holders[v]: the bags
     # left holding v
     held = [[v for v in bag if v in wanted] for bag in m.bags]
@@ -255,7 +242,7 @@ def retraction(d, keep):
     of the host induced on the union of kept bags, with vertices relabeled
     to 0..m-1, and relabeling[i] = original vertex. Bags are reindexed in
     ascending order of their original indices. A kept family that is not a
-    subtree raises NotASubtree, and a bag index out of range ValueError.
+    subtree, or a bag index out of range, is a ValueError.
 
     The relabeling is monotone, so the relabeled bags stay ascending, and
     the kept bag tree is already a Graph on the new bag indices: the Markov
@@ -263,7 +250,7 @@ def retraction(d, keep):
     """
     kept_tree, keep = induced_subgraph(d.markov.bag_tree, keep)
     if kept_tree.n == 0 or not is_connected(kept_tree):
-        raise NotASubtree("kept family %s does not induce a subtree" % list(keep))
+        raise ValueError("kept family %s does not induce a subtree" % list(keep))
     union = set()
     for i in keep:
         union.update(d.markov.bags[i])

@@ -19,7 +19,6 @@ from .graphs import (
     vertex_set,
 )
 from .markov import (
-    ContainedInSingleBag,
     TreeDecomposition,
     ValidationReport,
     line_graph_markov_tree,
@@ -155,13 +154,12 @@ def validate_document(kind, obj):
 
 def _condition3_holds(sd, i, j, inter):
     m = sd.decomp.markov
-    bag_i, bag_j = m.bags[i], m.bags[j]
-    u_i = tuple(bag_i.index(v) for v in inter)
-    u_j = tuple(bag_j.index(v) for v in inter)
+    pos_i = {v: k for k, v in enumerate(m.bags[i])}
+    pos_j = {v: k for k, v in enumerate(m.bags[j])}
+    u_i = tuple(pos_i[v] for v in inter)
+    u_j = tuple(pos_j[v] for v in inter)
     msd_i = minimum_subdecomposition(sd.children[i], u_i)
     msd_j = minimum_subdecomposition(sd.children[j], u_j)
-    if msd_i.decomposition.level != msd_j.decomposition.level:
-        return False
     inv_i = {v: k for k, v in enumerate(msd_i.embedding)}
     inv_j = {v: k for k, v in enumerate(msd_j.embedding)}
     pin = {inv_i[u_i[t]]: inv_j[u_j[t]] for t in range(len(inter))}
@@ -174,9 +172,10 @@ def minimum_subdecomposition(sd, u):
     """The minimum sub-decomposition of sd containing the vertex set u.
 
     Dispatch follows the recursive definition: when some bag contains all
-    of u, recurse into the child of the lowest-index such bag; otherwise
-    retract to the minimum covering subfamily. At level 0 the bags are
-    single edges, so the nonempty-intersection case bottoms out at one bag.
+    of u (the covering family is the lowest such bag) and sd is above level
+    0, recurse into that bag's child; otherwise retract to the minimum
+    covering subfamily. At level 0 the bags are single edges, so the
+    nonempty-intersection case bottoms out at one bag.
 
     A covering subfamily of every bag, on a decomposition of sd's own host
     whose bags cover it, retracts to sd itself: sd is returned as it is,
@@ -187,16 +186,13 @@ def minimum_subdecomposition(sd, u):
         raise ValueError("u must be nonempty")
 
     td = sd.decomp
-    try:
-        keep = minimum_covering_subfamily(td.markov, u)
-    except ContainedInSingleBag as e:
-        if sd.level > 0:
-            bag = td.markov.bags[e.bag_index]
-            child_u = tuple(bag.index(v) for v in u)
-            inner = minimum_subdecomposition(sd.children[e.bag_index], child_u)
-            embedding = tuple(bag[v] for v in inner.embedding)
-            return SubDecomposition(inner.decomposition, embedding)
-        keep = (e.bag_index,)
+    keep = minimum_covering_subfamily(td.markov, u)
+    if len(keep) == 1 and sd.level > 0:
+        bag = td.markov.bags[keep[0]]
+        pos = {v: k for k, v in enumerate(bag)}
+        inner = minimum_subdecomposition(sd.children[keep[0]], tuple(pos[v] for v in u))
+        embedding = tuple(bag[v] for v in inner.embedding)
+        return SubDecomposition(inner.decomposition, embedding)
     if len(keep) == td.markov.num_bags() and _covers_own_host(sd):
         return SubDecomposition(sd, tuple(range(sd.host.n)))
     sub_td, relabel = retraction(td, keep)
@@ -217,10 +213,10 @@ def strong_isomorphism(sd1, sd2, pin=None):
     The returned vertex map is a host-graph isomorphism under which the
     bag families correspond (via bag_map) and, recursively, each pair of
     corresponding children is isomorphic. Returns None if no such map
-    exists. Levels must agree.
+    exists, as for decompositions of different levels.
     """
     if sd1.level != sd2.level:
-        raise ValueError("level mismatch: %d vs %d" % (sd1.level, sd2.level))
+        return None
     for phi in isomorphisms_pinned(sd1.host, sd2.host, pin):
         result = _structure_match(sd1, sd2, phi)
         if result is not None:

@@ -116,6 +116,34 @@ def bad_condition3_fixture():
     )
 
 
+def mixed_levels_condition3():
+    """Level-2 decomposition of the path 3-0-1-2-4 with bags {0,1,2,3} and
+    {0,1,2,4}, whose minimum sub-decompositions containing the bag
+    intersection {0, 1, 2} have levels 0 and 1: child 0 holds it in its one
+    bag, and child 1 (bags {0,1} and {1,2,4}, relabeled) only in both.
+    Condition 3 fails while everything else validates. Not written under
+    fixtures/."""
+    host = Graph(5, [(0, 1), (1, 2), (0, 3), (2, 4)])
+    markov = MarkovTree(5, [(0, 1, 2, 3), (0, 1, 2, 4)], [(0, 1)])
+    tree0 = Graph(4, [(0, 1), (1, 2), (0, 3)])  # H[{0,1,2,3}]: path 3-0-1-2
+    child0 = StrongDecomposition(
+        1,
+        tree0,
+        decomp=TreeDecomposition(tree0, MarkovTree(4, [(0, 1, 2, 3)])),
+        children=(zero_strong(tree0),),
+    )
+    path4 = Graph(4, [(0, 1), (1, 2), (2, 3)])  # H[{0,1,2,4}] relabeled
+    child1 = StrongDecomposition(
+        1,
+        path4,
+        decomp=TreeDecomposition(path4, MarkovTree(4, [(0, 1), (1, 2, 3)], [(0, 1)])),
+        children=(zero_strong(k2()), zero_strong(path3())),
+    )
+    return StrongDecomposition(
+        2, host, decomp=TreeDecomposition(host, markov), children=(child0, child1)
+    )
+
+
 def bundled_strong_fixtures():
     """Name -> valid strong decomposition, the positive fixture set."""
     return {

@@ -15,15 +15,18 @@ from itertools import combinations, permutations, product
 from homglue.dists import MarginalMismatch, SparseDistribution, first_difference, marginal
 from homglue.graphs import Graph, is_homomorphism, isomorphisms_pinned, vertex_set
 from homglue.markov import (
-    ContainedInSingleBag,
     MarkovTree,
-    NotASubtree,
     TreeDecomposition,
     minimum_covering_subfamily,
     retraction,
 )
 from homglue.sidorenko import associated_distribution
-from homglue.strong import StrongDecomposition, SubDecomposition, minimum_subdecomposition
+from homglue.strong import (
+    StrongDecomposition,
+    SubDecomposition,
+    minimum_subdecomposition,
+    zero_strong,
+)
 
 
 def random_tree_edges(rng, k):
@@ -136,16 +139,13 @@ def minimum_subdecomposition_reference(sd, u):
     if not u:
         raise ValueError("u must be nonempty")
     td = sd.decomp
-    try:
-        keep = minimum_covering_subfamily(td.markov, u)
-    except ContainedInSingleBag as e:
-        if sd.level > 0:
-            bag = td.markov.bags[e.bag_index]
-            child_u = tuple(bag.index(v) for v in u)
-            inner = minimum_subdecomposition_reference(sd.children[e.bag_index], child_u)
-            embedding = tuple(bag[v] for v in inner.embedding)
-            return SubDecomposition(inner.decomposition, embedding)
-        keep = (e.bag_index,)
+    keep = minimum_covering_subfamily(td.markov, u)
+    if len(keep) == 1 and sd.level > 0:
+        bag = td.markov.bags[keep[0]]
+        child_u = tuple(bag.index(v) for v in u)
+        inner = minimum_subdecomposition_reference(sd.children[keep[0]], child_u)
+        embedding = tuple(bag[v] for v in inner.embedding)
+        return SubDecomposition(inner.decomposition, embedding)
     sub_td, relabel = retraction(td, keep)
     children = tuple(sd.children[i] for i in keep) if sd.children else ()
     return SubDecomposition(StrongDecomposition(sd.level, sub_td.host, sub_td, children), relabel)
@@ -186,14 +186,14 @@ def markov_subtrees(m):
 
 def helly_intersection(m, families):
     """The lowest bag index common to the families, each a subtree of m's
-    bag tree (NotASubtree otherwise), or None when two of them are disjoint.
+    bag tree (ValueError otherwise), or None when two of them are disjoint.
     By the Helly property of subtrees of a tree, pairwise-intersecting
     families share a bag; when they do not, the bag tree is no tree, which
     is a ValueError."""
     fams = [frozenset(f) for f in families]
     for f in fams:
         if not family_connected(m, sorted(f)):
-            raise NotASubtree("family %s does not induce a subtree" % sorted(f))
+            raise ValueError("family %s does not induce a subtree" % sorted(f))
     if any(not (f1 & f2) for f1, f2 in combinations(fams, 2)):
         return None
     common = frozenset.intersection(*fams)
@@ -307,6 +307,45 @@ def relabel_strong(sd, perm, rng):
         child_perm = [images[i].index(perm[v]) for v in m.bags[i]]
         children[order[i]] = relabel_strong(child, child_perm, rng)
     return StrongDecomposition(sd.level, host, decomp, tuple(children))
+
+
+def random_level1(rng, num_bags, max_size):
+    """A valid level-1 strong decomposition, built bag by bag: the first bag
+    is a random tree, and each later one a random tree on 2..max_size
+    vertices that shares exactly one vertex or one edge of an earlier bag,
+    to which the bag tree joins it, and is otherwise fresh. The host is the
+    union of the trees. A bag's tree is then the host's induced subgraph on
+    it, and its child that tree's zero_strong. Every intersection along the
+    bag tree is one vertex or one edge, whose minimum sub-decompositions in
+    two level-0 children are both a single edge, so condition 3 holds. Host
+    vertices and bag indices are shuffled at the end."""
+    trees = [random_tree_edges(rng, rng.randint(2, max_size))]
+    bags = [list(range(len(trees[0]) + 1))]
+    bag_tree = []
+    n = len(bags[0])
+    for j in range(1, num_bags):
+        i = rng.randrange(j)
+        shared = list(rng.choice(trees[i])) if rng.random() < 0.5 else [rng.choice(bags[i])]
+        local = shared + list(range(n, n + rng.randint(2, max_size) - len(shared)))
+        n += len(local) - len(shared)
+        edges = [tuple(shared)] if len(shared) == 2 else []
+        edges += [(local[rng.randrange(k)], local[k]) for k in range(len(shared), len(local))]
+        trees.append(edges)
+        bags.append(local)
+        bag_tree.append((i, j))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    order = list(range(num_bags))
+    rng.shuffle(order)
+    host = Graph(n, [(perm[u], perm[v]) for edges in trees for u, v in edges])
+    new_bags, children = [None] * num_bags, [None] * num_bags
+    for j, (bag, edges) in enumerate(zip(bags, trees)):
+        new_bags[order[j]] = image = sorted(perm[v] for v in bag)
+        pos = {v: k for k, v in enumerate(image)}
+        child = Graph(len(image), [(pos[perm[u]], pos[perm[v]]) for u, v in edges])
+        children[order[j]] = zero_strong(child)
+    m = MarkovTree(n, new_bags, [(order[a], order[b]) for a, b in bag_tree])
+    return StrongDecomposition(1, host, TreeDecomposition(host, m), tuple(children))
 
 
 def brute_force_strong_isomorphism(sd1, sd2, pin):

@@ -21,7 +21,13 @@ from homglue.markov import MarkovTree, TreeDecomposition
 from homglue.sidorenko import associated_distribution
 from homglue.strong import StrongDecomposition, zero_strong
 
-from fixture_builders import book, bundled_strong_fixtures, c4_fixture, write_fixture_dir
+from fixture_builders import (
+    book,
+    bundled_strong_fixtures,
+    c4_fixture,
+    mixed_levels_condition3,
+    write_fixture_dir,
+)
 from helpers import all_graphs_reference, seeded_gnm, uniform
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -168,6 +174,11 @@ def _path4_with_bag_tree(tree):
             ["base-tree-not-in-line-graph", "running-intersection"],
         ),
         (_c4_twice_at_level_2(_fixture_doc("c4")), ["intersection-not-forest"]),
+        # the minimum sub-decompositions holding {0, 1, 2} have levels 0 and 1
+        (
+            serialize.strong_to_json(mixed_levels_condition3()),
+            ["sub-decomposition-not-isomorphic"],
+        ),
     ],
     ids=[
         "base-bags-not-host-edges",
@@ -175,10 +186,12 @@ def _path4_with_bag_tree(tree):
         "child-level-mismatch",
         "base-tree-not-in-line-graph",
         "intersection-not-forest",
+        "sub-decomposition-levels-differ",
     ],
 )
 def test_validate_exits_1_on_each_one_step_corruption(tmp_path, capsys, doc, kinds):
-    # one broken condition per document, each a kind no committed fixture has
+    # one broken condition per document, each a kind or branch no committed
+    # fixture reaches
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     code, out = run(capsys, "validate", str(path))

@@ -6,6 +6,10 @@ it imports and the CLI loads every module. Test-only builders and oracles
 live under tests/. No check is an assert statement, and nothing is cached
 by a decorator.
 
+Every exception class the package defines is named in some except clause
+of the package: a class that no caller tells apart from ValueError is a
+ValueError.
+
 Reachability is a static walk over names, by ast. A top-level definition
 (a function, a class or an assignment) reaches the top-level definitions it
 names: directly, through a name it imported from another module of the
@@ -14,6 +18,7 @@ reaches whatever its body names, methods included.
 """
 
 import ast
+import importlib
 import os
 import pathlib
 import subprocess
@@ -148,6 +153,25 @@ def test_every_imported_name_is_used():
         }
         unused += ["%s.py imports %s" % (module, name) for name in IMPORTS[module] if name not in used]
     assert not unused, "never used: " + ", ".join(unused)
+
+
+def _module(module):
+    return importlib.import_module("homglue" if module == "__init__" else "homglue." + module)
+
+
+def test_every_exception_class_is_caught_somewhere_in_the_package():
+    caught = set()
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= _refers_to(module, node.type)
+    uncaught = []
+    for module, names in sorted(DEFS.items()):
+        for name in names:
+            obj = getattr(_module(module), name)
+            if isinstance(obj, type) and issubclass(obj, BaseException) and (module, name) not in caught:
+                uncaught.append(_where(module, name))
+    assert not uncaught, "no except clause in the package names: " + ", ".join(uncaught)
 
 
 def _decorator_name(d):

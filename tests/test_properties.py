@@ -2,7 +2,10 @@
 targets: the gluing kernels against their brute-force oracles, the BRW law
 against a running-product reference, entropy against the formula it
 replaced, and every returned distribution against a rebuild through the
-validating constructor."""
+validating constructor. Generated valid level-1 strong decompositions go
+through the validator, the covering and sub-decomposition searches against
+their references and the strong isomorphism search against a relabelled
+copy."""
 
 import random
 from fractions import Fraction
@@ -10,17 +13,28 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from homglue.dists import SparseDistribution, entropy, glue_markov_tree, glue_pair, marginal
+from homglue.markov import minimum_covering_subfamily
 from homglue.sidorenko import associated_distribution, brw_distribution
+from homglue.strong import (
+    is_strong_isomorphism,
+    minimum_subdecomposition,
+    strong_isomorphism,
+    validate_strong,
+)
 from fixture_builders import bundled_strong_fixtures
 from helpers import (
     brute_force_joint,
+    brute_force_min_cover,
     brw_reference,
     consistent_bag_dists,
     entropy_reference,
     junction_factorization,
+    minimum_subdecomposition_reference,
     random_graph,
+    random_level1,
     random_markov_tree,
     random_tree,
+    relabel_strong,
 )
 
 # derandomized and without an example database: the same examples on every run
@@ -109,3 +123,35 @@ def test_entropy_equals_the_reference_exactly(weights, seed):
     _, (joint,) = glue_instance(seed, 1, 3, 3, len(weights))
     for q in (p, joint, marginal(joint, (0, 2))):
         assert entropy(q) == entropy_reference(q)
+
+
+@PROPERTIES
+@given(seed=seeds, num_bags=st.integers(1, 5), size=st.integers(1, 4))
+def test_generated_level1_decompositions_validate_and_answer_as_their_references(
+    seed, num_bags, size
+):
+    rng = random.Random(seed)
+    sd = random_level1(rng, num_bags, 4)
+    assert validate_strong(sd).ok
+    m = sd.decomp.markov
+    u = rng.sample(range(sd.host.n), min(size, sd.host.n))
+    holding = [i for i, bag in enumerate(m.bags) if set(u) <= set(bag)]
+    minima = brute_force_min_cover(m, u)
+    assert minimum_covering_subfamily(m, u) == ((holding[0],) if holding else minima[0])
+    assert holding or len(minima) == 1
+    sub = minimum_subdecomposition(sd, u)
+    ref = minimum_subdecomposition_reference(sd, u)
+    assert (sub.decomposition, sub.embedding) == (ref.decomposition, ref.embedding)
+
+
+@PROPERTIES
+@given(seed=seeds, num_bags=st.integers(1, 5))
+def test_strong_isomorphism_finds_a_relabelled_generated_level1_decomposition(seed, num_bags):
+    rng = random.Random(seed)
+    sd = random_level1(rng, num_bags, 4)
+    perm = list(range(sd.host.n))
+    rng.shuffle(perm)
+    copy = relabel_strong(sd, perm, rng)
+    iso = strong_isomorphism(sd, copy)
+    assert iso is not None
+    assert is_strong_isomorphism(sd, copy, iso.vertex_map)

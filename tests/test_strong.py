@@ -25,6 +25,7 @@ from fixture_builders import (
     bundled_strong_fixtures,
     c4,
     c4_fixture,
+    mixed_levels_condition3,
     path_fixture,
     star,
     star_fixture,
@@ -61,6 +62,20 @@ def test_condition3_violation_flagged():
             "witness": {"path": [], "edge": [0, 1], "intersection": [0, 2]},
         }
     ]
+
+
+def test_condition3_fails_when_the_minimum_subdecompositions_differ_in_level():
+    sd = mixed_levels_condition3()
+    assert validate_strong(sd).violations == [
+        {
+            "kind": "sub-decomposition-not-isomorphic",
+            "witness": {"path": [], "edge": [0, 1], "intersection": [0, 1, 2]},
+        }
+    ]
+    # {0, 1, 2} sits at positions 0, 1, 2 of both bags
+    msd0, msd1 = (minimum_subdecomposition(child, (0, 1, 2)) for child in sd.children)
+    assert (msd0.decomposition.level, msd1.decomposition.level) == (0, 1)
+    assert strong_isomorphism(msd0.decomposition, msd1.decomposition) is None
 
 
 def test_condition3_on_a_cyclic_and_on_an_empty_intersection():
@@ -201,8 +216,7 @@ def test_is_strong_isomorphism_rejects_decompositions_of_different_levels():
 def test_strong_isomorphism_absent_for_different_trees():
     path = path_fixture()
     star = star_fixture()
-    with pytest.raises(ValueError):
-        strong_isomorphism(path, c4_fixture())  # level mismatch
+    assert strong_isomorphism(path, c4_fixture()) is None  # levels differ
     sd = zero_strong(Graph(4, [(0, 1), (1, 2), (2, 3)]))
     assert strong_isomorphism(sd, star) is None
 
