@@ -1,10 +1,18 @@
 """Command-line front end.
 
 Subcommands: validate, assoc, glue, min-subdec, sidorenko-sweep,
-entropy-report. Output is JSON on standard output; exit codes are 0 for
-success, 1 for a semantic failure (validation violation, broken invariant,
-guard), 2 for unreadable or unrecognized input or an --out file that cannot
-be written.
+entropy-report. Answers are JSON on standard output, exit 0. A failure ends
+in one of four ways:
+
+- an input its validator refuses (markov.ValidationFailed): the validation
+  report as JSON on standard output, exit 1;
+- an input the theory does not cover, a guard or a broken invariant
+  (markov.Refused): its doc, {"error": ...}, as JSON on standard output,
+  exit 1;
+- any other ValueError from the library: one "error:" line on standard
+  error, exit 1;
+- unreadable or unrecognized input, a bad argument or an --out file that
+  cannot be written: one "error:" line on standard error, exit 2.
 """
 
 import argparse
@@ -15,10 +23,9 @@ import stat
 import sys
 
 from . import serialize
-from .dists import MarginalMismatch, glue_markov_tree
-from .markov import ValidationFailed, validate_markov_tree
+from .dists import glue_markov_tree
+from .markov import Refused, ValidationFailed, validate_markov_tree
 from .sidorenko import (
-    InvariantViolation,
     associated_distribution,
     bound_report,
     degree_condition,
@@ -71,12 +78,6 @@ def _glue_instance(doc):
 
 class _InputError(Exception):
     pass
-
-
-class _Refused(Exception):
-    """A semantic refusal: main prints its one argument, a JSON document, on
-    stdout and exits 1. An input its validator refuses (ValidationFailed)
-    ends the same way, with the validation report as the document."""
 
 
 def _emit(doc, out=None):
@@ -136,14 +137,9 @@ def cmd_validate(args):
 def cmd_assoc(args):
     sd = _load(args.decomp, "strong-decomposition")
     g = _load(args.target, "graph")
-    if g.num_edges() == 0:
-        raise _Refused({"error": "target has no edges"})
-    try:
-        ad = associated_distribution(sd, g)
-        # the summary is written only beside an --out file
-        bound = bound_report(ad) if args.out is not None and degree_condition(g) else None
-    except (InvariantViolation, MarginalMismatch) as e:
-        raise _Refused({"error": str(e)})
+    ad = associated_distribution(sd, g)
+    # the summary is written only beside an --out file
+    bound = bound_report(ad) if args.out is not None and degree_condition(g) else None
     _write(serialize.distribution_to_text(ad.dist), out=args.out)
     if args.out is not None:
         summary = {"atoms": ad.dist.support_size()}
@@ -156,10 +152,7 @@ def cmd_assoc(args):
 def cmd_glue(args):
     m, bag_dists = _read(args.instance, _glue_instance)
     validate_markov_tree(m).require()
-    try:
-        joint = glue_markov_tree(m, bag_dists)
-    except MarginalMismatch as e:
-        raise _Refused({"error": str(e), "edge": list(e.edge), "witness": e.witness})
+    joint = glue_markov_tree(m, bag_dists)
     _write(serialize.distribution_to_text(joint), out=args.out)
     return 0
 
@@ -192,7 +185,7 @@ def cmd_sidorenko_sweep(args):
     if args.max_n < 0:
         raise _InputError("--max-n must be at least 0, not %d" % args.max_n)
     if args.max_n > SWEEP_VERTEX_LIMIT:
-        raise _Refused({"error": "max-n %d exceeds limit %d" % (args.max_n, SWEEP_VERTEX_LIMIT)})
+        raise Refused("max-n %d exceeds limit %d" % (args.max_n, SWEEP_VERTEX_LIMIT))
     validate_strong(sd).require()
     host = sd.host
     rows = []
@@ -217,10 +210,6 @@ def cmd_sidorenko_sweep(args):
 def cmd_entropy_report(args):
     sd = _load(args.decomp, "strong-decomposition")
     g = _load(args.target, "graph")
-    if not degree_condition(g):
-        raise _Refused({"error": "target fails the degree condition"})
-    if g.num_edges() == 0:
-        raise _Refused({"error": "target has no edges"})
     report = entropy_bound_report(sd, g)
     _emit(serialize.bound_report_to_json(report), out=args.out)
     return 0
@@ -280,8 +269,8 @@ def main(argv=None):
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except _Refused as e:
-        _emit(e.args[0])
+    except Refused as e:
+        _emit(e.doc)
         return 1
     except ValidationFailed as e:
         _emit(serialize.report_to_json(e.report))

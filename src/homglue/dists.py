@@ -16,29 +16,21 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from .graphs import bfs, is_tree, require_ints, vertex_set
-from .markov import MarkovTree
-
-
-class MarginalMismatch(ValueError):
-    """Two distributions disagree on a shared marginal."""
-
-    def __init__(self, message, witness, edge):
-        super().__init__(message)
-        self.witness = witness
-        self.edge = edge
+from .markov import MarkovTree, Refused
 
 
 @dataclass(frozen=True)
 class SparseDistribution:
     """Probability mass function over assignments index_set -> 0..target_size-1.
 
-    Keys are value tuples aligned with the sorted index_set; only strictly
-    positive atoms are stored. The mass at key is weight[key] / den: positive
-    integer weights over one common denominator, in lowest terms
-    (gcd(den, *weights) == 1), so two distributions are equal exactly when
-    their fields are. The masses must sum to exactly 1, that is the weights
-    to den. mass is a read-only {key: Fraction} view of the same law, built
-    on each read.
+    Keys are value tuples aligned with index_set, which must be strictly
+    ascending: the constructor refuses any other order rather than sort the
+    labels apart from the values. Only strictly positive atoms are stored.
+    The mass at key is weight[key] / den: positive integer weights over one
+    common denominator, in lowest terms (gcd(den, *weights) == 1), so two
+    distributions are equal exactly when their fields are. The masses must
+    sum to exactly 1, that is the weights to den. mass is a read-only
+    {key: Fraction} view of the same law, built on each read.
 
     Distributions are validated where they enter the program: this
     constructor, which serialize.distribution_from_json calls, checks every
@@ -58,7 +50,8 @@ class SparseDistribution:
     def __init__(self, index_set, target_size, mass):
         index_set = tuple(index_set)
         require_ints((index_set, (target_size,), *mass), "index set, target size and key values")
-        index_set = vertex_set(index_set)
+        if any(a >= b for a, b in zip(index_set, index_set[1:])):
+            raise ValueError("index set must be strictly ascending, not %s" % (list(index_set),))
         if target_size < 0:
             raise ValueError("target_size must be nonnegative")
         norm = {}
@@ -178,8 +171,8 @@ def glue_pair(p12, p23):
     p12.index_set and p23.index_set, whose index sets must therefore be
     non-negative integers.
 
-    The shared marginals must agree exactly (MarginalMismatch otherwise,
-    with the first differing key as witness); the result q on the union
+    The shared marginals must agree exactly (Refused otherwise, with the
+    first differing key as witness); the result q on the union
     index set satisfies q(y) * m(y_shared) = p12(y_12) * p23(y_23) on every
     atom and reproduces both inputs as marginals. An empty shared set
     yields the product distribution.
@@ -285,7 +278,7 @@ def glue_markov_tree(m, bag_dists):
     A bag tree that is not a tree (graphs.is_tree on m.bag_tree) raises
     ValueError first. Every tree edge's two bag marginals are then compared
     once, by check_marginal_consistency, before any gluing; the first edge,
-    in m.tree order, that is not ok raises MarginalMismatch carrying that
+    in m.tree order, that is not ok raises Refused, whose doc carries that
     edge and its witness. Each bag after bag 0 is then coupled onto the
     joint glued so far along its overlap with its walk parent. A bag whose
     overlap with the bags glued so far is not its overlap with its parent
@@ -304,10 +297,10 @@ def glue_markov_tree(m, bag_dists):
         raise ValueError("bag tree on %d bags is not a tree" % m.num_bags())
     for entry in check_marginal_consistency(m, bag_dists):
         if not entry["ok"]:
-            raise MarginalMismatch(
+            raise Refused(
                 "marginal mismatch on tree edge %s" % (entry["edge"],),
+                edge=entry["edge"],
                 witness=entry["witness"],
-                edge=tuple(entry["edge"]),
             )
     order, parent = bfs(m.bag_tree, [0])
     joint = bag_dists[0]

@@ -80,6 +80,16 @@ class ValidationFailed(ValueError):
         self.report = report
 
 
+class Refused(ValueError):
+    """An input the theory does not cover, a guard or a broken invariant.
+    doc is its answer, {"error": message, **details}, which the CLI prints
+    as JSON on stdout. Not a ValidationFailed, whose answer is its report."""
+
+    def __init__(self, message, **details):
+        super().__init__(message)
+        self.doc = {"error": message, **details}
+
+
 @dataclass
 class ValidationReport:
     violations: list = field(default_factory=list)

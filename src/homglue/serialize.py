@@ -10,6 +10,8 @@ Formats:
                                    "children": [StrongDecomposition, ...]}}
   SparseDistribution  {"index_set": [...], "target_size": n,
                        "mass": [{"key": [...], "num": str, "den": str}, ...]}
+                      (index_set strictly ascending; key i is the value at
+                       index_set[i])
 All round trips are bit-exact. Every CLI answer is laid out as
 json.dumps(doc, indent=1, sort_keys=True) lays it out: a distribution by
 distribution_to_text, every other answer by json_text.

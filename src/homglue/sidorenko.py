@@ -11,11 +11,8 @@ from fractions import Fraction
 
 from .dists import SparseDistribution, entropy, glue_markov_tree
 from .graphs import hom_count, is_forest, is_homomorphism, is_tree, max_degree
+from .markov import Refused
 from .strong import validate_strong, zero_strong
-
-
-class InvariantViolation(ValueError):
-    """A built distribution breaks an invariant the theory guarantees."""
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,7 @@ def brw_distribution(t, g):
     if not is_tree(t) or t.num_edges() == 0:
         raise ValueError("source must be a tree with at least one edge")
     if g.num_edges() == 0:
-        raise ValueError("target has no edges")
+        raise Refused("target has no edges")
     return _build(zero_strong(t), g, {})
 
 
@@ -59,7 +56,7 @@ def associated_distribution(sd, g):
     """The level-k distribution on Hom(host(sd), g).
 
     Every level glues one law per bag along the decomposition's Markov
-    tree, which raises MarginalMismatch unless they agree exactly across
+    tree, which raises Refused unless they agree exactly across
     every tree edge. At level 0 each bag is a host edge carrying the uniform
     law on g's ordered edges, which glue to the branching random walk (see
     brw_distribution); at level k each bag carries its child's level-(k-1)
@@ -67,18 +64,18 @@ def associated_distribution(sd, g):
     built once per call.
 
     The distribution is defined for a strong decomposition only: after a
-    target without edges (ValueError), sd is refused unless validate_strong
+    target without edges (Refused), sd is refused unless validate_strong
     passes it (ValidationFailed, carrying the report). Validity puts every
     host vertex and edge in a bag and makes each child's host the host
     induced on its bag. Gluing keeps exactly the atoms whose projections all
     lie in the bag supports, so as each bag's support is all of Hom(child
     host, g) (at level 0, of K2), the result's is all of Hom(host(sd), g).
     Every atom of each distinct child's distribution must be a homomorphism
-    of that child's host; InvariantViolation otherwise, which means this
-    code is broken.
+    of that child's host; Refused otherwise, which means this code is
+    broken.
     """
     if g.num_edges() == 0:
-        raise ValueError("target has no edges")
+        raise Refused("target has no edges")
     validate_strong(sd).require()
     return AssociatedDistribution(sd, g, _build(sd, g, {}))
 
@@ -112,11 +109,10 @@ def _build(sd, g, built):
 
 
 def _require_homs(h, g, p):
-    """InvariantViolation unless every support atom of p is a homomorphism
-    h -> g."""
+    """Refused unless every support atom of p is a homomorphism h -> g."""
     for key in p.weight:
         if not is_homomorphism(h, g, key):
-            raise InvariantViolation("support atom %s is not a homomorphism" % (key,))
+            raise Refused("support atom %s is not a homomorphism" % (key,))
 
 
 def degree_condition(g):
@@ -128,15 +124,15 @@ def degree_condition(g):
 def forest_hom_bound_check(f, g):
     """Check hom(f,g) <= 2^e(f) * n^v(f) * (2e(g)/n^2)^e(f) exactly.
 
-    Requires f to be a forest and g to have a vertex and satisfy the degree
-    condition (ValueError otherwise). Returns {"ok", "lhs", "rhs"} with
-    exact rationals.
+    Requires f to be a forest and g to have a vertex (ValueError otherwise)
+    and g to satisfy the degree condition (Refused otherwise). Returns
+    {"ok", "lhs", "rhs"} with exact rationals.
     """
     if not is_forest(f):
         raise ValueError("source graph is not a forest")
     _require_vertices(g)
     if not degree_condition(g):
-        raise ValueError("target fails the degree condition")
+        raise Refused("target fails the degree condition")
     lhs = Fraction(hom_count(f, g))
     ef = f.num_edges()
     rhs = Fraction(2) ** ef * Fraction(g.n) ** f.n * Fraction(
@@ -167,10 +163,10 @@ def _require_vertices(g):
 
 def entropy_bound_report(sd, g):
     """Entropy of the associated distribution against the support bound and
-    the constant-free right-hand side; see bound_report. Raises ValueError,
+    the constant-free right-hand side; see bound_report. Raises Refused,
     before building anything, when g fails the degree condition."""
     if not degree_condition(g):
-        raise ValueError("target fails the degree condition")
+        raise Refused("target fails the degree condition")
     return bound_report(associated_distribution(sd, g))
 
 
@@ -180,10 +176,10 @@ def bound_report(ad):
 
     The comparison with the right-hand side is informational only (the
     theory guarantees it up to an unspecified additive constant); the
-    support bound H(Y) <= log2 hom(H, G) raises InvariantViolation when it
-    fails. hom(H, G) is the support size: associated_distribution builds
-    only on a valid decomposition, whose support is all of Hom(H, G), so no
-    search runs here.
+    support bound H(Y) <= log2 hom(H, G) raises Refused when it fails.
+    hom(H, G) is the support size: associated_distribution builds only on a
+    valid decomposition, whose support is all of Hom(H, G), so no search
+    runs here.
     """
     g, host = ad.target, ad.sd.host
     h_bits = entropy(ad.dist)
@@ -192,7 +188,7 @@ def bound_report(ad):
     count = ad.dist.support_size()
     log_hom = math.log2(count)
     if h_bits > log_hom + 1e-9:
-        raise InvariantViolation("entropy exceeds the support bound")
+        raise Refused("entropy exceeds the support bound")
     return BoundReport(
         entropy_bits=h_bits,
         rhs_bits=rhs,

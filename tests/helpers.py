@@ -12,10 +12,11 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from homglue.dists import MarginalMismatch, SparseDistribution, first_difference, marginal
+from homglue.dists import SparseDistribution, first_difference, marginal
 from homglue.graphs import Graph, is_homomorphism, isomorphisms_pinned, vertex_set
 from homglue.markov import (
     MarkovTree,
+    Refused,
     TreeDecomposition,
     minimum_covering_subfamily,
     retraction,
@@ -786,18 +787,18 @@ def glue_markov_tree_reference(m, bag_dists):
     marginals (marginal_reference) compared in m.tree order, then each bag
     after bag 0 coupled (couple_reference) onto the joint in the order of
     bfs_reference(m.bag_tree, [0]), given its overlap with its walk parent.
-    For bag laws on a valid Markov tree; MarginalMismatch on the first edge
-    whose marginals differ."""
+    For bag laws on a valid Markov tree; Refused on the first edge whose
+    marginals differ."""
     agreed = {}
     for a, b in m.tree:
         shared = vertex_set(set(m.bags[a]) & set(m.bags[b]))
         ma = marginal_reference(bag_dists[a], shared)
         mb = marginal_reference(bag_dists[b], shared)
         if ma.mass != mb.mass:
-            raise MarginalMismatch(
+            raise Refused(
                 "marginal mismatch on tree edge %s" % ([a, b],),
+                edge=[a, b],
                 witness=first_difference(ma.mass, mb.mass),
-                edge=(a, b),
             )
         agreed[a, b] = ma
     order, parent = bfs_reference(m.bag_tree, [0])

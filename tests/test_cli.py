@@ -294,6 +294,17 @@ def test_assoc_edgeless_target(fixdir, capsys):
     assert doc["error"] == "target has no edges"
 
 
+def test_entropy_report_refuses_a_target_failing_the_degree_condition(fixdir, tmp_path, capsys):
+    # K1,4: max degree 4 on 5 vertices, 4 * 5 > 4 * 4 edges
+    path = tmp_path / "k14.json"
+    path.write_text(json.dumps(serialize.graph_to_json(Graph(5, [(0, v) for v in range(1, 5)]))))
+    code = main(["entropy-report", os.path.join(fixdir, "c4.json"), str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == '{\n "error": "target fails the degree condition"\n}\n'
+    assert captured.err == ""
+
+
 def k3_edge_instance():
     return {
         "markov": {"ground_size": 3, "bags": [[0, 1], [1, 2]], "tree": [[0, 1]]},
@@ -434,6 +445,8 @@ UNLOADABLE = {
     "float-target": _point_mass_doc([0], 2.5, [1]),
     "bool-edge": {"n": 3, "edges": [[True, 2]]},
     "float-bag": {"ground_size": 2, "bags": [[0], [1.0]], "tree": [[0, 1]]},
+    "descending-index": _point_mass_doc([1, 0], 2, [0, 1]),
+    "repeated-index": _point_mass_doc([0, 0], 2, [0, 1]),
 }
 UNGLUEABLE = {
     "zero-den": _broken_glue_instance("den", "0", atom=True),
@@ -445,6 +458,8 @@ UNGLUEABLE = {
     "float-key": _broken_glue_instance("key", [0, 1.0], atom=True),
     "float-target": _broken_glue_instance("target_size", 2.5),
     "bool-index": _broken_glue_instance("index_set", [0, True]),
+    "descending-index": _broken_glue_instance("index_set", [1, 0]),
+    "repeated-index": _broken_glue_instance("index_set", [0, 0]),
     "float-tree": {
         **k3_edge_instance(),
         "markov": {"ground_size": 3, "bags": [[0, 1], [1, 2]], "tree": [[0, 1.0]]},
@@ -703,7 +718,8 @@ def test_min_subdec_vertex_out_of_range_is_a_parse_failure(fixdir, capsys, u):
 
 
 def test_assoc_non_homomorphic_atom_is_a_json_error_under_optimize(fixdir):
-    # python -O strips asserts; the support check must still fire
+    # python -O strips asserts; the support check must still fire, and
+    # assoc and entropy-report both answer it as JSON on stdout
     src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
     script = (
         "import sys\n"
@@ -712,23 +728,23 @@ def test_assoc_non_homomorphic_atom_is_a_json_error_under_optimize(fixdir):
         "s.is_homomorphism = lambda h, g, key: False\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-O",
-            "-c",
-            script,
-            "assoc",
-            os.path.join(fixdir, "c4.json"),
-            os.path.join(fixdir, "k3.json"),
-        ],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": src},
-    )
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert "not a homomorphism" in json.loads(proc.stdout)["error"]
+    for command in ("assoc", "entropy-report"):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-O",
+                "-c",
+                script,
+                command,
+                os.path.join(fixdir, "c4.json"),
+                os.path.join(fixdir, "k3.json"),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (command, proc.returncode, proc.stderr) == (command, 1, "")
+        assert "not a homomorphism" in json.loads(proc.stdout)["error"]
 
 
 def test_min_subdec_disconnected_bag_tree_exits_1_with_one_line(tmp_path, capsys):

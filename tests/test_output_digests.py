@@ -1,9 +1,11 @@
 """Output digests of every subcommand. Those of assoc, entropy-report and
 glue were recorded from the program as it stood when every distribution
-held one Fraction per atom; those of validate, min-subdec and
-sidorenko-sweep from the program as it stood when every answer went
-through json.dumps(indent=1, sort_keys=True) and every minimum
-sub-decomposition was rebuilt by a retraction. Any change to an atom, a
+held one Fraction per atom (the broken-descending-index and
+broken-repeated-index glue cases when index sets out of order were first
+refused); those of validate, min-subdec and sidorenko-sweep from the
+program as it stood when every answer went through json.dumps(indent=1,
+sort_keys=True) and every minimum sub-decomposition was rebuilt by a
+retraction. Any change to an atom, a
 mass, an entropy bit, a hom count, a gap, a witness, a sub-decomposition,
 an embedding, a message or an exit code changes a digest.
 
@@ -376,6 +378,10 @@ DIGESTS = {
     "glue broken-float-target --out": "b87e76b22ab1f391",
     "glue broken-bool-index": "434c776996f0e5fe",
     "glue broken-bool-index --out": "434c776996f0e5fe",
+    "glue broken-descending-index": "5f0acb79dcd21bf9",
+    "glue broken-descending-index --out": "5f0acb79dcd21bf9",
+    "glue broken-repeated-index": "4173b3cab6a3816f",
+    "glue broken-repeated-index --out": "4173b3cab6a3816f",
     "glue broken-float-tree": "3627dc05bbfc6548",
     "glue broken-float-tree --out": "3627dc05bbfc6548",
 }

@@ -184,6 +184,20 @@ def test_distribution_from_json_refuses_non_integer_values(index_set, keys, targ
         serialize.distribution_from_json(doc)
 
 
+@pytest.mark.parametrize("index_set", [[1, 0], [0, 0]], ids=["descending", "repeated"])
+def test_distribution_from_json_refuses_an_index_set_that_is_not_strictly_ascending(index_set):
+    # keys are read positionally: sorting [1, 0] would turn "x1 is always 0"
+    # into "x0 is always 0"
+    doc = {
+        "index_set": index_set,
+        "target_size": 2,
+        "mass": [{"key": k, "num": "1", "den": "2"} for k in ([0, 0], [0, 1])],
+    }
+    with pytest.raises(ValueError) as e:
+        serialize.distribution_from_json(doc)
+    assert str(e.value) == "index set must be strictly ascending, not %s" % index_set
+
+
 @pytest.mark.parametrize(
     "num, den",
     [(1.9, "2"), (True, "2"), ("1", 2), ("1", None), (None, "2"), ("1", False)],

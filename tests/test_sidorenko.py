@@ -14,7 +14,6 @@ from homglue import sidorenko
 from homglue.dists import SparseDistribution, entropy, glue_markov_tree, marginal
 from homglue.graphs import Graph, hom_count, is_homomorphism, isomorphisms_pinned
 from homglue.sidorenko import (
-    InvariantViolation,
     associated_distribution,
     brw_distribution,
     degree_condition,
@@ -24,6 +23,7 @@ from homglue.sidorenko import (
 )
 from homglue.markov import (
     MarkovTree,
+    Refused,
     TreeDecomposition,
     ValidationFailed,
     line_graph,
@@ -225,7 +225,7 @@ def test_non_homomorphic_child_atom_raises_before_gluing(monkeypatch):
     monkeypatch.setattr(sidorenko, "_build", with_bad_atom)
     monkeypatch.setattr(sidorenko, "glue_markov_tree", no_gluing)
     for sd in (c4_fixture(), book_fixture()):
-        with pytest.raises(InvariantViolation, match="is not a homomorphism"):
+        with pytest.raises(Refused, match="is not a homomorphism"):
             associated_distribution(sd, k3())
 
 
@@ -321,7 +321,7 @@ def test_entropy_identity_at_each_gluing_step():
 
 def test_non_homomorphic_atom_raises_invariant_violation(monkeypatch):
     monkeypatch.setattr(sidorenko, "is_homomorphism", lambda h, g, key: False)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(Refused):
         associated_distribution(c4_fixture(), k3())
 
 
@@ -334,7 +334,7 @@ def test_non_homomorphic_atom_raises_under_optimize():
         "s.is_homomorphism = lambda h, g, key: False\n"
         "try:\n"
         "    s.associated_distribution(c4_fixture(), k3())\n"
-        "except s.InvariantViolation:\n"
+        "except s.Refused:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit(3)\n"
     )
@@ -380,7 +380,7 @@ def test_child_smaller_than_its_bag_raises_wrong_arity():
 def test_entropy_above_support_bound_raises_invariant_violation(monkeypatch):
     # hom(C4, K3) = 18 atoms; an entropy one bit above log2(18) breaks the bound
     monkeypatch.setattr(sidorenko, "entropy", lambda p: math.log2(18) + 1)
-    with pytest.raises(InvariantViolation, match="^entropy exceeds the support bound$"):
+    with pytest.raises(Refused, match="^entropy exceeds the support bound$"):
         entropy_bound_report(c4_fixture(), k3())
 
 
