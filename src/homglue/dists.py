@@ -18,6 +18,9 @@ from types import MappingProxyType
 from .graphs import bfs, is_tree, require_ints, vertex_set
 from .markov import MarkovTree, Refused
 
+# what SparseDistribution's integer check names
+INT_FIELDS = "index set, target size and key values"
+
 
 @dataclass(frozen=True)
 class SparseDistribution:
@@ -35,7 +38,10 @@ class SparseDistribution:
     Distributions are validated where they enter the program: this
     constructor, which serialize.distribution_from_json calls, checks every
     atom and the total, then stores the masses as weights over the lcm of
-    their denominators. What the program builds from valid distributions
+    their denominators. A mass whose type is exactly Fraction is kept as
+    given (a Fraction is always in lowest terms over a positive
+    denominator); any other value, a Fraction subclass included, is first
+    converted by Fraction(). What the program builds from valid distributions
     (marginals, couplings, level-0 edge laws, re-indexed children) goes
     through the unchecked _trusted constructor instead, and each public
     function checks the total mass of the distribution it returns once
@@ -49,20 +55,23 @@ class SparseDistribution:
 
     def __init__(self, index_set, target_size, mass):
         index_set = tuple(index_set)
-        require_ints((index_set, (target_size,), *mass), "index set, target size and key values")
+        require_ints((index_set, (target_size,), *mass), INT_FIELDS)
         if any(a >= b for a, b in zip(index_set, index_set[1:])):
             raise ValueError("index set must be strictly ascending, not %s" % (list(index_set),))
         if target_size < 0:
             raise ValueError("target_size must be nonnegative")
+        arity = len(index_set)
         norm = {}
         for key, p in mass.items():
             key = tuple(key)
-            if len(key) != len(index_set):
+            if len(key) != arity:
                 raise ValueError("key %s has wrong arity" % (key,))
-            if any(not (0 <= x < target_size) for x in key):
+            # the key values are int-checked above
+            if key and (min(key) < 0 or max(key) >= target_size):
                 raise ValueError("key %s has out-of-range value" % (key,))
-            p = Fraction(p)
-            if p <= 0:
+            if type(p) is not Fraction:
+                p = Fraction(p)
+            if p.numerator <= 0:
                 raise ValueError("mass at %s must be strictly positive" % (key,))
             if key in norm:
                 raise ValueError("duplicate key %s" % (key,))
@@ -150,18 +159,20 @@ def marginal(p, s):
 
 def entropy(p):
     """Shannon entropy in bits, added left to right in sorted-key order (the
-    built-in sum compensates from Python 3.12 on). Each distinct weight w
+    built-in sum compensates from Python 3.12 on). The keys are sorted alone
+    and each weight looked up: they are unique, so the order is the one
+    sorting the (key, weight) pairs gives. Each distinct weight w
     becomes the float x = w / den, and x * log2(x), once. Integer true
     division is correctly rounded, so x is the float float(q) makes of the
     atom's Fraction mass q, whether or not w / den is in lowest terms."""
-    den = p.den
+    den, weight = p.den, p.weight
     terms = {}
-    for w in set(p.weight.values()):
+    for w in set(weight.values()):
         x = w / den
         terms[w] = x * math.log2(x)
     total = 0
-    for _, w in sorted(p.weight.items()):
-        total += terms[w]
+    for key in sorted(weight):
+        total += terms[weight[key]]
     return -total
 
 

@@ -215,7 +215,10 @@ def _count(v, last, earlier, adj, everywhere, img):
 
 def is_homomorphism(h, g, mapping):
     adj = g._adj
-    return all(mapping[v] in adj[mapping[u]] for u, v in h.edges)
+    for u, v in h.edges:
+        if mapping[v] not in adj[mapping[u]]:
+            return False
+    return True
 
 
 def isomorphisms(h1, h2, allowed):

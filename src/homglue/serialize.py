@@ -11,7 +11,7 @@ Formats:
   SparseDistribution  {"index_set": [...], "target_size": n,
                        "mass": [{"key": [...], "num": str, "den": str}, ...]}
                       (index_set strictly ascending; key i is the value at
-                       index_set[i])
+                       index_set[i]; each key listed once)
 All round trips are bit-exact. Every CLI answer is laid out as
 json.dumps(doc, indent=1, sort_keys=True) lays it out: a distribution by
 distribution_to_text, every other answer by json_text.
@@ -27,7 +27,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .dists import SparseDistribution
+from .dists import INT_FIELDS, SparseDistribution
 from .graphs import Graph, require_ints
 from .markov import MarkovTree, TreeDecomposition
 from .strong import StrongDecomposition
@@ -280,11 +280,29 @@ def _key_text(key):
 
 
 def distribution_from_json(doc):
+    entries = doc["mass"]
     try:
-        mass = {tuple(e["key"]): _mass(e["num"], e["den"]) for e in doc["mass"]}
+        mass = {tuple(e["key"]): _mass(e["num"], e["den"]) for e in entries}
     except ZeroDivisionError:
         raise ValueError("a mass has a zero denominator")
+    if len(mass) < len(entries):
+        _refuse_repeated_key(doc, entries)
     return SparseDistribution(doc["index_set"], doc["target_size"], mass)
+
+
+def _refuse_repeated_key(doc, entries):
+    """Raise the ValueError SparseDistribution would give the entries before
+    a dict merged two of them: a later entry replaces an earlier one with an
+    equal key, and [0.0] or [false] equals [0]. So the values are int-checked
+    first, as the constructor checks them; then the first repeated key is a
+    duplicate key."""
+    keys = [tuple(e["key"]) for e in entries]
+    require_ints((doc["index_set"], (doc["target_size"],), *keys), INT_FIELDS)
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ValueError("duplicate key %s" % (key,))
+        seen.add(key)
 
 
 def _mass(num, den):

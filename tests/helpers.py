@@ -349,6 +349,19 @@ def random_level1(rng, num_bags, max_size):
     return StrongDecomposition(1, host, TreeDecomposition(host, m), tuple(children))
 
 
+def overlaps_are_vertices_and_edges(sd):
+    """Whether, at every level of sd, each overlap of two bags joined in the
+    bag tree induces in that level's host a disjoint union of vertices and
+    edges: no overlap vertex has two neighbours in the overlap. Every
+    fixture and every random_level1 draw is of this kind."""
+    m = sd.decomp.markov
+    for a, b in m.tree:
+        shared = set(m.bags[a]).intersection(m.bags[b])
+        if any(len(shared.intersection(sd.host.neighbors(v))) > 1 for v in shared):
+            return False
+    return all(overlaps_are_vertices_and_edges(child) for child in sd.children)
+
+
 def brute_force_strong_isomorphism(sd1, sd2, pin):
     """The lexicographically first (vertex_map, bag_map) of a strong
     isomorphism sd1 -> sd2 whose vertex map extends pin, or None: every

@@ -488,6 +488,45 @@ def test_zero_denominators_and_non_integer_values_exit_2_without_traceback(tmp_p
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: cannot parse")
 
 
+def _one_bag_glue_instance(atoms):
+    """A glue document of one bag on vertex 0 whose law lists atoms, each a
+    (key, num, den)."""
+    return {
+        "markov": {"ground_size": 1, "bags": [[0]], "tree": []},
+        "bag_dists": [
+            {
+                "index_set": [0],
+                "target_size": 2,
+                "mass": [{"key": k, "num": n, "den": d} for k, n, d in atoms],
+            }
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "atoms, message",
+    [
+        ([([0], "1", "2"), ([1], "1", "2"), ([0], "1", "2")], "duplicate key (0,)"),
+        (
+            [([0], "1", "4"), ([1], "1", "2"), ([0.0], "1", "2")],
+            "index set, target size and key values must be integers, not float",
+        ),
+        (
+            [([0], "1", "4"), ([1], "1", "2"), ([True], "1", "4")],
+            "index set, target size and key values must be integers, not bool",
+        ),
+    ],
+    ids=["repeated", "float-repeat", "bool-repeat"],
+)
+def test_glue_refuses_a_repeated_key_instead_of_merging_it(tmp_path, capsys, atoms, message):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_one_bag_glue_instance(atoms)))
+    assert main(["glue", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot parse %s: %s\n" % (path, message)
+
+
 def test_glue_reports_the_first_mismatching_edge_in_sorted_order(tmp_path, capsys):
     # edges (0,1) and (1,2) both mismatch; the report names (0,1) and its witness
     def dist(idx, masses):

@@ -7,19 +7,23 @@ through the validator, the covering and sub-decomposition searches against
 their references and the strong isomorphism search against a relabelled
 copy."""
 
+import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from homglue.dists import SparseDistribution, entropy, glue_markov_tree, glue_pair, marginal
-from homglue.markov import minimum_covering_subfamily
-from homglue.sidorenko import associated_distribution, brw_distribution
+from homglue.graphs import Graph
+from homglue.markov import MarkovTree, TreeDecomposition, minimum_covering_subfamily
+from homglue.sidorenko import associated_distribution, bound_report, brw_distribution
 from homglue.strong import (
     is_strong_isomorphism,
     minimum_subdecomposition,
+    StrongDecomposition,
     strong_isomorphism,
     validate_strong,
+    zero_strong,
 )
 from fixture_builders import bundled_strong_fixtures
 from helpers import (
@@ -30,6 +34,7 @@ from helpers import (
     entropy_reference,
     junction_factorization,
     minimum_subdecomposition_reference,
+    overlaps_are_vertices_and_edges,
     random_graph,
     random_level1,
     random_markov_tree,
@@ -155,3 +160,50 @@ def test_strong_isomorphism_finds_a_relabelled_generated_level1_decomposition(se
     iso = strong_isomorphism(sd, copy)
     assert iso is not None
     assert is_strong_isomorphism(sd, copy, iso.vertex_map)
+
+
+@PROPERTIES
+@given(
+    seed=seeds,
+    name=st.sampled_from([None] + sorted(bundled_strong_fixtures())),
+    num_bags=st.integers(1, 3),
+    target_size=st.integers(2, 5),
+)
+def test_entropy_meets_the_papers_lower_bound_where_overlaps_are_vertices_and_edges(
+    seed, name, num_bags, target_size
+):
+    """H(Y) >= e(H) log2(2e(G)/n^2) + v(H) log2 n, the bound that certifies
+    Sidorenko's inequality log2 hom(H, G) >= rhs for the instance, wherever
+    every overlap is a disjoint union of vertices and edges, for every
+    target G with an edge and with no degree condition. The entropy
+    identity gives H(Y) = sum_F H(Y_F) - sum_AB H(Y_{A∩B}), and the right
+    side splits the same way over the bags and overlaps. Each edge marginal
+    is uniform on G's ordered edges, with entropy log2 2e(G), the right side
+    of K2, and a vertex's entropy is at most log2 n, the right side of K1;
+    so by subadditivity and induction over the levels no overlap takes more
+    than its share.
+
+    At level 0 each of the e(T) - 1 overlaps is one vertex, whose law is
+    the degree law pi(v) = deg(v) / 2e(G). The gap is then exactly
+    (e(T) - 1) * KL(pi || uniform), with KL(pi || uniform) =
+    log2 n - H(pi)."""
+    rng = random.Random(seed)
+    sd = bundled_strong_fixtures()[name] if name else random_level1(rng, num_bags, 3)
+    assume(overlaps_are_vertices_and_edges(sd))
+    g = random_target(seed, target_size)
+    report = bound_report(associated_distribution(sd, g))
+    gap = report.entropy_bits - report.rhs_bits
+    assert gap >= -1e-9
+    if sd.level == 0:
+        two_e = 2 * g.num_edges()
+        h_pi = -sum(d / two_e * math.log2(d / two_e) for d in map(g.degree, range(g.n)) if d)
+        assert math.isclose(gap, (sd.host.num_edges() - 1) * (math.log2(g.n) - h_pi), abs_tol=1e-9)
+
+
+def test_an_overlap_holding_a_path_is_not_vertices_and_edges():
+    path = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    pieces = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    markov = MarkovTree(5, [(0, 1, 2, 3), (1, 2, 3, 4)], [(0, 1)])
+    sd = StrongDecomposition(1, path, TreeDecomposition(path, markov), (zero_strong(pieces),) * 2)
+    assert not overlaps_are_vertices_and_edges(sd)
+    assert overlaps_are_vertices_and_edges(zero_strong(path))

@@ -120,10 +120,21 @@ def doc_of(index_set, target_size, atoms):
 
 
 # (constructor masses, or None, loader atoms, or None, message), one per
-# refusal; each message is the one the Fraction-mass entry paths gave
+# refusal on the index set (0,) or, for keys of three values, (0, 1, 2);
+# each message is the one the Fraction-mass entry paths gave
 ENTRY_REFUSALS = {
     "wrong-arity": ({(0, 1): Fraction(1)}, [([0, 1], "1", "1")], "key (0, 1) has wrong arity"),
     "out-of-range": ({(2,): Fraction(1)}, [([2], "1", "1")], "key (2,) has out-of-range value"),
+    "out-of-range-last": (
+        {(0, 1, 2): Fraction(1)},
+        [([0, 1, 2], "1", "1")],
+        "key (0, 1, 2) has out-of-range value",
+    ),
+    "negative-middle": (
+        {(1, -1, 0): Fraction(1)},
+        [([1, -1, 0], "1", "1")],
+        "key (1, -1, 0) has out-of-range value",
+    ),
     "zero-mass": (
         {(0,): Fraction(0), (1,): Fraction(1)},
         [([0], "0", "3"), ([1], "1", "1")],
@@ -146,25 +157,45 @@ ENTRY_REFUSALS = {
         "total mass is 19/15, not 1",
     ),
     "no-atoms": ({}, [], "total mass is 0, not 1"),
-    "repeated-atom": (None, [([0], "1", "2"), ([0], "1", "2")], "total mass is 1/2, not 1"),
+    "repeated-atom": (None, [([0], "1", "2"), ([0], "1", "2")], "duplicate key (0,)"),
     "zero-den": (None, [([0], "1", "0")], "a mass has a zero denominator"),
     "int-num": (None, [([0], 1, "1")], "num and den must be strings, not 1"),
     "float-den": (None, [([0], "1", 1.0)], "num and den must be strings, not 1.0"),
     "bool-num": (None, [([0], True, "1")], "num and den must be strings, not true"),
     "null-den": (None, [([0], "1", None)], "num and den must be strings, not null"),
 }
+THREE_VALUE_KEYS = ("out-of-range-last", "negative-middle")
 
 
 @pytest.mark.parametrize("case", sorted(ENTRY_REFUSALS))
 def test_entry_paths_refuse_with_the_exact_message(case):
     mass, atoms, message = ENTRY_REFUSALS[case]
     exact = "^%s$" % re.escape(message)
+    index_set = [0, 1, 2] if case in THREE_VALUE_KEYS else [0]
     if mass is not None:
         with pytest.raises(ValueError, match=exact):
-            SparseDistribution((0,), 2, mass)
+            SparseDistribution(index_set, 2, mass)
     if atoms is not None:
         with pytest.raises(ValueError, match=exact):
-            serialize.distribution_from_json(doc_of([0], 2, atoms))
+            serialize.distribution_from_json(doc_of(index_set, 2, atoms))
+
+
+class FractionSubclass(Fraction):
+    """A Fraction subclass, which the constructor converts as it converts
+    any mass whose type is not exactly Fraction."""
+
+
+def test_masses_of_every_accepted_type_build_the_law_fractions_build():
+    def fields(p):
+        return p.index_set, p.weight, p.den
+
+    keys = [(0, 1), (1, 0), (1, 1)]
+    want = SparseDistribution((0, 1), 2, dict(zip(keys, [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])))
+    for masses in (["1/2", "1/4", "2/8"], [FractionSubclass(1, 2), FractionSubclass(2, 8), FractionSubclass(1, 4)]):
+        assert fields(SparseDistribution((0, 1), 2, dict(zip(keys, masses)))) == fields(want)
+    one = SparseDistribution((0,), 1, {(0,): Fraction(1)})
+    for mass in (1, "1", FractionSubclass(3, 3)):
+        assert fields(SparseDistribution((0,), 1, {(0,): mass})) == fields(one)
 
 
 def test_equal_laws_built_along_different_paths_are_equal_and_hash_equal():
