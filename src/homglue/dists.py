@@ -15,7 +15,7 @@ from fractions import Fraction
 from operator import itemgetter
 from types import MappingProxyType
 
-from .graphs import bfs, is_tree, require_ints, vertex_set
+from .graphs import bfs, require_ints, vertex_set
 from .markov import MarkovTree, Refused
 
 # what SparseDistribution's integer check names
@@ -139,13 +139,12 @@ def _projector(index_set, s):
 def marginal(p, s):
     """Exact marginal of p onto the index subset s.
 
-    p is trusted as validated; the marginal's weights are summed without
-    further checks and reduced to lowest terms, and its total mass is
-    checked once (ValueError unless exactly 1).
+    s must lie inside p's index set (the one caller passes the overlap of
+    two bags). p is trusted as validated; the marginal's weights are summed
+    without further checks and reduced to lowest terms, and its total mass
+    is checked once (ValueError unless exactly 1).
     """
     s = vertex_set(s)
-    if not set(s) <= set(p.index_set):
-        raise ValueError("%s is not a subset of the index set" % (s,))
     proj = _projector(p.index_set, s)
     out = {}
     for key, w in p.weight.items():
@@ -286,14 +285,13 @@ def glue_markov_tree(m, bag_dists):
     walk graphs.bfs(m.bag_tree, [0]). This is the one gluing path: glue_pair
     is this on a two-bag tree.
 
-    A bag tree that is not a tree (graphs.is_tree on m.bag_tree) raises
-    ValueError first. Every tree edge's two bag marginals are then compared
-    once, by check_marginal_consistency, before any gluing; the first edge,
-    in m.tree order, that is not ok raises Refused, whose doc carries that
-    edge and its witness. Each bag after bag 0 is then coupled onto the
-    joint glued so far along its overlap with its walk parent. A bag whose
-    overlap with the bags glued so far is not its overlap with its parent
-    (running intersection fails) raises ValueError.
+    m must be a valid Markov tree (validate_markov_tree, which the glue
+    command and validate_strong run). Every tree edge's two bag marginals
+    are compared once, by check_marginal_consistency, before any gluing; the
+    first edge, in m.tree order, that is not ok raises Refused, whose doc
+    carries that edge and its witness. Each bag after bag 0 meets the joint
+    glued so far exactly in its overlap with its walk parent, along which it
+    is then coupled on.
 
     The bag distributions are trusted as given (they were validated where
     they entered); the joints glued along the way are not checked, and the
@@ -304,8 +302,6 @@ def glue_markov_tree(m, bag_dists):
     reproduces every bag distribution as a marginal and satisfies the
     entropy identity H(joint) = sum_F H(bag_F) - sum_AB H(overlap_AB).
     """
-    if not is_tree(m.bag_tree):
-        raise ValueError("bag tree on %d bags is not a tree" % m.num_bags())
     for entry in check_marginal_consistency(m, bag_dists):
         if not entry["ok"]:
             raise Refused(
@@ -313,16 +309,8 @@ def glue_markov_tree(m, bag_dists):
                 edge=entry["edge"],
                 witness=entry["witness"],
             )
-    order, parent = bfs(m.bag_tree, [0])
+    order, _ = bfs(m.bag_tree, [0])
     joint = bag_dists[0]
-    glued = set(m.bags[0])
     for child in order[1:]:
-        p = parent[child]
-        if glued.intersection(m.bags[child]) != set(m.bags[p]).intersection(m.bags[child]):
-            raise ValueError(
-                "running intersection fails at bag %d: it meets the glued "
-                "bags outside its parent bag %d" % (child, p)
-            )
         joint = _couple(joint, bag_dists[child])
-        glued.update(m.bags[child])
     return joint._check_total()

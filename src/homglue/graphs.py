@@ -234,15 +234,13 @@ def isomorphisms(h1, h2, allowed):
     one without tries the vertices of h2 ascending. A candidate is taken
     when it is unused, has the same degree and has the same adjacency to
     every image already placed, so an allowed image that no isomorphism can
-    use yields nothing. A vertex or an image outside its graph is a
-    ValueError.
+    use yields nothing. Every vertex allowed lists must lie in h1, and every
+    image in h2: the callers build allowed from the bags they index.
     """
     if h1.n != h2.n or h1.num_edges() != h2.num_edges():
         return
     if sorted(map(len, h1._adj)) != sorted(map(len, h2._adj)):
         return
-    if not all(0 <= v < h1.n and all(0 <= w < h2.n for w in ws) for v, ws in allowed.items()):
-        raise ValueError("pin out of range")
     # a step (v, candidates, anchor) draws v's images from candidates, or,
     # when anchor is a placed neighbour of v, from the neighbours of its image
     steps = [(v, ws, None) for v, ws in allowed.items()]
@@ -316,7 +314,7 @@ def isomorphisms_pinned(h1, h2, pin=None):
     """All isomorphisms h1 -> h2 extending the partial map pin {v1: v2}, in
     lexicographic order: isomorphisms with each pinned vertex allowed its
     pinned image only, so a pin that is not injective or not consistent
-    yields nothing. A pin outside either graph is a ValueError."""
+    yields nothing. Every pinned vertex and image must lie in its graph."""
     yield from isomorphisms(h1, h2, {v: (w,) for v, w in dict(pin or {}).items()})
 
 
@@ -345,11 +343,8 @@ CONNECTED_CLASSES = {
 def connected_graphs_up_to(max_n):
     """One representative per isomorphism class of connected graphs on
     1..max_n vertices, read from CONNECTED_CLASSES: ascending vertex count,
-    then ascending edge mask. max_n above the table's largest vertex count
-    is a ValueError; max_n <= 0 gives no graphs."""
-    limit = max(CONNECTED_CLASSES)
-    if max_n > limit:
-        raise ValueError("max_n %d exceeds the table's limit %d" % (max_n, limit))
+    then ascending edge mask; max_n <= 0 gives no graphs. max_n must not pass
+    the table (the sweep refuses a larger --max-n: cli.SWEEP_VERTEX_LIMIT)."""
     graphs = []
     for n in range(1, max_n + 1):
         pairs = list(combinations(range(n), 2))

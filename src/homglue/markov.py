@@ -6,7 +6,7 @@ covering subfamilies, retractions, and the line-graph base case.
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .graphs import Graph, bfs, induced_subgraph, is_connected, is_tree, vertex_set
+from .graphs import Graph, bfs, induced_subgraph, is_tree, vertex_set
 
 
 @dataclass(frozen=True)
@@ -195,19 +195,17 @@ def minimum_covering_subfamily(m, u):
     """The unique minimum bag subfamily of the Markov tree m covering u that
     induces a subtree, as ascending bag indices.
 
-    When some bag holds all of u, that is (i,) for the lowest such bag i,
-    looked for first, before anything else is built or checked. Otherwise
-    the bag tree must be a tree (ValueError otherwise). Then, starting from
-    all bags, prunes a leaf of the bags left while every element of u it
-    holds is held by another bag left. On a valid Markov tree this stops at
-    the minimum family: a larger family left has a leaf outside it, and a
-    leaf of the minimum family is the only bag left in some F(v), a
-    subtree. Bags are read against a set of u, never u against each bag, so
-    the search is linear in the size of the Markov tree.
+    m must be a valid Markov tree and u a nonempty collection of its
+    elements, as minimum_subdecomposition, the one caller, ensures. When
+    some bag holds all of u, that is (i,) for the lowest such bag i,
+    looked for first. Otherwise, starting from all bags, prunes a leaf of
+    the bags left while every element of u it holds is held by another bag
+    left. On a valid Markov tree this stops at the minimum family: a larger
+    family left has a leaf outside it, and a leaf of the minimum family is
+    the only bag left in some F(v), a subtree. Bags are read against a set
+    of u, never u against each bag, so the search is linear in the size of
+    the Markov tree.
     """
-    u = vertex_set(u, m.ground_size)
-    if not u:
-        raise ValueError("u must be nonempty")
     wanted = set(u)
     for i, bag in enumerate(m.bags):
         if wanted.issubset(bag):
@@ -219,13 +217,7 @@ def minimum_covering_subfamily(m, u):
     for h in held:
         for v in h:
             holders[v] += 1
-    for v in u:
-        if not holders[v]:
-            raise ValueError("element %d not covered by any bag" % v)
     tree = m.bag_tree
-    if not is_tree(tree):
-        raise ValueError("bag tree on %d bags is not a tree" % m.num_bags())
-
     degree = [tree.degree(i) for i in range(tree.n)]
     left = set(range(tree.n))
     leaves = [i for i in left if degree[i] == 1]
@@ -251,16 +243,15 @@ def retraction(d, keep):
     Returns (decomposition, relabeling): the decomposition of the subgraph
     of the host induced on the union of kept bags, with vertices relabeled
     to 0..m-1, and relabeling[i] = original vertex. Bags are reindexed in
-    ascending order of their original indices. A kept family that is not a
-    subtree, or a bag index out of range, is a ValueError.
+    ascending order of their original indices. d must be valid and keep
+    must induce a subtree of its bag tree, as the one caller's minimum
+    covering subfamily does; a bag index out of range is a ValueError.
 
     The relabeling is monotone, so the relabeled bags stay ascending, and
     the kept bag tree is already a Graph on the new bag indices: the Markov
     tree is built through the trusted constructor, unchecked.
     """
     kept_tree, keep = induced_subgraph(d.markov.bag_tree, keep)
-    if kept_tree.n == 0 or not is_connected(kept_tree):
-        raise ValueError("kept family %s does not induce a subtree" % list(keep))
     union = set()
     for i in keep:
         union.update(d.markov.bags[i])

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dists import SparseDistribution, entropy, glue_markov_tree
-from .graphs import hom_count, is_forest, is_homomorphism, is_tree, max_degree
+from .graphs import hom_count, is_forest, is_homomorphism, max_degree
 from .markov import Refused
 from .strong import validate_strong, zero_strong
 
@@ -43,10 +43,9 @@ def brw_distribution(t, g):
     This is level-0 gluing: the associated distribution of zero_strong(t),
     the uniform ordered-edge laws on t's edges glued along its line-graph
     bag tree (every valid bag tree over t's edges gives the same law). That
-    decomposition is valid by construction, so it is built unvalidated.
+    decomposition is valid by construction, so it is built unvalidated;
+    zero_strong refuses a t that is not a tree with an edge (ValueError).
     """
-    if not is_tree(t) or t.num_edges() == 0:
-        raise ValueError("source must be a tree with at least one edge")
     if g.num_edges() == 0:
         raise Refused("target has no edges")
     return _build(zero_strong(t), g, {})

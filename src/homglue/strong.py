@@ -207,7 +207,7 @@ def strong_isomorphism(sd1, sd2, pin=None):
     The returned vertex map is a host-graph isomorphism under which the
     bag families correspond (via bag_map) and, recursively, each pair of
     corresponding children is isomorphic. Returns None if no such map
-    exists, as for decompositions of different levels.
+    exists, as for decompositions of different levels. Pins lie in the hosts.
     """
     if sd1.level != sd2.level:
         return None

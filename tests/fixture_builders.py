@@ -9,7 +9,7 @@ import json
 import os
 
 from homglue import serialize
-from homglue.graphs import Graph
+from homglue.graphs import Graph, induced_subgraph
 from homglue.markov import MarkovTree, TreeDecomposition
 from homglue.strong import StrongDecomposition, zero_strong
 
@@ -142,6 +142,30 @@ def mixed_levels_condition3():
     return StrongDecomposition(
         2, host, decomp=TreeDecomposition(host, markov), children=(child0, child1)
     )
+
+
+def _path_in_two_bags(path, bags):
+    """The level-1 decomposition of a path on four vertices into two bags
+    of three consecutive vertices."""
+    children = tuple(zero_strong(induced_subgraph(path, bag)[0]) for bag in bags)
+    markov = MarkovTree(4, bags, [(0, 1)])
+    return StrongDecomposition(1, path, TreeDecomposition(path, markov), children)
+
+
+def hexagon_level2():
+    """A valid level-2 decomposition of the 6-cycle 0-1-2-3-5-4-0 with bags
+    {0, 1, 2, 3} and {0, 3, 4, 5}, each a path cut into two bags. Their
+    overlap {0, 3} lies in no single bag of either child, so condition 3
+    compares two level-1 decompositions, and the validator searches their
+    bag trees for an isomorphism. Not written under fixtures/."""
+    host = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 5), (4, 5), (0, 4)])
+    markov = MarkovTree(6, [(0, 1, 2, 3), (0, 3, 4, 5)], [(0, 1)])
+    children = (
+        _path_in_two_bags(Graph(4, [(0, 1), (1, 2), (2, 3)]), [(0, 1, 2), (1, 2, 3)]),
+        # H[{0, 3, 4, 5}] relabeled: the path 0-2-3-1
+        _path_in_two_bags(Graph(4, [(0, 2), (2, 3), (1, 3)]), [(0, 2, 3), (1, 2, 3)]),
+    )
+    return StrongDecomposition(2, host, TreeDecomposition(host, markov), children)
 
 
 def bundled_strong_fixtures():

@@ -12,14 +12,25 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+from homglue import cli, dists, graphs, serialize, sidorenko, strong
 from homglue.dists import SparseDistribution, first_difference, marginal
-from homglue.graphs import Graph, is_homomorphism, isomorphisms_pinned, vertex_set
+from homglue.graphs import (
+    CONNECTED_CLASSES,
+    Graph,
+    induced_subgraph,
+    is_connected,
+    is_homomorphism,
+    isomorphisms_pinned,
+    vertex_set,
+)
 from homglue.markov import (
     MarkovTree,
     Refused,
     TreeDecomposition,
     minimum_covering_subfamily,
     retraction,
+    validate_markov_tree,
+    validate_tree_decomposition,
 )
 from homglue.sidorenko import associated_distribution
 from homglue.strong import (
@@ -874,3 +885,82 @@ def random_graph(rng, n, p):
 def random_tree(rng, n):
     """Random labelled tree on 0..n-1 (random attachment)."""
     return Graph(n, random_tree_edges(rng, n))
+
+
+def glue_document(m, bag_dists):
+    """The glue command's input document for the Markov tree m and its bag
+    laws."""
+    return {
+        "markov": serialize.markov_to_json(m),
+        "bag_dists": [serialize.distribution_to_json(p) for p in bag_dists],
+    }
+
+
+# The preconditions that routines behind the CLI's validators trust and no
+# longer check: a valid Markov tree to glue, a valid one and a normalized
+# nonempty u to cover, a kept family that induces a subtree, pins inside
+# both graphs, a sweep within the committed table and a marginal onto part
+# of the index set.
+
+
+def _valid_markov(m, bag_dists):
+    return validate_markov_tree(m).ok
+
+
+# each is total: a precondition that raised would only look like a refusal
+def _covering(m, u):
+    in_range = all(0 <= v < m.ground_size for v in u)
+    return validate_markov_tree(m).ok and bool(u) and in_range and list(u) == sorted(set(u))
+
+
+def _subtree(d, keep):
+    if not validate_tree_decomposition(d).ok:
+        return False
+    if not all(0 <= i < d.markov.num_bags() for i in keep):
+        return False
+    kept, _ = induced_subgraph(d.markov.bag_tree, keep)
+    return kept.n > 0 and is_connected(kept)
+
+
+def _pins_in_range(h1, h2, allowed):
+    return all(
+        0 <= v < h1.n and all(0 <= w < h2.n for w in ws) for v, ws in allowed.items()
+    )
+
+
+def _within_table(max_n):
+    return max_n <= max(CONNECTED_CLASSES)
+
+
+def _subset(p, s):
+    return set(s) <= set(p.index_set)
+
+
+# (module, name of the routine there): the precondition each call must meet
+PRECONDITIONS = {
+    (cli, "glue_markov_tree"): _valid_markov,
+    (sidorenko, "glue_markov_tree"): _valid_markov,
+    (strong, "minimum_covering_subfamily"): _covering,
+    (strong, "retraction"): _subtree,
+    (graphs, "isomorphisms"): _pins_in_range,  # through isomorphisms_pinned
+    (strong, "isomorphisms"): _pins_in_range,
+    (cli, "connected_graphs_up_to"): _within_table,
+    (dists, "marginal"): _subset,
+}
+
+
+def record_preconditions(patch):
+    """Wrap each routine of PRECONDITIONS where the package calls it, through
+    patch.setattr (a pytest MonkeyPatch), so that each call records whether
+    it met its precondition and then runs the routine. Returns the record,
+    {(module name, routine name): [one bool per call]}."""
+    calls = {}
+    for (module, name), holds in PRECONDITIONS.items():
+        key = (module.__name__, name)
+
+        def wrapped(*args, _real=getattr(module, name), _holds=holds, _key=key):
+            calls.setdefault(_key, []).append(_holds(*args))
+            return _real(*args)
+
+        patch.setattr(module, name, wrapped)
+    return calls

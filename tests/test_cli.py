@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,20 +16,27 @@ import pytest
 import homglue
 from homglue import cli, graphs, serialize
 from homglue.cli import main
-from homglue.dists import glue_markov_tree
+from homglue.dists import check_marginal_consistency, glue_markov_tree
 from homglue.graphs import Graph, is_connected
 from homglue.markov import MarkovTree, TreeDecomposition
 from homglue.sidorenko import associated_distribution
 from homglue.strong import StrongDecomposition, zero_strong
 
 from fixture_builders import (
+    bad_markov_tree,
     book,
     bundled_strong_fixtures,
     c4_fixture,
     mixed_levels_condition3,
     write_fixture_dir,
 )
-from helpers import all_graphs_reference, seeded_gnm, uniform
+from helpers import (
+    all_graphs_reference,
+    consistent_bag_dists,
+    glue_document,
+    seeded_gnm,
+    uniform,
+)
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -348,6 +356,34 @@ def test_glue_with_one_law_for_two_bags_exits_1_with_one_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: one distribution per bag is required\n"
+
+
+@pytest.mark.parametrize(
+    "m, violation",
+    [
+        (
+            bad_markov_tree(),
+            {"kind": "running-intersection", "witness": {"a": 0, "b": 2, "c": 1, "element": 0}},
+        ),
+        (
+            MarkovTree(3, [(0, 1), (1, 2)]),
+            {"kind": "tree-structure", "witness": {"num_bags": 2, "tree": []}},
+        ),
+    ],
+    ids=["running-intersection", "no-tree-edges"],
+)
+def test_glue_refuses_an_invalid_markov_tree_with_its_report(tmp_path, capsys, m, violation):
+    # the bag laws agree on every tree edge, so only the validator glue runs
+    # first can refuse: glue_markov_tree trusts its Markov tree
+    bag_dists = consistent_bag_dists(random.Random(5), m, 2)
+    assert all(e["ok"] for e in check_marginal_consistency(m, bag_dists))
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(glue_document(m, bag_dists)))
+    assert main(["glue", str(path)]) == 1
+    captured = capsys.readouterr()
+    report = {"ok": False, "violations": [violation]}
+    assert captured.out == json.dumps(report, indent=1, sort_keys=True) + "\n"
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

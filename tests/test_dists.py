@@ -350,34 +350,6 @@ def test_every_glue_checks_agreement_through_check_marginal_consistency(monkeypa
     assert len(glues) == 4 and checks == glues
 
 
-def test_glue_markov_tree_rejects_running_intersection_failure():
-    # consistent bags, so only the walk's incremental running-intersection
-    # check can refuse: bag 2 meets the glued bags in {0, 2}, its parent in {2}
-    m = bad_markov_tree()
-    dists = consistent_bag_dists(random.Random(5), m, 2)
-    assert all(e["ok"] for e in check_marginal_consistency(m, dists))
-    with pytest.raises(ValueError, match="running intersection fails at bag 2") as e:
-        glue_markov_tree(m, dists)
-    assert not isinstance(e.value, Refused)
-
-
-@pytest.mark.parametrize(
-    "bags, tree",
-    [
-        # a forest: one edge short of a tree
-        ([(0, 1), (1, 2), (0, 2)], [(0, 1)]),
-        # k - 1 edges, but they close a cycle and leave bag 3 out
-        ([(0,), (0,), (0,), (1,)], [(0, 1), (1, 2), (0, 2)]),
-    ],
-)
-def test_glue_markov_tree_rejects_a_bag_tree_that_is_not_a_tree(bags, tree):
-    m = MarkovTree(3, bags, tree)
-    dists = consistent_bag_dists(random.Random(6), m, 2)
-    with pytest.raises(ValueError) as e:
-        glue_markov_tree(m, dists)
-    assert not isinstance(e.value, Refused)
-
-
 def test_randomized_glue_properties():
     rng = random.Random(17)
     for _ in range(40):

