@@ -23,7 +23,7 @@ import stat
 import sys
 
 from . import serialize
-from .dists import glue_markov_tree
+from .dists import check_bag_dists, glue_markov_tree
 from .markov import Refused, ValidationFailed, validate_markov_tree
 from .sidorenko import (
     associated_distribution,
@@ -152,6 +152,7 @@ def cmd_assoc(args):
 def cmd_glue(args):
     m, bag_dists = _read(args.instance, _glue_instance)
     validate_markov_tree(m).require()
+    check_bag_dists(m, bag_dists)
     joint = glue_markov_tree(m, bag_dists)
     _write(serialize.distribution_to_text(joint), out=args.out)
     return 0

@@ -181,11 +181,11 @@ def glue_pair(p12, p23):
     p12.index_set and p23.index_set, whose index sets must therefore be
     non-negative integers.
 
-    The shared marginals must agree exactly (Refused otherwise, with the
-    first differing key as witness); the result q on the union
-    index set satisfies q(y) * m(y_shared) = p12(y_12) * p23(y_23) on every
-    atom and reproduces both inputs as marginals. An empty shared set
-    yields the product distribution.
+    The shared marginals must agree exactly, target size included (Refused
+    otherwise, witnessed by the first differing key, None where only the
+    sizes differ); the result q on the union index set satisfies
+    q(y) * m(y_shared) = p12(y_12) * p23(y_23) on every atom and reproduces
+    both inputs as marginals. An empty shared set yields the product.
     """
     bags = (p12.index_set, p23.index_set)
     ground_size = max(p12.index_set + p23.index_set, default=-1) + 1
@@ -252,8 +252,8 @@ def first_difference(a, b):
 def check_marginal_consistency(m, bag_dists):
     """Per-tree-edge exact comparison of the two bag marginals on the
     intersection, in m.tree order. Returns a list of {edge, ok, witness}
-    entries, the witness (first_difference) only where ok is False."""
-    _check_bag_dists(m, bag_dists)
+    entries, the witness (first_difference) only where ok is False. As in
+    glue_markov_tree, its caller, bag_dists must fit m, unchecked."""
     results = []
     for a, b in m.tree:
         shared = vertex_set(set(m.bags[a]) & set(m.bags[b]))
@@ -265,17 +265,15 @@ def check_marginal_consistency(m, bag_dists):
     return results
 
 
-def _check_bag_dists(m, bag_dists):
+def check_bag_dists(m, bag_dists):
+    """Raise ValueError unless bag_dists fit m: one law per bag, on the bag,
+    all of one target size."""
     if len(bag_dists) != m.num_bags():
         raise ValueError("one distribution per bag is required")
-    for i, bag in enumerate(m.bags):
-        if bag_dists[i].index_set != bag:
-            raise ValueError(
-                "distribution %d has index set %s, bag is %s"
-                % (i, bag_dists[i].index_set, bag)
-            )
-    sizes = {d.target_size for d in bag_dists}
-    if len(sizes) > 1:
+    for i, (bag, p) in enumerate(zip(m.bags, bag_dists)):
+        if p.index_set != bag:
+            raise ValueError("distribution %d has index set %s, bag is %s" % (i, p.index_set, bag))
+    if len({p.target_size for p in bag_dists}) > 1:
         raise ValueError("bag distributions disagree on target_size")
 
 
@@ -286,12 +284,14 @@ def glue_markov_tree(m, bag_dists):
     is this on a two-bag tree.
 
     m must be a valid Markov tree (validate_markov_tree, which the glue
-    command and validate_strong run). Every tree edge's two bag marginals
-    are compared once, by check_marginal_consistency, before any gluing; the
-    first edge, in m.tree order, that is not ok raises Refused, whose doc
-    carries that edge and its witness. Each bag after bag 0 meets the joint
-    glued so far exactly in its overlap with its walk parent, along which it
-    is then coupled on.
+    command and validate_strong run) and bag_dists one law per bag, on the
+    bag (check_bag_dists in glue; _build and glue_pair make them so), all
+    unchecked. Every tree edge's two bag marginals are compared once, by
+    check_marginal_consistency, before any gluing; the first edge, in m.tree
+    order, that is not ok (no edge between laws of two target sizes is) raises
+    Refused, whose doc carries that edge and its witness. Each bag after
+    bag 0 meets the joint glued so far exactly in its overlap with its walk
+    parent, along which it is then coupled on.
 
     The bag distributions are trusted as given (they were validated where
     they entered); the joints glued along the way are not checked, and the

@@ -82,17 +82,9 @@ class Graph:
         return len(self.edges)
 
 
-def vertex_set(vs, n=None):
-    """Normalize an iterable of vertex indices to a sorted, deduplicated tuple.
-
-    When n is given, every index must lie in range 0..n-1.
-    """
-    out = tuple(sorted(set(vs)))
-    if n is not None:
-        for v in out:
-            if not (0 <= v < n):
-                raise ValueError("vertex %d out of range for n=%d" % (v, n))
-    return out
+def vertex_set(vs):
+    """The vertex indices vs as a sorted, deduplicated tuple, unchecked."""
+    return tuple(sorted(set(vs)))
 
 
 def require_ints(rows, what):
@@ -111,10 +103,10 @@ def induced_subgraph(g, s):
     that became vertex i. The relabeling is monotone (s is sorted). The
     edges are read off the kept vertices' ascending neighbour tuples, which
     gives them in sorted order at a cost of the kept degrees, and the
-    subgraph is built through the trusted constructor. A vertex outside g
-    is a ValueError.
+    subgraph is built through the trusted constructor. s must lie in V(g),
+    unchecked: MarkovTree has range-checked the bags and bag indices passed.
     """
-    s = vertex_set(s, g.n)
+    s = vertex_set(s)
     pos = {v: i for i, v in enumerate(s)}
     adj = g._adj
     edges = tuple(

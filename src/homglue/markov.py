@@ -38,7 +38,10 @@ class MarkovTree:
             raise ValueError("ground_size must be nonnegative")
         if not bags:
             raise ValueError("at least one bag is required")
-        bags = tuple(vertex_set(b, ground_size) for b in bags)
+        bags = tuple(map(vertex_set, bags))
+        bad = [v for b in bags for v in b if not 0 <= v < ground_size]
+        if bad:
+            raise ValueError("vertex %d out of range for n=%d" % (bad[0], ground_size))
         self._fill(ground_size, bags, Graph(len(bags), tree))
 
     @classmethod
@@ -244,8 +247,8 @@ def retraction(d, keep):
     of the host induced on the union of kept bags, with vertices relabeled
     to 0..m-1, and relabeling[i] = original vertex. Bags are reindexed in
     ascending order of their original indices. d must be valid and keep
-    must induce a subtree of its bag tree, as the one caller's minimum
-    covering subfamily does; a bag index out of range is a ValueError.
+    must be bag indices that induce a subtree of its bag tree, as the one
+    caller's minimum covering subfamily is; nothing is checked.
 
     The relabeling is monotone, so the relabeled bags stay ascending, and
     the kept bag tree is already a Graph on the new bag indices: the Markov

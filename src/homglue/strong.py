@@ -177,14 +177,14 @@ def minimum_subdecomposition(sd, u):
     covering subfamily. At level 0 the bags are single edges, so the
     nonempty-intersection case bottoms out at one bag.
 
-    sd must be valid (validate_strong). Its tree decomposition is then of
-    its own host and its bags cover every host vertex, so a covering
-    subfamily of every bag retracts to sd itself: sd is returned as it is,
-    with the identity embedding, and nothing is rebuilt.
+    sd must be valid (validate_strong) and u a nonempty set of its host
+    vertices, as min-subdec's --u check and condition 3 make it; u is only
+    sorted. The tree decomposition is then of its own host and its bags
+    cover every host vertex, so a covering subfamily of every bag retracts
+    to sd itself: sd is returned as it is, with the identity embedding, and
+    nothing is rebuilt.
     """
-    u = vertex_set(u, sd.host.n)
-    if not u:
-        raise ValueError("u must be nonempty")
+    u = vertex_set(u)
 
     td = sd.decomp
     keep = minimum_covering_subfamily(td.markov, u)
@@ -207,7 +207,8 @@ def strong_isomorphism(sd1, sd2, pin=None):
     The returned vertex map is a host-graph isomorphism under which the
     bag families correspond (via bag_map) and, recursively, each pair of
     corresponding children is isomorphic. Returns None if no such map
-    exists, as for decompositions of different levels. Pins lie in the hosts.
+    exists, as for decompositions of different levels. sd1 and sd2 must be
+    valid (validate_strong) and the pins lie in the hosts, unchecked.
     """
     if sd1.level != sd2.level:
         return None
@@ -219,8 +220,9 @@ def strong_isomorphism(sd1, sd2, pin=None):
 
 
 def is_strong_isomorphism(sd1, sd2, vertex_map):
-    """Verify a fully specified vertex map as a strong isomorphism; a map
-    without exactly one in-range image per host vertex is a ValueError."""
+    """Verify a fully specified vertex map as a strong isomorphism of the
+    valid (validate_strong) sd1 and sd2; a map without exactly one in-range
+    image per host vertex is a ValueError."""
     if sd1.level != sd2.level:
         return False
     h1, h2 = sd1.host, sd2.host
@@ -243,7 +245,8 @@ def _structure_match(sd1, sd2, phi):
 
     The bag map is the first isomorphism of the bag trees under which each
     bag i goes to a bag j holding phi's image of bag i, whose child is
-    strongly isomorphic to child i under the map phi induces.
+    strongly isomorphic to child i under this same test on the map phi
+    induces, a host isomorphism as sd1 and sd2 must be valid (unchecked).
     """
     if sd1.level == 0:
         # a 0-strong isomorphism is just a tree isomorphism of the hosts
@@ -256,7 +259,7 @@ def _structure_match(sd1, sd2, phi):
             j
             for j, bag2 in enumerate(m2.bags)
             if bag2 == image
-            and is_strong_isomorphism(
+            and _structure_match(
                 sd1.children[i], sd2.children[j], _child_vertex_map(bag, bag2, phi)
             )
         )

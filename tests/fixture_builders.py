@@ -168,6 +168,94 @@ def hexagon_level2():
     return StrongDecomposition(2, host, TreeDecomposition(host, markov), children)
 
 
+# Condition 3's worst cases (ROADMAP item 2): decompositions built over
+# named vertices, whose minimum sub-decompositions across a bag overlap are
+# valid and alike in every count, yet not strongly isomorphic, so that the
+# search tries every pinned host isomorphism before it answers None. None of
+# them is written under fixtures/.
+
+
+def _level0(edges):
+    """(labels, zero_strong of the tree with those edges), the tree's vertex
+    i being the i-th smallest of the labels its edges name."""
+    labels = sorted({v for e in edges for v in e})
+    pos = {v: i for i, v in enumerate(labels)}
+    return labels, zero_strong(Graph(len(labels), [(pos[u], pos[v]) for u, v in edges]))
+
+
+def _level_up(parts, tree):
+    """(labels, decomposition one level above parts) whose bags are the
+    label sets of parts, a list of (labels, decomposition) pairs, joined by
+    the bag-tree edges tree. Its host is the union of the parts' hosts, on
+    the sorted union of their labels; each part's host must be the one
+    induced on its labels."""
+    labels = sorted(set().union(*(part for part, _ in parts)))
+    pos = {v: i for i, v in enumerate(labels)}
+    edges = [(pos[part[u]], pos[part[v]]) for part, sd in parts for u, v in sd.host.edges]
+    host = Graph(len(labels), edges)
+    markov = MarkovTree(host.n, [[pos[v] for v in part] for part, _ in parts], tree)
+    children = tuple(sd for _, sd in parts)
+    level = children[0].level + 1
+    return labels, StrongDecomposition(level, host, TreeDecomposition(host, markov), children)
+
+
+def spider(x, z, y, a, b, cs, legs):
+    """(labels, S(m; kx, kz, ky)), the spider over the copy of M_m on the
+    named vertices, m = len(cs): its host has the edges x-a, z-a, y-b and,
+    for each c in cs, a-c and b-c. The bags are {a, b, c}, each the path
+    a-c-b, and {x, a}, {z, a} and {y, b}, each a level-0 child. The bag of
+    cs[0] is the centre of the bag tree, and legs = (kx, kz, ky), summing to
+    m - 1, give the numbers of further {a, b, c} bags, in the order of cs,
+    on the legs that end in {x, a}, {z, a} and {y, b}."""
+    m = len(cs)
+    if sum(legs) != m - 1:
+        raise ValueError("the legs must hold m - 1 bags")
+    parts = [_level0([(a, c), (c, b)]) for c in cs]
+    parts += [_level0([(x, a)]), _level0([(z, a)]), _level0([(y, b)])]
+    tree, bag = [], 1
+    for k, leaf in zip(legs, (m, m + 1, m + 2)):
+        end = 0
+        for _ in range(k):
+            tree.append((end, bag))
+            end, bag = bag, bag + 1
+        tree.append((end, leaf))
+    return _level_up(parts, tree)
+
+
+def _two_spiders(x, z, y, halves):
+    """(labels, level-2 decomposition) of two copies of M_m sharing x, z and
+    y, the two bags; halves holds each copy's (a, b, cs, legs)."""
+    return _level_up([spider(x, z, y, *half) for half in halves], [(0, 1)])
+
+
+def family_a(m, legs1, legs2):
+    """Family A (level 2): two copies of M_m sharing x = 0, z = 1 and y = 2,
+    with the children S(m; legs1) and S(m; legs2). Every part is valid, and
+    the two bags' overlap {x, z, y} is three isolated vertices whose
+    minimum sub-decompositions are the whole children. For legs1 != legs2,
+    condition 3 fails, but only once all m! maps of the c's are tried."""
+    halves = [(a, a + 1, range(a + 2, a + 2 + m), legs) for a, legs in ((3, legs1), (m + 5, legs2))]
+    return _two_spiders(0, 1, 2, halves)[1]
+
+
+def family_b(m, legs1, legs2):
+    """Family B (level 3): bags V(A) and V(B). A is two copies of M_m
+    sharing x, z and y with both children S(m; legs1), labelled as in
+    family_a; B is the same with S(m; legs2) and its own z' and y'. A and B
+    share x and the c_0 of each copy, which is all of their overlap: three
+    isolated vertices, whose minimum sub-decompositions are A and B. So
+    condition 3 compares two level-2 decompositions, under (m-1)!^2 host
+    maps, and for legs1 != legs2 fails one level further down."""
+    first = [(a, a + 1, range(a + 2, a + 2 + m), legs1) for a in (3, m + 5)]
+    n = 2 * m + 7  # A's vertices are 0..n-1; n and n + 1 are z' and y'
+    second, a = [], n + 2
+    for _, _, cs, _ in first:
+        second.append((a, a + 1, [cs[0], *range(a + 2, a + m + 1)], legs2))
+        a += m + 1
+    parts = [_two_spiders(0, 1, 2, first), _two_spiders(0, n, n + 1, second)]
+    return _level_up(parts, [(0, 1)])[1]
+
+
 def bundled_strong_fixtures():
     """Name -> valid strong decomposition, the positive fixture set."""
     return {

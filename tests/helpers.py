@@ -12,7 +12,7 @@ from collections import deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
-from homglue import cli, dists, graphs, serialize, sidorenko, strong
+from homglue import cli, dists, graphs, markov, serialize, sidorenko, strong
 from homglue.dists import SparseDistribution, first_difference, marginal
 from homglue.graphs import (
     CONNECTED_CLASSES,
@@ -37,6 +37,7 @@ from homglue.strong import (
     StrongDecomposition,
     SubDecomposition,
     minimum_subdecomposition,
+    validate_strong,
     zero_strong,
 )
 
@@ -143,11 +144,21 @@ def brute_force_min_cover(m, u):
     return []
 
 
+def host_vertices(u, n):
+    """u as a sorted, deduplicated tuple of vertices of a host on n
+    vertices; ValueError for a vertex outside 0..n-1."""
+    u = vertex_set(u)
+    for v in u:
+        if not 0 <= v < n:
+            raise ValueError("vertex %d out of range for n=%d" % (v, n))
+    return u
+
+
 def minimum_subdecomposition_reference(sd, u):
     """strong.minimum_subdecomposition as it was before a covering family of
     every bag returned sd itself: every covering family, all bags included,
     is rebuilt by a retraction."""
-    u = vertex_set(u, sd.host.n)
+    u = host_vertices(u, sd.host.n)
     if not u:
         raise ValueError("u must be nonempty")
     td = sd.decomp
@@ -528,7 +539,7 @@ def projection_consistency_check(sd, g, u):
     Returns {"ok": bool, "u": ..., "embedding": ...} plus a witness on
     failure.
     """
-    u = vertex_set(u, sd.host.n)
+    u = host_vertices(u, sd.host.n)
     msd = minimum_subdecomposition(sd, u)
     full = associated_distribution(sd, g).dist
     sub = associated_distribution(msd.decomposition, g).dist
@@ -897,17 +908,23 @@ def glue_document(m, bag_dists):
 
 
 # The preconditions that routines behind the CLI's validators trust and no
-# longer check: a valid Markov tree to glue, a valid one and a normalized
-# nonempty u to cover, a kept family that induces a subtree, pins inside
-# both graphs, a sweep within the committed table and a marginal onto part
-# of the index set.
-
-
-def _valid_markov(m, bag_dists):
-    return validate_markov_tree(m).ok
+# longer check: a valid Markov tree and bag laws that fit it to glue, a
+# valid one and a normalized nonempty u to cover, a kept family that induces
+# a subtree, pins inside both graphs, a sweep within the committed table, a
+# marginal onto part of the index set, valid decompositions to match or to
+# cut down to a nonempty set of host vertices, and an induced subgraph on
+# vertices of its graph.
 
 
 # each is total: a precondition that raised would only look like a refusal
+def _valid_markov(m, bag_dists):
+    fits = len(bag_dists) == m.num_bags() and all(
+        p.index_set == bag for p, bag in zip(bag_dists, m.bags)
+    )
+    one_size = len({p.target_size for p in bag_dists}) <= 1
+    return validate_markov_tree(m).ok and fits and one_size
+
+
 def _covering(m, u):
     in_range = all(0 <= v < m.ground_size for v in u)
     return validate_markov_tree(m).ok and bool(u) and in_range and list(u) == sorted(set(u))
@@ -936,6 +953,21 @@ def _subset(p, s):
     return set(s) <= set(p.index_set)
 
 
+def _valid_pair(sd1, sd2, pin=None):
+    pins = dict(pin or {}).items()
+    in_range = all(0 <= v < sd1.host.n and 0 <= w < sd2.host.n for v, w in pins)
+    return validate_strong(sd1).ok and validate_strong(sd2).ok and in_range
+
+
+def _host_subset(sd, u):
+    u = list(u)
+    return validate_strong(sd).ok and bool(u) and all(0 <= v < sd.host.n for v in u)
+
+
+def _in_graph(g, s):
+    return all(0 <= v < g.n for v in s)
+
+
 # (module, name of the routine there): the precondition each call must meet
 PRECONDITIONS = {
     (cli, "glue_markov_tree"): _valid_markov,
@@ -946,6 +978,11 @@ PRECONDITIONS = {
     (strong, "isomorphisms"): _pins_in_range,
     (cli, "connected_graphs_up_to"): _within_table,
     (dists, "marginal"): _subset,
+    (strong, "strong_isomorphism"): _valid_pair,
+    (cli, "minimum_subdecomposition"): _host_subset,
+    (strong, "minimum_subdecomposition"): _host_subset,
+    (strong, "induced_subgraph"): _in_graph,
+    (markov, "induced_subgraph"): _in_graph,
 }
 
 

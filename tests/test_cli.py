@@ -347,15 +347,38 @@ def test_glue_command(tmp_path, capsys):
     assert all(e["den"] == "12" for e in dist["mass"])
 
 
-def test_glue_with_one_law_for_two_bags_exits_1_with_one_line(tmp_path, capsys):
+def _without_law_1(bag_dists):
+    del bag_dists[1]
+
+
+def _law_1_on_bag_0(bag_dists):
+    bag_dists[1]["index_set"] = [0, 1]
+
+
+def _law_1_on_four_values(bag_dists):
+    bag_dists[1]["target_size"] = 4
+
+
+@pytest.mark.parametrize(
+    "misfit, message",
+    [
+        (_without_law_1, "one distribution per bag is required"),
+        (_law_1_on_bag_0, "distribution 1 has index set (0, 1), bag is (1, 2)"),
+        (_law_1_on_four_values, "bag distributions disagree on target_size"),
+    ],
+    ids=["missing-law", "wrong-index-set", "two-target-sizes"],
+)
+def test_glue_with_one_law_for_two_bags_exits_1_with_one_line(tmp_path, capsys, misfit, message):
+    # the glue command checks that the laws fit the bags once, after the
+    # Markov tree's validation and before any gluing
     instance = k3_edge_instance()
-    del instance["bag_dists"][1]
+    misfit(instance["bag_dists"])
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(instance))
     assert main(["glue", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: one distribution per bag is required\n"
+    assert captured.err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize(

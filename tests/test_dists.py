@@ -220,19 +220,6 @@ def test_glue_markov_tree_single_bag():
     assert glue_markov_tree(m, [p]) == p
 
 
-def test_glue_markov_tree_refuses_bag_laws_that_do_not_fit_the_bags():
-    m = MarkovTree(3, [(0, 1), (1, 2)], [(0, 1)])
-    law = uniform_edge_dist((0, 1))
-    with pytest.raises(ValueError, match="^one distribution per bag is required$"):
-        glue_markov_tree(m, [law])
-    with pytest.raises(ValueError) as e:
-        glue_markov_tree(m, [law, law])
-    assert str(e.value) == "distribution 1 has index set (0, 1), bag is (1, 2)"
-    other = uniform((1, 2), 3, [(0, 1), (1, 0)])
-    with pytest.raises(ValueError, match="^bag distributions disagree on target_size$"):
-        glue_markov_tree(m, [uniform((0, 1), 2, [(0, 1), (1, 0)]), other])
-
-
 def test_glue_markov_tree_two_bags_entropy_identity():
     m = MarkovTree(3, [(0, 1), (1, 2)], [(0, 1)])
     dists = [uniform_edge_dist((0, 1)), uniform_edge_dist((1, 2))]

@@ -9,6 +9,12 @@ answer with exit 0, 1 or 2: no exception may leave it. The routines behind
 the validators trust their preconditions, so each call of one must also
 have met its precondition (helpers.record_preconditions): no malformed
 input may reach them unvalidated.
+
+Failures are split by cause. The document is also loaded as the CLI loads
+it, through serialize.detect_kind and serialize.LOADERS, or for glue the
+Markov-tree and distribution loaders. validate must exit 2 exactly when that
+load fails or the document's kind has no validator, and glue exactly when
+its load fails: a document that loads is answered with 0 or 1.
 """
 
 import contextlib
@@ -22,6 +28,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homglue import serialize
 from homglue.cli import main
 from homglue.markov import MarkovTree
 
@@ -93,6 +100,32 @@ def mutated(name, seed, count):
     return doc
 
 
+# what the CLI reads as a document it cannot load, and the kinds it validates
+LOAD_ERRORS = (KeyError, TypeError, ValueError, RecursionError)
+VALIDATED = {"graph", "markov", "tree-decomposition", "strong-decomposition"}
+
+
+def _kind(doc):
+    kind = serialize.detect_kind(doc)
+    serialize.LOADERS[kind](doc)
+    return kind
+
+
+def _glue_instance(doc):
+    m = serialize.markov_from_json(doc["markov"])
+    return m, [serialize.distribution_from_json(law) for law in doc["bag_dists"]]
+
+
+def loaded(path, load):
+    """load(doc) for the JSON document in the file path, or None when
+    reading or loading it raises one of LOAD_ERRORS."""
+    try:
+        with open(path) as fh:
+            return load(json.load(fh))
+    except LOAD_ERRORS:
+        return None
+
+
 @pytest.fixture(scope="module")
 def path(tmp_path_factory):
     """The file each example's document is written to."""
@@ -119,6 +152,8 @@ def test_no_mutated_document_escapes_the_cli(path, name, seed, count):
         ["entropy-report", C4, path],
         ["glue", path],
     ]
+    kind = loaded(path, _kind)
+    unreadable = {"validate": kind not in VALIDATED, "glue": loaded(path, _glue_instance) is None}
     quiet = io.StringIO()
     with pytest.MonkeyPatch.context() as patch:
         traffic = record_preconditions(patch)
@@ -126,5 +161,7 @@ def test_no_mutated_document_escapes_the_cli(path, name, seed, count):
             with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
                 code = main(argv)
             assert code in (0, 1, 2), (argv, doc)
+            if argv[0] in unreadable:
+                assert (code == 2) == unreadable[argv[0]], (argv, code, kind, doc)
     for key, held in traffic.items():
         assert all(held), ("%s.%s was called outside its precondition" % key, doc)

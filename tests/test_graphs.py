@@ -73,11 +73,6 @@ def test_induced_subgraph_empty_and_nonadjacent():
     assert sub == Graph(2)
 
 
-def test_induced_subgraph_out_of_range():
-    with pytest.raises(ValueError):
-        induced_subgraph(c4(), (0, 4))
-
-
 def test_bfs_matches_a_queue_oracle():
     # sparse G(n, p) leaves graphs disconnected and vertices isolated
     rng = random.Random(41)

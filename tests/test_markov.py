@@ -14,7 +14,7 @@ from homglue.markov import (
     validate_markov_tree,
     validate_tree_decomposition,
 )
-from fixture_builders import book_fixture, c4, k2
+from fixture_builders import c4, k2
 from helpers import (
     bags_containing,
     bfs_reference,
@@ -145,13 +145,11 @@ def test_bags_containing_induces_subtree_on_valid_instances():
             assert family_connected(m, bags_containing(m, v))
 
 
-def test_out_of_range_bag_index_is_refused():
-    d = TreeDecomposition(Graph(4, [(0, 1), (1, 2), (2, 3)]), path_bags())
-    for fam in ([-1], [0, 3]):
-        with pytest.raises(ValueError, match="out of range"):
-            retraction(d, fam)
-    with pytest.raises(ValueError, match="out of range"):
-        retraction(book_fixture().decomp, [-1])
+@pytest.mark.parametrize("bag, vertex", [((0, 3), 3), ((1, -1), -1), ((5, 4, 0), 4)])
+def test_markov_tree_refuses_a_bag_element_out_of_range(bag, vertex):
+    # the first such element in bag order, each bag read ascending
+    with pytest.raises(ValueError, match="^vertex %d out of range for n=3$" % vertex):
+        MarkovTree(3, [(0, 1), bag, (7,)], [(0, 1), (1, 2)])
 
 
 @pytest.mark.parametrize("edge", [(1, 1), (0, 3), (-1, 0)])

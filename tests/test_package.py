@@ -14,10 +14,14 @@ Reachability is a static walk over names, by ast. A top-level definition
 (a function, a class or an assignment) reaches the top-level definitions it
 names: directly, through a name it imported from another module of the
 package, or as an attribute of such a module (serialize.json_text). A class
-reaches whatever its body names, methods included.
+reaches whatever its body names outside its methods, and its dunder methods.
+Any other method, named Class.method here, is a definition of its own: it is
+reached when its class is and some reached definition names it as an
+attribute (g.degree, Graph._trusted), whatever the object.
 """
 
 import ast
+import functools
 import importlib
 import os
 import pathlib
@@ -39,7 +43,22 @@ ENTRY_POINTS = {
     ("dists", "glue_pair"): "bench/tracer.py LAYERS",
     ("serialize", "distribution_to_json"): "bench/tracer.py LAYERS",
     ("strong", "zero_strong"): "CI's step that validates the largest level-0 path",
+    ("strong", "is_strong_isomorphism"): "bench/tracer.py LAYERS, tests",
+    ("graphs", "Graph.has_edge"): "bench/tracer.py counts its calls",
 }
+
+
+def _methods(node):
+    """The methods, dunders aside, of the class node; none for any other
+    node."""
+    if not isinstance(node, ast.ClassDef):
+        return []
+    return [
+        method
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
+        and not (method.name.startswith("__") and method.name.endswith("__"))
+    ]
 
 
 def _parse():
@@ -55,6 +74,8 @@ def _parse():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[module][node.name] = node
+                for method in _methods(node):
+                    defs[module][node.name + "." + method.name] = method
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
@@ -85,10 +106,21 @@ def _resolve(module, name):
     return module, name
 
 
+def _walk(node):
+    """Every node under the definition node, itself included, less the
+    methods of a class, each a definition of its own (_methods)."""
+    methods = _methods(node)
+    todo = [node]
+    while todo:
+        sub = todo.pop()
+        yield sub
+        todo.extend(c for c in ast.iter_child_nodes(sub) if c not in methods)
+
+
 def _refers_to(module, node):
     """The top-level definitions of the package that node names."""
     found = set()
-    for sub in ast.walk(node):
+    for sub in _walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             target = _resolve(module, sub.id)
         elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
@@ -102,17 +134,31 @@ def _refers_to(module, node):
     return found
 
 
+METHODS = [(module, name) for module, names in DEFS.items() for name in names if "." in name]
+
+
 def _reached(roots):
     """The definitions reached from roots; a root the package does not
-    define reaches nothing."""
-    seen = set(roots)
+    define reaches nothing. A method is reached once its class is and its
+    name is an attribute that a reached definition names."""
+    seen, named = set(), set()  # named: every attribute a reached definition names
     todo = list(roots)
     while todo:
-        module, name = todo.pop()
-        node = DEFS.get(module, {}).get(name)
-        for target in (set() if node is None else _refers_to(module, node)) - seen:
-            seen.add(target)
-            todo.append(target)
+        key = todo.pop()
+        if key not in seen:
+            seen.add(key)
+            node = DEFS.get(key[0], {}).get(key[1])
+            if node is not None:
+                todo.extend(_refers_to(key[0], node))
+                named.update(sub.attr for sub in _walk(node) if isinstance(sub, ast.Attribute))
+        if not todo:
+            todo = [
+                (module, name)
+                for module, name in METHODS
+                if (module, name) not in seen
+                and (module, name.split(".")[0]) in seen
+                and name.split(".")[1] in named
+            ]
     return seen
 
 
@@ -168,7 +214,7 @@ def test_every_exception_class_is_caught_somewhere_in_the_package():
     uncaught = []
     for module, names in sorted(DEFS.items()):
         for name in names:
-            obj = getattr(_module(module), name)
+            obj = functools.reduce(getattr, name.split("."), _module(module))
             if isinstance(obj, type) and issubclass(obj, BaseException) and (module, name) not in caught:
                 uncaught.append(_where(module, name))
     assert not uncaught, "no except clause in the package names: " + ", ".join(uncaught)

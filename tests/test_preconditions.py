@@ -1,18 +1,22 @@
 """The program meets every precondition its routines trust.
 
 glue_markov_tree, minimum_covering_subfamily, retraction, isomorphisms,
-connected_graphs_up_to and marginal check nothing that their callers
-establish: a valid Markov tree, a kept family that induces a subtree, pins
-inside both graphs, a sweep within the committed table and a marginal onto
-a subset of the index set. The validators at the CLI's entry points
-(validate_markov_tree for glue, validate_strong for the rest) and the
-sweep's own --max-n refusal are what make those hold.
+connected_graphs_up_to, marginal, strong_isomorphism,
+minimum_subdecomposition and induced_subgraph check nothing that their
+callers establish: a valid Markov tree with bag laws that fit it, a kept
+family that induces a subtree, pins inside both graphs, a sweep within the
+committed table, a marginal onto a subset of the index set, valid
+decompositions, a nonempty set of host vertices and vertices of the graph.
+The checks at the CLI's entry points (validate_markov_tree and
+check_bag_dists for glue, validate_strong for the rest, min-subdec's --u
+check) and the sweep's own --max-n refusal are what make those hold.
 
 Each routine is wrapped wherever the package calls it
 (helpers.record_preconditions). Every subcommand then runs over the
-fixtures, a level-2 decomposition, random valid level-1 decompositions,
-random glue instances and a few invalid inputs, and every call must have
-met its precondition. Every routine must have been called, so that a change
+fixtures, level-2 and level-3 decompositions (among them condition 3's
+worst cases, families A and B), random valid level-1 decompositions, random
+glue instances and a few invalid inputs, and every call must have met its
+precondition. Every routine must have been called, so that a change
 in the traffic cannot leave a wrapper with nothing to check.
 """
 
@@ -29,6 +33,8 @@ from fixture_builders import (
     bad_condition3_fixture,
     bad_markov_tree,
     bundled_strong_fixtures,
+    family_a,
+    family_b,
     hexagon_level2,
     k2,
     k3,
@@ -94,6 +100,12 @@ def _commands(directory):
         subsets = [(v,) for v in vertices] + rng.sample(pairs, min(8, len(pairs)))
         subsets += [tuple(vertices)]
         yield from _strong_commands(path, targets, subsets)
+    # condition 3's worst cases fail validation, which every subcommand runs
+    # first, so one run of each will do
+    for name, build in (("family-a", family_a), ("family-b", family_b)):
+        sd = build(5, (2, 1, 1), (1, 1, 2))
+        path = _write(directory, name, serialize.strong_to_json(sd))
+        yield from _strong_commands(path, targets[:1], [tuple(range(sd.host.n))])
     edge = str(directory / "edge.json")
     yield ["sidorenko-sweep", edge, "--max-n", "6"]
     yield ["sidorenko-sweep", edge, "--max-n", str(max(CONNECTED_CLASSES) + 1)]
