@@ -166,11 +166,17 @@ def hom_count(h, g):
     """Number of adjacency-preserving maps V(h) -> V(g).
 
     Backtracks over h's vertices in ascending order. A vertex with earlier
-    neighbours in h draws its candidates from the neighbours of the first
-    one's image, kept only if adjacent to the other earlier neighbours'
-    images; a vertex without them tries all of V(g). The last vertex's
-    candidates are counted, not tried. Refuses instances whose naive
-    candidate space |V(g)|^|V(h)| exceeds DEFAULT_HOM_CAP.
+    neighbours in h draws its candidates from the ascending neighbour tuple
+    of the first one's image and keeps those adjacent to the other earlier
+    neighbours' images; a vertex without them tries all of V(g). The last
+    vertex's candidates are counted, not tried. Refuses instances whose
+    naive candidate space |V(g)|^|V(h)| exceeds DEFAULT_HOM_CAP.
+
+    Adjacency to the other images is tested against g's neighbour sets,
+    built once per call and only when some vertex of h has two or more
+    earlier neighbours, the one case that tests it. They live for this
+    call alone, so a Graph keeps one adjacency representation, its
+    ascending neighbour tuples.
     """
     if h.n == 0:
         raise ValueError("source graph must have at least one vertex")
@@ -186,22 +192,24 @@ def hom_count(h, g):
         return int(not h.edges)
     # earlier[v] = neighbors of v in h with smaller index (already assigned)
     earlier = [[u for u in h.neighbors(v) if u < v] for v in range(h.n)]
-    return _count(0, h.n - 1, earlier, g._adj, range(g.n), [0] * h.n)
+    adj = g._adj
+    sets = list(map(set, adj)) if any(len(ev) > 1 for ev in earlier) else None
+    return _count(0, h.n - 1, earlier, adj, sets, range(g.n), [0] * h.n)
 
 
-def _count(v, last, earlier, adj, everywhere, img):
+def _count(v, last, earlier, adj, sets, everywhere, img):
     """Homomorphisms that extend img's images of the vertices before v."""
     ev = earlier[v]
     found = adj[img[ev[0]]] if ev else everywhere
     for u in ev[1:]:
-        a = adj[img[u]]
+        a = sets[img[u]]
         found = [w for w in found if w in a]
     if v == last:
         return len(found)
     total = 0
     for w in found:
         img[v] = w
-        total += _count(v + 1, last, earlier, adj, everywhere, img)
+        total += _count(v + 1, last, earlier, adj, sets, everywhere, img)
     return total
 
 

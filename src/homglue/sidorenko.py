@@ -125,28 +125,31 @@ def forest_hom_bound_check(f, g):
 
     Requires f to be a forest and g to have a vertex (ValueError otherwise)
     and g to satisfy the degree condition (Refused otherwise). Returns
-    {"ok", "lhs", "rhs"} with exact rationals.
+    {"ok", "lhs", "rhs"} with exact rationals: lhs is hom(f,g), and rhs is
+    one Fraction built from the integer form (4e(g))^e(f) * n^v(f) /
+    n^(2e(f)); ok compares hom(f,g) * n^(2e(f)) with that numerator in
+    integers.
     """
     if not is_forest(f):
         raise ValueError("source graph is not a forest")
     _require_vertices(g)
     if not degree_condition(g):
         raise Refused("target fails the degree condition")
-    lhs = Fraction(hom_count(f, g))
-    ef = f.num_edges()
-    rhs = Fraction(2) ** ef * Fraction(g.n) ** f.n * Fraction(
-        2 * g.num_edges(), g.n * g.n
-    ) ** ef
-    return {"ok": lhs <= rhs, "lhs": lhs, "rhs": rhs}
+    count = hom_count(f, g)
+    n, ef = g.n, f.num_edges()
+    num, den = (4 * g.num_edges()) ** ef * n ** f.n, n ** (2 * ef)
+    return {"ok": count * den <= num, "lhs": Fraction(count), "rhs": Fraction(num, den)}
 
 
 def sidorenko_gap(h, g, count):
     """Exact Sidorenko gap count/n^v(h) - (2e(g)/n^2)^e(h), where count is
-    hom(h, g). A target with no vertices is a ValueError."""
+    hom(h, g), built as one Fraction from its integer form
+    (count * n^(2e(h)) - (2e(g))^e(h) * n^v(h)) / n^(v(h)+2e(h)). A target
+    with no vertices is a ValueError."""
     _require_vertices(g)
-    density = Fraction(count, g.n ** h.n)
-    edge_density = Fraction(2 * g.num_edges(), g.n * g.n)
-    return density - edge_density ** h.num_edges()
+    n, e = g.n, h.num_edges()
+    n2e = n ** (2 * e)
+    return Fraction(count * n2e - (2 * g.num_edges()) ** e * n ** h.n, n ** h.n * n2e)
 
 
 def sidorenko_check(h, g):

@@ -679,6 +679,26 @@ def brute_force_homs(h, g):
     ]
 
 
+def sidorenko_gap_reference(h, g, count):
+    """The Sidorenko gap count/n^v(h) - (2e(g)/n^2)^e(h), for count =
+    hom(h, g), as the definition reads: a chain of Fraction operations."""
+    density = Fraction(count, g.n ** h.n)
+    edge_density = Fraction(2 * g.num_edges(), g.n * g.n)
+    return density - edge_density ** h.num_edges()
+
+
+def forest_bound_reference(f, g, count):
+    """forest_hom_bound_check's answer for count = hom(f, g), the bound
+    2^e(f) * n^v(f) * (2e(g)/n^2)^e(f) as the definition reads: a chain of
+    Fraction operations, compared as Fractions."""
+    lhs = Fraction(count)
+    ef = f.num_edges()
+    rhs = Fraction(2) ** ef * Fraction(g.n) ** f.n * Fraction(
+        2 * g.num_edges(), g.n * g.n
+    ) ** ef
+    return {"ok": lhs <= rhs, "lhs": lhs, "rhs": rhs}
+
+
 def brw_reference(t, g):
     """Branching random walk on Hom(t, g) as a running product of Fraction
     steps: 1/(2e(g)) for the ordered edge under t's first edge, then

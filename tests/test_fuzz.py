@@ -15,6 +15,10 @@ it, through serialize.detect_kind and serialize.LOADERS, or for glue the
 Markov-tree and distribution loaders. validate must exit 2 exactly when that
 load fails or the document's kind has no validator, and glue exactly when
 its load fails: a document that loads is answered with 0 or 1.
+
+A second mutator keeps glue documents loadable but breaks the fit of their
+laws to the Markov tree (one law dropped or duplicated, or one law's index
+set shifted by one), which glue must refuse with exit 1 before gluing.
 """
 
 import contextlib
@@ -32,7 +36,12 @@ from homglue import serialize
 from homglue.cli import main
 from homglue.markov import MarkovTree
 
-from helpers import consistent_bag_dists, glue_document, record_preconditions
+from helpers import (
+    consistent_bag_dists,
+    glue_document,
+    random_markov_tree,
+    record_preconditions,
+)
 
 FIXDIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -165,3 +174,39 @@ def test_no_mutated_document_escapes_the_cli(path, name, seed, count):
                 assert (code == 2) == unreadable[argv[0]], (argv, code, kind, doc)
     for key, held in traffic.items():
         assert all(held), ("%s.%s was called outside its precondition" % key, doc)
+
+
+def misfit(seed):
+    """A random glue document whose laws load but do not fit its Markov
+    tree: one law is dropped or duplicated, or one law's index set is
+    shifted up by one (its keys keep their length), all drawn by
+    random.Random(seed). Every bag is nonempty, so a shift moves it."""
+    rng = random.Random(seed)
+    m = random_markov_tree(rng, rng.randint(1, 4), rng.randint(1, 4))
+    doc = glue_document(m, consistent_bag_dists(rng, m, rng.randint(2, 3), atoms=3))
+    laws = doc["bag_dists"]
+    i = rng.randrange(len(laws))
+    action = rng.choice(["drop", "duplicate", "shift"])
+    if action == "drop":
+        del laws[i]
+    elif action == "duplicate":
+        laws.insert(i, copy.deepcopy(laws[i]))
+    else:
+        laws[i]["index_set"] = [v + 1 for v in laws[i]["index_set"]]
+    return doc
+
+
+@settings(max_examples=60, deadline=5000, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_glue_refuses_loadable_laws_that_misfit_the_tree(path, seed):
+    doc = misfit(seed)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    assert loaded(path, _glue_instance) is not None, doc
+    quiet = io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        traffic = record_preconditions(patch)
+        with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(quiet):
+            code = main(["glue", path])
+    assert code == 1, (code, doc)
+    assert all(all(held) for held in traffic.values()), (traffic, doc)

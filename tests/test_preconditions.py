@@ -15,9 +15,11 @@ Each routine is wrapped wherever the package calls it
 (helpers.record_preconditions). Every subcommand then runs over the
 fixtures, level-2 and level-3 decompositions (among them condition 3's
 worst cases, families A and B), random valid level-1 decompositions, random
-glue instances and a few invalid inputs, and every call must have met its
-precondition. Every routine must have been called, so that a change
-in the traffic cannot leave a wrapper with nothing to check.
+glue instances and a few invalid inputs, among them empty, negative and
+out-of-range --u values that min-subdec must refuse with exit 2, and every
+call must have met its precondition. Every routine must have been called,
+so that a change in the traffic cannot leave a wrapper with nothing to
+check.
 """
 
 import json
@@ -65,19 +67,27 @@ def _write(directory, name, doc):
     return str(path)
 
 
-def _strong_commands(path, targets, subsets):
-    yield ["validate", path]
+# the exit codes of a run that computes an answer or refuses its input
+ANSWERED = (0, 1)
+
+
+def _strong_commands(path, targets, subsets, n):
+    yield ["validate", path], ANSWERED
     for target in targets:
-        yield ["assoc", path, target]
-        yield ["entropy-report", path, target]
+        yield ["assoc", path, target], ANSWERED
+        yield ["entropy-report", path, target], ANSWERED
     for u in subsets:
-        yield ["min-subdec", path, "--u", ",".join(map(str, u))]
-    yield ["sidorenko-sweep", path, "--max-n", "3"]
+        yield ["min-subdec", path, "--u", ",".join(map(str, u))], ANSWERED
+    # none, a negative vertex, one past the last, one in range beside one out
+    for u in ("", ",", "-1", str(n), "0,%d" % n):
+        yield ["min-subdec", path, "--u", u], (2,)
+    yield ["sidorenko-sweep", path, "--max-n", "3"], ANSWERED
 
 
 def _commands(directory):
-    """The argv of every run: each subcommand over the fixtures and random
-    valid inputs, written under directory."""
+    """The argv of every run, with the exit codes it may give: each
+    subcommand over the fixtures and random valid inputs, written under
+    directory."""
     rng = random.Random(2024)
     targets = [
         _write(directory, name, serialize.graph_to_json(g))
@@ -99,16 +109,16 @@ def _commands(directory):
         pairs = list(combinations(vertices, 2))
         subsets = [(v,) for v in vertices] + rng.sample(pairs, min(8, len(pairs)))
         subsets += [tuple(vertices)]
-        yield from _strong_commands(path, targets, subsets)
+        yield from _strong_commands(path, targets, subsets, sd.host.n)
     # condition 3's worst cases fail validation, which every subcommand runs
     # first, so one run of each will do
     for name, build in (("family-a", family_a), ("family-b", family_b)):
         sd = build(5, (2, 1, 1), (1, 1, 2))
         path = _write(directory, name, serialize.strong_to_json(sd))
-        yield from _strong_commands(path, targets[:1], [tuple(range(sd.host.n))])
+        yield from _strong_commands(path, targets[:1], [tuple(range(sd.host.n))], sd.host.n)
     edge = str(directory / "edge.json")
-    yield ["sidorenko-sweep", edge, "--max-n", "6"]
-    yield ["sidorenko-sweep", edge, "--max-n", str(max(CONNECTED_CLASSES) + 1)]
+    yield ["sidorenko-sweep", edge, "--max-n", "6"], ANSWERED
+    yield ["sidorenko-sweep", edge, "--max-n", str(max(CONNECTED_CLASSES) + 1)], ANSWERED
 
     instances = [
         (m, consistent_bag_dists(rng, m, rng.randint(2, 3)))
@@ -123,19 +133,19 @@ def _commands(directory):
     instances.append((two, [consistent_bag_dists(rng, two, 2)[i] for i in (0, 1)]))
     for i, (m, bag_dists) in enumerate(instances):
         path = _write(directory, "glue-%d" % i, glue_document(m, bag_dists))
-        yield ["glue", path]
-        yield ["validate", _write(directory, "markov-%d" % i, serialize.markov_to_json(m))]
+        yield ["glue", path], ANSWERED
+        yield ["validate", _write(directory, "markov-%d" % i, serialize.markov_to_json(m))], ANSWERED
 
 
 def test_every_call_meets_the_precondition_its_routine_trusts(monkeypatch, tmp_path, capsys):
     traffic = record_preconditions(monkeypatch)
     codes = set()
-    for argv in _commands(tmp_path):
+    for argv, allowed in _commands(tmp_path):
         code = cli.main(argv)
         capsys.readouterr()
-        assert code in (0, 1), argv
+        assert code in allowed, argv
         codes.add(code)
-    assert codes == {0, 1}
+    assert codes == {0, 1, 2}
     for key, held in traffic.items():
         assert all(held), "%s.%s was called outside its precondition" % key
     called = {(module.__name__, name) for module, name in PRECONDITIONS}

@@ -8,6 +8,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import homglue
 from homglue import sidorenko
@@ -20,6 +21,7 @@ from homglue.sidorenko import (
     entropy_bound_report,
     forest_hom_bound_check,
     sidorenko_check,
+    sidorenko_gap,
 )
 from homglue.markov import (
     MarkovTree,
@@ -45,9 +47,11 @@ from fixture_builders import (
 from helpers import (
     associated_reference,
     brw_reference,
+    forest_bound_reference,
     isomorphism_transport_check,
     projection_consistency_check,
     random_graph,
+    sidorenko_gap_reference,
     small_trees,
     spanning_trees,
     uniform,
@@ -481,3 +485,49 @@ def test_sidorenko_check_examples():
     assert sidorenko_check(path3(), k2()) == 0
     for g in (k2(), k3(), c4()):
         assert sidorenko_check(k2(), g) == 0
+
+
+def _random_forest(rng, n):
+    """A forest on 0..n-1: each vertex joins a random earlier one or starts
+    a tree, then the labels are shuffled, so some vertices come after two of
+    their neighbours."""
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = [(label[rng.randrange(i)], label[i]) for i in range(1, n) if rng.random() < 0.7]
+    return Graph(n, edges)
+
+
+def _exactly(x, y):
+    """x and y are the same Fraction: type, numerator and denominator."""
+    return (type(x), x.numerator, x.denominator) == (type(y), y.numerator, y.denominator)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_h=st.integers(1, 5),
+    p_h=st.sampled_from([0.0, 0.4, 0.7, 1.0]),
+    n_g=st.integers(1, 8),
+    p_g=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
+)
+@example(seed=0, n_h=1, p_h=0.0, n_g=1, p_g=0.0)  # K1 into K1
+@example(seed=0, n_h=3, p_h=0.0, n_g=4, p_g=0.0)  # edgeless into edgeless
+@example(seed=1, n_h=4, p_h=1.0, n_g=1, p_g=0.0)  # K4 into K1
+@example(seed=2, n_h=5, p_h=0.7, n_g=8, p_g=1.0)  # into K8
+def test_exact_bounds_match_their_fraction_chains(seed, n_h, p_h, n_g, p_g):
+    rng = random.Random(seed)
+    g = random_graph(rng, n_g, p_g)
+    h = random_graph(rng, n_h, p_h)
+    count = hom_count(h, g)
+    want = sidorenko_gap_reference(h, g, count)
+    assert _exactly(sidorenko_gap(h, g, count), want)
+    assert _exactly(sidorenko_check(h, g), want)
+    f = _random_forest(rng, n_h)
+    if not degree_condition(g):
+        with pytest.raises(Refused, match="degree condition"):
+            forest_hom_bound_check(f, g)
+        return
+    got = forest_hom_bound_check(f, g)
+    want = forest_bound_reference(f, g, hom_count(f, g))
+    assert got["ok"] is want["ok"]
+    assert _exactly(got["lhs"], want["lhs"]) and _exactly(got["rhs"], want["rhs"])
