@@ -36,16 +36,21 @@ class SparseDistribution:
     {key: Fraction} view of the same law, built on each read.
 
     Distributions are validated where they enter the program: this
-    constructor, which serialize.distribution_from_json calls, checks every
-    atom and the total, then stores the masses as weights over the lcm of
-    their denominators. A mass whose type is exactly Fraction is kept as
-    given (a Fraction is always in lowest terms over a positive
-    denominator); any other value, a Fraction subclass included, is first
-    converted by Fraction(). What the program builds from valid distributions
-    (marginals, couplings, level-0 edge laws, re-indexed children) goes
-    through the unchecked _trusted constructor instead, and each public
-    function checks the total mass of the distribution it returns once
-    (ValueError when it is not exactly 1).
+    constructor checks every atom and the total, then stores the masses as
+    weights over the lcm of their denominators. A mass whose type is exactly
+    Fraction is kept as given (a Fraction is always in lowest terms over a
+    positive denominator); any other value, a Fraction subclass included, is
+    first converted by Fraction(). The argument mass is a {key: mass}
+    mapping or an iterable of (key, mass) pairs. The index set, target size
+    and every key value are int-checked first; then the index set's order
+    and the target size's sign, then the atoms in their order, so a refusal
+    names the first fault. A repeated key is refused here, where a dict
+    would have merged it: serialize.distribution_from_json passes a
+    document's atoms as pairs. What the program builds from valid
+    distributions (marginals, couplings, level-0 edge laws, re-indexed
+    children) goes through the unchecked _trusted constructor instead, and
+    each public function checks the total mass of the distribution it
+    returns once (ValueError when it is not exactly 1).
     """
 
     index_set: tuple
@@ -55,14 +60,15 @@ class SparseDistribution:
 
     def __init__(self, index_set, target_size, mass):
         index_set = tuple(index_set)
-        require_ints((index_set, (target_size,), *mass), INT_FIELDS)
+        mass = mass.items() if hasattr(mass, "items") else list(mass)
+        require_ints((index_set, (target_size,), *map(itemgetter(0), mass)), INT_FIELDS)
         if any(a >= b for a, b in zip(index_set, index_set[1:])):
             raise ValueError("index set must be strictly ascending, not %s" % (list(index_set),))
         if target_size < 0:
             raise ValueError("target_size must be nonnegative")
         arity = len(index_set)
         norm = {}
-        for key, p in mass.items():
+        for key, p in mass:
             key = tuple(key)
             if len(key) != arity:
                 raise ValueError("key %s has wrong arity" % (key,))

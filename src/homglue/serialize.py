@@ -27,7 +27,7 @@ from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
-from .dists import INT_FIELDS, SparseDistribution
+from .dists import SparseDistribution
 from .graphs import Graph, require_ints
 from .markov import MarkovTree, TreeDecomposition
 from .strong import StrongDecomposition
@@ -120,15 +120,9 @@ def strong_from_json(doc):
 
 
 def distribution_to_json(p):
-    nums, dens = _mass_texts(p)
-    return {
-        "index_set": list(p.index_set),
-        "target_size": p.target_size,
-        "mass": [
-            {"key": list(k), "num": nums[w], "den": dens[w]}
-            for k, w in sorted(p.weight.items())
-        ],
-    }
+    """The distribution document of p, read back from distribution_to_text,
+    which alone decides its layout."""
+    return json.loads(distribution_to_text(p))
 
 
 def _mass_texts(p):
@@ -143,8 +137,11 @@ def _mass_texts(p):
 
 
 def distribution_to_text(p):
-    """json.dumps(distribution_to_json(p), indent=1, sort_keys=True), byte for
-    byte, written directly instead of through json's pure-Python indenting
+    """The distribution document of p, the one place its layout is decided:
+    {"index_set", "mass", "target_size"} with one {"den", "key", "num"} atom
+    per key in ascending key order, its mass in lowest terms, laid out as
+    json.dumps(doc, indent=1, sort_keys=True) lays it out, byte for byte,
+    but written directly instead of through json's pure-Python indenting
     encoder.
 
     The atoms' text is one join over columns zipped atom by atom: the fixed
@@ -280,29 +277,14 @@ def _key_text(key):
 
 
 def distribution_from_json(doc):
-    entries = doc["mass"]
+    """The SparseDistribution of a distribution document. Its atoms go to the
+    constructor as (key, mass) pairs, in their order, so the constructor
+    checks them all, a repeated key included."""
     try:
-        mass = {tuple(e["key"]): _mass(e["num"], e["den"]) for e in entries}
+        mass = [(e["key"], _mass(e["num"], e["den"])) for e in doc["mass"]]
     except ZeroDivisionError:
         raise ValueError("a mass has a zero denominator")
-    if len(mass) < len(entries):
-        _refuse_repeated_key(doc, entries)
     return SparseDistribution(doc["index_set"], doc["target_size"], mass)
-
-
-def _refuse_repeated_key(doc, entries):
-    """Raise the ValueError SparseDistribution would give the entries before
-    a dict merged two of them: a later entry replaces an earlier one with an
-    equal key, and [0.0] or [false] equals [0]. So the values are int-checked
-    first, as the constructor checks them; then the first repeated key is a
-    duplicate key."""
-    keys = [tuple(e["key"]) for e in entries]
-    require_ints((doc["index_set"], (doc["target_size"],), *keys), INT_FIELDS)
-    seen = set()
-    for key in keys:
-        if key in seen:
-            raise ValueError("duplicate key %s" % (key,))
-        seen.add(key)
 
 
 def _mass(num, den):

@@ -12,7 +12,6 @@ from .graphs import (
     Graph,
     induced_subgraph,
     is_forest,
-    is_homomorphism,
     is_tree,
     isomorphisms,
     isomorphisms_pinned,
@@ -221,22 +220,17 @@ def strong_isomorphism(sd1, sd2, pin=None):
 
 def is_strong_isomorphism(sd1, sd2, vertex_map):
     """Verify a fully specified vertex map as a strong isomorphism of the
-    valid (validate_strong) sd1 and sd2; a map without exactly one in-range
-    image per host vertex is a ValueError."""
-    if sd1.level != sd2.level:
-        return False
-    h1, h2 = sd1.host, sd2.host
+    valid (validate_strong) sd1 and sd2: strong_isomorphism with every
+    vertex pinned to its image, so a map that is not injective, breaks an
+    edge, joins hosts of different sizes or decompositions of different
+    levels answers False. A map without exactly one image in range of sd2's
+    host per vertex of sd1's is a ValueError, raised before any search."""
     phi = tuple(vertex_map)
-    if len(phi) != h1.n:
-        raise ValueError("vertex map has %d images for %d vertices" % (len(phi), h1.n))
-    if h1.n != h2.n or h1.num_edges() != h2.num_edges() or len(set(phi)) != h1.n:
-        return False
-    if not all(0 <= w < h2.n for w in phi):
+    if len(phi) != sd1.host.n:
+        raise ValueError("vertex map has %d images for %d vertices" % (len(phi), sd1.host.n))
+    if not all(0 <= w < sd2.host.n for w in phi):
         raise ValueError("vertex map image out of range")
-    # injective and edge-preserving with equal edge counts: a host isomorphism
-    if not is_homomorphism(h1, h2, phi):
-        return False
-    return _structure_match(sd1, sd2, phi) is not None
+    return strong_isomorphism(sd1, sd2, dict(enumerate(phi))) is not None
 
 
 def _structure_match(sd1, sd2, phi):

@@ -400,10 +400,12 @@ def brute_force_strong_isomorphism(sd1, sd2, pin):
 
 
 def _brute_force_bag_map(sd1, sd2, phi):
-    """The first bag map under which the host isomorphism phi is a strong
-    isomorphism, () at level 0, or None."""
-    image = {tuple(sorted((phi[u], phi[v]))) for u, v in sd1.host.edges}
-    if sd1.level != sd2.level or image != set(sd2.host.edges):
+    """The first bag map under which the vertex map phi is a strong
+    isomorphism, () at level 0, or None: None unless phi is a bijection onto
+    sd2's host vertices that sends sd1's host edges onto sd2's."""
+    if sd1.level != sd2.level or sorted(phi) != list(range(sd2.host.n)):
+        return None
+    if {tuple(sorted((phi[u], phi[v]))) for u, v in sd1.host.edges} != set(sd2.host.edges):
         return None
     if sd1.level == 0:
         return ()
@@ -518,11 +520,10 @@ def junction_factorization(m, bag_dists):
 
 
 def uniform(index_set, target_size, keys):
-    """The uniform law on the distinct keys, through the validating
-    constructor."""
-    keys = [tuple(k) for k in keys]
-    assert len(set(keys)) == len(keys), "repeated key"
-    return SparseDistribution(index_set, target_size, dict.fromkeys(keys, Fraction(1, len(keys))))
+    """The uniform law on the keys, through the validating constructor, which
+    refuses a repeated key."""
+    keys = list(keys)
+    return SparseDistribution(index_set, target_size, [(k, Fraction(1, len(keys))) for k in keys])
 
 
 # The paper's two consistency lemmas, checked on built distributions: the

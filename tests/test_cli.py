@@ -35,6 +35,7 @@ from helpers import (
     consistent_bag_dists,
     glue_document,
     seeded_gnm,
+    text_reference,
     uniform,
 )
 
@@ -333,9 +334,10 @@ def k3_edge_instance():
 
 
 def json_route(p):
-    """The distribution document as json.dumps lays it out, with the newline
-    the CLI ends every document with."""
-    return json.dumps(serialize.distribution_to_json(p), indent=1, sort_keys=True) + "\n"
+    """The distribution document as json.dumps lays it out, masses read off
+    p's Fractions (helpers.text_reference), with the newline the CLI ends
+    every document with."""
+    return text_reference(p) + "\n"
 
 
 def test_glue_command(tmp_path, capsys):
@@ -545,6 +547,22 @@ def test_zero_denominators_and_non_integer_values_exit_2_without_traceback(tmp_p
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("error: cannot parse")
+
+
+def test_glue_refuses_a_law_with_a_negative_target_size(tmp_path, capsys):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_broken_glue_instance("target_size", -1)))
+    assert main(["glue", str(path)]) == 2
+    message = "error: cannot parse %s: target_size must be nonnegative\n" % path
+    assert capsys.readouterr() == ("", message)
+
+
+def test_validate_refuses_a_document_that_is_not_an_object(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text("[]")
+    assert main(["validate", str(path)]) == 2
+    message = "error: cannot parse %s: document is not a JSON object\n" % path
+    assert capsys.readouterr() == ("", message)
 
 
 def _one_bag_glue_instance(atoms):

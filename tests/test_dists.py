@@ -210,6 +210,7 @@ def test_glue_pair_mismatch_witness_and_target_size():
         marginal(p, (1,)).mass, marginal(q, (1,)).mass
     )
     assert e.value.doc["witness"] == {"key": [0], "left": "1/2", "right": "1/3"}
+    assert first_difference(p.mass, dict(p.mass)) is None
     with pytest.raises(ValueError):
         glue_pair(p, uniform((1, 2), 3, [(0, 1)]))
 

@@ -237,6 +237,10 @@ def test_isomorphisms_pinned_match_brute_force_in_order():
         assert expected and list(isomorphisms_pinned(h1, h2, pin)) == expected
 
 
+def test_the_empty_graph_has_one_isomorphism_to_itself():
+    assert list(isomorphisms_pinned(Graph(0), Graph(0))) == [()]
+
+
 def test_induced_edge_count_matches_filter():
     rng = random.Random(3)
     for _ in range(20):
@@ -258,6 +262,11 @@ def test_hom_count_matches_brute_force():
     for h in hosts:
         for g in (Graph(1), Graph(3), k3(), _random_graph(rng, rng.randint(1, 6))):
             assert hom_count(h, g) == len(brute_force_homs(h, g)), (h, g)
+
+
+def test_hom_count_refuses_an_empty_source():
+    with pytest.raises(ValueError, match="^source graph must have at least one vertex$"):
+        hom_count(Graph(0), k3())
 
 
 def test_hom_count_on_a_one_vertex_target():

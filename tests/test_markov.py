@@ -163,6 +163,11 @@ def test_markov_tree_refuses_no_bags():
         MarkovTree(3, [])
 
 
+def test_markov_tree_refuses_a_negative_ground_size():
+    with pytest.raises(ValueError, match="^ground_size must be nonnegative$"):
+        MarkovTree(-1, [(0,)])
+
+
 def test_helly_examples():
     m = path_bags()
     assert helly_intersection(m, [(0, 1), (1, 2), (0, 1, 2)]) == 1

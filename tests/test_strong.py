@@ -1,13 +1,18 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
 from helpers import (
+    _brute_force_bag_map,
     brute_force_strong_isomorphism,
     minimum_subdecomposition_reference,
+    random_level1,
     random_tree,
+    record_preconditions,
     relabel_strong,
+    small_trees,
 )
 from homglue import serialize
 from homglue.cli import main
@@ -49,6 +54,11 @@ def test_zero_strong_path():
     assert sd.level == 0
     assert validate_strong(sd).ok
     assert sd.host == Graph(3, [(0, 1), (1, 2)])
+
+
+def test_zero_strong_refuses_a_tree_without_edges():
+    with pytest.raises(ValueError, match="^tree has no edges$"):
+        zero_strong(Graph(1))
 
 
 def test_level0_rejects_non_tree():
@@ -210,6 +220,76 @@ def test_is_strong_isomorphism_rejects_decompositions_of_different_levels():
     )
     assert validate_strong(level1).ok
     assert not is_strong_isomorphism(zero_strong(p3), level1, (0, 1, 2))
+
+
+def _verifier_pairs():
+    """Pairs of small valid decompositions, hosts of at most 5 vertices: the
+    children of the c4 and book fixtures against each other, every tree of up
+    to 5 vertices against a relabelled copy, random_level1 draws against a
+    relabelled copy and against the next draw, and pairs of different levels
+    or host sizes."""
+    rng = random.Random(59)
+    pairs = [
+        (a, b) for sd in (c4_fixture(), book_fixture()) for a in sd.children for b in sd.children
+    ]
+
+    def with_copy(sd):
+        perm = list(range(sd.host.n))
+        rng.shuffle(perm)
+        return sd, relabel_strong(sd, perm, rng)
+
+    pairs += [with_copy(zero_strong(t)) for t in small_trees(5)]
+    draws = [random_level1(rng, rng.randint(2, 3), 2) for _ in range(6)]
+    draws += [random_level1(rng, 2, 3) for _ in range(4)]
+    pairs += [with_copy(sd) for sd in draws]
+    pairs += list(zip(draws, draws[1:]))
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    one_bag = StrongDecomposition(
+        1, p3, TreeDecomposition(p3, MarkovTree(3, [(0, 1, 2)])), (zero_strong(p3),)
+    )
+    square = book_fixture().children[0]
+    pairs += [
+        (zero_strong(p3), one_bag),
+        (one_bag, zero_strong(p3)),
+        (c4_fixture().children[0], square),
+        (square, c4_fixture().children[0]),
+        (path_fixture(), star_fixture()),
+        (star_fixture(), path_fixture()),
+        (c4_fixture(), square),
+    ]
+    return pairs
+
+
+# the searches a verified map reaches, as record_preconditions names them
+SEARCHES = (
+    ("homglue.strong", "strong_isomorphism"),
+    ("homglue.graphs", "isomorphisms"),
+    ("homglue.strong", "isomorphisms"),
+)
+
+
+def test_is_strong_isomorphism_is_the_brute_force_answer_on_every_map(monkeypatch):
+    pairs = _verifier_pairs()
+    assert all(sd.host.n <= 5 and validate_strong(sd).ok for pair in pairs for sd in pair)
+    traffic = record_preconditions(monkeypatch)
+    accepted = refused = 0
+    for sd1, sd2 in pairs:
+        n1, n2 = sd1.host.n, sd2.host.n
+        for phi in product(range(n2), repeat=n1):
+            answer = is_strong_isomorphism(sd1, sd2, phi)
+            assert answer == (_brute_force_bag_map(sd1, sd2, phi) is not None), (sd1, sd2, phi)
+            accepted += answer
+            refused += not answer
+        searches = {key: len(traffic.get(key, ())) for key in SEARCHES}
+        wrong = [(0,) * (n1 - 1), (0,) * (n1 + 1), (n2,) + (0,) * (n1 - 1), (0,) * (n1 - 1) + (-1,)]
+        for phi in wrong:
+            with pytest.raises(ValueError):
+                is_strong_isomorphism(sd1, sd2, phi)
+        assert {key: len(traffic.get(key, ())) for key in SEARCHES} == searches
+    assert accepted > 0 and refused > 0
+    assert all(traffic.get(key) for key in SEARCHES)
+    for key, held in traffic.items():
+        assert all(held), "%s.%s was called outside its precondition" % key
 
 
 def test_strong_isomorphism_absent_for_different_trees():

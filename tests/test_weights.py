@@ -163,6 +163,11 @@ ENTRY_REFUSALS = {
     "float-den": (None, [([0], "1", 1.0)], "num and den must be strings, not 1.0"),
     "bool-num": (None, [([0], True, "1")], "num and den must be strings, not true"),
     "null-den": (None, [([0], "1", None)], "num and den must be strings, not null"),
+    "list-key": (
+        None,
+        [([[0]], "1", "1")],
+        "index set, target size and key values must be integers, not list",
+    ),
 }
 THREE_VALUE_KEYS = ("out-of-range-last", "negative-middle")
 
@@ -178,6 +183,51 @@ def test_entry_paths_refuse_with_the_exact_message(case):
     if atoms is not None:
         with pytest.raises(ValueError, match=exact):
             serialize.distribution_from_json(doc_of(index_set, 2, atoms))
+
+
+# (index set, loader atoms, message) of documents with more than one fault:
+# the loader passes the atoms to the constructor as pairs, in their order, so
+# the first fault in the constructor's order is named (the index set, then
+# each atom), where merging the atoms into a dict first met the repeat
+MULTI_FAULT_DOCS = {
+    "out-of-range-before-repeat": (
+        [0],
+        [([5], "1", "2"), ([0], "1", "4"), ([0], "1", "4")],
+        "key (5,) has out-of-range value",
+    ),
+    "descending-with-repeat": (
+        [1, 0],
+        [([0, 1], "1", "2"), ([0, 1], "1", "2")],
+        "index set must be strictly ascending, not [1, 0]",
+    ),
+    "negative-before-repeat": (
+        [0],
+        [([1], "-1", "2"), ([0], "3", "4"), ([0], "3", "4")],
+        "mass at (1,) must be strictly positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTI_FAULT_DOCS))
+def test_documents_with_several_faults_name_the_first(case):
+    index_set, atoms, message = MULTI_FAULT_DOCS[case]
+    exact = "^%s$" % re.escape(message)
+    with pytest.raises(ValueError, match=exact):
+        serialize.distribution_from_json(doc_of(index_set, 2, atoms))
+    pairs = [(key, Fraction(int(num), int(den))) for key, num, den in atoms]
+    with pytest.raises(ValueError, match=exact):
+        SparseDistribution(index_set, 2, pairs)
+
+
+def test_constructor_takes_pairs_or_a_mapping_alike():
+    masses = {(0, 1): Fraction(1, 2), (1, 0): Fraction(1, 4), (1, 1): Fraction(1, 4)}
+    want = SparseDistribution((0, 1), 2, masses)
+    assert SparseDistribution((0, 1), 2, list(masses.items())) == want
+    assert SparseDistribution((0, 1), 2, iter(masses.items())) == want  # read once
+    assert SparseDistribution([0, 1], 2, [([1, 1], "1/4"), ([0, 1], 0.5), ([1, 0], "1/4")]) == want
+    assert SparseDistribution((0, 1), 2, want.mass) == want  # a read-only mapping
+    with pytest.raises(ValueError, match=r"^duplicate key \(0, 1\)$"):
+        SparseDistribution((0, 1), 2, [((0, 1), Fraction(1, 2)), ([0, 1], Fraction(1, 2))])
 
 
 class FractionSubclass(Fraction):
