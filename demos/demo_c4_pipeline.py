@@ -28,14 +28,14 @@ def main():
     g = graph_from_json(load("k3"))
     print("fixture validates:", validate_strong(sd).ok)
 
-    sub = minimum_subdecomposition(sd, (0, 2))
+    sub, embedding = minimum_subdecomposition(sd, (0, 2))
     print("minimum sub-decomposition containing {0,2}:",
-          sub.decomposition.host, "embedded as", sub.embedding)
+          sub.host, "embedded as", embedding)
 
-    ad = associated_distribution(sd, g)
-    print("atoms:", ad.dist.support_size(), "(= hom count %d)" % hom_count(sd.host, g))
+    dist = associated_distribution(sd, g)
+    print("atoms:", dist.support_size(), "(= hom count %d)" % hom_count(sd.host, g))
     print("entropy: %.10f bits (= (1/2) log2 288 = %.10f)"
-          % (entropy(ad.dist), 0.5 * math.log2(288)))
+          % (entropy(dist), 0.5 * math.log2(288)))
 
     rep = entropy_bound_report(sd, g)
     print("rhs without constant: %.10f bits" % rep.rhs_bits)

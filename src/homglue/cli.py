@@ -137,12 +137,12 @@ def cmd_validate(args):
 def cmd_assoc(args):
     sd = _load(args.decomp, "strong-decomposition")
     g = _load(args.target, "graph")
-    ad = associated_distribution(sd, g)
+    dist = associated_distribution(sd, g)
     # the summary is written only beside an --out file
-    bound = bound_report(ad) if args.out is not None and degree_condition(g) else None
-    _write(serialize.distribution_to_text(ad.dist), out=args.out)
+    bound = bound_report(sd.host, g, dist) if args.out is not None and degree_condition(g) else None
+    _write(serialize.distribution_to_text(dist), out=args.out)
     if args.out is not None:
-        summary = {"atoms": ad.dist.support_size()}
+        summary = {"atoms": dist.support_size()}
         if bound is not None:
             summary["bound_report"] = serialize.bound_report_to_json(bound)
         _emit(summary)
@@ -170,12 +170,9 @@ def cmd_min_subdec(args):
         if not 0 <= x < sd.host.n:
             raise _InputError("--u vertex %d out of range for n=%d" % (x, sd.host.n))
     validate_strong(sd).require()
-    sub = minimum_subdecomposition(sd, u)
+    sub, embedding = minimum_subdecomposition(sd, u)
     _emit(
-        {
-            "decomposition": serialize.strong_to_json(sub.decomposition),
-            "embedding": list(sub.embedding),
-        },
+        {"decomposition": serialize.strong_to_json(sub), "embedding": list(embedding)},
         out=args.out,
     )
     return 0

@@ -35,8 +35,9 @@ class SparseDistribution:
     sum to exactly 1, that is the weights to den. mass is a read-only
     {key: Fraction} view of the same law, built on each read.
 
-    Distributions are validated where they enter the program: this
-    constructor checks every atom and the total, then stores the masses as
+    Distributions are validated where they enter the program, and only
+    there: this constructor checks every atom and then the total (ValueError
+    naming the total mass unless it is exactly 1), and stores the masses as
     weights over the lcm of their denominators. A mass whose type is exactly
     Fraction is kept as given (a Fraction is always in lowest terms over a
     positive denominator); any other value, a Fraction subclass included, is
@@ -48,9 +49,9 @@ class SparseDistribution:
     would have merged it: serialize.distribution_from_json passes a
     document's atoms as pairs. What the program builds from valid
     distributions (marginals, couplings, level-0 edge laws, re-indexed
-    children) goes through the unchecked _trusted constructor instead, and
-    each public function checks the total mass of the distribution it
-    returns once (ValueError when it is not exactly 1).
+    children) goes through the unchecked _trusted constructor instead: a
+    marginal keeps its law's mass, as does the coupling of laws that agree
+    on their overlap, exactly in integers.
     """
 
     index_set: tuple
@@ -86,13 +87,14 @@ class SparseDistribution:
         # terms together: a prime's highest power in den divides one mass's
         # denominator, whose numerator and cofactor lack that prime
         den = math.lcm(*{q.denominator for q in norm.values()})
+        weight = {k: q.numerator * (den // q.denominator) for k, q in norm.items()}
+        total = sum(weight.values())
+        if total != den:
+            raise ValueError("total mass is %s, not 1" % Fraction(total, den))
         object.__setattr__(self, "index_set", index_set)
         object.__setattr__(self, "target_size", target_size)
-        object.__setattr__(
-            self, "weight", {k: q.numerator * (den // q.denominator) for k, q in norm.items()}
-        )
+        object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "den", den)
-        self._check_total()
 
     @classmethod
     def _trusted(cls, index_set, target_size, weight, den):
@@ -106,14 +108,6 @@ class SparseDistribution:
         object.__setattr__(p, "weight", weight)
         object.__setattr__(p, "den", den)
         return p
-
-    def _check_total(self):
-        """self, once its weights are checked to sum to exactly den
-        (ValueError naming the total mass otherwise)."""
-        total = sum(self.weight.values())
-        if total != self.den:
-            raise ValueError("total mass is %s, not 1" % Fraction(total, self.den))
-        return self
 
     @property
     def mass(self):
@@ -147,8 +141,8 @@ def marginal(p, s):
 
     s must lie inside p's index set (the one caller passes the overlap of
     two bags). p is trusted as validated; the marginal's weights are summed
-    without further checks and reduced to lowest terms, and its total mass
-    is checked once (ValueError unless exactly 1).
+    without further checks and reduced to lowest terms. Summing keeps p's
+    total, so the marginal's mass is 1 as p's is, unchecked.
     """
     s = vertex_set(s)
     proj = _projector(p.index_set, s)
@@ -159,7 +153,7 @@ def marginal(p, s):
     g = math.gcd(p.den, *out.values())
     if g > 1:
         out = {k: w // g for k, w in out.items()}
-    return SparseDistribution._trusted(s, p.target_size, out, p.den // g)._check_total()
+    return SparseDistribution._trusted(s, p.target_size, out, p.den // g)
 
 
 def entropy(p):
@@ -256,19 +250,21 @@ def first_difference(a, b):
 
 
 def check_marginal_consistency(m, bag_dists):
-    """Per-tree-edge exact comparison of the two bag marginals on the
-    intersection, in m.tree order. Returns a list of {edge, ok, witness}
-    entries, the witness (first_difference) only where ok is False. As in
-    glue_markov_tree, its caller, bag_dists must fit m, unchecked."""
-    results = []
+    """Compare, per tree edge in m.tree order, the two bag marginals on the
+    edge's intersection exactly, and raise Refused on the first edge whose
+    marginals differ (target size included): its doc carries the edge and
+    the witness first_difference names, None where only the sizes differ.
+    Returns None when every edge agrees. As in glue_markov_tree, its caller,
+    bag_dists must fit m, unchecked."""
     for a, b in m.tree:
         shared = vertex_set(set(m.bags[a]) & set(m.bags[b]))
         ma, mb = marginal(bag_dists[a], shared), marginal(bag_dists[b], shared)
-        entry = {"edge": [a, b], "ok": ma == mb}
-        if not entry["ok"]:
-            entry["witness"] = first_difference(ma.mass, mb.mass)
-        results.append(entry)
-    return results
+        if ma != mb:
+            raise Refused(
+                "marginal mismatch on tree edge %s" % ([a, b],),
+                edge=[a, b],
+                witness=first_difference(ma.mass, mb.mass),
+            )
 
 
 def check_bag_dists(m, bag_dists):
@@ -292,31 +288,24 @@ def glue_markov_tree(m, bag_dists):
     m must be a valid Markov tree (validate_markov_tree, which the glue
     command and validate_strong run) and bag_dists one law per bag, on the
     bag (check_bag_dists in glue; _build and glue_pair make them so), all
-    unchecked. Every tree edge's two bag marginals are compared once, by
-    check_marginal_consistency, before any gluing; the first edge, in m.tree
-    order, that is not ok (no edge between laws of two target sizes is) raises
-    Refused, whose doc carries that edge and its witness. Each bag after
-    bag 0 meets the joint glued so far exactly in its overlap with its walk
-    parent, along which it is then coupled on.
+    unchecked. check_marginal_consistency compares every tree edge's two
+    bag marginals before any gluing, and raises Refused on the first edge,
+    in m.tree order, where they differ (no edge between laws of two target
+    sizes agrees). Each bag after bag 0 meets the joint glued so far exactly
+    in its overlap with its walk parent, along which it is then coupled on.
 
     The bag distributions are trusted as given (they were validated where
-    they entered); the joints glued along the way are not checked, and the
-    returned joint has its total mass checked once, which raises ValueError
-    unless it is exactly 1.
+    they entered), and neither the joints glued along the way nor the
+    returned one are checked: the coupling of laws that agree on their
+    overlap keeps the total mass exactly, in integers, so the joint's is 1.
 
     The result is the junction factorization, whatever the gluing order: it
     reproduces every bag distribution as a marginal and satisfies the
     entropy identity H(joint) = sum_F H(bag_F) - sum_AB H(overlap_AB).
     """
-    for entry in check_marginal_consistency(m, bag_dists):
-        if not entry["ok"]:
-            raise Refused(
-                "marginal mismatch on tree edge %s" % (entry["edge"],),
-                edge=entry["edge"],
-                witness=entry["witness"],
-            )
+    check_marginal_consistency(m, bag_dists)
     order, _ = bfs(m.bag_tree, [0])
     joint = bag_dists[0]
     for child in order[1:]:
         joint = _couple(joint, bag_dists[child])
-    return joint._check_total()
+    return joint

@@ -15,15 +15,6 @@ from .markov import Refused
 from .strong import validate_strong, zero_strong
 
 
-@dataclass(frozen=True)
-class AssociatedDistribution:
-    """Distribution on Hom(host(sd), target) built by recursive gluing."""
-
-    sd: object
-    target: object
-    dist: SparseDistribution
-
-
 @dataclass
 class BoundReport:
     entropy_bits: float
@@ -52,7 +43,8 @@ def brw_distribution(t, g):
 
 
 def associated_distribution(sd, g):
-    """The level-k distribution on Hom(host(sd), g).
+    """The level-k distribution on Hom(host(sd), g), a SparseDistribution
+    indexed by sd's host vertices.
 
     Every level glues one law per bag along the decomposition's Markov
     tree, which raises Refused unless they agree exactly across
@@ -76,7 +68,7 @@ def associated_distribution(sd, g):
     if g.num_edges() == 0:
         raise Refused("target has no edges")
     validate_strong(sd).require()
-    return AssociatedDistribution(sd, g, _build(sd, g, {}))
+    return _build(sd, g, {})
 
 
 def _build(sd, g, built):
@@ -169,12 +161,14 @@ def entropy_bound_report(sd, g):
     before building anything, when g fails the degree condition."""
     if not degree_condition(g):
         raise Refused("target fails the degree condition")
-    return bound_report(associated_distribution(sd, g))
+    return bound_report(sd.host, g, associated_distribution(sd, g))
 
 
-def bound_report(ad):
-    """Entropy of a built associated distribution against the support bound
-    and the constant-free right-hand side e(H) log2(2e(G)/n^2) + v(H) log2 n.
+def bound_report(host, g, dist):
+    """Entropy of dist, the associated distribution on Hom(host, g) of a
+    strong decomposition of host, against the support bound and the
+    constant-free right-hand side e(H) log2(2e(G)/n^2) + v(H) log2 n, where
+    H is host and G is g.
 
     The comparison with the right-hand side is informational only (the
     theory guarantees it up to an unspecified additive constant); the
@@ -183,11 +177,10 @@ def bound_report(ad):
     valid decomposition, whose support is all of Hom(H, G), so no search
     runs here.
     """
-    g, host = ad.target, ad.sd.host
-    h_bits = entropy(ad.dist)
+    h_bits = entropy(dist)
     n, e_g = g.n, g.num_edges()
     rhs = host.num_edges() * math.log2(2 * e_g / (n * n)) + host.n * math.log2(n)
-    count = ad.dist.support_size()
+    count = dist.support_size()
     log_hom = math.log2(count)
     if h_bits > log_hom + 1e-9:
         raise Refused("entropy exceeds the support bound")

@@ -53,15 +53,6 @@ class StrongDecomposition:
 
 
 @dataclass(frozen=True)
-class SubDecomposition:
-    """A strong decomposition together with the embedding of its host into
-    the parent host: embedding[i] is the parent vertex behind vertex i."""
-
-    decomposition: StrongDecomposition
-    embedding: tuple
-
-
-@dataclass(frozen=True)
 class StrongIsomorphism:
     """vertex_map sends host vertices of the first decomposition to the
     second; bag_map does the same for top-level bag indices (None at
@@ -157,18 +148,18 @@ def _condition3_holds(sd, i, j, inter):
     pos_j = {v: k for k, v in enumerate(m.bags[j])}
     u_i = tuple(pos_i[v] for v in inter)
     u_j = tuple(pos_j[v] for v in inter)
-    msd_i = minimum_subdecomposition(sd.children[i], u_i)
-    msd_j = minimum_subdecomposition(sd.children[j], u_j)
-    inv_i = {v: k for k, v in enumerate(msd_i.embedding)}
-    inv_j = {v: k for k, v in enumerate(msd_j.embedding)}
+    msd_i, emb_i = minimum_subdecomposition(sd.children[i], u_i)
+    msd_j, emb_j = minimum_subdecomposition(sd.children[j], u_j)
+    inv_i = {v: k for k, v in enumerate(emb_i)}
+    inv_j = {v: k for k, v in enumerate(emb_j)}
     pin = {inv_i[u_i[t]]: inv_j[u_j[t]] for t in range(len(inter))}
-    return (
-        strong_isomorphism(msd_i.decomposition, msd_j.decomposition, pin) is not None
-    )
+    return strong_isomorphism(msd_i, msd_j, pin) is not None
 
 
 def minimum_subdecomposition(sd, u):
-    """The minimum sub-decomposition of sd containing the vertex set u.
+    """The minimum sub-decomposition of sd containing the vertex set u, as
+    the pair (decomposition, embedding): embedding[i] is the vertex of sd's
+    host behind vertex i of the decomposition's host.
 
     Dispatch follows the recursive definition: when some bag contains all
     of u (the covering family is the lowest such bag) and sd is above level
@@ -180,8 +171,8 @@ def minimum_subdecomposition(sd, u):
     vertices, as min-subdec's --u check and condition 3 make it; u is only
     sorted. The tree decomposition is then of its own host and its bags
     cover every host vertex, so a covering subfamily of every bag retracts
-    to sd itself: sd is returned as it is, with the identity embedding, and
-    nothing is rebuilt.
+    to sd itself: (sd, the identity embedding) is returned, and nothing is
+    rebuilt.
     """
     u = vertex_set(u)
 
@@ -190,14 +181,13 @@ def minimum_subdecomposition(sd, u):
     if len(keep) == 1 and sd.level > 0:
         bag = td.markov.bags[keep[0]]
         pos = {v: k for k, v in enumerate(bag)}
-        inner = minimum_subdecomposition(sd.children[keep[0]], tuple(pos[v] for v in u))
-        embedding = tuple(bag[v] for v in inner.embedding)
-        return SubDecomposition(inner.decomposition, embedding)
+        inner, embedding = minimum_subdecomposition(sd.children[keep[0]], tuple(pos[v] for v in u))
+        return inner, tuple(bag[v] for v in embedding)
     if len(keep) == td.markov.num_bags():
-        return SubDecomposition(sd, tuple(range(sd.host.n)))
+        return sd, tuple(range(sd.host.n))
     sub_td, relabel = retraction(td, keep)
     children = tuple(sd.children[i] for i in keep) if sd.children else ()
-    return SubDecomposition(StrongDecomposition(sd.level, sub_td.host, sub_td, children), relabel)
+    return StrongDecomposition(sd.level, sub_td.host, sub_td, children), relabel
 
 
 def strong_isomorphism(sd1, sd2, pin=None):

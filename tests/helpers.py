@@ -35,7 +35,6 @@ from homglue.markov import (
 from homglue.sidorenko import associated_distribution
 from homglue.strong import (
     StrongDecomposition,
-    SubDecomposition,
     minimum_subdecomposition,
     validate_strong,
     zero_strong,
@@ -166,12 +165,11 @@ def minimum_subdecomposition_reference(sd, u):
     if len(keep) == 1 and sd.level > 0:
         bag = td.markov.bags[keep[0]]
         child_u = tuple(bag.index(v) for v in u)
-        inner = minimum_subdecomposition_reference(sd.children[keep[0]], child_u)
-        embedding = tuple(bag[v] for v in inner.embedding)
-        return SubDecomposition(inner.decomposition, embedding)
+        inner, embedding = minimum_subdecomposition_reference(sd.children[keep[0]], child_u)
+        return inner, tuple(bag[v] for v in embedding)
     sub_td, relabel = retraction(td, keep)
     children = tuple(sd.children[i] for i in keep) if sd.children else ()
-    return SubDecomposition(StrongDecomposition(sd.level, sub_td.host, sub_td, children), relabel)
+    return StrongDecomposition(sd.level, sub_td.host, sub_td, children), relabel
 
 
 def family_connected(m, fam):
@@ -541,13 +539,13 @@ def projection_consistency_check(sd, g, u):
     failure.
     """
     u = host_vertices(u, sd.host.n)
-    msd = minimum_subdecomposition(sd, u)
-    full = associated_distribution(sd, g).dist
-    sub = associated_distribution(msd.decomposition, g).dist
-    projected = marginal(full, msd.embedding)
+    msd, embedding = minimum_subdecomposition(sd, u)
+    full = associated_distribution(sd, g)
+    sub = associated_distribution(msd, g)
+    projected = marginal(full, embedding)
     # the embedding is monotone, so sub's keys line up positionally with it
-    transported = SparseDistribution(msd.embedding, sub.target_size, sub.mass)
-    result = {"ok": projected == transported, "u": list(u), "embedding": list(msd.embedding)}
+    transported = SparseDistribution(embedding, sub.target_size, sub.mass)
+    result = {"ok": projected == transported, "u": list(u), "embedding": list(embedding)}
     if not result["ok"]:
         result["witness"] = first_difference(projected.mass, transported.mass)
     return result
@@ -557,8 +555,8 @@ def isomorphism_transport_check(sd1, sd2, iso, g):
     """Verify that the associated distribution of sd2 is the pullback of
     sd1's under the strong isomorphism iso (vertex_map: sd1 -> sd2)."""
     phi = iso.vertex_map
-    d1 = associated_distribution(sd1, g).dist
-    d2 = associated_distribution(sd2, g).dist
+    d1 = associated_distribution(sd1, g)
+    d2 = associated_distribution(sd2, g)
     transported = {}
     for key, p in d1.mass.items():
         # atom on host1 becomes the atom h2 with h2[phi[v]] = h1[v]
@@ -758,7 +756,7 @@ def associated_reference(sd, g):
 # The distribution pipeline as it ran on one Fraction per atom, before
 # distributions were stored as integer weights over a common denominator:
 # check_total_reference, marginal_reference, couple_reference and
-# brw_distribution_reference are the library's _check_total, marginal,
+# brw_distribution_reference are the library's total-mass check, marginal,
 # _couple and brw_distribution of that time, reading the read-only mass view
 # and returning through the validating constructor.
 

@@ -209,10 +209,10 @@ def test_criterion_7_c4_k3_figures_of_merit():
     }
     assert sum(expected.values()) == 1
 
-    ad = associated_distribution(c4_fixture(), k3())
-    assert dict(ad.dist.mass) == expected
-    assert abs(entropy(ad.dist) - 0.5 * math.log2(288)) <= TOL
-    assert abs(entropy(ad.dist) - 4.0849625007) <= 1e-9
+    dist = associated_distribution(c4_fixture(), k3())
+    assert dict(dist.mass) == expected
+    assert abs(entropy(dist) - 0.5 * math.log2(288)) <= TOL
+    assert abs(entropy(dist) - 4.0849625007) <= 1e-9
     assert abs(math.log2(hom_count(c4(), k3())) - 4.1699250014) <= 1e-9
     rhs = 4 * math.log2(Fraction(2, 3)) + 4 * math.log2(3)
     assert abs(rhs - 4.0) <= TOL
@@ -275,8 +275,8 @@ def test_criterion_11_support_bound():
     pairs = 0
     for name, sd in bundled_strong_fixtures().items():
         for g in _sweep_targets():
-            ad = associated_distribution(sd, g)
+            dist = associated_distribution(sd, g)
             bound = math.log2(hom_count(sd.host, g))
-            assert entropy(ad.dist) <= bound + TOL, (name, g)
+            assert entropy(dist) <= bound + TOL, (name, g)
             pairs += 1
     report(11, "support bound", "%d fixture/target pairs" % pairs)

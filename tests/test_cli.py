@@ -401,7 +401,7 @@ def test_glue_refuses_an_invalid_markov_tree_with_its_report(tmp_path, capsys, m
     # the bag laws agree on every tree edge, so only the validator glue runs
     # first can refuse: glue_markov_tree trusts its Markov tree
     bag_dists = consistent_bag_dists(random.Random(5), m, 2)
-    assert all(e["ok"] for e in check_marginal_consistency(m, bag_dists))
+    assert check_marginal_consistency(m, bag_dists) is None
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(glue_document(m, bag_dists)))
     assert main(["glue", str(path)]) == 1
@@ -421,7 +421,7 @@ def test_assoc_out_file_is_the_json_route(fixdir, tmp_path, capsys, n):
         code = main(["assoc", os.path.join(fixdir, name + ".json"), str(tpath), "--out", str(out)])
         capsys.readouterr()
         assert code == 0, name
-        assert out.read_text() == json_route(associated_distribution(sd, target).dist), name
+        assert out.read_text() == json_route(associated_distribution(sd, target)), name
 
 
 def test_glue_out_file_is_the_json_route(tmp_path, capsys):
@@ -604,6 +604,17 @@ def test_glue_refuses_a_repeated_key_instead_of_merging_it(tmp_path, capsys, ato
     assert captured.err == "error: cannot parse %s: %s\n" % (path, message)
 
 
+def test_glue_refuses_a_den_that_int_reads_but_the_writer_never_writes(tmp_path, capsys):
+    # int() reads "6\n" as 6; the loader takes only ASCII digits after an
+    # optional minus, and its one-line message escapes the newline. (Not a
+    # case of UNGLUEABLE, whose answers test_output_digests pins.)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(_broken_glue_instance("den", "6\n", atom=True)))
+    assert main(["glue", str(path)]) == 2
+    message = 'num and den must be integers in ASCII digits, not "6\\n"'
+    assert capsys.readouterr() == ("", "error: cannot parse %s: %s\n" % (path, message))
+
+
 def test_glue_reports_the_first_mismatching_edge_in_sorted_order(tmp_path, capsys):
     # edges (0,1) and (1,2) both mismatch; the report names (0,1) and its witness
     def dist(idx, masses):
@@ -783,7 +794,7 @@ def test_assoc_builds_the_bound_report_only_for_the_summary(fixdir, tmp_path, ca
     # the summary, bound report included, is written only beside --out
     calls = []
     bound_report = cli.bound_report
-    monkeypatch.setattr(cli, "bound_report", lambda ad: calls.append(ad) or bound_report(ad))
+    monkeypatch.setattr(cli, "bound_report", lambda *args: calls.append(args) or bound_report(*args))
     argv = ["assoc", os.path.join(fixdir, "c4.json"), os.path.join(fixdir, "k3.json")]
     assert main(argv) == 0
     assert len(json.loads(capsys.readouterr().out)["mass"]) == 18

@@ -54,28 +54,24 @@ def test_distribution_validation():
         SparseDistribution((0,), 2, {(0, 1): Fraction(1)})  # wrong arity
 
 
-def test_returned_distribution_of_wrong_total_mass_raises():
-    p = uniform((0,), 4, [(0,), (1,), (2,), (3,)])
-    del p.weight[(3,)]  # stored weights edited after construction: the total is 3/4
-    with pytest.raises(ValueError, match=r"^total mass is 3/4, not 1$"):
-        glue_markov_tree(MarkovTree(1, [(0,)]), [p])
-    with pytest.raises(ValueError, match=r"^total mass is 3/4, not 1$"):
-        marginal(p, (0,))
-
-
-def test_returned_distribution_of_wrong_total_mass_raises_under_optimize():
-    # python -O strips asserts; the total-mass check must still fire
+def test_wrong_total_mass_is_refused_where_a_law_enters_under_optimize():
+    # python -O strips asserts; the total-mass check, which runs where a law
+    # enters (the constructor, which the document loader calls), must still
+    # fire
     src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
     script = (
         "from fractions import Fraction\n"
-        "from homglue.dists import SparseDistribution, glue_markov_tree\n"
-        "from homglue.markov import MarkovTree\n"
-        "p = SparseDistribution((0,), 4, {(x,): Fraction(1, 4) for x in range(4)})\n"
-        "del p.weight[(3,)]\n"
-        "try:\n"
-        "    glue_markov_tree(MarkovTree(1, [(0,)]), [p])\n"
-        "except ValueError as e:\n"
-        "    print(e)\n"
+        "from homglue.dists import SparseDistribution\n"
+        "from homglue.serialize import distribution_from_json\n"
+        "atoms = [((x,), Fraction(1, 4)) for x in range(3)]\n"
+        "doc = {'index_set': [0], 'target_size': 4,\n"
+        "       'mass': [{'key': [x], 'num': '1', 'den': '4'} for x in range(3)]}\n"
+        "for build in (lambda: SparseDistribution((0,), 4, atoms),\n"
+        "              lambda: distribution_from_json(doc)):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
@@ -84,7 +80,7 @@ def test_returned_distribution_of_wrong_total_mass_raises_under_optimize():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "total mass is 3/4, not 1\n"
+    assert proc.stdout == "total mass is 3/4, not 1\n" * 2
 
 
 def test_marginal_identity_and_product():
@@ -140,7 +136,7 @@ def test_entropy_at_most_log_support():
 def test_entropy_equals_the_reference_exactly_on_every_fixture_host(n):
     target = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
     for name, sd in bundled_strong_fixtures().items():
-        dist = associated_distribution(sd, target).dist
+        dist = associated_distribution(sd, target)
         assert entropy(dist) == entropy_reference(dist), name
 
 
@@ -149,7 +145,7 @@ def test_entropy_adds_left_to_right_on_book_k5():
     # bits here; entropy_reference, which the property tests use, also adds
     # left to right
     k5 = Graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
-    dist = associated_distribution(bundled_strong_fixtures()["book"], k5).dist
+    dist = associated_distribution(bundled_strong_fixtures()["book"], k5)
     total = 0.0
     for _, q in sorted(dist.mass.items()):
         total = total + float(q) * math.log2(float(q))
@@ -248,7 +244,7 @@ def test_glue_markov_tree_product_case():
 def test_check_marginal_consistency():
     m = MarkovTree(3, [(0, 1), (1, 2)], [(0, 1)])
     good = [uniform_edge_dist((0, 1)), uniform_edge_dist((1, 2))]
-    assert all(e["ok"] for e in check_marginal_consistency(m, good))
+    assert check_marginal_consistency(m, good) is None
 
     skew = SparseDistribution(
         (1, 2),
@@ -256,15 +252,19 @@ def test_check_marginal_consistency():
         {(a, b): (Fraction(1, 4) if (a, b) == (0, 1) else Fraction(3, 20))
          for (a, b) in ordered_edges_k3()},
     )
-    entries = check_marginal_consistency(m, [good[0], skew])
-    assert entries[0]["ok"] is False
-    assert "witness" in entries[0]
+    with pytest.raises(Refused, match=r"^marginal mismatch on tree edge \[0, 1\]$") as e:
+        check_marginal_consistency(m, [good[0], skew])
+    # vertex 1 is 0 with mass 1/3 in the uniform law, 1/4 + 3/20 in skew
+    assert e.value.doc == {
+        "error": "marginal mismatch on tree edge [0, 1]",
+        "edge": [0, 1],
+        "witness": {"key": [0], "left": "1/3", "right": "2/5"},
+    }
 
     disjoint = MarkovTree(2, [(0,), (1,)], [(0, 1)])
-    entries = check_marginal_consistency(
-        disjoint, [uniform((0,), 2, [(0,), (1,)]), uniform((1,), 2, [(0,), (1,)])]
-    )
-    assert entries[0]["ok"]  # empty intersection is trivially consistent
+    halves = [uniform((0,), 2, [(0,), (1,)]), uniform((1,), 2, [(0,), (1,)])]
+    # an empty intersection is trivially consistent
+    assert check_marginal_consistency(disjoint, halves) is None
 
 
 def test_glue_reports_failing_edge():
@@ -276,20 +276,30 @@ def test_glue_reports_failing_edge():
     assert e.value.doc["edge"] == [0, 1]
 
 
-def test_glue_reports_the_first_of_two_failing_edges_in_tree_order():
+def test_glue_reports_the_first_of_two_failing_edges_in_tree_order(monkeypatch):
     # bag 1's law on {1, 2} is skewed, so it disagrees with both neighbours
     m = MarkovTree(4, [(0, 1), (1, 2), (2, 3)], [(1, 2), (0, 1)])
-    dists = [
+    laws = [
         uniform((0, 1), 2, [(0, 0), (1, 1)]),
         SparseDistribution((1, 2), 2, {(0, 0): Fraction(1, 3), (1, 1): Fraction(2, 3)}),
         uniform((2, 3), 2, [(0, 0), (1, 1)]),
     ]
-    entries = check_marginal_consistency(m, dists)
-    assert [(e["edge"], e["ok"]) for e in entries] == [([0, 1], False), ([1, 2], False)]
-    with pytest.raises(Refused, match=r"^marginal mismatch on tree edge \[0, 1\]$") as e:
-        glue_markov_tree(m, dists)
-    assert e.value.doc["edge"] == [0, 1]
-    assert e.value.doc["witness"] == entries[0]["witness"] == {"key": [0], "left": "1/2", "right": "1/3"}
+    doc = {
+        "error": "marginal mismatch on tree edge [0, 1]",
+        "edge": [0, 1],
+        "witness": {"key": [0], "left": "1/2", "right": "1/3"},
+    }
+    # the check stops at the first disagreeing edge: its two marginals are
+    # the only ones taken
+    calls = []
+    monkeypatch.setattr(dists, "marginal", lambda p, s: calls.append(s) or marginal(p, s))
+    with pytest.raises(Refused) as e:
+        check_marginal_consistency(m, laws)
+    assert e.value.doc == doc
+    assert calls == [(1,), (1,)]
+    with pytest.raises(Refused) as e:
+        glue_markov_tree(m, laws)
+    assert e.value.doc == doc
 
 
 def test_disagreement_is_reported_before_a_running_intersection_failure():

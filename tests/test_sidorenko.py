@@ -121,7 +121,7 @@ def test_brw_is_gluing_along_every_spanning_tree_of_the_line_graph():
                 ordered = [(a, b) for a, b in g.edges] + [(b, a) for a, b in g.edges]
                 laws = [uniform(bag, g.n, ordered) for bag in m.bags]
                 assert glue_markov_tree(m, laws) == walk
-                assert associated_distribution(sd, g).dist == walk
+                assert associated_distribution(sd, g) == walk
             checked += 1
     assert checked == 183
 
@@ -136,33 +136,33 @@ def test_brw_rejects_bad_input():
 def test_associated_distribution_level0_is_brw():
     from fixture_builders import path_fixture
 
-    ad = associated_distribution(path_fixture(), k3())
-    assert ad.dist == brw_reference(path3(), k3())
+    dist = associated_distribution(path_fixture(), k3())
+    assert dist == brw_reference(path3(), k3())
 
 
 def test_associated_c4_on_k3():
-    ad = associated_distribution(c4_fixture(), k3())
-    assert ad.dist.support_size() == 18
+    dist = associated_distribution(c4_fixture(), k3())
+    assert dist.support_size() == 18
     # atoms with equal images on the shared diagonal {0,2} get 1/24; when the
     # diagonal images differ (forcing k1 == k3 in K3) the atom gets 1/12
-    closed = [k for k in ad.dist.mass if k[0] == k[2]]
+    closed = [k for k in dist.mass if k[0] == k[2]]
     assert len(closed) == 12
-    for key, p in ad.dist.mass.items():
+    for key, p in dist.mass.items():
         assert p == (Fraction(1, 24) if key in closed else Fraction(1, 12))
-    assert entropy(ad.dist) == pytest.approx(0.5 * math.log2(288), abs=1e-9)
+    assert entropy(dist) == pytest.approx(0.5 * math.log2(288), abs=1e-9)
 
 
 def test_associated_book_on_k3():
-    ad = associated_distribution(book_fixture(), k3())
-    assert ad.dist.support_size() == hom_count(book(), k3())
-    assert entropy(ad.dist) <= math.log2(ad.dist.support_size()) + 1e-9
+    dist = associated_distribution(book_fixture(), k3())
+    assert dist.support_size() == hom_count(book(), k3())
+    assert entropy(dist) <= math.log2(dist.support_size()) + 1e-9
 
 
 def test_associated_support_is_homomorphisms():
     for name, sd in bundled_strong_fixtures().items():
         for g in (k3(), c4()):
-            ad = associated_distribution(sd, g)
-            for key in ad.dist.mass:
+            dist = associated_distribution(sd, g)
+            for key in dist.mass:
                 assert is_homomorphism(sd.host, g, key), (name, key)
 
 
@@ -183,7 +183,7 @@ def test_associated_matches_reference_and_counts_homs():
     # library builds each distinct child once and checks supports on the bags
     for name, sd in bundled_strong_fixtures().items():
         for g in _reference_targets():
-            dist = associated_distribution(sd, g).dist
+            dist = associated_distribution(sd, g)
             assert dist == associated_reference(sd, g), (name, g)
             # BRW has full support and gluing joins supports
             assert dist.support_size() == hom_count(sd.host, g), (name, g)
@@ -202,7 +202,7 @@ def test_each_distinct_child_is_built_once(monkeypatch):
     # book's two level-1 children are equal, c4's two level-0 children differ
     for sd in (book_fixture(), c4_fixture()):
         calls.clear()
-        assert associated_distribution(sd, k3()).dist == associated_reference(sd, k3())
+        assert associated_distribution(sd, k3()) == associated_reference(sd, k3())
         assert len(calls) == 2
 
 
@@ -312,10 +312,10 @@ def test_entropy_identity_at_each_gluing_step():
         for node in nodes:
             m = node.decomp.markov
             bag_dists = [
-                SparseDistribution(bag, g.n, associated_distribution(child, g).dist.mass)
+                SparseDistribution(bag, g.n, associated_distribution(child, g).mass)
                 for bag, child in zip(m.bags, node.children)
             ]
-            lhs = entropy(associated_distribution(node, g).dist)
+            lhs = entropy(associated_distribution(node, g))
             rhs = sum(entropy(d) for d in bag_dists)
             for a, b in m.tree:
                 shared = tuple(sorted(set(m.bags[a]) & set(m.bags[b])))

@@ -89,9 +89,9 @@ def test_condition3_fails_when_the_minimum_subdecompositions_differ_in_level():
         }
     ]
     # {0, 1, 2} sits at positions 0, 1, 2 of both bags
-    msd0, msd1 = (minimum_subdecomposition(child, (0, 1, 2)) for child in sd.children)
-    assert (msd0.decomposition.level, msd1.decomposition.level) == (0, 1)
-    assert strong_isomorphism(msd0.decomposition, msd1.decomposition) is None
+    (msd0, _), (msd1, _) = (minimum_subdecomposition(child, (0, 1, 2)) for child in sd.children)
+    assert (msd0.level, msd1.level) == (0, 1)
+    assert strong_isomorphism(msd0, msd1) is None
 
 
 def test_condition3_on_a_cyclic_and_on_an_empty_intersection():
@@ -127,28 +127,26 @@ def test_child_host_mismatch_flagged():
 
 def test_minimum_subdecomposition_c4():
     sd = c4_fixture()
-    sub = minimum_subdecomposition(sd, (0, 2))
+    sub, embedding = minimum_subdecomposition(sd, (0, 2))
     # {0,2} sits in both bags; the dispatch recurses into bag {0,1,2} and
     # needs both edge-bags of the path 0-1-2
-    assert sub.decomposition.level == 0
-    assert sub.decomposition.host == Graph(3, [(0, 1), (1, 2)])
-    assert sub.embedding == (0, 1, 2)
-    assert validate_strong(sub.decomposition).ok
+    assert sub.level == 0
+    assert sub.host == Graph(3, [(0, 1), (1, 2)])
+    assert embedding == (0, 1, 2)
+    assert validate_strong(sub).ok
 
 
 def test_minimum_subdecomposition_book_shared_edge():
-    sub = minimum_subdecomposition(book_fixture(), (0, 1))
-    assert sub.decomposition.host == Graph(2, [(0, 1)])
-    assert sub.embedding == (0, 1)
+    sub, embedding = minimum_subdecomposition(book_fixture(), (0, 1))
+    assert sub.host == Graph(2, [(0, 1)])
+    assert embedding == (0, 1)
 
 
 def test_minimum_subdecomposition_full():
     for sd in (c4_fixture(), book_fixture()):
         u = tuple(range(sd.host.n))
-        sub = minimum_subdecomposition(sd, u)
-        assert sub.decomposition.host == sd.host
-        assert sub.decomposition == sd
-        assert sub.embedding == u
+        sub, embedding = minimum_subdecomposition(sd, u)
+        assert sub is sd and embedding == u
 
 
 def test_minimum_subdecomposition_always_valid_and_covering():
@@ -157,9 +155,9 @@ def test_minimum_subdecomposition_always_valid_and_covering():
     for name, sd in bundled_strong_fixtures().items():
         for size in (1, 2, 3):
             for u in combinations(range(sd.host.n), size):
-                sub = minimum_subdecomposition(sd, u)
-                assert validate_strong(sub.decomposition).ok, (name, u)
-                assert set(u) <= set(sub.embedding), (name, u)
+                sub, embedding = minimum_subdecomposition(sd, u)
+                assert validate_strong(sub).ok, (name, u)
+                assert set(u) <= set(embedding), (name, u)
 
 
 def test_minimum_subdecomposition_matches_the_always_retracting_reference():
@@ -168,10 +166,8 @@ def test_minimum_subdecomposition_matches_the_always_retracting_reference():
     for name, sd in bundled_strong_fixtures().items():
         for size in range(1, sd.host.n + 1):
             for u in combinations(range(sd.host.n), size):
-                sub = minimum_subdecomposition(sd, u)
-                ref = minimum_subdecomposition_reference(sd, u)
-                assert sub.decomposition == ref.decomposition, (name, u)
-                assert sub.embedding == ref.embedding, (name, u)
+                want = minimum_subdecomposition_reference(sd, u)
+                assert minimum_subdecomposition(sd, u) == want, (name, u)
 
 
 def test_strong_isomorphism_identity():
@@ -325,9 +321,8 @@ def test_uniqueness_up_to_isomorphism_of_bag_choice():
             ):
                 bag = m.bags[x]
                 child_u = tuple(bag.index(v) for v in u)
-                inner = minimum_subdecomposition(sd.children[x], child_u)
-                embedding = tuple(bag[v] for v in inner.embedding)
-                subs.append((inner.decomposition, embedding))
+                inner, embedding = minimum_subdecomposition(sd.children[x], child_u)
+                subs.append((inner, tuple(bag[v] for v in embedding)))
             first, emb1 = subs[0]
             for other, emb2 in subs[1:]:
                 inv1 = {v: i for i, v in enumerate(emb1)}
@@ -400,7 +395,7 @@ def test_strong_isomorphism_matches_brute_force_on_fixtures_and_their_parts():
         parts.extend(sd.children)
         for size in (1, 2, 3):
             for u in combinations(range(sd.host.n), size):
-                parts.append(minimum_subdecomposition(sd, u).decomposition)
+                parts.append(minimum_subdecomposition(sd, u)[0])
     found = _assert_matches_oracle(case for sd in parts for case in _oracle_cases(rng, sd))
     # every unpinned and consistently pinned copy is found
     assert found >= 3 * 2 * len(parts)

@@ -63,7 +63,7 @@ def test_distribution_pipeline_matches_the_fraction_pipeline_on_every_fixture(na
     for g in TARGETS:
         for host in level0_hosts(sd):
             assert_same_law(brw_distribution(host, g), brw_distribution_reference(host, g))
-        joint = associated_distribution(sd, g).dist
+        joint = associated_distribution(sd, g)
         assert_same_law(joint, associated_reference(sd, g))
         bag_laws = []
         for bag in m.bags:
@@ -122,6 +122,7 @@ def doc_of(index_set, target_size, atoms):
 # (constructor masses, or None, loader atoms, or None, message), one per
 # refusal on the index set (0,) or, for keys of three values, (0, 1, 2);
 # each message is the one the Fraction-mass entry paths gave
+NOT_ASCII = "num and den must be integers in ASCII digits, not %s"
 ENTRY_REFUSALS = {
     "wrong-arity": ({(0, 1): Fraction(1)}, [([0, 1], "1", "1")], "key (0, 1) has wrong arity"),
     "out-of-range": ({(2,): Fraction(1)}, [([2], "1", "1")], "key (2,) has out-of-range value"),
@@ -163,6 +164,12 @@ ENTRY_REFUSALS = {
     "float-den": (None, [([0], "1", 1.0)], "num and den must be strings, not 1.0"),
     "bool-num": (None, [([0], True, "1")], "num and den must be strings, not true"),
     "null-den": (None, [([0], "1", None)], "num and den must be strings, not null"),
+    # int() reads each of these strings; the writer emits ASCII -?[0-9]+ only
+    "arabic-indic-num": (None, [([0], "\u0661", "1")], NOT_ASCII % '"\\u0661"'),
+    "blank-num": (None, [([0], " 1", "1")], NOT_ASCII % '" 1"'),
+    "newline-den": (None, [([0], "1", "2\n"), ([1], "1", "2")], NOT_ASCII % '"2\\n"'),
+    "underscore-den": (None, [([0], "1", "1_0")], NOT_ASCII % '"1_0"'),
+    "plus-num": (None, [([0], "+1", "1")], NOT_ASCII % '"+1"'),
     "list-key": (
         None,
         [([[0]], "1", "1")],
