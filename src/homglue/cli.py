@@ -160,8 +160,12 @@ def cmd_glue(args):
 
 def cmd_min_subdec(args):
     sd = _load(args.decomp, "strong-decomposition")
+    entries = [x for x in args.u.split(",") if x != ""]
     try:
-        u = [int(x) for x in args.u.split(",") if x != ""]
+        # int() alone would read "0_1", "+1" or " 1" as a vertex
+        if not all(map(serialize.is_ascii_integer, entries)):
+            raise ValueError
+        u = [int(x) for x in entries]
     except ValueError:
         raise _InputError("--u must be a comma-separated list of integers, not %r" % args.u)
     if not u:

@@ -287,19 +287,26 @@ def distribution_from_json(doc):
     return SparseDistribution(doc["index_set"], doc["target_size"], mass)
 
 
+def is_ascii_integer(text):
+    """Whether the string text is ASCII digits after an optional minus, the
+    form the writers give an integer. int() reads more: other scripts'
+    digits, blanks around the digits, underscores between them or a plus
+    sign."""
+    digits = text.removeprefix("-")
+    # on ASCII text, isdigit holds exactly for 0-9
+    return digits.isascii() and digits.isdigit()
+
+
 def _mass(num, den):
     """The fraction num/den of two integers written as strings of ASCII
-    digits after an optional minus, as the writer emits them. Anything but a
-    string (a bool, a float, an int, null) is refused with ValueError: int()
-    would truncate a float and read a bool as 0 or 1. So is any other string,
-    though int() reads some: other scripts' digits, blanks around the digits,
-    underscores between them or a plus sign."""
+    digits after an optional minus (is_ascii_integer), as the writer emits
+    them. Anything but a string (a bool, a float, an int, null) is refused
+    with ValueError: int() would truncate a float and read a bool as 0 or 1.
+    So is any other string, though int() reads some."""
     for part in (num, den):
         if type(part) is not str:
             raise ValueError("num and den must be strings, not %s" % json.dumps(part))
-        # on ASCII text, isdigit holds exactly for 0-9
-        digits = part.removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
+        if not is_ascii_integer(part):
             raise ValueError(
                 "num and den must be integers in ASCII digits, not %s" % json.dumps(part)
             )

@@ -144,6 +144,15 @@ def mixed_levels_condition3():
     )
 
 
+def matching_level1():
+    """Level-1 decomposition of the matching {0-1, 2-3} with one bag per
+    edge, the two bags adjacent and disjoint: condition 3 holds vacuously.
+    Not written under fixtures/."""
+    host = Graph(4, [(0, 1), (2, 3)])
+    markov = MarkovTree(4, [(0, 1), (2, 3)], [(0, 1)])
+    return StrongDecomposition(1, host, TreeDecomposition(host, markov), (edge_fixture(),) * 2)
+
+
 def _path_in_two_bags(path, bags):
     """The level-1 decomposition of a path on four vertices into two bags
     of three consecutive vertices."""
@@ -254,6 +263,33 @@ def family_b(m, legs1, legs2):
         a += m + 1
     parts = [_two_spiders(0, 1, 2, first), _two_spiders(0, n, n + 1, second)]
     return _level_up(parts, [(0, 1)])[1]
+
+
+def _square(cycle, start):
+    """(labels, level-1 decomposition) of the 4-cycle through the four named
+    vertices of cycle, in cycle order, cut into the two paths between
+    cycle[start] and the vertex opposite it."""
+    a, b, c, d = cycle[start:] + cycle[:start]
+    return _level_up([_level0([(a, b), (b, c)]), _level0([(c, d), (d, a)])], [(0, 1)])
+
+
+def random_book(rng, pages):
+    """Level-2 decomposition of the book of pages 4-cycles 0-a-b-1 sharing
+    the spine edge {0, 1}, one bag per page, as the benchmark's generator
+    builds it: each page cut at a random opposite pair and the pages joined
+    by a random tree. Every bag overlap is the spine."""
+    squares = [_square([0, 2 + 2 * i, 3 + 2 * i, 1], rng.randrange(4)) for i in range(pages)]
+    return _level_up(squares, [(rng.randrange(i), i) for i in range(1, pages)])[1]
+
+
+def random_ladder(rng, rungs):
+    """Level-2 decomposition of the ladder of rungs 4-cycles in a row, one
+    bag per square, as the benchmark's generator builds it: each square cut
+    at a random opposite pair and the squares joined by a path. Every bag
+    overlap is a rung, one edge."""
+    k = rungs + 1
+    squares = [_square([i, i + 1, k + i + 1, k + i], rng.randrange(4)) for i in range(rungs)]
+    return _level_up(squares, [(i, i + 1) for i in range(rungs - 1)])[1]
 
 
 def bundled_strong_fixtures():

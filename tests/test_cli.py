@@ -606,8 +606,7 @@ def test_glue_refuses_a_repeated_key_instead_of_merging_it(tmp_path, capsys, ato
 
 def test_glue_refuses_a_den_that_int_reads_but_the_writer_never_writes(tmp_path, capsys):
     # int() reads "6\n" as 6; the loader takes only ASCII digits after an
-    # optional minus, and its one-line message escapes the newline. (Not a
-    # case of UNGLUEABLE, whose answers test_output_digests pins.)
+    # optional minus, and its one-line message escapes the newline
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(_broken_glue_instance("den", "6\n", atom=True)))
     assert main(["glue", str(path)]) == 2
@@ -832,6 +831,15 @@ def test_min_subdec_bad_vertex_list_is_a_parse_failure(fixdir, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: --u")
+
+
+# int() reads each of these as vertex 1; --u takes ASCII digits after an
+# optional minus, as the loader takes num and den
+@pytest.mark.parametrize("u", ["0_1", "\u0661", "+1", " 1", "1 ", "0,+1", "--1", "-"])
+def test_min_subdec_reads_vertices_as_ascii_digits_only(fixdir, capsys, u):
+    code = main(["min-subdec", os.path.join(fixdir, "c4.json"), "--u=" + u])
+    message = "error: --u must be a comma-separated list of integers, not %r\n" % u
+    assert (code, capsys.readouterr()) == (2, ("", message))
 
 
 @pytest.mark.parametrize("u", ["6", "-1", "0,6"])

@@ -14,7 +14,8 @@ check) and the sweep's own --max-n refusal are what make those hold.
 Each routine is wrapped wherever the package calls it
 (helpers.record_preconditions). Every subcommand then runs over the
 fixtures, level-2 and level-3 decompositions (among them condition 3's
-worst cases, families A and B), random valid level-1 decompositions, random
+worst cases, families A and B), a level-1 decomposition whose adjacent bags
+are disjoint, random valid level-1 decompositions, random
 glue instances and a few invalid inputs, among them empty, negative and
 out-of-range --u values that min-subdec must refuse with exit 2, and every
 call must have met its precondition. Every routine must have been called,
@@ -40,6 +41,7 @@ from fixture_builders import (
     hexagon_level2,
     k2,
     k3,
+    matching_level1,
     mixed_levels_condition3,
 )
 from helpers import (
@@ -99,6 +101,8 @@ def _commands(directory):
     strongs["bad_condition3"] = bad_condition3_fixture()
     strongs["mixed_levels"] = mixed_levels_condition3()
     strongs["hexagon"] = hexagon_level2()
+    # adjacent bags that share no vertex: condition 3 has nothing to pin
+    strongs["matching"] = matching_level1()
     strongs["c4-unjoined"] = unjoined(strongs["c4"])
     strongs["hexagon-unjoined"] = unjoined(strongs["hexagon"])
     for draw in range(8):

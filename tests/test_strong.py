@@ -14,9 +14,9 @@ from helpers import (
     relabel_strong,
     small_trees,
 )
-from homglue import serialize
+from homglue import serialize, strong
 from homglue.cli import main
-from homglue.graphs import Graph
+from homglue.graphs import Graph, vertex_set
 from homglue.markov import MarkovTree, TreeDecomposition
 from homglue.strong import (
     StrongDecomposition,
@@ -35,8 +35,12 @@ from fixture_builders import (
     c4_fixture,
     family_a,
     family_b,
+    hexagon_level2,
+    matching_level1,
     mixed_levels_condition3,
     path_fixture,
+    random_book,
+    random_ladder,
     spider,
     star,
     star_fixture,
@@ -103,11 +107,67 @@ def test_condition3_on_a_cyclic_and_on_an_empty_intersection():
         {"kind": "intersection-not-forest", "witness": {"path": [], "edge": [0, 1]}}
     ]
     # the bags of the matching {0-1, 2-3} share nothing: condition 3 is vacuous
-    matching = Graph(4, [(0, 1), (2, 3)])
-    markov = MarkovTree(4, [(0, 1), (2, 3)], [(0, 1)])
-    k2 = zero_strong(Graph(2, [(0, 1)]))
-    disjoint = StrongDecomposition(1, matching, TreeDecomposition(matching, markov), (k2, k2))
-    assert validate_strong(disjoint).ok
+    assert validate_strong(matching_level1()).ok
+
+
+def _levels_above_0(sd):
+    """sd and every decomposition nested in it, above level 0."""
+    if sd.level > 0:
+        yield sd
+        for child in sd.children:
+            yield from _levels_above_0(child)
+
+
+def test_condition3_search_holds_on_every_one_vertex_and_one_edge_overlap():
+    # validate_strong settles these overlaps by their shape, without a
+    # search; the full search must find an isomorphism on every one of them
+    rng = random.Random(61)
+
+    def relabelled(sd):
+        perm = list(range(sd.host.n))
+        rng.shuffle(perm)
+        return relabel_strong(sd, perm, rng)
+
+    decompositions = [*bundled_strong_fixtures().values(), hexagon_level2()]
+    for build in (family_a, family_b):
+        decompositions += build(4, (1, 1, 1), (0, 1, 2)).children
+    decompositions += [random_level1(rng, rng.randint(2, 5), 4) for _ in range(20)]
+    decompositions += [relabelled(random_book(rng, pages)) for pages in (1, 2, 3, 4, 5)]
+    decompositions += [relabelled(random_ladder(rng, rungs)) for rungs in (1, 2, 3, 4, 5)]
+    checked = {1: 0, 2: 0}
+    for sd in decompositions:
+        assert validate_strong(sd).ok
+        for part in _levels_above_0(sd):
+            m = part.decomp.markov
+            for i, j in m.tree:
+                inter = vertex_set(set(m.bags[i]) & set(m.bags[j]))
+                if len(inter) == 1 or (len(inter) == 2 and part.host.has_edge(*inter)):
+                    assert strong._condition3_holds(part, i, j, inter), (part, i, j)
+                    checked[len(inter)] += 1
+    assert checked[1] > 0 and checked[2] > 0, checked
+
+
+@pytest.mark.parametrize(
+    "build, searches",
+    # book: the spine {0, 1} is an edge, and each square's overlap an
+    # opposite pair; hexagon: the overlap {0, 3} is no edge, and each
+    # child's overlap is one; c4: the overlap {0, 2} is no edge
+    [(book_fixture, 2), (hexagon_level2, 1), (c4_fixture, 1)],
+    ids=["book", "hexagon", "c4"],
+)
+def test_validate_searches_only_overlaps_that_are_not_a_vertex_or_an_edge(
+    monkeypatch, build, searches
+):
+    calls = []
+    search = strong.strong_isomorphism
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(strong, "strong_isomorphism", counted)
+    assert validate_strong(build()).ok
+    assert len(calls) == searches
 
 
 def test_child_host_mismatch_flagged():
