@@ -280,30 +280,37 @@ def check_bag_dists(m, bag_dists):
 
 
 def glue_markov_tree(m, bag_dists):
-    """Joint distribution over the union of the bags, gluing the bag
-    distributions along the Markov tree in the order of the breadth-first
-    walk graphs.bfs(m.bag_tree, [0]). This is the one gluing path: glue_pair
-    is this on a two-bag tree.
+    """Joint distribution over the union of the bags: couple_markov_tree,
+    once check_marginal_consistency has compared every tree edge's two bag
+    marginals. This is the checked gluing path, which the glue command takes
+    on user laws; glue_pair is this on a two-bag tree.
 
     m must be a valid Markov tree (validate_markov_tree, which the glue
-    command and validate_strong run) and bag_dists one law per bag, on the
-    bag (check_bag_dists in glue; _build and glue_pair make them so), all
-    unchecked. check_marginal_consistency compares every tree edge's two
-    bag marginals before any gluing, and raises Refused on the first edge,
-    in m.tree order, where they differ (no edge between laws of two target
-    sizes agrees). Each bag after bag 0 meets the joint glued so far exactly
-    in its overlap with its walk parent, along which it is then coupled on.
+    command runs) and bag_dists one law per bag, on the bag (check_bag_dists
+    in glue; glue_pair makes them so), both unchecked. The check raises
+    Refused on the first edge, in m.tree order, whose marginals differ (no
+    edge between laws of two target sizes agrees), before any gluing.
+    """
+    check_marginal_consistency(m, bag_dists)
+    return couple_markov_tree(m, bag_dists)
 
-    The bag distributions are trusted as given (they were validated where
-    they entered), and neither the joints glued along the way nor the
-    returned one are checked: the coupling of laws that agree on their
-    overlap keeps the total mass exactly, in integers, so the joint's is 1.
+
+def couple_markov_tree(m, bag_dists):
+    """The bag laws glued along the Markov tree in the order of the
+    breadth-first walk graphs.bfs(m.bag_tree, [0]): each bag after bag 0
+    meets the joint glued so far exactly in its overlap with its walk
+    parent, along which it is coupled on.
+
+    Nothing is checked. m must be a valid Markov tree and bag_dists one law
+    per bag, on the bag, agreeing exactly on every tree edge's overlap:
+    glue_markov_tree checks that first, and sidorenko._build's laws agree by
+    the paper's consistency lemma. Coupling laws that agree keeps the total
+    mass exactly, in integers, so the joint's is 1.
 
     The result is the junction factorization, whatever the gluing order: it
     reproduces every bag distribution as a marginal and satisfies the
     entropy identity H(joint) = sum_F H(bag_F) - sum_AB H(overlap_AB).
     """
-    check_marginal_consistency(m, bag_dists)
     order, _ = bfs(m.bag_tree, [0])
     joint = bag_dists[0]
     for child in order[1:]:

@@ -9,8 +9,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dists import SparseDistribution, entropy, glue_markov_tree
-from .graphs import hom_count, is_forest, is_homomorphism, max_degree
+from .dists import SparseDistribution, couple_markov_tree, entropy
+from .graphs import hom_count, is_forest, max_degree
 from .markov import Refused
 from .strong import validate_strong, zero_strong
 
@@ -47,9 +47,8 @@ def associated_distribution(sd, g):
     indexed by sd's host vertices.
 
     Every level glues one law per bag along the decomposition's Markov
-    tree, which raises Refused unless they agree exactly across
-    every tree edge. At level 0 each bag is a host edge carrying the uniform
-    law on g's ordered edges, which glue to the branching random walk (see
+    tree. At level 0 each bag is a host edge carrying the uniform law on
+    g's ordered edges, which glue to the branching random walk (see
     brw_distribution); at level k each bag carries its child's level-(k-1)
     distribution. Equal children (equal StrongDecomposition values) are
     built once per call.
@@ -61,9 +60,6 @@ def associated_distribution(sd, g):
     induced on its bag. Gluing keeps exactly the atoms whose projections all
     lie in the bag supports, so as each bag's support is all of Hom(child
     host, g) (at level 0, of K2), the result's is all of Hom(host(sd), g).
-    Every atom of each distinct child's distribution must be a homomorphism
-    of that child's host; Refused otherwise, which means this code is
-    broken.
     """
     if g.num_edges() == 0:
         raise Refused("target has no edges")
@@ -75,7 +71,11 @@ def _build(sd, g, built):
     """sd's distribution on Hom(sd.host, g), for a valid sd. built maps each
     child already built in this call to its distribution, which a child
     equal to it reuses; _build depends on (sd, g) alone, so reuse changes
-    nothing."""
+    nothing. The bag laws are coupled unchecked: on a valid sd the paper's
+    consistency lemma makes adjacent ones agree on their overlap (a child
+    law's marginal there is the law of the minimum sub-decomposition holding
+    it, which condition 3's strong isomorphisms carry across), and edge
+    coverage makes every glued atom a homomorphism."""
     m = sd.decomp.markov
     if sd.level == 0:
         # the uniform law on g's ordered edges, one dict shared by every bag,
@@ -87,23 +87,12 @@ def _build(sd, g, built):
         bag_dists = []
         for bag, child in zip(m.bags, sd.children):
             law = built.get(child)
-            fresh = law is None
-            if fresh:
+            if law is None:
                 law = built[child] = _build(child, g, built)
             # the child's host is the host induced on the sorted bag, so the
             # law's keys line up positionally with the bag's vertices
-            p = SparseDistribution._trusted(bag, law.target_size, law.weight, law.den)
-            if fresh:
-                _require_homs(child.host, g, p)
-            bag_dists.append(p)
-    return glue_markov_tree(m, bag_dists)
-
-
-def _require_homs(h, g, p):
-    """Refused unless every support atom of p is a homomorphism h -> g."""
-    for key in p.weight:
-        if not is_homomorphism(h, g, key):
-            raise Refused("support atom %s is not a homomorphism" % (key,))
+            bag_dists.append(SparseDistribution._trusted(bag, law.target_size, law.weight, law.den))
+    return couple_markov_tree(m, bag_dists)
 
 
 def degree_condition(g):

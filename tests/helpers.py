@@ -8,7 +8,7 @@ distributions by direct formula evaluation, and so on.
 import json
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -39,6 +39,7 @@ from homglue.strong import (
     validate_strong,
     zero_strong,
 )
+from fixture_builders import c4
 
 
 def random_tree_edges(rng, k):
@@ -367,6 +368,166 @@ def random_level1(rng, num_bags, max_size):
         children[order[j]] = zero_strong(child)
     m = MarkovTree(n, new_bags, [(order[a], order[b]) for a, b in bag_tree])
     return StrongDecomposition(1, host, TreeDecomposition(host, m), tuple(children))
+
+
+def glue_copies(base, plan, rng):
+    """The strong decomposition one level above base whose bags are copies of
+    base's host, each carrying a relabelled copy of base (relabel_strong).
+    plan holds, for each copy after the first, (parent, shared): the copy
+    gives the vertices of base's host in shared the names the earlier copy
+    parent gives them, takes fresh names for the rest, and is joined to
+    parent in the bag tree. The host is the union of the copies, so each
+    bag's induced host is base's host; two joined bags share the vertices
+    of shared, whose minimum sub-decompositions on both sides are copies of
+    one. So the result is valid exactly when base is and every shared set
+    induces a forest in base's host. Host vertices and bag indices are
+    shuffled at the end."""
+    n = total = base.host.n
+    names = [list(range(n))]
+    tree = []
+    for j, (parent, shared) in enumerate(plan, 1):
+        shared = set(shared)
+        row = []
+        for v in range(n):
+            if v in shared:
+                row.append(names[parent][v])
+            else:
+                row.append(total)
+                total += 1
+        names.append(row)
+        tree.append((parent, j))
+    host = Graph(total, [(row[u], row[v]) for row in names for u, v in base.host.edges])
+    bags = [tuple(sorted(row)) for row in names]
+    children = tuple(
+        relabel_strong(base, [bag.index(x) for x in row], rng) for bag, row in zip(bags, names)
+    )
+    markov = MarkovTree(total, bags, tree)
+    sd = StrongDecomposition(base.level + 1, host, TreeDecomposition(host, markov), children)
+    perm = list(range(total))
+    rng.shuffle(perm)
+    return relabel_strong(sd, perm, rng)
+
+
+def cut_square(h, x, z):
+    """The level-1 decomposition of the 4-cycle h cut along its diagonal
+    {x, z}: two bags, each x, z and one of the other two vertices, carrying
+    their paths. The two diagonals give decompositions of one host that no
+    strong isomorphism fixing the host's vertices joins."""
+    bags = [tuple(sorted((x, z, y))) for y in range(h.n) if y not in (x, z)]
+    children = tuple(zero_strong(induced_subgraph(h, bag)[0]) for bag in bags)
+    markov = MarkovTree(h.n, bags, [(0, 1)])
+    return StrongDecomposition(1, h, TreeDecomposition(h, markov), children)
+
+
+def random_level2(rng, num_copies, base_bags=3):
+    """A valid level-2 strong decomposition: glue_copies of one level-1
+    base, either random_level1(rng, 1..base_bags, 3) or the 4-cycle cut
+    along a random diagonal, with a random_copy_plan. The base host has at
+    most 2 * base_bags + 1 vertices (7 by default)."""
+    if rng.random() < 0.25:
+        base = cut_square(c4(), *rng.choice(((0, 2), (1, 3))))
+    else:
+        base = random_level1(rng, rng.randint(1, base_bags), 3)
+    return glue_copies(base, random_copy_plan(rng, base.host, num_copies), rng)
+
+
+def random_copy_plan(rng, h, num_copies):
+    """A glue_copies plan for num_copies copies of a decomposition of h, a
+    tree or a 4-cycle: each copy after the first shares with a random
+    earlier one a random set of at most four vertices, short of all of h,
+    which induces a forest in h (every vertex set of a tree does, and so
+    does every proper subset of a 4-cycle). The shared sets range over the
+    empty set (adjacent disjoint bags), one vertex, one edge, two
+    non-adjacent vertices and forests of three or four vertices, so both of
+    validate_strong's ways of settling condition 3 are taken. The last copy
+    is a leaf of the bag tree."""
+    return [
+        (rng.randrange(j), rng.sample(range(h.n), rng.randint(0, min(4, h.n - 1))))
+        for j in range(1, num_copies)
+    ]
+
+
+def rival_child(child, u):
+    """A valid level-1 decomposition of the host of child, a level-1
+    decomposition of a tree or of a 4-cycle, whose minimum sub-decomposition
+    holding the vertex set u has another level than child's, so that no
+    strong isomorphism joins the two; None when neither the one-bag
+    decomposition of a tree nor a 4-cycle cut along a diagonal (cut_square)
+    is one."""
+    h = child.host
+    if h.num_edges() == h.n - 1:
+        whole = TreeDecomposition(h, MarkovTree(h.n, [tuple(range(h.n))]))
+        rivals = [StrongDecomposition(1, h, whole, (zero_strong(h),))]
+    else:
+        diagonals = [(x, z) for x, z in combinations(range(h.n), 2) if z not in h.neighbors(x)]
+        rivals = [cut_square(h, x, z) for x, z in diagonals]
+    level = minimum_subdecomposition_reference(child, u)[0].level
+    for rival in rivals:
+        if minimum_subdecomposition_reference(rival, u)[0].level != level:
+            return rival
+    return None
+
+
+def overlaps(sd):
+    """(bag-tree edge, overlap of its two bags) per edge of sd's top level."""
+    m = sd.decomp.markov
+    return [((i, j), vertex_set(set(m.bags[i]) & set(m.bags[j]))) for i, j in m.tree]
+
+
+def leaf_swaps(sd):
+    """(bag-tree edge, overlap, corrupted copy of sd) for each edge of sd's
+    top level and each end of it that is a leaf of the bag tree, whose child
+    has a rival_child on the nonempty overlap: the copy carries the rival
+    there, so condition 3 fails on that overlap alone."""
+    m = sd.decomp.markov
+    degree = Counter(b for edge in m.tree for b in edge)
+    out = []
+    for (i, j), inter in overlaps(sd):
+        for b in (i, j):
+            if not inter or degree[b] != 1:
+                continue
+            rival = rival_child(sd.children[b], [m.bags[b].index(v) for v in inter])
+            if rival is not None:
+                children = list(sd.children)
+                children[b] = rival
+                corrupt = StrongDecomposition(sd.level, sd.host, sd.decomp, tuple(children))
+                out.append(((i, j), inter, corrupt))
+    return out
+
+
+def condition3_reference(sd):
+    """validate_strong's condition-3 violations of sd, a decomposition above
+    level 0 whose other conditions hold, written from the definitions: for
+    each bag-tree edge (i, j), in tree order, intersection-not-forest when
+    the two bags' overlap induces a cycle in sd's host (forest_reference),
+    else sub-decomposition-not-isomorphic when the overlap is nonempty and
+    brute_force_strong_isomorphism finds no strong isomorphism between the
+    two children's minimum sub-decompositions holding it
+    (minimum_subdecomposition_reference) that sends each overlap vertex's
+    copy on side i to its copy on side j. Every overlap is searched, one
+    vertex and one edge included."""
+    m = sd.decomp.markov
+    out = []
+    for (i, j), inter in overlaps(sd):
+        witness = {"path": [], "edge": [i, j]}
+        if not forest_reference(induced_subgraph(sd.host, inter)[0]):
+            out.append({"kind": "intersection-not-forest", "witness": witness})
+            continue
+        if not inter:
+            continue
+        sides = []
+        for b in (i, j):
+            bag = m.bags[b]
+            msd, embedding = minimum_subdecomposition_reference(
+                sd.children[b], [bag.index(v) for v in inter]
+            )
+            sides.append((msd, {bag[x]: k for k, x in enumerate(embedding)}))
+        (msd_i, at_i), (msd_j, at_j) = sides
+        pin = {at_i[v]: at_j[v] for v in inter}
+        if brute_force_strong_isomorphism(msd_i, msd_j, pin) is None:
+            witness["intersection"] = list(inter)
+            out.append({"kind": "sub-decomposition-not-isomorphic", "witness": witness})
+    return out
 
 
 def overlaps_are_vertices_and_edges(sd):
@@ -927,7 +1088,8 @@ def glue_document(m, bag_dists):
 
 
 # The preconditions that routines behind the CLI's validators trust and no
-# longer check: a valid Markov tree and bag laws that fit it to glue, a
+# longer check: a valid Markov tree and bag laws that fit it to glue, laws
+# that also agree on every tree edge to couple unchecked, a
 # valid one and a normalized nonempty u to cover, a kept family that induces
 # a subtree, pins inside both graphs, a sweep within the committed table, a
 # marginal onto part of the index set, valid decompositions to match or to
@@ -942,6 +1104,15 @@ def _valid_markov(m, bag_dists):
     )
     one_size = len({p.target_size for p in bag_dists}) <= 1
     return validate_markov_tree(m).ok and fits and one_size
+
+
+def _agreeing(m, bag_dists):
+    if not _valid_markov(m, bag_dists):
+        return False
+    try:
+        return dists.check_marginal_consistency(m, bag_dists) is None
+    except Refused:
+        return False
 
 
 def _covering(m, u):
@@ -990,7 +1161,8 @@ def _in_graph(g, s):
 # (module, name of the routine there): the precondition each call must meet
 PRECONDITIONS = {
     (cli, "glue_markov_tree"): _valid_markov,
-    (sidorenko, "glue_markov_tree"): _valid_markov,
+    (dists, "couple_markov_tree"): _agreeing,  # through glue_markov_tree
+    (sidorenko, "couple_markov_tree"): _agreeing,
     (strong, "minimum_covering_subfamily"): _covering,
     (strong, "retraction"): _subtree,
     (graphs, "isomorphisms"): _pins_in_range,  # through isomorphisms_pinned

@@ -852,36 +852,6 @@ def test_min_subdec_vertex_out_of_range_is_a_parse_failure(fixdir, capsys, u):
     assert captured.err == "error: --u vertex %s out of range for n=6\n" % bad
 
 
-def test_assoc_non_homomorphic_atom_is_a_json_error_under_optimize(fixdir):
-    # python -O strips asserts; the support check must still fire, and
-    # assoc and entropy-report both answer it as JSON on stdout
-    src = os.path.dirname(os.path.dirname(os.path.abspath(homglue.__file__)))
-    script = (
-        "import sys\n"
-        "import homglue.sidorenko as s\n"
-        "from homglue.cli import main\n"
-        "s.is_homomorphism = lambda h, g, key: False\n"
-        "sys.exit(main(sys.argv[1:]))\n"
-    )
-    for command in ("assoc", "entropy-report"):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-O",
-                "-c",
-                script,
-                command,
-                os.path.join(fixdir, "c4.json"),
-                os.path.join(fixdir, "k3.json"),
-            ],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-        )
-        assert (command, proc.returncode, proc.stderr) == (command, 1, "")
-        assert "not a homomorphism" in json.loads(proc.stdout)["error"]
-
-
 def test_min_subdec_disconnected_bag_tree_exits_1_with_one_line(tmp_path, capsys):
     # validated before it is searched: the report, as assoc prints it
     doc = serialize.strong_to_json(c4_fixture())

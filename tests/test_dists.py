@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import homglue
-from homglue import dists, serialize, sidorenko
+from homglue import cli, dists, serialize
 from homglue.dists import (
     SparseDistribution,
     check_marginal_consistency,
@@ -27,6 +27,7 @@ from helpers import (
     brute_force_joint,
     consistent_bag_dists,
     entropy_reference,
+    glue_document,
     junction_factorization,
     markov_subtrees,
     random_joint,
@@ -316,36 +317,35 @@ def test_disagreement_is_reported_before_a_running_intersection_failure():
     assert e.value.doc["edge"] == [1, 2]
 
 
-def test_every_glue_checks_agreement_through_check_marginal_consistency(monkeypatch):
+def test_every_glue_checks_agreement_through_check_marginal_consistency(
+    monkeypatch, tmp_path, capsys
+):
     # the benchmark's tracer wraps dists.check_marginal_consistency by name,
-    # so gluing must call it through the module global, once per glue
+    # so the glue command's gluing and glue_pair must call it through the
+    # module global, once per glue; _build couples a validated
+    # decomposition's bag laws without it
     checks = []
-    glues = []
-    check, glue = dists.check_marginal_consistency, dists.glue_markov_tree
+    check = dists.check_marginal_consistency
 
     def counted_check(m, bag_dists):
         checks.append(m.num_bags())
         return check(m, bag_dists)
 
-    def counted_glue(m, bag_dists):
-        glues.append(m.num_bags())
-        return glue(m, bag_dists)
-
     monkeypatch.setattr(dists, "check_marginal_consistency", counted_check)
     m = MarkovTree(3, [(0, 1), (1, 2)], [(0, 1)])
-    glue_markov_tree(m, [uniform_edge_dist((0, 1)), uniform_edge_dist((1, 2))])
+    doc = tmp_path / "glue.json"
+    laws = [uniform_edge_dist((0, 1)), uniform_edge_dist((1, 2))]
+    doc.write_text(json.dumps(glue_document(m, laws)))
+    assert cli.main(["glue", str(doc)]) == 0
+    capsys.readouterr()
     assert checks == [2]
     glue_pair(uniform((0,), 2, [(0,), (1,)]), uniform((1,), 2, [(0,), (1,)]))
     assert checks == [2, 2]
 
-    del checks[:]
-    monkeypatch.setattr(sidorenko, "glue_markov_tree", counted_glue)
     with open(os.path.join(FIXDIR, "book.json")) as f:
         book = serialize.strong_from_json(json.load(f))
     associated_distribution(book, k3())
-    # book is level 2 with two equal children (C4), each glued from two
-    # distinct level-0 paths: 2 + 1 + 1 distinct glues
-    assert len(glues) == 4 and checks == glues
+    assert checks == [2, 2]
 
 
 def test_randomized_glue_properties():

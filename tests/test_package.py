@@ -45,6 +45,7 @@ ENTRY_POINTS = {
     ("strong", "zero_strong"): "CI's step that validates the largest level-0 path",
     ("strong", "is_strong_isomorphism"): "bench/tracer.py LAYERS, tests",
     ("graphs", "Graph.has_edge"): "bench/tracer.py counts its calls",
+    ("graphs", "is_homomorphism"): "bench/tracer.py LAYERS, tests",
 }
 
 

@@ -1,26 +1,32 @@
 """The program meets every precondition its routines trust.
 
-glue_markov_tree, minimum_covering_subfamily, retraction, isomorphisms,
+couple_markov_tree, minimum_covering_subfamily, retraction, isomorphisms,
 connected_graphs_up_to, marginal, strong_isomorphism,
 minimum_subdecomposition and induced_subgraph check nothing that their
-callers establish: a valid Markov tree with bag laws that fit it, a kept
-family that induces a subtree, pins inside both graphs, a sweep within the
-committed table, a marginal onto a subset of the index set, valid
-decompositions, a nonempty set of host vertices and vertices of the graph.
-The checks at the CLI's entry points (validate_markov_tree and
-check_bag_dists for glue, validate_strong for the rest, min-subdec's --u
-check) and the sweep's own --max-n refusal are what make those hold.
+callers establish: a valid Markov tree with bag laws that fit it and agree
+on every tree edge, a kept family that induces a subtree, pins inside both
+graphs, a sweep within the committed table, a marginal onto a subset of the
+index set, valid decompositions, a nonempty set of host vertices and
+vertices of the graph. The checks at the CLI's entry points
+(validate_markov_tree, check_bag_dists and check_marginal_consistency for
+glue, validate_strong for the rest, min-subdec's --u check) and the sweep's
+own --max-n refusal are what make those hold. Where sidorenko._build
+couples a decomposition's bag laws, their agreement rests on the paper's
+consistency lemma alone: a condition-3 verdict that passed an invalid
+decomposition would show here as a call outside its precondition.
 
 Each routine is wrapped wherever the package calls it
 (helpers.record_preconditions). Every subcommand then runs over the
 fixtures, level-2 and level-3 decompositions (among them condition 3's
 worst cases, families A and B), a level-1 decomposition whose adjacent bags
-are disjoint, random valid level-1 decompositions, random
-glue instances and a few invalid inputs, among them empty, negative and
-out-of-range --u values that min-subdec must refuse with exit 2, and every
-call must have met its precondition. Every routine must have been called,
-so that a change in the traffic cannot leave a wrapper with nothing to
-check.
+are disjoint, random valid level-1 decompositions, random level-2
+decompositions (helpers.random_level2, whose overlaps reach condition 3's
+search) with each leaf child swapped for a rival that condition 3 refuses,
+random glue instances and a few invalid inputs, among them empty, negative
+and out-of-range --u values that min-subdec must refuse with exit 2, and
+every call must have met its precondition. Every routine must have been
+called, so that a change in the traffic cannot leave a wrapper with nothing
+to check.
 """
 
 import json
@@ -36,6 +42,7 @@ from fixture_builders import (
     bad_condition3_fixture,
     bad_markov_tree,
     bundled_strong_fixtures,
+    c4,
     family_a,
     family_b,
     hexagon_level2,
@@ -47,9 +54,14 @@ from fixture_builders import (
 from helpers import (
     PRECONDITIONS,
     consistent_bag_dists,
+    cut_square,
+    glue_copies,
     glue_document,
+    leaf_swaps,
+    overlaps,
     random_graph,
     random_level1,
+    random_level2,
     random_markov_tree,
     record_preconditions,
 )
@@ -114,6 +126,17 @@ def _commands(directory):
         subsets = [(v,) for v in vertices] + rng.sample(pairs, min(8, len(pairs)))
         subsets += [tuple(vertices)]
         yield from _strong_commands(path, targets, subsets, sd.host.n)
+    # level-2 draws, some of whose overlaps reach condition 3's search, and
+    # the corruptions that swap a leaf child for a rival, on the two smallest
+    # targets; a 4-cycle's copies sharing a path, whose rival swapped in
+    # carries a law that disagrees there
+    level2 = [random_level2(rng, rng.randint(2, 3), base_bags=2) for _ in range(4)]
+    level2.append(glue_copies(cut_square(c4(), 0, 2), [(0, (0, 1, 2))], rng))
+    for draw, sd in enumerate(level2):
+        for k, doc in enumerate([sd] + [corrupt for _, _, corrupt in leaf_swaps(sd)]):
+            path = _write(directory, "level2-%d-%d" % (draw, k), serialize.strong_to_json(doc))
+            subsets = [inter for _, inter in overlaps(doc) if inter] + [tuple(range(doc.host.n))]
+            yield from _strong_commands(path, targets[:2], subsets, doc.host.n)
     # condition 3's worst cases fail validation, which every subcommand runs
     # first, so one run of each will do
     for name, build in (("family-a", family_a), ("family-b", family_b)):

@@ -5,38 +5,54 @@ replaced, and every returned distribution against a rebuild through the
 validating constructor. Generated valid level-1 strong decompositions go
 through the validator, the covering and sub-decomposition searches against
 their references and the strong isomorphism search against a relabelled
-copy."""
+copy. Generated level-2 decompositions, and one-step corruptions of them,
+go through the validator against a condition-3 reference, and their
+distributions through the paper's consistency lemmas, which the library's
+build trusts."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
+from homglue import strong
 from homglue.dists import SparseDistribution, entropy, glue_markov_tree, glue_pair, marginal
-from homglue.graphs import Graph
+from homglue.graphs import Graph, hom_count
 from homglue.markov import MarkovTree, TreeDecomposition, minimum_covering_subfamily
 from homglue.sidorenko import associated_distribution, bound_report, brw_distribution
 from homglue.strong import (
     is_strong_isomorphism,
     minimum_subdecomposition,
     StrongDecomposition,
+    StrongIsomorphism,
     strong_isomorphism,
     validate_strong,
     zero_strong,
 )
-from fixture_builders import bundled_strong_fixtures
+from fixture_builders import bundled_strong_fixtures, c4
 from helpers import (
+    associated_reference,
     brute_force_joint,
     brute_force_min_cover,
     brw_reference,
+    condition3_reference,
     consistent_bag_dists,
+    cut_square,
     entropy_reference,
+    glue_copies,
+    isomorphism_transport_check,
     junction_factorization,
+    leaf_swaps,
+    overlaps,
     minimum_subdecomposition_reference,
     overlaps_are_vertices_and_edges,
+    projection_consistency_check,
+    random_copy_plan,
     random_graph,
     random_level1,
+    random_level2,
     random_markov_tree,
     random_tree,
     relabel_strong,
@@ -44,6 +60,8 @@ from helpers import (
 
 # derandomized and without an example database: the same examples on every run
 PROPERTIES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+# fewer examples where each builds several exact distributions
+DISTRIBUTIONS = settings(PROPERTIES, max_examples=25)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -158,6 +176,90 @@ def test_strong_isomorphism_finds_a_relabelled_generated_level1_decomposition(se
     iso = strong_isomorphism(sd, copy)
     assert iso is not None
     assert is_strong_isomorphism(sd, copy, iso.vertex_map)
+
+
+def overlap_shape(host, inter):
+    if len(inter) == 2:
+        return "edge" if inter[1] in host.neighbors(inter[0]) else "pair"
+    return {0: "empty", 1: "vertex"}.get(len(inter), "forest")
+
+
+def test_generated_level2_overlaps_take_both_of_condition3s_paths(monkeypatch):
+    # a generator that drifted back to overlaps settled by their shape would
+    # leave the general path to the hand-built fixtures alone
+    searched = Counter()
+    holds = strong._condition3_holds
+
+    def counted(sd, i, j, inter):
+        searched[overlap_shape(sd.host, inter)] += 1
+        return holds(sd, i, j, inter)
+
+    monkeypatch.setattr(strong, "_condition3_holds", counted)
+    rng = random.Random(33)
+    shapes = Counter()
+    swaps = 0
+    for _ in range(30):
+        sd = random_level2(rng, rng.randint(2, 4))
+        assert validate_strong(sd).ok
+        shapes.update(overlap_shape(sd.host, inter) for _, inter in overlaps(sd))
+        swaps += len(leaf_swaps(sd))
+    assert set(shapes) == {"empty", "vertex", "edge", "pair", "forest"}, shapes
+    assert set(searched) == {"pair", "forest"}, searched
+    assert swaps > 0
+
+
+@PROPERTIES
+@given(seed=seeds, num_copies=st.integers(2, 4))
+def test_generated_level2_decompositions_and_swapped_children_validate_as_the_reference(
+    seed, num_copies
+):
+    rng = random.Random(seed)
+    sd = random_level2(rng, num_copies)
+    assert validate_strong(sd).violations == condition3_reference(sd) == []
+    for (i, j), inter, corrupt in leaf_swaps(sd):
+        witness = {"path": [], "edge": [i, j], "intersection": list(inter)}
+        expected = [{"kind": "sub-decomposition-not-isomorphic", "witness": witness}]
+        assert validate_strong(corrupt).violations == condition3_reference(corrupt) == expected
+
+
+@PROPERTIES
+@given(seed=seeds, num_copies=st.integers(2, 4))
+def test_a_cyclic_overlap_in_a_generated_level2_decomposition_is_not_a_forest(seed, num_copies):
+    # copies of a cut 4-cycle, the last of which shares all of it
+    rng = random.Random(seed)
+    base = cut_square(c4(), 0, 2)
+    plan = random_copy_plan(rng, base.host, num_copies)
+    plan[-1] = (plan[-1][0], range(4))
+    sd = glue_copies(base, plan, rng)
+    report = validate_strong(sd).violations
+    assert report == condition3_reference(sd)
+    assert [v["kind"] for v in report] == ["intersection-not-forest"]
+
+
+@DISTRIBUTIONS
+@given(seed=seeds, num_copies=st.integers(2, 3), target_size=st.integers(2, 4))
+def test_generated_level2_distributions_meet_the_consistency_lemmas(seed, num_copies, target_size):
+    """The associated distribution of a generated level-2 decomposition is
+    the reference build (whose gluing checks every overlap's agreement and
+    whose atoms are checked to be homomorphisms), its support is all of
+    Hom(host, g), it projects onto each minimum sub-decomposition's own law
+    (which is its reference's) and a relabelled copy's law is its
+    transport."""
+    rng = random.Random(seed)
+    sd = random_level2(rng, num_copies, base_bags=2)
+    g = random_target(seed, target_size)
+    dist = associated_distribution(sd, g)
+    assert dist == associated_reference(sd, g)
+    assert dist.support_size() == hom_count(sd.host, g)
+    subsets = [inter for _, inter in overlaps(sd) if inter]
+    subsets.append(rng.sample(range(sd.host.n), rng.randint(1, min(4, sd.host.n))))
+    for u in subsets:
+        assert minimum_subdecomposition(sd, u) == minimum_subdecomposition_reference(sd, u)
+        assert projection_consistency_check(sd, g, u)["ok"], u
+    perm = list(range(sd.host.n))
+    rng.shuffle(perm)
+    copy = relabel_strong(sd, perm, rng)
+    assert isomorphism_transport_check(sd, copy, StrongIsomorphism(tuple(perm)), g)["ok"]
 
 
 @PROPERTIES

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     _brute_force_bag_map,
     brute_force_strong_isomorphism,
+    cut_square,
     minimum_subdecomposition_reference,
     random_level1,
     random_tree,
@@ -183,6 +184,53 @@ def test_child_host_mismatch_flagged():
     )
     report = validate_strong(sd)
     assert any(v["kind"] == "child-host-mismatch" for v in report.violations)
+
+
+def _c4_with_child_1(child):
+    """c4_fixture with its second child, which must be a level-0
+    decomposition of the path 0-2-1, replaced by child."""
+    sd = c4_fixture()
+    return StrongDecomposition(1, sd.host, sd.decomp, (sd.children[0], child))
+
+
+def _c4_twice(*children):
+    """The level-2 decomposition of C4 into two bags that each hold all of
+    it, carrying children."""
+    markov = MarkovTree(4, [(0, 1, 2, 3), (0, 1, 2, 3)], [(0, 1)])
+    return StrongDecomposition(2, c4(), TreeDecomposition(c4(), markov), children)
+
+
+@pytest.mark.parametrize(
+    "sd, expected",
+    [
+        # a level-1 child of another host: its level alone is reported
+        (
+            _c4_with_child_1(matching_level1()),
+            [{"kind": "child-level-mismatch", "witness": {"path": [1]}}],
+        ),
+        # a level-0 child of another host, whose own payload is of a third:
+        # its host alone is reported, and it is not validated inside
+        (
+            _c4_with_child_1(
+                StrongDecomposition(0, Graph(3, [(0, 1), (0, 2)]), path_fixture().decomp)
+            ),
+            [{"kind": "child-host-mismatch", "witness": {"path": [1]}}],
+        ),
+        # the two bags share a 4-cycle, and the children are cut along
+        # different diagonals: the cycle alone is reported, with no search
+        (
+            _c4_twice(cut_square(c4(), 0, 2), cut_square(c4(), 1, 3)),
+            [{"kind": "intersection-not-forest", "witness": {"path": [], "edge": [0, 1]}}],
+        ),
+    ],
+    ids=[
+        "mislevelled-and-mis-hosted",
+        "mis-hosted-and-invalid-inside",
+        "cyclic-and-not-isomorphic",
+    ],
+)
+def test_validate_reports_one_fault_where_a_child_or_an_overlap_has_two(sd, expected):
+    assert validate_strong(sd).violations == expected
 
 
 def test_minimum_subdecomposition_c4():
