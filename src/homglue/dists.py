@@ -195,6 +195,8 @@ def glue_pair(p12, p23):
 def _couple(p12, p23):
     """The conditional independent coupling of p12 and p23 along their shared
     indices, whose marginals there must agree. Its total mass is not checked.
+    An atom of p12 whose values there no atom of p23 has is Refused, with
+    those values; no other disagreement is noticed.
 
     Group p23's atoms by their values y_shared on the shared indices, with
     m_s the sum of a group's weights (p23's marginal there is m_s / D23, and
@@ -222,14 +224,19 @@ def _couple(p12, p23):
     factor = {sk: common // ms for sk, ms in group_mass.items()}
 
     out = {}
-    for key12, w12 in p12.weight.items():
-        sk = proj12(key12)
-        f = w12 * factor[sk]
-        for tail, w23 in groups[sk]:
-            key = key12 + tail
-            if to_union is not None:
-                key = to_union(key)
-            out[key] = f * w23
+    try:
+        for key12, w12 in p12.weight.items():
+            sk = proj12(key12)
+            f = w12 * factor[sk]
+            for tail, w23 in groups[sk]:
+                key = key12 + tail
+                if to_union is not None:
+                    key = to_union(key)
+                out[key] = f * w23
+    except KeyError as e:
+        raise Refused(
+            "laws to couple disagree on their overlap", overlap=list(shared), key=list(e.args[0])
+        ) from None
     den = p12.den * common
     g = math.gcd(den, *out.values())
     if g > 1:
@@ -305,7 +312,10 @@ def couple_markov_tree(m, bag_dists):
     per bag, on the bag, agreeing exactly on every tree edge's overlap:
     glue_markov_tree checks that first, and sidorenko._build's laws agree by
     the paper's consistency lemma. Coupling laws that agree keeps the total
-    mass exactly, in integers, so the joint's is 1.
+    mass exactly, in integers, so the joint's is 1. Should a broken
+    invariant let through laws where the joint glued so far holds overlap
+    values that the next bag's law lacks, _couple raises Refused, not a
+    bare KeyError.
 
     The result is the junction factorization, whatever the gluing order: it
     reproduces every bag distribution as a marginal and satisfies the

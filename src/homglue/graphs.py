@@ -28,10 +28,14 @@ class Graph:
 
     Graphs are validated where they enter the program: this constructor
     checks the vertex count and every edge, and canonicalizes the edges.
-    What the program derives from valid graphs (induced subgraphs, among
-    them the bag trees of retractions, line graphs and the bag trees of
-    line-graph Markov trees) goes through the unchecked _trusted
-    constructor instead; only this module and markov.py call it.
+    Graphs are immutable, so serialize.strong_from_json builds one per
+    distinct host and bag tree of a document and shares it, once each
+    occurrence has passed the loader's checks. What the program derives
+    from valid graphs (induced subgraphs, among them the bag trees of
+    retractions, line graphs and the bag trees of line-graph Markov trees)
+    goes through the unchecked _trusted constructor instead; only this
+    module and markov.py call it. validate_strong reads a child's expected
+    host as induced_edges alone, with no Graph built.
     """
 
     n: int
@@ -41,13 +45,12 @@ class Graph:
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         canon = set()
-        for e in edges:
-            u, v = e
+        for u, v in edges:
             if u == v:
                 raise ValueError("self-loop at vertex %d" % u)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError("edge (%d,%d) out of range for n=%d" % (u, v, n))
-            canon.add((min(u, v), max(u, v)))
+            canon.add((u, v) if u < v else (v, u))
         self._fill(n, tuple(sorted(canon)))
 
     @classmethod
@@ -100,19 +103,26 @@ def induced_subgraph(g, s):
     """Induced subgraph of g on vertex set s, relabeled to 0..|s|-1.
 
     Returns (subgraph, relabeling) where relabeling[i] is the vertex of g
-    that became vertex i. The relabeling is monotone (s is sorted). The
-    edges are read off the kept vertices' ascending neighbour tuples, which
-    gives them in sorted order at a cost of the kept degrees, and the
-    subgraph is built through the trusted constructor. s must lie in V(g),
-    unchecked: MarkovTree has range-checked the bags and bag indices passed.
+    that became vertex i. The relabeling is monotone (s is sorted), the
+    edges are induced_edges(g, s) and the subgraph is built through the
+    trusted constructor. s must lie in V(g), unchecked: MarkovTree has
+    range-checked the bags and bag indices passed.
     """
     s = vertex_set(s)
+    return Graph._trusted(len(s), induced_edges(g, s)), s
+
+
+def induced_edges(g, s):
+    """The edge tuple of the subgraph of g induced on s, relabeled to
+    0..|s|-1 along s: the edges of induced_subgraph(g, s), in their sorted
+    order, with no Graph built. They are read off the kept vertices'
+    ascending neighbour tuples, at a cost of the kept degrees. s must be a
+    sorted tuple of distinct vertices of g (vertex_set), unchecked: the
+    bags of a MarkovTree are, and its constructor range-checked them.
+    """
     pos = {v: i for i, v in enumerate(s)}
     adj = g._adj
-    edges = tuple(
-        (i, pos[w]) for i, v in enumerate(s) for w in adj[v] if w > v and w in pos
-    )
-    return Graph._trusted(len(s), edges), s
+    return tuple((i, pos[w]) for i, v in enumerate(s) for w in adj[v] if w > v and w in pos)
 
 
 def bfs(g, roots):

@@ -23,7 +23,10 @@ class MarkovTree:
     hashing stay on (ground_size, bags, tree).
 
     This constructor checks and normalizes every bag and tree edge; it is
-    the one for Markov trees that enter the program. A retraction, derived
+    the one for Markov trees that enter the program. Once the bags pass,
+    graph(len(bags), tree) builds the bag tree: Graph by default, and a
+    loader's per-load table, which gives equal arguments one Graph, when
+    serialize.strong_from_json reads a document. A retraction, derived
     from a valid tree decomposition, and the line-graph Markov tree of a
     valid tree go through the unchecked _trusted constructor instead; only
     this module calls it.
@@ -33,7 +36,7 @@ class MarkovTree:
     bags: tuple
     tree: tuple
 
-    def __init__(self, ground_size, bags, tree=()):
+    def __init__(self, ground_size, bags, tree=(), graph=Graph):
         if ground_size < 0:
             raise ValueError("ground_size must be nonnegative")
         if not bags:
@@ -42,7 +45,7 @@ class MarkovTree:
         bad = [v for b in bags for v in b if not 0 <= v < ground_size]
         if bad:
             raise ValueError("vertex %d out of range for n=%d" % (bad[0], ground_size))
-        self._fill(ground_size, bags, Graph(len(bags), tree))
+        self._fill(ground_size, bags, graph(len(bags), tree))
 
     @classmethod
     def _trusted(cls, ground_size, bags, bag_tree):

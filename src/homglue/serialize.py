@@ -12,7 +12,9 @@ Formats:
                        "mass": [{"key": [...], "num": str, "den": str}, ...]}
                       (index_set strictly ascending; key i is the value at
                        index_set[i]; each key listed once)
-All round trips are bit-exact. Every CLI answer is laid out as
+All round trips are bit-exact. One strong decomposition load builds one
+Graph per distinct host and bag tree of the document (see strong_from_json);
+every occurrence still passes every check. Every CLI answer is laid out as
 json.dumps(doc, indent=1, sort_keys=True) lays it out: a distribution by
 distribution_to_text, every other answer by json_text.
 distribution_to_text joins its atoms' text from column iterators (fixed
@@ -58,9 +60,16 @@ def _bounded_size(doc, key):
 
 
 def graph_from_json(doc):
+    return _graph_from_json(doc, Graph)
+
+
+def _graph_from_json(doc, graph):
+    """The Graph of a graph document, built by graph(n, edges) once n and
+    every endpoint are checked to be ints: Graph, or strong_from_json's
+    per-load table."""
     n = _bounded_size(doc, "n")
     require_ints(doc["edges"], "edge endpoints")
-    return Graph(n, [tuple(e) for e in doc["edges"]])
+    return graph(n, tuple(map(tuple, doc["edges"])))
 
 
 def markov_to_json(m):
@@ -72,12 +81,16 @@ def markov_to_json(m):
 
 
 def markov_from_json(doc):
+    return _markov_from_json(doc, Graph)
+
+
+def _markov_from_json(doc, graph):
+    """The MarkovTree of a Markov tree document, whose bag tree graph builds
+    once the constructor has checked the bags (see _graph_from_json)."""
     ground_size = _bounded_size(doc, "ground_size")
     require_ints(doc["bags"], "bag elements")
     require_ints(doc["tree"], "tree edge endpoints")
-    return MarkovTree(
-        ground_size, [tuple(b) for b in doc["bags"]], [tuple(e) for e in doc["tree"]]
-    )
+    return MarkovTree(ground_size, doc["bags"], tuple(map(tuple, doc["tree"])), graph)
 
 
 def tree_decomposition_to_json(d):
@@ -85,8 +98,12 @@ def tree_decomposition_to_json(d):
 
 
 def tree_decomposition_from_json(doc):
+    return _tree_decomposition_from_json(doc, Graph)
+
+
+def _tree_decomposition_from_json(doc, graph):
     return TreeDecomposition(
-        graph_from_json(doc["host"]), markov_from_json(doc["markov"])
+        _graph_from_json(doc["host"], graph), _markov_from_json(doc["markov"], graph)
     )
 
 
@@ -103,15 +120,40 @@ def strong_to_json(sd):
 
 
 def strong_from_json(doc):
-    host = graph_from_json(doc["host"])
+    """The StrongDecomposition of a strong decomposition document.
+
+    A document restates small graphs many times: every level states its
+    host twice (host and payload.decomp.host), and most bag trees are one
+    or two edges. So one load keeps one table, keyed by a graph's vertex
+    count and its edge tuple as read, and every host, decomp host and bag
+    tree with the same JSON in the document becomes one Graph, checked and
+    given its adjacency once. Every occurrence still passes every check
+    that comes before the lookup (the vertex count's, the int check of
+    every value and the MarkovTree bag checks, in that order), so a bool or
+    a float that equals an int seen before is refused as it is everywhere.
+    The table lives for this call alone; two loads share no Graph.
+    """
+    table = {}
+
+    def graph(n, edges):
+        g = table.get((n, edges))
+        if g is None:
+            g = table[n, edges] = Graph(n, edges)
+        return g
+
+    return _strong_from_json(doc, graph)
+
+
+def _strong_from_json(doc, graph):
+    host = _graph_from_json(doc["host"], graph)
     payload = doc["payload"]
     level = _bounded_size(doc, "level")
     if "base" in payload:
         return StrongDecomposition(
-            level, host, TreeDecomposition(host, markov_from_json(payload["base"]))
+            level, host, TreeDecomposition(host, _markov_from_json(payload["base"], graph))
         )
-    decomp = tree_decomposition_from_json(payload["decomp"])
-    children = tuple(strong_from_json(c) for c in payload["children"])
+    decomp = _tree_decomposition_from_json(payload["decomp"], graph)
+    children = tuple(_strong_from_json(c, graph) for c in payload["children"])
     if not children:  # a decomp payload needs children; level 0 is spelt with base
         raise ValueError(
             "one child per bag is required" if level else "level 0 requires a base payload only"

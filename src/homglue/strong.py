@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from .graphs import (
     Graph,
+    induced_edges,
     induced_subgraph,
     is_forest,
     is_tree,
@@ -71,6 +72,8 @@ def validate_strong(sd, _path=()):
     """Recursive check of the level-0 shape and the three level-k conditions.
 
     Violations carry the path of bag indices from the root to the failure.
+    A child's host is compared with the host's induced subgraph on its bag
+    by vertex count and induced_edges, with no Graph built.
 
     Condition 3 is checked only once every child is valid, and an overlap
     of at most two vertices is settled by its shape. It is a forest. When
@@ -110,11 +113,10 @@ def validate_strong(sd, _path=()):
         return report
     for i, bag in enumerate(m.bags):
         child = sd.children[i]
-        expected, _ = induced_subgraph(sd.host, bag)
         if child.level != sd.level - 1:
             report.add("child-level-mismatch", {"path": path + [i]})
             continue
-        if child.host != expected:
+        if child.host.n != len(bag) or child.host.edges != induced_edges(sd.host, bag):
             report.add("child-host-mismatch", {"path": path + [i]})
             continue
         sub = validate_strong(child, _path=path + [i])

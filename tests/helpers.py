@@ -1158,6 +1158,10 @@ def _in_graph(g, s):
     return all(0 <= v < g.n for v in s)
 
 
+def _vertex_set_in_graph(g, s):
+    return s == vertex_set(s) and _in_graph(g, s)
+
+
 # (module, name of the routine there): the precondition each call must meet
 PRECONDITIONS = {
     (cli, "glue_markov_tree"): _valid_markov,
@@ -1174,6 +1178,8 @@ PRECONDITIONS = {
     (strong, "minimum_subdecomposition"): _host_subset,
     (strong, "induced_subgraph"): _in_graph,
     (markov, "induced_subgraph"): _in_graph,
+    (strong, "induced_edges"): _vertex_set_in_graph,
+    (graphs, "induced_edges"): _vertex_set_in_graph,  # through induced_subgraph
 }
 
 

@@ -11,10 +11,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 
-import pytest
-
 from homglue.dists import (
-    SparseDistribution,
     entropy,
     glue_markov_tree,
     glue_pair,
@@ -52,7 +49,6 @@ from helpers import (
     random_joint,
     random_markov_tree,
     random_subtree,
-    uniform,
 )
 
 TOL = 1e-9

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import homglue
-from homglue import cli, graphs, serialize
+from homglue import cli, graphs, serialize, strong
 from homglue.cli import main
 from homglue.dists import check_marginal_consistency, glue_markov_tree
 from homglue.graphs import Graph, is_connected
@@ -207,6 +207,21 @@ def test_validate_exits_1_on_each_one_step_corruption(tmp_path, capsys, doc, kin
     assert code == 1
     assert out["kind"] == "strong-decomposition"
     assert [v["kind"] for v in out["violations"]] == kinds
+
+
+def test_assoc_past_a_condition_3_fault_is_refused_without_a_traceback(capsys, monkeypatch):
+    # were condition 3 to pass bad_condition3, its bag laws on K2 would
+    # disagree on an overlap: the coupling refuses them, exit 1
+    monkeypatch.setattr(strong, "_condition3_holds", lambda *args: True)
+    argv = ["assoc", os.path.join(FIXDIR, "bad_condition3.json"), os.path.join(FIXDIR, "k2.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == {
+        "error": "laws to couple disagree on their overlap",
+        "key": [0, 0],
+        "overlap": [0, 2],
+    }
+    assert captured.err == ""
 
 
 def test_validate_malformed_json(tmp_path, capsys):

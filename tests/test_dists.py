@@ -212,6 +212,20 @@ def test_glue_pair_mismatch_witness_and_target_size():
         glue_pair(p, uniform((1, 2), 3, [(0, 1)]))
 
 
+def test_coupling_laws_that_disagree_on_their_overlap_is_refused():
+    # no atom of the second law has the first's value 0 at index 1
+    p12 = SparseDistribution((0, 1), 2, {(0, 0): Fraction(1)})
+    p23 = SparseDistribution((1, 2), 2, {(1, 0): Fraction(1)})
+    m = MarkovTree(3, [(0, 1), (1, 2)], [(0, 1)])
+    with pytest.raises(Refused) as e:
+        dists.couple_markov_tree(m, [p12, p23])
+    assert e.value.doc == {
+        "error": "laws to couple disagree on their overlap",
+        "overlap": [1],
+        "key": [0],
+    }
+
+
 def test_glue_markov_tree_single_bag():
     m = MarkovTree(2, [(0, 1)])
     p = uniform_edge_dist((0, 1))

@@ -1,10 +1,10 @@
 """The package is what its program calls.
 
 Every top-level definition in src/homglue is reached from cli.main or from
-one of ENTRY_POINTS, no entry point is stale, every module uses every name
-it imports and the CLI loads every module. Test-only builders and oracles
-live under tests/. No check is an assert statement, and nothing is cached
-by a decorator.
+one of ENTRY_POINTS, no entry point is stale, every module of the package
+and every test file uses every name it imports and the CLI loads every
+module. Test-only builders and oracles live under tests/. No check is an
+assert statement, and nothing is cached by a decorator.
 
 Every exception class the package defines is named in some except clause
 of the package: a class that no caller tells apart from ValueError is a
@@ -190,15 +190,29 @@ def test_every_entry_point_exists_and_is_not_reached_from_the_cli():
     assert not stale, "ENTRY_POINTS names what cli.main already reaches: " + ", ".join(stale)
 
 
+def _unused(where, tree, imported):
+    used = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return ["%s imports %s" % (where, name) for name in imported if name not in used]
+
+
 def test_every_imported_name_is_used():
+    # in the package and in the test files alike
     unused = []
     for module, tree in sorted(TREES.items()):
-        used = {
-            node.id
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-        }
-        unused += ["%s.py imports %s" % (module, name) for name in IMPORTS[module] if name not in used]
+        unused += _unused(module + ".py", tree, IMPORTS[module])
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = [
+            alias.asname or alias.name.split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        unused += _unused("tests/" + path.name, tree, imported)
     assert not unused, "never used: " + ", ".join(unused)
 
 

@@ -2,12 +2,13 @@
 
 couple_markov_tree, minimum_covering_subfamily, retraction, isomorphisms,
 connected_graphs_up_to, marginal, strong_isomorphism,
-minimum_subdecomposition and induced_subgraph check nothing that their
-callers establish: a valid Markov tree with bag laws that fit it and agree
-on every tree edge, a kept family that induces a subtree, pins inside both
-graphs, a sweep within the committed table, a marginal onto a subset of the
-index set, valid decompositions, a nonempty set of host vertices and
-vertices of the graph. The checks at the CLI's entry points
+minimum_subdecomposition, induced_subgraph and induced_edges check nothing
+that their callers establish: a valid Markov tree with bag laws that fit it
+and agree on every tree edge, a kept family that induces a subtree, pins
+inside both graphs, a sweep within the committed table, a marginal onto a
+subset of the index set, valid decompositions, a nonempty set of host
+vertices, vertices of the graph and, for induced_edges, a sorted tuple of
+distinct ones. The checks at the CLI's entry points
 (validate_markov_tree, check_bag_dists and check_marginal_consistency for
 glue, validate_strong for the rest, min-subdec's --u check) and the sweep's
 own --max-n refusal are what make those hold. Where sidorenko._build

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homglue import serialize
+from homglue.cli import main
 from homglue.dists import SparseDistribution
 from homglue.markov import MarkovTree, TreeDecomposition
 from fixture_builders import bundled_strong_fixtures, c4
@@ -302,3 +303,93 @@ def test_detect_kind():
 def test_graph_invalid_on_load():
     with pytest.raises(ValueError):
         serialize.graph_from_json({"n": 2, "edges": [[0, 5]]})
+
+
+def _book_doc():
+    return serialize.strong_to_json(bundled_strong_fixtures()["book"])
+
+
+def _set(doc, path, value):
+    """doc with the value at the key path replaced by value."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# where book's second child restates its first: its host and its bag tree
+SECOND_HOST_EDGE = ["payload", "children", 1, "host", "edges", 0]
+SECOND_BAG_TREE = ["payload", "children", 1, "payload", "decomp", "markov", "tree"]
+
+
+def _one_bag_then_n(n):
+    """A level-1 decomposition of K2 whose one bag tree, (1, ()), comes
+    before a child host with vertex count n and no edges."""
+    k2 = {"n": 2, "edges": [[0, 1]]}
+    child = {"level": 0, "host": {"n": n, "edges": []}, "payload": {"base": {}}}
+    markov = {"ground_size": 2, "bags": [[0, 1]], "tree": []}
+    return {
+        "level": 1,
+        "host": k2,
+        "payload": {"decomp": {"host": k2, "markov": markov}, "children": [child]},
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_set(_book_doc(), SECOND_HOST_EDGE, [0, True]), "edge endpoints must be integers, not bool"),
+        (_set(_book_doc(), SECOND_HOST_EDGE, [0, 1.0]), "edge endpoints must be integers, not float"),
+        (_set(_book_doc(), SECOND_BAG_TREE, [[0, True]]), "tree edge endpoints must be integers, not bool"),
+        (_set(_book_doc(), SECOND_BAG_TREE, [[0, 1.0]]), "tree edge endpoints must be integers, not float"),
+        (
+            _one_bag_then_n(True),
+            "n must be an integer from 0 to %d, not true" % serialize.MAX_GRAPH_VERTICES,
+        ),
+        # the bags are checked before the bag tree is built
+        (
+            {
+                "level": 0,
+                "host": {"n": 2, "edges": [[0, 1]]},
+                "payload": {"base": {"ground_size": 2, "bags": [], "tree": [[0, 1]]}},
+            },
+            "at least one bag is required",
+        ),
+    ],
+    ids=["edge-true", "edge-1.0", "tree-true", "tree-1.0", "n-true", "no-bags-and-a-tree-edge"],
+)
+def test_a_later_graph_equal_to_an_earlier_one_is_still_checked(tmp_path, capsys, doc, message):
+    # True == 1 == 1.0 and they hash alike, so a graph a load has already
+    # built must not answer for one whose values fail the type checks
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot parse %s: %s\n" % (path, message)
+
+
+def _graphs(sd):
+    """Every Graph of sd: at each level its host, its decomposition's host
+    and its bag tree."""
+    found = [sd.host, sd.decomp.host, sd.decomp.markov.bag_tree]
+    for child in sd.children:
+        found += _graphs(child)
+    return found
+
+
+def test_one_load_builds_one_graph_per_distinct_graph_document():
+    doc = _book_doc()
+    first, second = serialize.strong_from_json(doc), serialize.strong_from_json(doc)
+    graphs = _graphs(first)
+    # book's 7 levels state 5 distinct graphs 21 times: 4 hosts (the book,
+    # the square and two paths on three vertices) and the two-bag tree
+    assert len(graphs) == 21
+    distinct = {(g.n, g.edges) for g in graphs}
+    assert len(distinct) == 5
+    assert len({id(g) for g in graphs}) == len(distinct)
+    assert first.host is first.decomp.host
+    assert first.children[0].host is first.children[1].host
+    assert first.decomp.markov.bag_tree is first.children[0].children[0].decomp.markov.bag_tree
+    assert not {id(g) for g in graphs} & {id(g) for g in _graphs(second)}

@@ -10,6 +10,7 @@ from helpers import (
     cut_square,
     minimum_subdecomposition_reference,
     random_level1,
+    random_level2,
     random_tree,
     record_preconditions,
     relabel_strong,
@@ -231,6 +232,84 @@ def _c4_twice(*children):
 )
 def test_validate_reports_one_fault_where_a_child_or_an_overlap_has_two(sd, expected):
     assert validate_strong(sd).violations == expected
+
+
+def _without_edge(g, k):
+    return Graph(g.n, g.edges[:k] + g.edges[k + 1 :])
+
+
+def _with_host(sd, host):
+    return StrongDecomposition(sd.level, host, sd.decomp, sd.children)
+
+
+def _with_decomp_host(sd, host):
+    return StrongDecomposition(
+        sd.level, sd.host, TreeDecomposition(host, sd.decomp.markov), sd.children
+    )
+
+
+def _with_child(sd, i, child):
+    children = list(sd.children)
+    children[i] = child
+    return StrongDecomposition(sd.level, sd.host, sd.decomp, tuple(children))
+
+
+def _edge_drops(sd, pick):
+    """(kind, path, corrupted copy of the valid sd) for one edge, the one
+    at index pick(graph), dropped from one graph: sd's decomposition host,
+    a child's host, a child's decomposition host or a grandchild's host."""
+    def drop(g):
+        return _without_edge(g, pick(g))
+
+    out = [("decomp-host-mismatch", [], _with_decomp_host(sd, drop(sd.decomp.host)))]
+    for i, child in enumerate(sd.children):
+        mis_hosted = _with_host(child, drop(child.host))
+        out.append(("child-host-mismatch", [i], _with_child(sd, i, mis_hosted)))
+        mis_decomposed = _with_decomp_host(child, drop(child.decomp.host))
+        out.append(("decomp-host-mismatch", [i], _with_child(sd, i, mis_decomposed)))
+        for j, grandchild in enumerate(child.children):
+            corrupt = _with_child(child, j, _with_host(grandchild, drop(grandchild.host)))
+            out.append(("child-host-mismatch", [i, j], _with_child(sd, i, corrupt)))
+    return out
+
+
+def _assert_one_step_reports(sd, pick):
+    """Each of sd's _edge_drops is reported as its one violation, also when
+    it is read back from its document (where the document can state it: a
+    level-0 document has no decomposition host of its own)."""
+    doc = serialize.strong_to_json(sd)
+    for kind, path, corrupt in _edge_drops(sd, pick):
+        expected = [{"kind": kind, "witness": {"path": path}}]
+        assert validate_strong(corrupt).violations == expected
+        corrupt_doc = json.loads(json.dumps(serialize.strong_to_json(corrupt)))
+        if corrupt_doc != doc:
+            assert validate_strong(serialize.strong_from_json(corrupt_doc)).violations == expected
+
+
+def test_one_dropped_edge_is_reported_where_it_was_dropped_on_the_fixtures():
+    fixtures = dict(bundled_strong_fixtures(), hexagon=hexagon_level2(), matching=matching_level1())
+    for name, sd in fixtures.items():
+        assert validate_strong(sd).ok, name
+        for pick in (lambda g: 0, lambda g: len(g.edges) - 1):
+            _assert_one_step_reports(sd, pick)
+
+
+def test_one_dropped_edge_is_reported_where_it_was_dropped_on_level2_draws():
+    rng = random.Random(34)
+    for _ in range(25):
+        sd = random_level2(rng, rng.randint(2, 4))
+        assert validate_strong(sd).ok
+        _assert_one_step_reports(sd, lambda g: rng.randrange(len(g.edges)))
+
+
+def test_a_child_host_with_an_extra_isolated_vertex_is_reported():
+    # its edges are still the bag's induced edges: only the vertex count differs
+    for name, sd in bundled_strong_fixtures().items():
+        for i, child in enumerate(sd.children):
+            wider = Graph(child.host.n + 1, child.host.edges)
+            corrupt = _with_child(sd, i, _with_host(child, wider))
+            expected = [{"kind": "child-host-mismatch", "witness": {"path": [i]}}]
+            assert validate_strong(corrupt).violations == expected, name
 
 
 def test_minimum_subdecomposition_c4():
