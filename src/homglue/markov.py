@@ -202,15 +202,15 @@ def minimum_covering_subfamily(m, u):
     induces a subtree, as ascending bag indices.
 
     m must be a valid Markov tree and u a nonempty collection of its
-    elements, as minimum_subdecomposition, the one caller, ensures. When
-    some bag holds all of u, that is (i,) for the lowest such bag i,
-    looked for first. Otherwise, starting from all bags, prunes a leaf of
-    the bags left while every element of u it holds is held by another bag
-    left. On a valid Markov tree this stops at the minimum family: a larger
-    family left has a leaf outside it, and a leaf of the minimum family is
-    the only bag left in some F(v), a subtree. Bags are read against a set
-    of u, never u against each bag, so the search is linear in the size of
-    the Markov tree.
+    elements, as its callers (minimum_subdecomposition and condition 3's
+    path test) ensure. When some bag holds all of u, that is (i,) for the
+    lowest such bag i, looked for first. Otherwise, starting from all bags,
+    prunes a leaf of the bags left while every element of u it holds is held
+    by another bag left. On a valid Markov tree this stops at the minimum
+    family: a larger family left has a leaf outside it, and a leaf of the
+    minimum family is the only bag left in some F(v), a subtree. Bags are
+    read against a set of u, never u against each bag, so the search is
+    linear in the size of the Markov tree.
     """
     wanted = set(u)
     for i, bag in enumerate(m.bags):

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 from .graphs import (
     Graph,
+    bfs,
     induced_edges,
     induced_subgraph,
     is_forest,
@@ -82,8 +83,15 @@ def validate_strong(sd, _path=()):
     overlap in one bag at every level below, so minimum_subdecomposition
     descends through the lowest such bag to a one-bag level-0 decomposition
     of K2 on both sides, and any injective pin between two K2s is a strong
-    isomorphism. Only two non-adjacent vertices, or three or more, reach
-    the search.
+    isomorphism. Only two non-adjacent vertices, or three or more, go on to
+    _condition3_holds, which settles two more cases from the decompositions
+    alone: equal children holding the overlap at the same positions (the
+    identity is a strong isomorphism), and, at level 1, two vertices whose
+    minimum covering family in each child is the path between them, of one
+    length on both sides (a host isomorphism walks one path onto the
+    other). The rest build both minimum sub-decompositions and search them,
+    and strong_isomorphism refuses bag trees that no strong isomorphism can
+    match before it tries any host map.
     """
     report = ValidationReport()
     path = list(_path)
@@ -155,17 +163,75 @@ def validate_document(kind, obj):
 
 
 def _condition3_holds(sd, i, j, inter):
+    """Whether children i and j of sd, above level 0 with every child
+    valid, have strongly isomorphic minimum sub-decompositions holding the
+    overlap inter of bags i and j (sorted host vertices), under the pin
+    sending each overlap vertex's copy on side i to its copy on side j.
+
+    Two cases are settled before either sub-decomposition is built:
+
+    - The children are equal and inter sits at the same positions in both
+      bags. The two sub-decompositions and their embeddings are then equal
+      too, the pin fixes each vertex it names, and the identity is a strong
+      isomorphism.
+    - At level 1, inter is two vertices and, in each level-0 child, the
+      minimum covering family has as many bags as the two vertices' distance
+      in the child's host tree, the same number on both sides. Bags joined
+      in a level-0 bag tree share a vertex, so the family's bags, which
+      induce a subtree, are the edges of a connected subgraph of the host
+      tree holding both vertices: it holds the path between them, and with
+      as many bags as that path has edges it is that path. Both
+      sub-decompositions are then the level-0 decomposition of a path of
+      that length with the pinned vertices at its ends, and a level-0 strong
+      isomorphism is a host isomorphism, which walks one path onto the other.
+
+    Otherwise the sub-decompositions are built and searched.
+    """
     m = sd.decomp.markov
+    child_i, child_j = sd.children[i], sd.children[j]
     pos_i = {v: k for k, v in enumerate(m.bags[i])}
     pos_j = {v: k for k, v in enumerate(m.bags[j])}
     u_i = tuple(pos_i[v] for v in inter)
     u_j = tuple(pos_j[v] for v in inter)
-    msd_i, emb_i = minimum_subdecomposition(sd.children[i], u_i)
-    msd_j, emb_j = minimum_subdecomposition(sd.children[j], u_j)
+    if u_i == u_j and _equal(child_i, child_j):
+        return True
+    if sd.level == 1 and len(inter) == 2:
+        bags_i, dist_i = _cover_and_distance(child_i, u_i)
+        bags_j, dist_j = _cover_and_distance(child_j, u_j)
+        if bags_i == dist_i and bags_j == dist_j and bags_i == bags_j:
+            return True
+    msd_i, emb_i = minimum_subdecomposition(child_i, u_i)
+    msd_j, emb_j = minimum_subdecomposition(child_j, u_j)
     inv_i = {v: k for k, v in enumerate(emb_i)}
     inv_j = {v: k for k, v in enumerate(emb_j)}
     pin = {inv_i[u_i[t]]: inv_j[u_j[t]] for t in range(len(inter))}
     return strong_isomorphism(msd_i, msd_j, pin) is not None
+
+
+def _equal(sd1, sd2):
+    """sd1 == sd2, compared level by level without recursion: the
+    dataclass's == recurses through the children, several frames a level,
+    and would pass the recursion limit on a chain of levels that a document
+    may hold and validate_strong walks."""
+    pairs = [(sd1, sd2)]
+    for a, b in pairs:  # grows while it is walked
+        if a is not b:
+            # equal decompositions have as many bags, so as many children
+            if (a.level, a.host, a.decomp) != (b.level, b.host, b.decomp):
+                return False
+            pairs.extend(zip(a.children, b.children))
+    return True
+
+
+def _cover_and_distance(child, u):
+    """(number of bags of the minimum covering family of the two host
+    vertices u in the valid level-0 child, their distance in its host)."""
+    keep = minimum_covering_subfamily(child.decomp.markov, u)
+    parent = bfs(child.host, u[:1])[1]
+    dist, v = 0, u[1]
+    while v != u[0]:
+        dist, v = dist + 1, parent[v]
+    return len(keep), dist
 
 
 def minimum_subdecomposition(sd, u):
@@ -210,14 +276,40 @@ def strong_isomorphism(sd1, sd2, pin=None):
     corresponding children is isomorphic. Returns None if no such map
     exists, as for decompositions of different levels. sd1 and sd2 must be
     valid (validate_strong) and the pins lie in the hosts, unchecked.
+
+    Above level 0 the bag trees are compared before any host map is
+    enumerated (_bag_trees_may_match). A strong isomorphism's bag map is a
+    bag-tree isomorphism sending each bag onto its image, which has the
+    same size and, the vertex map being a bijection that extends the pin,
+    holds the pinned images of exactly the bag's pinned vertices. When no
+    bag-tree isomorphism does that, None is the answer, however many host
+    maps extend the pin; otherwise the search runs as without the test, so
+    it returns the same map.
     """
     if sd1.level != sd2.level:
+        return None
+    pin = pin or {}
+    if sd1.level > 0 and not _bag_trees_may_match(sd1, sd2, pin):
         return None
     for phi in isomorphisms_pinned(sd1.host, sd2.host, pin):
         result = _structure_match(sd1, sd2, phi)
         if result is not None:
             return result
     return None
+
+
+def _bag_trees_may_match(sd1, sd2, pin):
+    """Whether the bag trees of sd1 and sd2, above level 0, have an
+    isomorphism sending each bag to one of the same size that holds the
+    pinned images of exactly its pinned vertices."""
+    images = set(pin.values())
+    shapes = [(len(bag), images.intersection(bag)) for bag in sd2.decomp.markov.bags]
+    allowed = {}
+    for i, bag in enumerate(sd1.decomp.markov.bags):
+        shape = (len(bag), {pin[v] for v in bag if v in pin})
+        allowed[i] = tuple(j for j, shape2 in enumerate(shapes) if shape2 == shape)
+    trees = sd1.decomp.markov.bag_tree, sd2.decomp.markov.bag_tree
+    return next(isomorphisms(*trees, allowed), None) is not None
 
 
 def is_strong_isomorphism(sd1, sd2, vertex_map):

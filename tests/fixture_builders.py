@@ -177,11 +177,50 @@ def hexagon_level2():
     return StrongDecomposition(2, host, TreeDecomposition(host, markov), children)
 
 
+def paths_of_two_lengths():
+    """Level-1 decomposition of the 5-cycle 0-1-4-3-2-0 with the pendant edge
+    4-5, in the bags {0, 1, 4, 5} and {0, 2, 3, 4}. Both bags induce a path
+    on four vertices, so the two children are equal, but the overlap {0, 4}
+    sits at positions 0 and 2 of the first and 0 and 3 of the second: its
+    minimum sub-decompositions are paths of two and three edges, and
+    condition 3 fails while everything else validates. Not written under
+    fixtures/."""
+    host = Graph(6, [(0, 1), (1, 4), (4, 5), (0, 2), (2, 3), (3, 4)])
+    markov = MarkovTree(6, [(0, 1, 4, 5), (0, 2, 3, 4)], [(0, 1)])
+    child = zero_strong(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+    return StrongDecomposition(1, host, TreeDecomposition(host, markov), (child, child))
+
+
+def star_beside_a_path(star_first):
+    """Level-1 decomposition of two bags sharing the non-adjacent vertices
+    0 and 1: the star {0, 1, 2, 3} centred at 2 and the path 0-4-5-1, with
+    the star's bag first when star_first. The star's child has the bag tree
+    {0, 2} - {2, 3} - {1, 2}, so its minimum covering family of {0, 1} is
+    all three bags, as many as the path's, though 0 and 1 are two apart in
+    the star: the family routes through a third edge. The minimum
+    sub-decompositions are the star and the path, and condition 3 fails
+    while everything else validates. Not written under fixtures/."""
+    host = Graph(6, [(0, 2), (1, 2), (2, 3), (0, 4), (4, 5), (1, 5)])
+    star_host = Graph(4, [(0, 2), (1, 2), (2, 3)])
+    # bags (0, 2), (1, 2) and (2, 3), with (2, 3) in the middle
+    routed = StrongDecomposition(
+        0, star_host, TreeDecomposition(star_host, MarkovTree(4, star_host.edges, [(0, 2), (1, 2)]))
+    )
+    # H[{0, 1, 4, 5}] relabelled: the path 0-2-3-1
+    path = zero_strong(Graph(4, [(0, 2), (2, 3), (1, 3)]))
+    parts = [((0, 1, 2, 3), routed), ((0, 1, 4, 5), path)]
+    if not star_first:
+        parts.reverse()
+    markov = MarkovTree(6, [bag for bag, _ in parts], [(0, 1)])
+    children = tuple(child for _, child in parts)
+    return StrongDecomposition(1, host, TreeDecomposition(host, markov), children)
+
+
 # Condition 3's worst cases (ROADMAP item 2): decompositions built over
 # named vertices, whose minimum sub-decompositions across a bag overlap are
-# valid and alike in every count, yet not strongly isomorphic, so that the
-# search tries every pinned host isomorphism before it answers None. None of
-# them is written under fixtures/.
+# valid and alike in every count, yet not strongly isomorphic, so that a
+# search of host maps alone tries every pinned host isomorphism before it
+# answers None. None of them is written under fixtures/.
 
 
 def _level0(edges):
@@ -242,7 +281,9 @@ def family_a(m, legs1, legs2):
     with the children S(m; legs1) and S(m; legs2). Every part is valid, and
     the two bags' overlap {x, z, y} is three isolated vertices whose
     minimum sub-decompositions are the whole children. For legs1 != legs2,
-    condition 3 fails, but only once all m! maps of the c's are tried."""
+    condition 3 fails, but a search of host maps alone finds that only once
+    all m! maps of the c's are tried; with x, z and y pinned to the leaves
+    of the bag trees, those trees match only for equal legs."""
     halves = [(a, a + 1, range(a + 2, a + 2 + m), legs) for a, legs in ((3, legs1), (m + 5, legs2))]
     return _two_spiders(0, 1, 2, halves)[1]
 
@@ -265,12 +306,36 @@ def family_b(m, legs1, legs2):
     return _level_up(parts, [(0, 1)])[1]
 
 
-def _square(cycle, start):
-    """(labels, level-1 decomposition) of the 4-cycle through the four named
+def _cut_cycle(cycle, start):
+    """(labels, level-1 decomposition) of the even cycle through the named
     vertices of cycle, in cycle order, cut into the two paths between
     cycle[start] and the vertex opposite it."""
-    a, b, c, d = cycle[start:] + cycle[:start]
-    return _level_up([_level0([(a, b), (b, c)]), _level0([(c, d), (d, a)])], [(0, 1)])
+    turn = cycle[start:] + cycle[:start]
+    half = len(turn) // 2
+    paths = turn[: half + 1], turn[half:] + turn[:1]
+    return _level_up([_level0(list(zip(p, p[1:]))) for p in paths], [(0, 1)])
+
+
+def random_even_cycle(rng, m):
+    """Level-1 decomposition of the 2m-cycle, as the benchmark's generator
+    builds it: the cycle randomly labelled and cut at a random antipodal
+    pair. The bags' overlap is that pair, two vertices at distance m."""
+    n = 2 * m
+    return _cut_cycle(rng.sample(range(n), n), rng.randrange(n))[1]
+
+
+def two_bag_covers_at_level_2():
+    """Level-2 decomposition of two bags sharing the non-adjacent vertices
+    0 and 1: {0, 1, 2}, the path 0-2-1 cut into the bags {0, 2} and {1, 2},
+    and {0, 1, 3, 4}, the path 0-3-1 with the pendant edge 3-4, cut into
+    {0, 3, 4} and {1, 3}. On both sides the minimum covering family of
+    {0, 1} has two bags, as many as the two vertices' distance, but bags
+    above level 0 are not edges: the minimum sub-decompositions, the whole
+    children, have hosts of three and four vertices, and condition 3 fails
+    while everything else validates. Not written under fixtures/."""
+    first = _level_up([_level0([(0, 2)]), _level0([(1, 2)])], [(0, 1)])
+    second = _level_up([_level0([(0, 3), (3, 4)]), _level0([(1, 3)])], [(0, 1)])
+    return _level_up([first, second], [(0, 1)])[1]
 
 
 def random_book(rng, pages):
@@ -278,7 +343,7 @@ def random_book(rng, pages):
     the spine edge {0, 1}, one bag per page, as the benchmark's generator
     builds it: each page cut at a random opposite pair and the pages joined
     by a random tree. Every bag overlap is the spine."""
-    squares = [_square([0, 2 + 2 * i, 3 + 2 * i, 1], rng.randrange(4)) for i in range(pages)]
+    squares = [_cut_cycle([0, 2 + 2 * i, 3 + 2 * i, 1], rng.randrange(4)) for i in range(pages)]
     return _level_up(squares, [(rng.randrange(i), i) for i in range(1, pages)])[1]
 
 
@@ -288,7 +353,7 @@ def random_ladder(rng, rungs):
     at a random opposite pair and the squares joined by a path. Every bag
     overlap is a rung, one edge."""
     k = rungs + 1
-    squares = [_square([i, i + 1, k + i + 1, k + i], rng.randrange(4)) for i in range(rungs)]
+    squares = [_cut_cycle([i, i + 1, k + i + 1, k + i], rng.randrange(4)) for i in range(rungs)]
     return _level_up(squares, [(i, i + 1) for i in range(rungs - 1)])[1]
 
 

@@ -438,9 +438,10 @@ def random_copy_plan(rng, h, num_copies):
     which induces a forest in h (every vertex set of a tree does, and so
     does every proper subset of a 4-cycle). The shared sets range over the
     empty set (adjacent disjoint bags), one vertex, one edge, two
-    non-adjacent vertices and forests of three or four vertices, so both of
-    validate_strong's ways of settling condition 3 are taken. The last copy
-    is a leaf of the bag tree."""
+    non-adjacent vertices and forests of three or four vertices, so
+    validate_strong settles condition 3 by the overlap's shape, by the
+    children alone and by the search. The last copy is a leaf of the bag
+    tree."""
     return [
         (rng.randrange(j), rng.sample(range(h.n), rng.randint(0, min(4, h.n - 1))))
         for j in range(1, num_copies)

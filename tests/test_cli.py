@@ -786,14 +786,22 @@ def test_entropy_report_on_a_long_level0_path(tmp_path, capsys):
 
 
 def test_a_two_bag_path_past_the_recursion_limit_validates_and_answers(tmp_path, capsys):
-    # condition 3 pins all 1 200 vertices of the two children's shared path,
-    # and the isomorphism search places them one by one, with no recursion
-    # per vertex
+    # each of two bags holds the whole path on 1 200 vertices, and their
+    # children split it into one bag and into two. The two-bag child's own
+    # children are equal, which settles its condition 3; the top's differ,
+    # so condition 3 pins all 1 200 vertices between their minimum
+    # sub-decompositions, both the path's level-0 decomposition, and the
+    # isomorphism search places them one by one, with no recursion per
+    # vertex
     n = 1200
     path = Graph(n, [(v, v + 1) for v in range(n - 1)])
-    markov = MarkovTree(n, [range(n), range(n)], [(0, 1)])
-    child = zero_strong(path)
-    sd = StrongDecomposition(1, path, TreeDecomposition(path, markov), (child, child))
+    level0 = zero_strong(path)
+
+    def whole(bags):
+        markov = MarkovTree(n, [range(n)] * bags, [(k, k + 1) for k in range(bags - 1)])
+        return StrongDecomposition(1, path, TreeDecomposition(path, markov), (level0,) * bags)
+
+    sd = StrongDecomposition(2, path, whole(2).decomp, (whole(1), whole(2)))
     decomp = tmp_path / "two_bags.json"
     decomp.write_text(json.dumps(serialize.strong_to_json(sd)))
     code, report = run(capsys, "validate", str(decomp))

@@ -34,6 +34,7 @@ from fixture_builders import (
     bundled_strong_fixtures,
     c4,
     c4_fixture,
+    family_a,
     k2,
     k3,
     path3,
@@ -295,11 +296,20 @@ def test_entropy_identity_at_each_gluing_step():
 def test_searches_leave_no_reference_cycle():
     # a nested function that calls itself holds its own closure cell: a cycle
     # that outlives the call until the cyclic collector runs
+    book = book_fixture()
+    family = family_a(10, (7, 1, 1), (1, 1, 7))
+    # x, z and y, the lowest labels, sit at positions 0, 1 and 2 of both bags
+    spiders = family.children
     calls = {
         "hom_count": lambda: hom_count(c4(), k3()),
         "isomorphisms_pinned": lambda: list(isomorphisms_pinned(c4(), c4())),
         "dropped generator": lambda: next(isomorphisms_pinned(c4(), c4())),
         "brw_distribution": lambda: brw_distribution(path3(), k3()),
+        "validate_strong": lambda: validate_strong(book),
+        # the spiders' overlaps, settled by their equal children, and the
+        # spiders' bag trees, refused under the pin
+        "family A": lambda: validate_strong(family),
+        "family A's search": lambda: strong_isomorphism(*spiders, {0: 0, 1: 1, 2: 2}),
     }
     enabled = gc.isenabled()
     gc.disable()

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -8,7 +9,9 @@ from helpers import (
     _brute_force_bag_map,
     brute_force_strong_isomorphism,
     cut_square,
+    glue_copies,
     minimum_subdecomposition_reference,
+    random_copy_plan,
     random_level1,
     random_level2,
     random_tree,
@@ -18,7 +21,7 @@ from helpers import (
 )
 from homglue import serialize, strong
 from homglue.cli import main
-from homglue.graphs import Graph, vertex_set
+from homglue.graphs import Graph, isomorphisms_pinned, vertex_set
 from homglue.markov import MarkovTree, TreeDecomposition
 from homglue.strong import (
     StrongDecomposition,
@@ -41,11 +44,15 @@ from fixture_builders import (
     matching_level1,
     mixed_levels_condition3,
     path_fixture,
+    paths_of_two_lengths,
     random_book,
+    random_even_cycle,
     random_ladder,
     spider,
     star,
+    star_beside_a_path,
     star_fixture,
+    two_bag_covers_at_level_2,
 )
 
 
@@ -120,22 +127,46 @@ def _levels_above_0(sd):
             yield from _levels_above_0(child)
 
 
+def _searched(sd, i, j, inter):
+    """Condition 3 on the overlap inter of bags i and j of sd, decided by the
+    full search: both children's minimum sub-decompositions holding inter,
+    then strong_isomorphism under the pin that sends each overlap vertex's
+    copy on side i to its copy on side j."""
+    m = sd.decomp.markov
+    pins = []
+    for b in (i, j):
+        bag = m.bags[b]
+        msd, embedding = minimum_subdecomposition(sd.children[b], [bag.index(v) for v in inter])
+        pins.append((msd, [embedding.index(bag.index(v)) for v in inter]))
+    (msd_i, pin_i), (msd_j, pin_j) = pins
+    return strong_isomorphism(msd_i, msd_j, dict(zip(pin_i, pin_j))) is not None
+
+
+def _record_calls(monkeypatch, name):
+    """The list that records the arguments of every later call to
+    strong.name, which is wrapped where the package calls it."""
+    calls = []
+    real = getattr(strong, name)
+    monkeypatch.setattr(strong, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def _relabelled(rng, sd):
+    perm = list(range(sd.host.n))
+    rng.shuffle(perm)
+    return relabel_strong(sd, perm, rng)
+
+
 def test_condition3_search_holds_on_every_one_vertex_and_one_edge_overlap():
     # validate_strong settles these overlaps by their shape, without a
     # search; the full search must find an isomorphism on every one of them
     rng = random.Random(61)
-
-    def relabelled(sd):
-        perm = list(range(sd.host.n))
-        rng.shuffle(perm)
-        return relabel_strong(sd, perm, rng)
-
     decompositions = [*bundled_strong_fixtures().values(), hexagon_level2()]
     for build in (family_a, family_b):
         decompositions += build(4, (1, 1, 1), (0, 1, 2)).children
     decompositions += [random_level1(rng, rng.randint(2, 5), 4) for _ in range(20)]
-    decompositions += [relabelled(random_book(rng, pages)) for pages in (1, 2, 3, 4, 5)]
-    decompositions += [relabelled(random_ladder(rng, rungs)) for rungs in (1, 2, 3, 4, 5)]
+    decompositions += [_relabelled(rng, random_book(rng, pages)) for pages in (1, 2, 3, 4, 5)]
+    decompositions += [_relabelled(rng, random_ladder(rng, rungs)) for rungs in (1, 2, 3, 4, 5)]
     checked = {1: 0, 2: 0}
     for sd in decompositions:
         assert validate_strong(sd).ok
@@ -144,32 +175,114 @@ def test_condition3_search_holds_on_every_one_vertex_and_one_edge_overlap():
             for i, j in m.tree:
                 inter = vertex_set(set(m.bags[i]) & set(m.bags[j]))
                 if len(inter) == 1 or (len(inter) == 2 and part.host.has_edge(*inter)):
-                    assert strong._condition3_holds(part, i, j, inter), (part, i, j)
+                    assert _searched(part, i, j, inter), (part, i, j)
                     checked[len(inter)] += 1
     assert checked[1] > 0 and checked[2] > 0, checked
+
+
+def test_condition3_rules_answer_only_where_the_full_search_holds(monkeypatch):
+    # _condition3_holds answers without a sub-decomposition on equal
+    # children holding the overlap at the same positions (the identity
+    # rule) and, at level 1, on two vertices whose covering families are
+    # paths of one length (the path rule); the full search must hold on
+    # every overlap either rule settles
+    rng = random.Random(67)
+    decompositions = [c4_fixture(), book_fixture(), hexagon_level2()]
+    decompositions += [_relabelled(rng, random_book(rng, pages)) for pages in (1, 2, 3, 4, 5)]
+    decompositions += [_relabelled(rng, random_ladder(rng, rungs)) for rungs in (1, 2, 3, 4, 5)]
+    decompositions += [random_even_cycle(rng, m) for m in (2, 3, 4, 5, 6) for _ in range(3)]
+    for _ in range(12):
+        base = cut_square(c4(), *rng.choice(((0, 2), (1, 3))))
+        plan = random_copy_plan(rng, base.host, rng.randint(2, 4))
+        decompositions.append(glue_copies(base, plan, rng))
+    decompositions += [random_level2(rng, rng.randint(2, 4)) for _ in range(12)]
+    built = _record_calls(monkeypatch, "minimum_subdecomposition")
+    walked = _record_calls(monkeypatch, "_cover_and_distance")
+    settled = {"identity": 0, "path": 0}
+    for sd in decompositions:
+        assert validate_strong(sd).ok
+        for part in _levels_above_0(sd):
+            m = part.decomp.markov
+            for i, j in m.tree:
+                inter = vertex_set(set(m.bags[i]) & set(m.bags[j]))
+                if not inter:
+                    continue
+                del built[:], walked[:]
+                holds = strong._condition3_holds(part, i, j, inter)
+                if not built:
+                    assert holds and _searched(part, i, j, inter), (part, i, j)
+                    settled["path" if walked else "identity"] += 1
+    assert settled["identity"] > 0 and settled["path"] > 0, settled
 
 
 @pytest.mark.parametrize(
     "build, searches",
     # book: the spine {0, 1} is an edge, and each square's overlap an
-    # opposite pair; hexagon: the overlap {0, 3} is no edge, and each
-    # child's overlap is one; c4: the overlap {0, 2} is no edge
-    [(book_fixture, 2), (hexagon_level2, 1), (c4_fixture, 1)],
+    # opposite pair, whose covering families are paths of two edges; c4:
+    # the overlap {0, 2} likewise; hexagon: the overlap {0, 3} is no edge,
+    # between unequal level-1 children, and each child's overlap is an edge
+    [(book_fixture, 0), (hexagon_level2, 1), (c4_fixture, 0)],
     ids=["book", "hexagon", "c4"],
 )
-def test_validate_searches_only_overlaps_that_are_not_a_vertex_or_an_edge(
+def test_validate_searches_only_overlaps_the_decompositions_leave_open(
     monkeypatch, build, searches
 ):
-    calls = []
-    search = strong.strong_isomorphism
-
-    def counted(*args):
-        calls.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(strong, "strong_isomorphism", counted)
+    calls = _record_calls(monkeypatch, "strong_isomorphism")
     assert validate_strong(build()).ok
     assert len(calls) == searches
+
+
+@pytest.mark.parametrize(
+    "build, intersection",
+    [
+        # minimum sub-decompositions that are paths of two and three edges,
+        # of unequal children, and of equal children holding the overlap at
+        # other positions
+        (bad_condition3_fixture, [0, 2]),
+        (paths_of_two_lengths, [0, 4]),
+        # a covering family of as many bags as the path on the other side
+        # that routes through a third edge of a star, on either side
+        (lambda: star_beside_a_path(True), [0, 1]),
+        (lambda: star_beside_a_path(False), [0, 1]),
+        # covering families of as many bags as the distance, above level 1
+        (two_bag_covers_at_level_2, [0, 1]),
+    ],
+    ids=["unequal-children", "equal-children", "star-first", "star-second", "level-2"],
+)
+def test_condition3_failures_that_resemble_a_rule_reach_the_search(
+    monkeypatch, build, intersection
+):
+    calls = _record_calls(monkeypatch, "strong_isomorphism")
+    sd = build()
+    assert all(validate_strong(child).ok for child in sd.children)
+    assert validate_strong(sd).violations == [
+        {
+            "kind": "sub-decomposition-not-isomorphic",
+            "witness": {"path": [], "edge": [0, 1], "intersection": intersection},
+        }
+    ]
+    assert len(calls) == 1
+
+
+def _chain(level):
+    """The path 0-1-2 decomposed into one bag at every level from level
+    down to 0."""
+    p3 = Graph(3, [(0, 1), (1, 2)])
+    sd = zero_strong(p3)
+    for k in range(1, level + 1):
+        sd = StrongDecomposition(k, p3, TreeDecomposition(p3, MarkovTree(3, [(0, 1, 2)])), (sd,))
+    return sd
+
+
+def test_condition3_on_equal_children_a_third_of_the_recursion_limit_deep():
+    # the children are equal but distinct, and compared level by level
+    # without recursion; the dataclass's == takes several frames a level
+    level = sys.getrecursionlimit() // 3
+    first, second = _chain(level - 1), _chain(level - 1)
+    p3 = first.host
+    markov = MarkovTree(3, [(0, 1, 2), (0, 1, 2)], [(0, 1)])
+    sd = StrongDecomposition(level, p3, TreeDecomposition(p3, markov), (first, second))
+    assert validate_strong(sd).ok
 
 
 def test_child_host_mismatch_flagged():
@@ -673,9 +786,10 @@ def test_constructor_messages_for_each_payload_shape():
         StrongDecomposition(1, host, td, (zero_strong(host),))
 
 
-# Condition 3's worst cases (ROADMAP item 2), whose search tries every pinned
-# host isomorphism before it answers. No time bound holds them yet: at m = 7,
-# family A takes about half a second.
+# Condition 3's worst cases (ROADMAP item 2), whose search would try every
+# pinned host isomorphism before it answers. strong_isomorphism refuses
+# family A's bag trees before it tries any; family B's match, its children
+# differ one level down, and at m = 6 it takes about a second.
 
 
 @pytest.mark.parametrize(
@@ -717,3 +831,25 @@ def test_strong_isomorphism_of_spiders_pinned_at_x_y_and_z_matches_brute_force()
     expected = brute_force_strong_isomorphism(first, copy, pin)
     assert expected is not None
     assert _iso_pair(strong_isomorphism(first, copy, pin)) == expected
+
+
+@pytest.mark.parametrize("m", [5, 6, 7, 8, 9, 10])
+def test_family_a_is_refused_before_any_host_map_is_tried(monkeypatch, m):
+    # with x, z and y pinned the children's bag trees cannot match, so the
+    # search ends before any of the m! maps of the c's; were one tried, the
+    # test would fail at once
+    def no_maps(*args):
+        for phi in isomorphisms_pinned(*args):
+            raise AssertionError("host map %r tried" % (phi,))
+        return iter(())
+
+    calls = _record_calls(monkeypatch, "strong_isomorphism")
+    monkeypatch.setattr(strong, "isomorphisms_pinned", no_maps)
+    sd = family_a(m, (m - 3, 1, 1), (1, 1, m - 3))
+    assert validate_strong(sd).violations == [
+        {
+            "kind": "sub-decomposition-not-isomorphic",
+            "witness": {"path": [], "edge": [0, 1], "intersection": [0, 1, 2]},
+        }
+    ]
+    assert len(calls) == 1
