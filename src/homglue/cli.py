@@ -217,7 +217,10 @@ def cmd_entropy_report(args):
     return 0
 
 
-def build_parser():
+def build_parser(subparsers=None):
+    """The homglue argument parser. When the dict subparsers is given, each
+    subcommand's own parser is put in it under the subcommand's name as it
+    is added."""
     parser = argparse.ArgumentParser(
         prog="homglue",
         description="Markov-tree gluing, strong tree decompositions, and "
@@ -225,38 +228,39 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="validate a JSON document")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_validate)
+    def add(name, func, **kwargs):
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(func=func)
+        if subparsers is not None:
+            subparsers[name] = p
+        return p
 
-    p = sub.add_parser("assoc", help="associated distribution of a decomposition")
+    p = add("validate", cmd_validate, help="validate a JSON document")
+    p.add_argument("path")
+
+    p = add("assoc", cmd_assoc, help="associated distribution of a decomposition")
     p.add_argument("decomp")
     p.add_argument("target")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_assoc)
 
-    p = sub.add_parser("glue", help="glue bag distributions along a Markov tree")
+    p = add("glue", cmd_glue, help="glue bag distributions along a Markov tree")
     p.add_argument("instance", help='JSON with "markov" and "bag_dists"')
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_glue)
 
-    p = sub.add_parser("min-subdec", help="minimum sub-decomposition containing --u")
+    p = add("min-subdec", cmd_min_subdec, help="minimum sub-decomposition containing --u")
     p.add_argument("decomp")
     p.add_argument("--u", required=True, help="comma-separated vertex list")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_min_subdec)
 
-    p = sub.add_parser("sidorenko-sweep", help="gap table over small connected targets")
+    p = add("sidorenko-sweep", cmd_sidorenko_sweep, help="gap table over small connected targets")
     p.add_argument("decomp")
     p.add_argument("--max-n", type=int, default=5)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sidorenko_sweep)
 
-    p = sub.add_parser("entropy-report", help="entropy/bound report for one target")
+    p = add("entropy-report", cmd_entropy_report, help="entropy/bound report for one target")
     p.add_argument("decomp")
     p.add_argument("target")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_entropy_report)
 
     return parser
 
@@ -264,11 +268,31 @@ def build_parser():
 # Built once per process: setting up argparse costs more than most jobs.
 # parse_args keeps no state between calls, and usage text is formatted
 # when it is printed, so every call parses as a fresh parser would.
-_PARSER = build_parser()
+_SUBPARSERS = {}
+_PARSER = build_parser(_SUBPARSERS)
+
+
+def _parse_args(argv):
+    """_PARSER.parse_args(argv), with the same namespace, output and exit.
+
+    When argv[0] names a subcommand, _PARSER hands all of argv[1:] to that
+    subcommand's parser and sets command to its name; a subparser's usage
+    text, errors and help are its own either way. So that parser reads
+    argv[1:] directly, which skips the top-level pass over argv. Only
+    arguments it leaves unrecognised are _PARSER's to report, and then, as
+    when argv[0] names no subcommand, _PARSER parses argv itself.
+    """
+    if argv:
+        sub = _SUBPARSERS.get(argv[0])
+        if sub is not None:
+            args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if not rest:
+                return args
+    return _PARSER.parse_args(argv)
 
 
 def main(argv=None):
-    args = _PARSER.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except Refused as e:

@@ -30,7 +30,8 @@ class Graph:
     checks the vertex count and every edge, and canonicalizes the edges.
     Graphs are immutable, so serialize.strong_from_json builds one per
     distinct host and bag tree of a document and shares it, once each
-    occurrence has passed the loader's checks. What the program derives
+    occurrence has passed the loader's checks, and does the same for the
+    document's Markov trees, tree decompositions and sub-decompositions. What the program derives
     from valid graphs (induced subgraphs, among them the bag trees of
     retractions, line graphs and the bag trees of line-graph Markov trees)
     goes through the unchecked _trusted constructor instead; only this

@@ -26,7 +26,10 @@ class MarkovTree:
     the one for Markov trees that enter the program. Once the bags pass,
     graph(len(bags), tree) builds the bag tree: Graph by default, and a
     loader's per-load table, which gives equal arguments one Graph, when
-    serialize.strong_from_json reads a document. A retraction, derived
+    serialize.strong_from_json reads a document. That load also gives equal
+    Markov tree documents one MarkovTree, built here once, so one
+    decomposition may hold the same object at several bags: like a Graph,
+    a MarkovTree is never changed once built. A retraction, derived
     from a valid tree decomposition, and the line-graph Markov tree of a
     valid tree go through the unchecked _trusted constructor instead; only
     this module calls it.

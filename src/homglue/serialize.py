@@ -13,8 +13,9 @@ Formats:
                       (index_set strictly ascending; key i is the value at
                        index_set[i]; each key listed once)
 All round trips are bit-exact. One strong decomposition load builds one
-Graph per distinct host and bag tree of the document (see strong_from_json);
-every occurrence still passes every check. Every CLI answer is laid out as
+object per distinct graph, Markov tree, tree decomposition and
+sub-decomposition of the document (see strong_from_json and _Load); every
+occurrence still passes every check. Every CLI answer is laid out as
 json.dumps(doc, indent=1, sort_keys=True) lays it out: a distribution by
 distribution_to_text, every other answer by json_text.
 distribution_to_text joins its atoms' text from column iterators (fixed
@@ -65,8 +66,7 @@ def graph_from_json(doc):
 
 def _graph_from_json(doc, graph):
     """The Graph of a graph document, built by graph(n, edges) once n and
-    every endpoint are checked to be ints: Graph, or strong_from_json's
-    per-load table."""
+    every endpoint are checked to be ints: Graph, or a _Load's table."""
     n = _bounded_size(doc, "n")
     require_ints(doc["edges"], "edge endpoints")
     return graph(n, tuple(map(tuple, doc["edges"])))
@@ -81,16 +81,17 @@ def markov_to_json(m):
 
 
 def markov_from_json(doc):
-    return _markov_from_json(doc, Graph)
+    return _markov_from_json(doc, MarkovTree)
 
 
-def _markov_from_json(doc, graph):
-    """The MarkovTree of a Markov tree document, whose bag tree graph builds
-    once the constructor has checked the bags (see _graph_from_json)."""
+def _markov_from_json(doc, markov):
+    """The MarkovTree of a Markov tree document, built by markov(ground_size,
+    bags, tree) once ground_size and every bag element and tree endpoint
+    are checked to be ints: MarkovTree, or a _Load's table."""
     ground_size = _bounded_size(doc, "ground_size")
     require_ints(doc["bags"], "bag elements")
     require_ints(doc["tree"], "tree edge endpoints")
-    return MarkovTree(ground_size, doc["bags"], tuple(map(tuple, doc["tree"])), graph)
+    return markov(ground_size, tuple(map(tuple, doc["bags"])), tuple(map(tuple, doc["tree"])))
 
 
 def tree_decomposition_to_json(d):
@@ -98,12 +99,12 @@ def tree_decomposition_to_json(d):
 
 
 def tree_decomposition_from_json(doc):
-    return _tree_decomposition_from_json(doc, Graph)
+    return _tree_decomposition_from_json(doc, _Load())
 
 
-def _tree_decomposition_from_json(doc, graph):
-    return TreeDecomposition(
-        _graph_from_json(doc["host"], graph), _markov_from_json(doc["markov"], graph)
+def _tree_decomposition_from_json(doc, load):
+    return load.decomp(
+        _graph_from_json(doc["host"], load.graph), _markov_from_json(doc["markov"], load.markov)
     )
 
 
@@ -119,46 +120,83 @@ def strong_to_json(sd):
     return out
 
 
+class _Load:
+    """The tables of one load, which make its equal parts one object.
+
+    Graphs and Markov trees are keyed by the ints read for them, looked up
+    only once every one of those is checked to be an int: a bool or a
+    float equal to an int seen before is refused, as it is anywhere. The
+    checks that come later, those of Graph and of MarkovTree, are functions
+    of the key alone, so a key seen before has passed them already. Tree
+    decompositions and strong decompositions are keyed by their level and
+    the identities of their parts, which the tables already share, and
+    their constructors' checks are functions of that key too. The tables
+    hold every part they name, so no identity in a key is reused while
+    they live.
+    """
+
+    def __init__(self):
+        self.graphs, self.markovs, self.decomps, self.strongs = {}, {}, {}, {}
+
+    def graph(self, n, edges):
+        g = self.graphs.get((n, edges))
+        if g is None:
+            g = self.graphs[n, edges] = Graph(n, edges)
+        return g
+
+    def markov(self, ground_size, bags, tree):
+        key = ground_size, bags, tree
+        m = self.markovs.get(key)
+        if m is None:
+            m = self.markovs[key] = MarkovTree(ground_size, bags, tree, self.graph)
+        return m
+
+    def decomp(self, host, markov):
+        key = id(host), id(markov)
+        d = self.decomps.get(key)
+        if d is None:
+            d = self.decomps[key] = TreeDecomposition(host, markov)
+        return d
+
+    def strong(self, level, host, decomp, children=()):
+        key = level, id(host), id(decomp), tuple(map(id, children))
+        sd = self.strongs.get(key)
+        if sd is None:
+            sd = self.strongs[key] = StrongDecomposition(level, host, decomp, children)
+        return sd
+
+
 def strong_from_json(doc):
     """The StrongDecomposition of a strong decomposition document.
 
-    A document restates small graphs many times: every level states its
-    host twice (host and payload.decomp.host), and most bag trees are one
-    or two edges. So one load keeps one table, keyed by a graph's vertex
-    count and its edge tuple as read, and every host, decomp host and bag
-    tree with the same JSON in the document becomes one Graph, checked and
-    given its adjacency once. Every occurrence still passes every check
-    that comes before the lookup (the vertex count's, the int check of
-    every value and the MarkovTree bag checks, in that order), so a bool or
-    a float that equals an int seen before is refused as it is everywhere.
-    The table lives for this call alone; two loads share no Graph.
+    A document restates small pieces many times: every level states its
+    host twice (host and payload.decomp.host), most bag trees are one or
+    two edges, and the bags of a higher-order decomposition carry copies of
+    one lower-level decomposition. So one load keeps one _Load, and every
+    graph, Markov tree, tree decomposition and sub-decomposition equal, as
+    read, to an earlier one is that earlier object: validate_strong then
+    checks a repeated child once. Every occurrence still passes, in the
+    same order, every check that comes before its lookup: the sizes' and
+    the int check of every value it holds. The tables live for this call
+    alone; two loads share no object.
     """
-    table = {}
-
-    def graph(n, edges):
-        g = table.get((n, edges))
-        if g is None:
-            g = table[n, edges] = Graph(n, edges)
-        return g
-
-    return _strong_from_json(doc, graph)
+    return _strong_from_json(doc, _Load())
 
 
-def _strong_from_json(doc, graph):
-    host = _graph_from_json(doc["host"], graph)
+def _strong_from_json(doc, load):
+    host = _graph_from_json(doc["host"], load.graph)
     payload = doc["payload"]
     level = _bounded_size(doc, "level")
     if "base" in payload:
-        return StrongDecomposition(
-            level, host, TreeDecomposition(host, _markov_from_json(payload["base"], graph))
-        )
-    decomp = _tree_decomposition_from_json(payload["decomp"], graph)
-    children = tuple(_strong_from_json(c, graph) for c in payload["children"])
+        markov = _markov_from_json(payload["base"], load.markov)
+        return load.strong(level, host, load.decomp(host, markov))
+    decomp = _tree_decomposition_from_json(payload["decomp"], load)
+    children = tuple(_strong_from_json(c, load) for c in payload["children"])
     if not children:  # a decomp payload needs children; level 0 is spelt with base
         raise ValueError(
             "one child per bag is required" if level else "level 0 requires a base payload only"
         )
-    return StrongDecomposition(level, host, decomp, children)
+    return load.strong(level, host, decomp, children)
 
 
 def distribution_to_json(p):

@@ -69,12 +69,29 @@ def zero_strong(t):
     return StrongDecomposition(0, t, TreeDecomposition(t, line_graph_markov_tree(t)))
 
 
-def validate_strong(sd, _path=()):
+def validate_strong(sd, _path=(), _valid=None):
     """Recursive check of the level-0 shape and the three level-k conditions.
 
     Violations carry the path of bag indices from the root to the failure.
     A child's host is compared with the host's induced subgraph on its bag
     by vertex count and induced_edges, with no Graph built.
+
+    One top-level call keeps the identities of the children it has found
+    valid, and a child met again at a later path (serialize.strong_from_json
+    makes equal sub-documents one object) is not walked again: whether it
+    is valid does not depend on its path. A child with violations is walked
+    at every path, so each of them is reported there.
+
+    At level 0, once the host is a tree with an edge, the bags are its
+    edges and every bag-tree edge joins two bags that share a vertex, a bag
+    tree that is a tree is a spanning tree of the host's line graph, and
+    the Markov tree is valid. That line graph is a block graph whose blocks
+    are the cliques of the edges at each host vertex, and a spanning tree
+    of a connected graph restricts to a spanning tree of each of its
+    blocks. So the bags holding a vertex are connected in the bag tree
+    (running intersection), and every vertex of a tree with an edge lies on
+    one (coverage). validate_markov_tree then runs only when some check
+    failed, to write its report.
 
     Condition 3 is checked only once every child is valid, and an overlap
     of at most two vertices is settled by its shape. It is a forest. When
@@ -111,6 +128,8 @@ def validate_strong(sd, _path=()):
                 report.add(
                     "base-tree-not-in-line-graph", {"path": path, "edge": [i, j]}
                 )
+        if report.ok and is_tree(m.bag_tree):
+            return report  # a spanning tree of the line graph
         # the bags are the host's edges, so edge coverage holds already
         inner = validate_markov_tree(m)
     else:
@@ -119,6 +138,7 @@ def validate_strong(sd, _path=()):
         report.add(v["kind"], {"path": path, **v["witness"]})
     if sd.level == 0:
         return report
+    valid = set() if _valid is None else _valid  # ids of children found valid
     for i, bag in enumerate(m.bags):
         child = sd.children[i]
         if child.level != sd.level - 1:
@@ -127,7 +147,11 @@ def validate_strong(sd, _path=()):
         if child.host.n != len(bag) or child.host.edges != induced_edges(sd.host, bag):
             report.add("child-host-mismatch", {"path": path + [i]})
             continue
-        sub = validate_strong(child, _path=path + [i])
+        if id(child) in valid:
+            continue
+        sub = validate_strong(child, path + [i], valid)
+        if sub.ok:
+            valid.add(id(child))
         report.violations.extend(sub.violations)
     if not report.ok:
         return report

@@ -20,6 +20,7 @@ from homglue.graphs import (
     induced_subgraph,
     is_connected,
     is_homomorphism,
+    is_tree,
     isomorphisms_pinned,
     vertex_set,
 )
@@ -27,6 +28,7 @@ from homglue.markov import (
     MarkovTree,
     Refused,
     TreeDecomposition,
+    ValidationReport,
     minimum_covering_subfamily,
     retraction,
     validate_markov_tree,
@@ -254,6 +256,52 @@ def line_graph_reference(t):
         if set(t.edges[i]) & set(t.edges[j])
     ]
     return Graph(t.num_edges(), pairs)
+
+
+def level0_violations_reference(sd):
+    """validate_strong's violations on the level-0 decomposition sd, as it
+    found them before a bag tree's shape could settle the Markov tree: the
+    base checks, then validate_markov_tree whenever the bags are the host's
+    edges, every witness at the root path."""
+    report = ValidationReport()
+    if sd.decomp.host != sd.host:
+        report.add("decomp-host-mismatch", {"path": []})
+        return report.violations
+    m = sd.decomp.markov
+    if not is_tree(sd.host) or sd.host.num_edges() == 0:
+        report.add("base-host-not-a-tree", {"path": []})
+        return report.violations
+    if m.bags != sd.host.edges:
+        report.add("base-bags-not-host-edges", {"path": []})
+        return report.violations
+    for i, j in m.tree:
+        if not set(m.bags[i]) & set(m.bags[j]):
+            report.add("base-tree-not-in-line-graph", {"path": [], "edge": [i, j]})
+    for v in validate_markov_tree(m).violations:
+        report.add(v["kind"], {"path": [], **v["witness"]})
+    return report.violations
+
+
+def random_line_graph_spanning_tree(rng, t):
+    """A random spanning tree of the line graph of the tree t with an edge,
+    as bag-index pairs over t's edges: the line graph's edges in a random
+    order, each kept when it joins two parts not yet joined."""
+    pairs = list(line_graph_reference(t).edges)
+    rng.shuffle(pairs)
+    part = list(range(t.num_edges()))
+
+    def root(i):
+        while part[i] != i:
+            i = part[i]
+        return i
+
+    kept = []
+    for i, j in pairs:
+        a, b = root(i), root(j)
+        if a != b:
+            part[a] = b
+            kept.append((i, j))
+    return kept
 
 
 def running_intersection_reference(m):

@@ -1136,6 +1136,86 @@ def test_main_builds_no_parser(fixdir, capsys, monkeypatch):
     assert "the following arguments are required: --u" in capsys.readouterr().err
 
 
+def _parsed(capsys, parse, argv):
+    """(namespace as a dict or None, exit code or None, stdout, stderr) of
+    parse(argv)."""
+    try:
+        namespace, code = vars(parse(argv)), None
+    except SystemExit as e:
+        namespace, code = None, e.code
+    captured = capsys.readouterr()
+    return namespace, code, captured.out, captured.err
+
+
+# (argv, whether the top-level parser reads it itself)
+PARSES = [
+    (["validate", "doc.json"], False),
+    (["assoc", "doc.json", "g.json", "--out", "o.json"], False),
+    (["glue", "instance.json", "--out", "o.json"], False),
+    (["min-subdec", "doc.json", "--u", "0,1", "--out", "o.json"], False),
+    (["min-subdec", "doc.json", "--u=0"], False),
+    (["sidorenko-sweep", "doc.json", "--max-n", "3", "--out", "o.json"], False),
+    (["entropy-report", "doc.json", "g.json", "--out", "o.json"], False),
+    (["validate", "--", "doc.json"], False),
+    *[([command, "-h"], False) for command in sorted(cli._SUBPARSERS)],
+    ([], True),
+    (["-h"], True),
+    (["nope"], True),
+    (["validate"], False),
+    (["min-subdec", "doc.json"], False),
+    (["validate", "doc.json", "--nope"], True),
+    (["assoc", "doc.json", "g.json", "extra.json"], True),
+    (["sidorenko-sweep", "doc.json", "--max-n", "x"], False),
+]
+
+
+def test_main_parses_every_command_line_as_the_full_parser_does(capsys, monkeypatch):
+    # usage text is wrapped to the terminal width, so both sides get one
+    monkeypatch.setenv("COLUMNS", "80")
+    full = cli._PARSER.parse_args
+    fallbacks = []
+    monkeypatch.setattr(cli._PARSER, "parse_args", lambda argv: fallbacks.append(argv) or full(argv))
+    assert set(cli._SUBPARSERS) == {
+        "validate", "assoc", "glue", "min-subdec", "sidorenko-sweep", "entropy-report"
+    }
+    for argv, falls_back in PARSES:
+        del fallbacks[:]
+        assert _parsed(capsys, cli._parse_args, argv) == _parsed(capsys, full, argv), argv
+        assert fallbacks == ([argv] if falls_back else []), argv
+
+
+def _one_bag_chain_text(levels):
+    """The JSON text of the path 0-1-2 decomposed into one bag at every
+    level from levels down to 1, over its level-0 decomposition; written
+    as text, since json.dumps nests past the recursion limit here."""
+    p3 = {"n": 3, "edges": [[0, 1], [1, 2]]}
+    text = json.dumps(serialize.strong_to_json(zero_strong(Graph(3, p3["edges"]))))
+    markov = {"ground_size": 3, "bags": [[0, 1, 2]], "tree": []}
+    opening = ['{"level": %d, "host": %s, "payload": {"decomp": %s, "children": ['
+               % (k, json.dumps(p3), json.dumps({"host": p3, "markov": markov}))
+               for k in range(levels, 0, -1)]
+    return "".join(opening) + text + "]}}" * levels
+
+
+def test_a_one_bag_chain_300_levels_deep_answers_in_a_fresh_process(fixdir, tmp_path):
+    # the loader, the validator and the builds below them take no frame per
+    # level beyond the JSON decoder's, which answers such a chain up to 327
+    # levels under the default recursion limit
+    path = tmp_path / "chain.json"
+    path.write_text(_one_bag_chain_text(300))
+    answers = []
+    for argv in (
+        ["validate", str(path)],
+        ["min-subdec", str(path), "--u", "0"],
+        ["assoc", str(path), os.path.join(fixdir, "k3.json")],
+    ):
+        proc = _run_process(*argv)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        answers.append(json.loads(proc.stdout))
+    assert answers[0]["ok"] is True
+    assert answers[1]["embedding"] == [0, 1]
+
+
 def test_every_name_the_bench_tracer_wraps_resolves_on_its_module():
     # trace mode looks up each name of bench/tracer.py's LAYERS table on the
     # module homglue.<layer>; the table is read off the file, not run

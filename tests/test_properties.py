@@ -45,6 +45,7 @@ from helpers import (
     isomorphism_transport_check,
     junction_factorization,
     leaf_swaps,
+    level0_violations_reference,
     overlaps,
     minimum_subdecomposition_reference,
     overlaps_are_vertices_and_edges,
@@ -53,6 +54,7 @@ from helpers import (
     random_graph,
     random_level1,
     random_level2,
+    random_line_graph_spanning_tree,
     random_markov_tree,
     random_tree,
     relabel_strong,
@@ -176,6 +178,56 @@ def test_strong_isomorphism_finds_a_relabelled_generated_level1_decomposition(se
     iso = strong_isomorphism(sd, copy)
     assert iso is not None
     assert is_strong_isomorphism(sd, copy, iso.vertex_map)
+
+
+def _level0_with_bag_tree(rng, n, shape):
+    """(zero-level decomposition, shape) of a randomly labelled tree on n
+    vertices whose bag tree is a random spanning tree of its line graph
+    (shape "spanning"), or that tree with one edge swapped for a pair of
+    bags sharing no vertex ("disjoint", joining the two parts again where
+    such a pair exists), with one more bag-tree edge, of the line graph
+    where it has one left ("cycle"), or with one edge fewer ("forest"). A shape a tree too small for it cannot take
+    falls back to "spanning"."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    t = Graph(n, [(perm[u], perm[v]) for u, v in random_tree(rng, n).edges])
+    k = t.num_edges()
+    tree = random_line_graph_spanning_tree(rng, t)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    disjoint = [(i, j) for i, j in pairs if not set(t.edges[i]) & set(t.edges[j])]
+    # a cycle through line-graph edges alone where the line graph has one
+    extra = [pair for pair in pairs if pair not in tree]
+    extra = [pair for pair in extra if pair not in disjoint] or extra
+    if shape == "disjoint" and disjoint:
+        cut = tree.pop(rng.randrange(len(tree)))
+        side = {cut[0]}
+        for _ in tree:  # grow cut[0]'s part of the forest left
+            side |= {v for e in tree if set(e) & side for v in e}
+        across = [(i, j) for i, j in disjoint if (i in side) != (j in side)]
+        tree.append(rng.choice(across or disjoint))
+    elif shape == "cycle" and extra:
+        tree.append(rng.choice(extra))
+    elif shape == "forest" and tree:
+        tree.pop(rng.randrange(len(tree)))
+    else:
+        shape = "spanning"
+    markov = MarkovTree(t.n, t.edges, tree)
+    return StrongDecomposition(0, t, TreeDecomposition(t, markov)), shape
+
+
+@PROPERTIES
+@given(
+    seed=seeds,
+    n=st.integers(2, 12),
+    shape=st.sampled_from(["spanning", "disjoint", "cycle", "forest"]),
+)
+def test_level0_validation_gives_the_full_markov_tree_checks_report(seed, n, shape):
+    # a spanning tree of the line graph is settled without the Markov-tree
+    # checks; every other bag tree still gets their report
+    sd, shape = _level0_with_bag_tree(random.Random(seed), n, shape)
+    expected = level0_violations_reference(sd)
+    assert validate_strong(sd).violations == expected
+    assert (expected == []) == (shape == "spanning")
 
 
 def overlap_shape(host, inter):

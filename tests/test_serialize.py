@@ -11,6 +11,7 @@ from homglue import serialize
 from homglue.cli import main
 from homglue.dists import SparseDistribution
 from homglue.markov import MarkovTree, TreeDecomposition
+from homglue.strong import validate_strong
 from fixture_builders import bundled_strong_fixtures, c4
 from helpers import random_joint, text_reference
 
@@ -318,9 +319,18 @@ def _set(doc, path, value):
     return doc
 
 
-# where book's second child restates its first: its host and its bag tree
-SECOND_HOST_EDGE = ["payload", "children", 1, "host", "edges", 0]
-SECOND_BAG_TREE = ["payload", "children", 1, "payload", "decomp", "markov", "tree"]
+# where book's second child restates its first: its host, its bag tree, a
+# bag, its level, and its second path's bag, bag tree and level
+SECOND = ["payload", "children", 1]
+SECOND_HOST_EDGE = SECOND + ["host", "edges", 0]
+SECOND_BAG_TREE = SECOND + ["payload", "decomp", "markov", "tree"]
+SECOND_BAG = SECOND + ["payload", "decomp", "markov", "bags", 0]
+SECOND_LEVEL = SECOND + ["level"]
+SECOND_PATH = SECOND + ["payload", "children", 1]
+SECOND_PATH_BAG = SECOND_PATH + ["payload", "base", "bags", 1]
+SECOND_PATH_TREE = SECOND_PATH + ["payload", "base", "tree"]
+SECOND_PATH_LEVEL = SECOND_PATH + ["level"]
+LEVEL_MESSAGE = "level must be an integer from 0 to %d, not %%s" % serialize.MAX_GRAPH_VERTICES
 
 
 def _one_bag_then_n(n):
@@ -343,6 +353,16 @@ def _one_bag_then_n(n):
         (_set(_book_doc(), SECOND_HOST_EDGE, [0, 1.0]), "edge endpoints must be integers, not float"),
         (_set(_book_doc(), SECOND_BAG_TREE, [[0, True]]), "tree edge endpoints must be integers, not bool"),
         (_set(_book_doc(), SECOND_BAG_TREE, [[0, 1.0]]), "tree edge endpoints must be integers, not float"),
+        (_set(_book_doc(), SECOND_BAG, [0, True, 2]), "bag elements must be integers, not bool"),
+        (_set(_book_doc(), SECOND_BAG, [0, 1.0, 2]), "bag elements must be integers, not float"),
+        (_set(_book_doc(), SECOND_LEVEL, True), LEVEL_MESSAGE % "true"),
+        (_set(_book_doc(), SECOND_LEVEL, 1.0), LEVEL_MESSAGE % "1.0"),
+        (_set(_book_doc(), SECOND_PATH_BAG, [True, 2]), "bag elements must be integers, not bool"),
+        (_set(_book_doc(), SECOND_PATH_BAG, [1, 2.0]), "bag elements must be integers, not float"),
+        (_set(_book_doc(), SECOND_PATH_TREE, [[False, 1]]), "tree edge endpoints must be integers, not bool"),
+        (_set(_book_doc(), SECOND_PATH_TREE, [[0.0, 1]]), "tree edge endpoints must be integers, not float"),
+        (_set(_book_doc(), SECOND_PATH_LEVEL, False), LEVEL_MESSAGE % "false"),
+        (_set(_book_doc(), SECOND_PATH_LEVEL, 0.0), LEVEL_MESSAGE % "0.0"),
         (
             _one_bag_then_n(True),
             "n must be an integer from 0 to %d, not true" % serialize.MAX_GRAPH_VERTICES,
@@ -357,11 +377,29 @@ def _one_bag_then_n(n):
             "at least one bag is required",
         ),
     ],
-    ids=["edge-true", "edge-1.0", "tree-true", "tree-1.0", "n-true", "no-bags-and-a-tree-edge"],
+    ids=[
+        "edge-true",
+        "edge-1.0",
+        "tree-true",
+        "tree-1.0",
+        "bag-true",
+        "bag-1.0",
+        "level-true",
+        "level-1.0",
+        "base-bag-true",
+        "base-bag-2.0",
+        "base-tree-false",
+        "base-tree-0.0",
+        "base-level-false",
+        "base-level-0.0",
+        "n-true",
+        "no-bags-and-a-tree-edge",
+    ],
 )
 def test_a_later_graph_equal_to_an_earlier_one_is_still_checked(tmp_path, capsys, doc, message):
-    # True == 1 == 1.0 and they hash alike, so a graph a load has already
-    # built must not answer for one whose values fail the type checks
+    # True == 1 == 1.0 and they hash alike, so a graph, Markov tree or
+    # sub-decomposition a load has already built must not answer for one
+    # whose values fail the type checks
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 2
@@ -393,3 +431,37 @@ def test_one_load_builds_one_graph_per_distinct_graph_document():
     assert first.children[0].host is first.children[1].host
     assert first.decomp.markov.bag_tree is first.children[0].children[0].decomp.markov.bag_tree
     assert not {id(g) for g in graphs} & {id(g) for g in _graphs(second)}
+
+
+def _parts(sd):
+    """Every decomposition, tree decomposition and Markov tree of sd, level
+    by level."""
+    found = [sd, sd.decomp, sd.decomp.markov]
+    for child in sd.children:
+        found += _parts(child)
+    return found
+
+
+def test_one_load_builds_one_object_per_distinct_sub_document():
+    doc = _book_doc()
+    first, second = serialize.strong_from_json(doc), serialize.strong_from_json(doc)
+    assert first == bundled_strong_fixtures()["book"]
+    # the two squares are one document; each square's two paths are not
+    assert first.children[0] is first.children[1]
+    assert first.children[0].children[0] is not first.children[0].children[1]
+    parts = _parts(first)
+    # 7 decompositions, each with its tree decomposition and Markov tree,
+    # of which 4 are distinct: the book, the square and its two paths
+    assert len(parts) == 21
+    assert len({id(x) for x in parts}) == 12
+    everything = {id(x) for x in parts + _graphs(first)}
+    assert not everything & {id(x) for x in _parts(second) + _graphs(second)}
+
+
+def test_a_later_sub_document_that_differs_only_in_its_level_is_its_own_object():
+    sd = serialize.strong_from_json(_set(_book_doc(), SECOND_LEVEL, 2))
+    assert [child.level for child in sd.children] == [1, 2]
+    assert sd.children[0].children == sd.children[1].children
+    assert validate_strong(sd).violations == [
+        {"kind": "child-level-mismatch", "witness": {"path": [1]}}
+    ]

@@ -32,6 +32,8 @@ from homglue.strong import (
     zero_strong,
 )
 from fixture_builders import (
+    _cut_cycle,
+    _level_up,
     bad_condition3_fixture,
     book,
     book_fixture,
@@ -283,6 +285,44 @@ def test_condition3_on_equal_children_a_third_of_the_recursion_limit_deep():
     markov = MarkovTree(3, [(0, 1, 2), (0, 1, 2)], [(0, 1)])
     sd = StrongDecomposition(level, p3, TreeDecomposition(p3, markov), (first, second))
     assert validate_strong(sd).ok
+
+
+def test_an_invalid_child_repeated_at_two_bags_is_reported_at_both_paths():
+    # book with both squares replaced by one square whose bag tree and
+    # second path's bag tree have lost their edge; the load makes the two
+    # children one object, and its first path, valid, is walked once
+    doc = serialize.strong_to_json(book_fixture())
+    child = doc["payload"]["children"][0]
+    child["payload"]["decomp"]["markov"]["tree"] = []
+    child["payload"]["children"][1]["payload"]["base"]["tree"] = []
+    doc["payload"]["children"] = [child, json.loads(json.dumps(child))]
+    sd = serialize.strong_from_json(doc)
+    assert sd.children[0] is sd.children[1]
+    # the report the validator gave before it kept the children found valid
+    assert validate_strong(sd).violations == [
+        {"kind": "tree-structure", "witness": {"path": [0], "num_bags": 2, "tree": []}},
+        {"kind": "tree-structure", "witness": {"path": [0, 1], "num_bags": 2, "tree": []}},
+        {"kind": "tree-structure", "witness": {"path": [1], "num_bags": 2, "tree": []}},
+        {"kind": "tree-structure", "witness": {"path": [1, 1], "num_bags": 2, "tree": []}},
+    ]
+
+
+@pytest.mark.parametrize("pages", [2, 3, 5])
+def test_a_valid_child_repeated_at_every_bag_is_validated_once(monkeypatch, pages):
+    # a book of 4-cycles 0-a-b-1 all cut at 0 and b: every page's square
+    # relabels onto its bag alike, so its document repeats at every bag
+    squares = [_cut_cycle([0, 2 + 2 * i, 3 + 2 * i, 1], 0) for i in range(pages)]
+    book_sd = _level_up(squares, [(0, i) for i in range(1, pages)])[1]
+    sd = serialize.strong_from_json(serialize.strong_to_json(book_sd))
+    child = sd.children[0]
+    assert all(c is child for c in sd.children)
+    checked = _record_calls(monkeypatch, "validate_tree_decomposition")
+    base_checked = _record_calls(monkeypatch, "validate_markov_tree")
+    assert validate_strong(sd).ok
+    assert [d for d, in checked] == [sd.decomp, child.decomp]
+    assert checked[1][0] is child.decomp
+    # every level-0 bag tree spans its line graph
+    assert base_checked == []
 
 
 def test_child_host_mismatch_flagged():
