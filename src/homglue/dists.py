@@ -28,7 +28,11 @@ class SparseDistribution:
 
     Keys are value tuples aligned with index_set, which must be strictly
     ascending: the constructor refuses any other order rather than sort the
-    labels apart from the values. Only strictly positive atoms are stored.
+    labels apart from the values. Only strictly positive atoms are stored,
+    and weight holds them in ascending key order: the constructor sorts
+    them, and every caller of _trusted builds its dict in that order. So
+    the readers (entropy, serialize's writer) walk the atoms in stored order
+    and sort nothing.
     The mass at key is weight[key] / den: positive integer weights over one
     common denominator, in lowest terms (gcd(den, *weights) == 1), so two
     distributions are equal exactly when their fields are. The masses must
@@ -47,11 +51,12 @@ class SparseDistribution:
     and the target size's sign, then the atoms in their order, so a refusal
     names the first fault. A repeated key is refused here, where a dict
     would have merged it: serialize.distribution_from_json passes a
-    document's atoms as pairs. What the program builds from valid
-    distributions (marginals, couplings, level-0 edge laws, re-indexed
-    children) goes through the unchecked _trusted constructor instead: a
-    marginal keeps its law's mass, as does the coupling of laws that agree
-    on their overlap, exactly in integers.
+    document's atoms as pairs. The weights are stored sorted by key, which
+    changes no refusal. What the program builds from valid distributions
+    (marginals, couplings, level-0 edge laws, re-indexed children) goes
+    through the unchecked _trusted constructor instead: a marginal keeps its
+    law's mass, as does the coupling of laws that agree on their overlap,
+    exactly in integers.
     """
 
     index_set: tuple
@@ -87,7 +92,7 @@ class SparseDistribution:
         # terms together: a prime's highest power in den divides one mass's
         # denominator, whose numerator and cofactor lack that prime
         den = math.lcm(*{q.denominator for q in norm.values()})
-        weight = {k: q.numerator * (den // q.denominator) for k, q in norm.items()}
+        weight = {k: norm[k].numerator * (den // norm[k].denominator) for k in sorted(norm)}
         total = sum(weight.values())
         if total != den:
             raise ValueError("total mass is %s, not 1" % Fraction(total, den))
@@ -100,8 +105,9 @@ class SparseDistribution:
     def _trusted(cls, index_set, target_size, weight, den):
         """A distribution from parts that are valid by construction: a sorted
         vertex tuple, and a dict of positive int weights keyed by in-range
-        value tuples of its arity, in lowest terms over the positive int den.
-        Nothing is checked."""
+        value tuples of its arity, in ascending key order and in lowest terms
+        over the positive int den. Nothing is checked, the order included:
+        each caller builds its dict in key order."""
         p = object.__new__(cls)
         object.__setattr__(p, "index_set", index_set)
         object.__setattr__(p, "target_size", target_size)
@@ -141,8 +147,9 @@ def marginal(p, s):
 
     s must lie inside p's index set (the one caller passes the overlap of
     two bags). p is trusted as validated; the marginal's weights are summed
-    without further checks and reduced to lowest terms. Summing keeps p's
-    total, so the marginal's mass is 1 as p's is, unchecked.
+    without further checks, reduced to lowest terms and sorted by key, the
+    order every distribution keeps. Summing keeps p's total, so the
+    marginal's mass is 1 as p's is, unchecked.
     """
     s = vertex_set(s)
     proj = _projector(p.index_set, s)
@@ -151,16 +158,14 @@ def marginal(p, s):
         k = proj(key)
         out[k] = out[k] + w if k in out else w
     g = math.gcd(p.den, *out.values())
-    if g > 1:
-        out = {k: w // g for k, w in out.items()}
+    out = {k: out[k] // g for k in sorted(out)}
     return SparseDistribution._trusted(s, p.target_size, out, p.den // g)
 
 
 def entropy(p):
-    """Shannon entropy in bits, added left to right in sorted-key order (the
-    built-in sum compensates from Python 3.12 on). The keys are sorted alone
-    and each weight looked up: they are unique, so the order is the one
-    sorting the (key, weight) pairs gives. Each distinct weight w
+    """Shannon entropy in bits, added left to right over the weights in
+    stored order, which is ascending key order (the built-in sum compensates
+    from Python 3.12 on, so the loop is written out). Each distinct weight w
     becomes the float x = w / den, and x * log2(x), once. Integer true
     division is correctly rounded, so x is the float float(q) makes of the
     atom's Fraction mass q, whether or not w / den is in lowest terms."""
@@ -170,8 +175,8 @@ def entropy(p):
         x = w / den
         terms[w] = x * math.log2(x)
     total = 0
-    for key in sorted(weight):
-        total += terms[weight[key]]
+    for w in weight.values():
+        total += terms[w]
     return -total
 
 
@@ -190,59 +195,6 @@ def glue_pair(p12, p23):
     bags = (p12.index_set, p23.index_set)
     ground_size = max(p12.index_set + p23.index_set, default=-1) + 1
     return glue_markov_tree(MarkovTree(ground_size, bags, [(0, 1)]), [p12, p23])
-
-
-def _couple(p12, p23):
-    """The conditional independent coupling of p12 and p23 along their shared
-    indices, whose marginals there must agree. Its total mass is not checked.
-    An atom of p12 whose values there no atom of p23 has is Refused, with
-    those values; no other disagreement is noticed.
-
-    Group p23's atoms by their values y_shared on the shared indices, with
-    m_s the sum of a group's weights (p23's marginal there is m_s / D23, and
-    so is p12's) and L the lcm of the m_s. An atom's mass
-    p12(y_12) * p23(y_23) / m(y_shared) is then w12 * (L // m_s) * w23 over
-    the denominator D12 * L, reduced to lowest terms by one gcd.
-    """
-    idx12, idx23 = p12.index_set, p23.index_set
-    in12 = set(idx12)
-    shared = tuple(v for v in idx23 if v in in12)
-    only23 = tuple(v for v in idx23 if v not in in12)
-    union = vertex_set(idx12 + only23)
-    proj12 = _projector(idx12, shared)
-    proj23 = _projector(idx23, shared)
-    tail23 = _projector(idx23, only23)
-    # key12 + tail23(key23) lists the union's values in idx12 + only23 order
-    joined = idx12 + only23
-    to_union = _projector(joined, union) if joined != union else None
-
-    groups = {}
-    for key23, w23 in p23.weight.items():
-        groups.setdefault(proj23(key23), []).append((tail23(key23), w23))
-    group_mass = {sk: sum(w for _, w in group) for sk, group in groups.items()}
-    common = math.lcm(*group_mass.values())
-    factor = {sk: common // ms for sk, ms in group_mass.items()}
-
-    out = {}
-    try:
-        for key12, w12 in p12.weight.items():
-            sk = proj12(key12)
-            f = w12 * factor[sk]
-            for tail, w23 in groups[sk]:
-                key = key12 + tail
-                if to_union is not None:
-                    key = to_union(key)
-                out[key] = f * w23
-    except KeyError as e:
-        raise Refused(
-            "laws to couple disagree on their overlap", overlap=list(shared), key=list(e.args[0])
-        ) from None
-    den = p12.den * common
-    g = math.gcd(den, *out.values())
-    if g > 1:
-        den //= g
-        out = {k: w // g for k, w in out.items()}
-    return SparseDistribution._trusted(union, p12.target_size, out, den)
 
 
 def first_difference(a, b):
@@ -306,7 +258,8 @@ def couple_markov_tree(m, bag_dists):
     """The bag laws glued along the Markov tree in the order of the
     breadth-first walk graphs.bfs(m.bag_tree, [0]): each bag after bag 0
     meets the joint glued so far exactly in its overlap with its walk
-    parent, along which it is coupled on.
+    parent, and is coupled onto it conditionally independently given that
+    overlap.
 
     Nothing is checked. m must be a valid Markov tree and bag_dists one law
     per bag, on the bag, agreeing exactly on every tree edge's overlap:
@@ -314,15 +267,63 @@ def couple_markov_tree(m, bag_dists):
     the paper's consistency lemma. Coupling laws that agree keeps the total
     mass exactly, in integers, so the joint's is 1. Should a broken
     invariant let through laws where the joint glued so far holds overlap
-    values that the next bag's law lacks, _couple raises Refused, not a
-    bare KeyError.
+    values that the next bag's law lacks, the coupling raises Refused with
+    the overlap and those values, not a bare KeyError.
+
+    The joint glued so far keeps its vertices in walk order: bag 0's, then
+    each bag's new vertices as the walk meets them. A step groups the bag's
+    atoms by their overlap values, with m_s the sum of a group's weights
+    (the bag's marginal there is m_s / D, and so is the joint's) and L the
+    lcm of the m_s; each joint atom key with weight w then extends to
+    key + tail with weight w * (L // m_s) * w_bag over the denominator
+    den * L, reduced to lowest terms by one gcd. The bag's law is in key
+    order, so each group's tails are in ascending order and the joint stays
+    in key order with no sort. At the end the keys are put in ascending
+    vertex order, and sorted once, only where the walk order is not
+    already ascending.
 
     The result is the junction factorization, whatever the gluing order: it
     reproduces every bag distribution as a marginal and satisfies the
     entropy identity H(joint) = sum_F H(bag_F) - sum_AB H(overlap_AB).
     """
     order, _ = bfs(m.bag_tree, [0])
-    joint = bag_dists[0]
+    first = bag_dists[0]
+    walk, joint, den = first.index_set, first.weight, first.den
     for child in order[1:]:
-        joint = _couple(joint, bag_dists[child])
-    return joint
+        p = bag_dists[child]
+        met = set(walk)
+        shared = tuple(v for v in p.index_set if v in met)
+        fresh = tuple(v for v in p.index_set if v not in met)
+        on_shared = _projector(p.index_set, shared)
+        tail = _projector(p.index_set, fresh)
+        groups = {}
+        for key, w in p.weight.items():
+            groups.setdefault(on_shared(key), []).append((tail(key), w))
+        group_mass = {sk: sum(w for _, w in group) for sk, group in groups.items()}
+        common = math.lcm(*group_mass.values())
+        factor = {sk: common // ms for sk, ms in group_mass.items()}
+        joint_on_shared = _projector(walk, shared)
+        out = {}
+        try:
+            for key, w in joint.items():
+                sk = joint_on_shared(key)
+                f = w * factor[sk]
+                for t, wt in groups[sk]:
+                    out[key + t] = f * wt
+        except KeyError as e:
+            raise Refused(
+                "laws to couple disagree on their overlap", overlap=list(shared), key=list(e.args[0])
+            ) from None
+        den *= common
+        g = math.gcd(den, *out.values())
+        if g > 1:
+            den //= g
+            out = {k: w // g for k, w in out.items()}
+        walk += fresh
+        joint = out
+    union = vertex_set(walk)
+    if walk != union:
+        to_union = _projector(walk, union)
+        joint = {to_union(k): w for k, w in joint.items()}
+        joint = {k: joint[k] for k in sorted(joint)}
+    return SparseDistribution._trusted(union, first.target_size, joint, den)

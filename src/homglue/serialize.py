@@ -19,8 +19,9 @@ occurrence still passes every check. Every CLI answer is laid out as
 json.dumps(doc, indent=1, sort_keys=True) lays it out: a distribution by
 distribution_to_text, every other answer by json_text.
 distribution_to_text joins its atoms' text from column iterators (fixed
-text, key values, den and num, each a repeat or a map over the sorted
-keys), so no Python code runs per atom.
+text, key values, den and num, each a repeat or a map over the keys or
+weights as the distribution stores them, in key order), so no Python code
+runs per atom.
 """
 
 import json
@@ -224,15 +225,15 @@ def distribution_to_text(p):
     but written directly instead of through json's pure-Python indenting
     encoder.
 
-    The atoms' text is one join over columns zipped atom by atom: the fixed
-    text between two slots is a repeat, each key position maps the sorted
+    The atoms' text is one join over columns zipped atom by atom, each read
+    in the order p.weight stores its atoms, which is ascending key order:
+    the fixed text between two slots is a repeat, each key position maps the
     keys through itemgetter and a table of value strings, and den and num
-    map the weights, in key order, through the tables of _mass_texts. So no
-    Python code runs per atom. The value table holds only the values that
-    occur, never one string per target value: target_size is unbounded.
+    map the weights through the tables of _mass_texts. So no Python code
+    runs per atom. The value table holds only the values that occur, never
+    one string per target value: target_size is unbounded.
     """
-    keys = sorted(p.weight)
-    ws = list(map(p.weight.__getitem__, keys))
+    keys, ws = p.weight.keys(), p.weight.values()
     nums, dens = _mass_texts(p)
     seen = set(chain.from_iterable(keys))
     values = dict(zip(seen, map(str, seen)))

@@ -78,9 +78,9 @@ def _build(sd, g, built):
     coverage makes every glued atom a homomorphism."""
     m = sd.decomp.markov
     if sd.level == 0:
-        # the uniform law on g's ordered edges, one dict shared by every bag,
-        # each of which is a host edge
-        steps = {key: 1 for a, b in g.edges for key in ((a, b), (b, a))}
+        # the uniform law on g's ordered edges in key order, one dict shared
+        # by every bag, each of which is a host edge
+        steps = dict.fromkeys(sorted(key for a, b in g.edges for key in ((a, b), (b, a))), 1)
         den = 2 * g.num_edges()
         bag_dists = [SparseDistribution._trusted(bag, g.n, steps, den) for bag in m.bags]
     else:
@@ -90,7 +90,8 @@ def _build(sd, g, built):
             if law is None:
                 law = built[child] = _build(child, g, built)
             # the child's host is the host induced on the sorted bag, so the
-            # law's keys line up positionally with the bag's vertices
+            # law's keys line up positionally with the bag's vertices, and its
+            # dict, in key order, is in key order here too
             bag_dists.append(SparseDistribution._trusted(bag, law.target_size, law.weight, law.den))
     return couple_markov_tree(m, bag_dists)
 

@@ -11,7 +11,15 @@ checkout's tests and package:
   corruptions, glue instances and refused --u values), and again with
   --out for each subcommand that takes it;
 - validate and min-subdec over helpers.random_level1 and
-  helpers.random_level2 draws at fixed seeds;
+  helpers.random_level2 draws at fixed seeds, and assoc and entropy-report
+  over the same draws on K2 and K3;
+- validate, min-subdec and assoc over the fixtures/bad_*.json documents;
+- validate, min-subdec and assoc over level-0 documents whose bag tree
+  leaves the host's line graph, holds a cycle or falls apart, so fails
+  running intersection (helpers.level0_with_bag_tree);
+- glue over seeded instances whose bag 0 holds their largest vertex
+  (helpers.rooted_at_largest), so the gluing walk meets the vertices out
+  of ascending order;
 - command lines that the argument parser refuses or answers with help.
 
 Each tree runs the whole corpus in one fresh interpreter (python -I, so
@@ -50,26 +58,60 @@ def corpus(directory):
     """The argv of every case, its files written under directory."""
     sys.path[:0] = [HERE, _src(os.path.dirname(HERE))]
     from homglue import serialize
-    from helpers import overlaps, random_level1, random_level2
+    from helpers import (
+        consistent_bag_dists,
+        glue_document,
+        level0_with_bag_tree,
+        overlaps,
+        random_level1,
+        random_level2,
+        random_markov_tree,
+        rooted_at_largest,
+    )
     import test_preconditions
 
     directory = pathlib.Path(directory)
     out = str(directory / OUT)
     cases = [argv for argv, _ in test_preconditions._commands(directory)]
     cases += [argv + ["--out", out] for argv in cases if argv[0] in TAKES_OUT]
+    # written by test_preconditions._commands
+    k2, k3 = str(directory / "k2.json"), str(directory / "k3.json")
+
+    def write(name, doc):
+        path = str(directory / (name + ".json"))
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        return path
+
+    fixtures = pathlib.Path(HERE).parent / "fixtures"
+    bad = [write(f.stem, json.loads(f.read_text())) for f in sorted(fixtures.glob("bad_*.json"))]
+    rng = random.Random("answer-diff:level0")
+    for shape in ("disjoint", "cycle", "forest") * 4:
+        sd, _ = level0_with_bag_tree(rng, rng.randint(4, 9), shape)
+        bad.append(write("level0-%d" % len(bad), serialize.strong_to_json(sd)))
+    for path in bad:
+        cases.append(["validate", path])
+        cases += [["min-subdec", path, "--u", u] for u in ("0", "0,1", "1,2,3")]
+        cases += [["assoc", path, k3], ["assoc", path, k3, "--out", out]]
+    rng = random.Random("answer-diff:glue")
+    for draw in range(16):
+        m = rooted_at_largest(random_markov_tree(rng, rng.randint(2, 6), rng.randint(2, 6)))
+        path = write("glue-top-%d" % draw, glue_document(m, consistent_bag_dists(rng, m, 3, 12)))
+        cases += [["glue", path], ["glue", path, "--out", out]]
     for seed in range(24):
         rng = random.Random("answer-diff:%d" % seed)
         if seed % 2:
             sd = random_level2(rng, rng.randint(2, 4))
         else:
             sd = random_level1(rng, rng.randint(1, 5), 4)
-        path = str(directory / ("draw-%d.json" % seed))
-        with open(path, "w") as fh:
-            json.dump(serialize.strong_to_json(sd), fh)
+        path = write("draw-%d" % seed, serialize.strong_to_json(sd))
         n = sd.host.n
         subsets = [[v] for v in range(n)] + [list(inter) for _, inter in overlaps(sd) if inter]
         subsets += [sorted(rng.sample(range(n), min(k, n))) for k in (2, 3, n)]
         cases.append(["validate", path])
+        for target in (k2, k3):
+            cases += [["assoc", path, target], ["entropy-report", path, target]]
+        cases.append(["assoc", path, k2, "--out", out])
         for u in subsets:
             cases.append(["min-subdec", path, "--u", ",".join(map(str, u))])
             cases.append(["min-subdec", path, "--u", ",".join(map(str, u)), "--out", out])

@@ -10,7 +10,8 @@ import math
 import random
 from collections import Counter, deque
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import chain, combinations, permutations, product, repeat
+from operator import itemgetter
 
 from homglue import cli, dists, graphs, markov, serialize, sidorenko, strong
 from homglue.dists import SparseDistribution, first_difference, marginal
@@ -81,6 +82,19 @@ def random_markov_tree(rng, num_bags, ground_size):
     return MarkovTree(ground_size, [tuple(sorted(b)) for b in bags], tree)
 
 
+def rooted_at_largest(m):
+    """m with its bags renumbered so that bag 0 is the first bag holding the
+    largest ground element in any bag, and that bag's old number is taken
+    by the old bag 0: the same Markov tree, whose gluing walk starts from
+    the largest vertices."""
+    top = max(v for bag in m.bags for v in bag)
+    r = next(i for i, bag in enumerate(m.bags) if top in bag)
+    swap = {0: r, r: 0}
+    new = [m.bags[swap.get(i, i)] for i in range(m.num_bags())]
+    tree = [(swap.get(a, a), swap.get(b, b)) for a, b in m.tree]
+    return MarkovTree(m.ground_size, new, tree)
+
+
 def random_joint(rng, ground, target_size, atoms=6):
     """Random exact distribution over assignments ground -> target."""
     atoms = min(atoms, target_size ** len(ground))
@@ -116,6 +130,56 @@ def entropy_reference(p):
     for _, q in sorted(p.mass.items()):
         total += float(q) * math.log2(float(q))
     return -total
+
+
+# entropy and distribution_to_text as they were before distributions kept
+# their atoms in key order: each sorts the keys itself, so neither depends on
+# the order p.weight stores them in.
+
+
+def sorting_entropy_reference(p):
+    """Shannon entropy in bits, added left to right in sorted-key order, each
+    distinct weight's term computed once."""
+    den, weight = p.den, p.weight
+    terms = {}
+    for w in set(weight.values()):
+        x = w / den
+        terms[w] = x * math.log2(x)
+    total = 0
+    for key in sorted(weight):
+        total += terms[weight[key]]
+    return -total
+
+
+def sorting_text_reference(p):
+    """The distribution document of p as serialize's column writer laid it
+    out over the sorted keys."""
+    keys = sorted(p.weight)
+    ws = list(map(p.weight.__getitem__, keys))
+    nums, dens = serialize._mass_texts(p)
+    seen = set(chain.from_iterable(keys))
+    values = dict(zip(seen, map(str, seen)))
+    n = len(p.index_set)
+    columns = [
+        chain(('{\n   "den": "',), repeat(',\n  {\n   "den": "')),
+        map(dens.__getitem__, ws),
+    ]
+    if n:
+        columns.append(repeat('",\n   "key": [\n    '))
+        for i in range(n):
+            if i:
+                columns.append(repeat(",\n    "))
+            columns.append(map(values.__getitem__, map(itemgetter(i), keys)))
+        columns.append(repeat('\n   ],\n   "num": "'))
+    else:
+        columns.append(repeat('",\n   "key": [],\n   "num": "'))
+    columns += [map(nums.__getitem__, ws), repeat('"\n  }')]
+    atoms = "".join(chain.from_iterable(zip(*columns)))
+    return '{\n "index_set": %s,\n "mass": %s,\n "target_size": %s\n}' % (
+        serialize._list_text(map(str, p.index_set), 1),
+        serialize._list_text((atoms,), 1),
+        p.target_size,
+    )
 
 
 def consistent_bag_dists(rng, m, target_size, atoms=6):
@@ -302,6 +366,41 @@ def random_line_graph_spanning_tree(rng, t):
             part[a] = b
             kept.append((i, j))
     return kept
+
+
+def level0_with_bag_tree(rng, n, shape):
+    """(zero-level decomposition, shape) of a randomly labelled tree on n
+    vertices whose bag tree is a random spanning tree of its line graph
+    (shape "spanning"), or that tree with one edge swapped for a pair of
+    bags sharing no vertex ("disjoint", joining the two parts again where
+    such a pair exists), with one more bag-tree edge, of the line graph
+    where it has one left ("cycle"), or with one edge fewer ("forest"). A
+    shape a tree too small for it cannot take falls back to "spanning"."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    t = Graph(n, [(perm[u], perm[v]) for u, v in random_tree(rng, n).edges])
+    k = t.num_edges()
+    tree = random_line_graph_spanning_tree(rng, t)
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    disjoint = [(i, j) for i, j in pairs if not set(t.edges[i]) & set(t.edges[j])]
+    # a cycle through line-graph edges alone where the line graph has one
+    extra = [pair for pair in pairs if pair not in tree]
+    extra = [pair for pair in extra if pair not in disjoint] or extra
+    if shape == "disjoint" and disjoint:
+        cut = tree.pop(rng.randrange(len(tree)))
+        side = {cut[0]}
+        for _ in tree:  # grow cut[0]'s part of the forest left
+            side |= {v for e in tree if set(e) & side for v in e}
+        across = [(i, j) for i, j in disjoint if (i in side) != (j in side)]
+        tree.append(rng.choice(across or disjoint))
+    elif shape == "cycle" and extra:
+        tree.append(rng.choice(extra))
+    elif shape == "forest" and tree:
+        tree.pop(rng.randrange(len(tree)))
+    else:
+        shape = "spanning"
+    markov = MarkovTree(t.n, t.edges, tree)
+    return StrongDecomposition(0, t, TreeDecomposition(t, markov)), shape
 
 
 def running_intersection_reference(m):
@@ -967,8 +1066,9 @@ def associated_reference(sd, g):
 # distributions were stored as integer weights over a common denominator:
 # check_total_reference, marginal_reference, couple_reference and
 # brw_distribution_reference are the library's total-mass check, marginal,
-# _couple and brw_distribution of that time, reading the read-only mass view
-# and returning through the validating constructor.
+# pairwise coupling step (since folded into couple_markov_tree) and
+# brw_distribution of that time, reading the read-only mass view and
+# returning through the validating constructor.
 
 
 def check_total_reference(mass):

@@ -226,6 +226,52 @@ def test_coupling_laws_that_disagree_on_their_overlap_is_refused():
     }
 
 
+def test_coupling_disagreeing_laws_after_a_walk_out_of_vertex_order_is_refused():
+    # the walk meets vertices 2 and 3, then 1, then 0; the joint's atoms on
+    # (2, 3, 1) are (0, 0, 1) and (1, 1, 0), and the last law has no atom
+    # with 0 at vertex 1
+    m = MarkovTree(4, [(2, 3), (1, 2), (0, 1)], [(0, 1), (1, 2)])
+    half = Fraction(1, 2)
+    laws = [
+        SparseDistribution((2, 3), 2, {(0, 0): half, (1, 1): half}),
+        SparseDistribution((1, 2), 2, {(0, 1): half, (1, 0): half}),
+        SparseDistribution((0, 1), 2, {(0, 1): Fraction(1)}),
+    ]
+    with pytest.raises(Refused) as e:
+        dists.couple_markov_tree(m, laws)
+    assert e.value.doc == {
+        "error": "laws to couple disagree on their overlap",
+        "overlap": [1],
+        "key": [0],
+    }
+
+
+# Markov trees whose gluing walk meets the vertices out of ascending order,
+# or whose steps add no vertex or share none
+WALK_CASES = {
+    # bag 0 holds the largest vertices: the walk meets 2, 3, 1, 0
+    "chain-from-the-top": MarkovTree(4, [(2, 3), (1, 2), (0, 1)], [(0, 1), (1, 2)]),
+    # the edges of a star centred on its largest vertex: 0, 3, 1, 2
+    "star-on-the-top": MarkovTree(4, [(0, 3), (1, 3), (2, 3)], [(0, 1), (0, 2)]),
+    # each later bag lies inside the joint glued so far
+    "bag-inside-the-joint": MarkovTree(3, [(0, 1, 2), (1, 2), (0, 2)], [(0, 1), (0, 2)]),
+    "one-vertex-bag": MarkovTree(3, [(1, 2), (1,), (0, 1)], [(0, 1), (1, 2)]),
+    # bags sharing no vertex glue to the product: 2, 3, 0, 1
+    "empty-overlap": MarkovTree(4, [(2, 3), (0, 1)], [(0, 1)]),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", sorted(WALK_CASES))
+def test_coupling_at_the_walks_edge_cases_is_the_junction_factorization_in_key_order(name, seed):
+    m = WALK_CASES[name]
+    laws = consistent_bag_dists(random.Random(seed), m, 3, atoms=12)
+    joint = dists.couple_markov_tree(m, laws)
+    assert joint == junction_factorization(m, laws)
+    assert list(joint.weight) == sorted(joint.weight)
+    assert glue_markov_tree(m, laws) == joint
+
+
 def test_glue_markov_tree_single_bag():
     m = MarkovTree(2, [(0, 1)])
     p = uniform_edge_dist((0, 1))

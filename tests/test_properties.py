@@ -2,10 +2,11 @@
 targets: the gluing kernels against their brute-force oracles, the BRW law
 against a running-product reference, entropy against the formula it
 replaced, and every returned distribution against a rebuild through the
-validating constructor. Generated valid level-1 strong decompositions go
-through the validator, the covering and sub-decomposition searches against
-their references and the strong isomorphism search against a relabelled
-copy. Generated level-2 decompositions, and one-step corruptions of them,
+validating constructor. Every way of building a distribution keeps its
+atoms in key order, so entropy and the text writer answer as their sorting
+references. Generated valid level-1 strong decompositions go through the
+validator, the covering and sub-decomposition searches against their
+references and the strong isomorphism search against a relabelled copy. Generated level-2 decompositions, and one-step corruptions of them,
 go through the validator against a condition-3 reference, and their
 distributions through the paper's consistency lemmas, which the library's
 build trusts."""
@@ -18,9 +19,17 @@ from fractions import Fraction
 from hypothesis import assume, given, settings, strategies as st
 
 from homglue import strong
-from homglue.dists import SparseDistribution, entropy, glue_markov_tree, glue_pair, marginal
+from homglue.dists import (
+    SparseDistribution,
+    couple_markov_tree,
+    entropy,
+    glue_markov_tree,
+    glue_pair,
+    marginal,
+)
 from homglue.graphs import Graph, hom_count
 from homglue.markov import MarkovTree, TreeDecomposition, minimum_covering_subfamily
+from homglue.serialize import distribution_to_text
 from homglue.sidorenko import associated_distribution, bound_report, brw_distribution
 from homglue.strong import (
     is_strong_isomorphism,
@@ -46,6 +55,7 @@ from helpers import (
     junction_factorization,
     leaf_swaps,
     level0_violations_reference,
+    level0_with_bag_tree,
     overlaps,
     minimum_subdecomposition_reference,
     overlaps_are_vertices_and_edges,
@@ -54,10 +64,12 @@ from helpers import (
     random_graph,
     random_level1,
     random_level2,
-    random_line_graph_spanning_tree,
     random_markov_tree,
     random_tree,
     relabel_strong,
+    rooted_at_largest,
+    sorting_entropy_reference,
+    sorting_text_reference,
 )
 
 # derandomized and without an example database: the same examples on every run
@@ -138,6 +150,52 @@ def test_associated_distribution_rebuilds_equal(seed, name, target_size):
     assert rebuilt(dist) == dist
 
 
+def assert_in_key_order(p):
+    """p stores its atoms in ascending key order, so entropy and the text
+    writer, which read them in stored order, answer exactly as their sorting
+    references do."""
+    assert list(p.weight) == sorted(p.weight)
+    assert entropy(p) == sorting_entropy_reference(p)
+    assert distribution_to_text(p) == sorting_text_reference(p)
+
+
+@DISTRIBUTIONS
+@given(
+    seed=seeds,
+    num_bags=st.integers(1, 5),
+    ground_size=st.integers(1, 5),
+    target_size=st.integers(2, 4),
+    atoms=st.integers(1, 12),
+)
+def test_every_built_distribution_keeps_its_atoms_in_key_order(
+    seed, num_bags, ground_size, target_size, atoms
+):
+    # the constructor on the atoms in a random order, marginals onto random
+    # subsets, couplings along random Markov trees (also rooted at their
+    # largest vertices, so that the walk meets them out of order) and the
+    # associated distributions of random level-1 and level-2 decompositions
+    rng = random.Random(seed)
+    m, dists = glue_instance(seed, num_bags, ground_size, target_size, atoms)
+    joint = junction_factorization(m, dists)
+    pairs = list(joint.mass.items())
+    rng.shuffle(pairs)
+    shuffled = SparseDistribution(joint.index_set, target_size, pairs)
+    assert shuffled == joint
+    laws = [shuffled, joint]
+    ground = joint.index_set
+    laws += [marginal(joint, rng.sample(ground, rng.randint(0, len(ground)))) for _ in range(3)]
+    for tree in (m, rooted_at_largest(m)):
+        bag_laws = [dists[m.bags.index(bag)] for bag in tree.bags]
+        glued = couple_markov_tree(tree, bag_laws)
+        assert glued == joint
+        laws.append(glued)
+    g = random_target(seed, target_size)
+    laws.append(associated_distribution(random_level1(rng, num_bags, 4), g))
+    laws.append(associated_distribution(random_level2(rng, 2, base_bags=2), g))
+    for p in laws:
+        assert_in_key_order(p)
+
+
 @PROPERTIES
 @given(weights=st.lists(st.integers(1, 10**30), min_size=1, max_size=24), seed=seeds)
 def test_entropy_equals_the_reference_exactly(weights, seed):
@@ -180,41 +238,6 @@ def test_strong_isomorphism_finds_a_relabelled_generated_level1_decomposition(se
     assert is_strong_isomorphism(sd, copy, iso.vertex_map)
 
 
-def _level0_with_bag_tree(rng, n, shape):
-    """(zero-level decomposition, shape) of a randomly labelled tree on n
-    vertices whose bag tree is a random spanning tree of its line graph
-    (shape "spanning"), or that tree with one edge swapped for a pair of
-    bags sharing no vertex ("disjoint", joining the two parts again where
-    such a pair exists), with one more bag-tree edge, of the line graph
-    where it has one left ("cycle"), or with one edge fewer ("forest"). A shape a tree too small for it cannot take
-    falls back to "spanning"."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    t = Graph(n, [(perm[u], perm[v]) for u, v in random_tree(rng, n).edges])
-    k = t.num_edges()
-    tree = random_line_graph_spanning_tree(rng, t)
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    disjoint = [(i, j) for i, j in pairs if not set(t.edges[i]) & set(t.edges[j])]
-    # a cycle through line-graph edges alone where the line graph has one
-    extra = [pair for pair in pairs if pair not in tree]
-    extra = [pair for pair in extra if pair not in disjoint] or extra
-    if shape == "disjoint" and disjoint:
-        cut = tree.pop(rng.randrange(len(tree)))
-        side = {cut[0]}
-        for _ in tree:  # grow cut[0]'s part of the forest left
-            side |= {v for e in tree if set(e) & side for v in e}
-        across = [(i, j) for i, j in disjoint if (i in side) != (j in side)]
-        tree.append(rng.choice(across or disjoint))
-    elif shape == "cycle" and extra:
-        tree.append(rng.choice(extra))
-    elif shape == "forest" and tree:
-        tree.pop(rng.randrange(len(tree)))
-    else:
-        shape = "spanning"
-    markov = MarkovTree(t.n, t.edges, tree)
-    return StrongDecomposition(0, t, TreeDecomposition(t, markov)), shape
-
-
 @PROPERTIES
 @given(
     seed=seeds,
@@ -224,7 +247,7 @@ def _level0_with_bag_tree(rng, n, shape):
 def test_level0_validation_gives_the_full_markov_tree_checks_report(seed, n, shape):
     # a spanning tree of the line graph is settled without the Markov-tree
     # checks; every other bag tree still gets their report
-    sd, shape = _level0_with_bag_tree(random.Random(seed), n, shape)
+    sd, shape = level0_with_bag_tree(random.Random(seed), n, shape)
     expected = level0_violations_reference(sd)
     assert validate_strong(sd).violations == expected
     assert (expected == []) == (shape == "spanning")
