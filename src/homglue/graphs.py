@@ -1,8 +1,9 @@
 """Simple undirected graphs on dense integer vertices, with the one
-breadth-first walk (behind connectivity, forests and trees), neighbour-pruned
-homomorphism search, isomorphism search with allowed images (pins included)
-and a committed table of the connected graphs on up to six vertices, one per
-isomorphism class.
+breadth-first walk (behind connectivity, forests and trees), homomorphism
+counting (one upward pass per tree for a forest source, neighbour-pruned
+backtracking for any other), isomorphism search with allowed images (pins
+included) and a committed table of the connected graphs on up to six
+vertices, one per isomorphism class.
 
 Everything here is sized for desk-scale instances (a dozen vertices or so);
 the enumeration routines are deterministic backtracking searches whose output
@@ -11,6 +12,7 @@ order is fixed by ascending vertex indices.
 
 from dataclasses import dataclass
 from itertools import chain, combinations
+from operator import mul
 
 
 # Bound on |V(g)|^|V(h)| before hom_count refuses to run, read at each call.
@@ -133,8 +135,8 @@ def bfs(g, roots):
     reach, each vertex's unreached neighbours in ascending order. parent maps
     every reached vertex to the vertex it was reached from, and each root to
     None. This is the one traversal behind connectivity, the line-graph bag
-    tree, Markov-tree gluing (the branching random walk is level-0 gluing)
-    and forests.
+    tree, Markov-tree gluing (the branching random walk is level-0 gluing),
+    forests and the count of homomorphisms from a forest.
     """
     parent = dict.fromkeys(roots)
     order = list(parent)
@@ -176,18 +178,24 @@ def max_degree(g):
 def hom_count(h, g):
     """Number of adjacency-preserving maps V(h) -> V(g).
 
-    Backtracks over h's vertices in ascending order. A vertex with earlier
-    neighbours in h draws its candidates from the ascending neighbour tuple
-    of the first one's image and keeps those adjacent to the other earlier
-    neighbours' images; a vertex without them tries all of V(g). The last
-    vertex's candidates are counted, not tried. Refuses instances whose
-    naive candidate space |V(g)|^|V(h)| exceeds DEFAULT_HOM_CAP.
+    Refuses an empty h, and instances whose naive candidate space
+    |V(g)|^|V(h)| exceeds DEFAULT_HOM_CAP, and answers a one-vertex g
+    directly. Past those exits the shape of h picks the path: a forest is
+    counted by _forest_count, one upward pass over each of its trees, and
+    every other h by backtracking. h.num_edges() >= h.n rules a forest out
+    with no walk; otherwise _forest_count's walks decide.
+
+    The backtracking runs over h's vertices in ascending order. A vertex
+    with earlier neighbours in h draws its candidates from the ascending
+    neighbour tuple of the first one's image and keeps those adjacent to
+    the other earlier neighbours' images; a vertex without them tries all
+    of V(g). The last vertex's candidates are counted, not tried.
 
     Adjacency to the other images is tested against g's neighbour sets,
     built once per call and only when some vertex of h has two or more
-    earlier neighbours, the one case that tests it. They live for this
-    call alone, so a Graph keeps one adjacency representation, its
-    ascending neighbour tuples.
+    earlier neighbours, the one case that tests it. They, like the forest
+    pass's count lists, live for this call alone, so a Graph keeps one
+    adjacency representation, its ascending neighbour tuples.
     """
     if h.n == 0:
         raise ValueError("source graph must have at least one vertex")
@@ -201,11 +209,54 @@ def hom_count(h, g):
     # it) is answered here
     if g.n == 1:
         return int(not h.edges)
+    if h.num_edges() < h.n:
+        count = _forest_count(h, g)
+        if count is not None:
+            return count
     # earlier[v] = neighbors of v in h with smaller index (already assigned)
     earlier = [[u for u in h.neighbors(v) if u < v] for v in range(h.n)]
     adj = g._adj
     sets = list(map(set, adj)) if any(len(ev) > 1 for ev in earlier) else None
     return _count(0, h.n - 1, earlier, adj, sets, range(g.n), [0] * h.n)
+
+
+def _forest_count(h, g):
+    """hom(h, g) when h is a forest, or None when h has a cycle.
+
+    Each component of h is walked once with bfs from its lowest vertex;
+    h is a forest iff its edge count is its vertex count less the number
+    of walks. Then each tree is counted in one pass up its walk: a vertex
+    passes its parent a list over V(g) whose entry at x counts the maps of
+    its subtree that send the parent to x. A leaf passes the degrees of g;
+    an inner vertex passes, at x, the sum over the neighbours y of x of the
+    product of its children's lists at y. A tree counts the sum over x of
+    the product of its root's children's lists at x, |V(g)| for an
+    isolated vertex, and the trees' counts multiply. All counts are exact
+    ints.
+    """
+    walks, reached = [], set()
+    for root in range(h.n):
+        if root not in reached:
+            order, parent = bfs(h, [root])
+            reached.update(order)
+            walks.append((order, parent))
+    if h.num_edges() != h.n - len(walks):
+        return None
+    adj = g._adj
+    degrees = list(map(len, adj))
+    total = 1
+    for order, parent in walks:
+        # products[u][x]: the product at x of the lists u's children passed
+        products = {}
+        for v in reversed(order[1:]):
+            below = products.get(v)
+            up = degrees if below is None else [sum(map(below.__getitem__, ns)) for ns in adj]
+            u = parent[v]
+            siblings = products.get(u)
+            products[u] = up if siblings is None else list(map(mul, siblings, up))
+        below = products.get(order[0])
+        total *= g.n if below is None else sum(below)
+    return total
 
 
 def _count(v, last, earlier, adj, sets, everywhere, img):

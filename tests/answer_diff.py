@@ -10,9 +10,12 @@ checkout's tests and package:
   the fixtures, random level-1 and level-2 decompositions and their
   corruptions, glue instances and refused --u values), and again with
   --out for each subcommand that takes it;
-- validate and min-subdec over helpers.random_level1 and
-  helpers.random_level2 draws at fixed seeds, and assoc and entropy-report
-  over the same draws on K2 and K3;
+- validate, min-subdec and sidorenko-sweep --max-n 6 over
+  helpers.random_level1 and helpers.random_level2 draws at fixed seeds
+  (hosts with and without a cycle, so both of hom_count's paths), and
+  assoc and entropy-report over the same draws on K2 and K3;
+- sidorenko-sweep --max-n 6 over the level-0 decompositions of seeded
+  random trees on 2 to 10 vertices;
 - validate, min-subdec and assoc over the fixtures/bad_*.json documents;
 - validate, min-subdec and assoc over level-0 documents whose bag tree
   leaves the host's line graph, holds a cycle or falls apart, so fails
@@ -58,6 +61,7 @@ def corpus(directory):
     """The argv of every case, its files written under directory."""
     sys.path[:0] = [HERE, _src(os.path.dirname(HERE))]
     from homglue import serialize
+    from homglue.strong import zero_strong
     from helpers import (
         consistent_bag_dists,
         glue_document,
@@ -66,6 +70,7 @@ def corpus(directory):
         random_level1,
         random_level2,
         random_markov_tree,
+        random_tree,
         rooted_at_largest,
     )
     import test_preconditions
@@ -109,12 +114,20 @@ def corpus(directory):
         subsets = [[v] for v in range(n)] + [list(inter) for _, inter in overlaps(sd) if inter]
         subsets += [sorted(rng.sample(range(n), min(k, n))) for k in (2, 3, n)]
         cases.append(["validate", path])
+        cases.append(["sidorenko-sweep", path, "--max-n", "6"])
         for target in (k2, k3):
             cases += [["assoc", path, target], ["entropy-report", path, target]]
         cases.append(["assoc", path, k2, "--out", out])
         for u in subsets:
             cases.append(["min-subdec", path, "--u", ",".join(map(str, u))])
             cases.append(["min-subdec", path, "--u", ",".join(map(str, u)), "--out", out])
+    # 6^10 <= DEFAULT_HOM_CAP: ten host vertices is the cap's limit at the
+    # sweep's six target vertices
+    rng = random.Random("answer-diff:trees")
+    for draw in range(12):
+        tree = zero_strong(random_tree(rng, rng.randint(2, 10)))
+        path = write("tree-%d" % draw, serialize.strong_to_json(tree))
+        cases.append(["sidorenko-sweep", path, "--max-n", "6"])
     c4 = str(directory / "c4.json")
     cases += [
         [],

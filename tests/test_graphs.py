@@ -1,6 +1,8 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homglue import graphs
 from homglue.graphs import (
@@ -169,10 +171,11 @@ def test_hom_count_equals_brute_force_and_multiplicativity():
         h2 = _random_graph(rng, n2)
         g = _random_graph(rng, rng.randint(1, 4))
         assert hom_count(h1, g) == len(brute_force_homs(h1, g))
-        disjoint = Graph(
-            n1 + n2, list(h1.edges) + [(u + n1, v + n1) for u, v in h2.edges]
-        )
-        assert hom_count(disjoint, g) == hom_count(h1, g) * hom_count(h2, g)
+        assert hom_count(_disjoint_union(h1, h2), g) == hom_count(h1, g) * hom_count(h2, g)
+
+
+def _disjoint_union(h1, h2):
+    return Graph(h1.n + h2.n, list(h1.edges) + [(u + h1.n, v + h1.n) for u, v in h2.edges])
 
 
 def _random_graph(rng, n):
@@ -257,6 +260,11 @@ def test_hom_count_matches_brute_force():
         Graph(4, [(1, 3)]),  # isolated vertices around one edge
         Graph(4, [(0, 3), (1, 3), (2, 3)]),  # three earlier neighbours
         Graph(3, [(1, 2)]),  # vertex 1 has no earlier neighbour
+        # the hosts above are forests, counted by the upward pass; these
+        # have a cycle, so the backtracking's branches stay covered
+        Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)]),  # a 4-cycle: vertex 1 has no earlier neighbour
+        Graph(4, list(combinations(range(4), 2))),  # K4: vertex 3 has three earlier neighbours
+        Graph(5, [(1, 3), (1, 4), (3, 4)]),  # a triangle beside isolated vertices
     ]
     hosts += [_random_graph(rng, rng.randint(1, 5)) for _ in range(30)]
     for h in hosts:
@@ -307,3 +315,53 @@ def test_connected_table_matches_the_generator(graphs_up_to_six):
         assert type(got) is list
         assert got == expected, n
     assert connected_graphs_up_to(-1) == []
+
+
+@st.composite
+def forests(draw, max_vertices=7):
+    """A forest on 1..max_vertices vertices: each vertex after the first
+    hangs from an earlier one or starts a tree of its own (so a draw can
+    hold several trees and isolated vertices), then the vertices are
+    relabelled by a drawn permutation."""
+    n = draw(st.integers(1, max_vertices))
+    perm = draw(st.permutations(range(n)))
+    parents = [draw(st.integers(-1, v - 1)) for v in range(1, n)]
+    return Graph(n, [(perm[u], perm[v]) for v, u in enumerate(parents, 1) if u >= 0])
+
+
+@st.composite
+def small_targets(draw):
+    """A target on 1..5 vertices: one vertex, edgeless, complete or random."""
+    n = draw(st.integers(1, 5))
+    pairs = list(combinations(range(n), 2))
+    kind = draw(st.sampled_from(["edgeless", "complete", "random"]))
+    if kind == "random":
+        return Graph(n, [e for e in pairs if draw(st.booleans())])
+    return Graph(n, pairs if kind == "complete" else ())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(forests(), forests(max_vertices=4), small_targets())
+def test_forest_hom_counts_match_brute_force_and_multiply(h, other, g):
+    count = hom_count(h, g)
+    assert count == len(brute_force_homs(h, g))
+    assert hom_count(_disjoint_union(h, other), g) == count * hom_count(other, g)
+
+
+def test_hom_counts_of_paths_and_stars_match_brute_force():
+    # each walk starts at its tree's lowest vertex: at an end of a path or
+    # inside it, at the centre of a star or at a leaf
+    hosts = []
+    for n in range(1, 8):
+        inside = list(range(1, n, 2))[::-1] + list(range(0, n, 2))
+        hosts += [
+            Graph(n, [(v, v + 1) for v in range(n - 1)]),
+            Graph(n, list(zip(inside, inside[1:]))),
+            star(n - 1),
+            Graph(n, [(v, n - 1) for v in range(n - 1)]),
+        ]
+    rng = random.Random(19)
+    k4 = Graph(4, list(combinations(range(4), 2)))
+    for h in hosts:
+        for g in (Graph(1), Graph(3), k3(), k4, random_graph(rng, 4, 0.5)):
+            assert hom_count(h, g) == len(brute_force_homs(h, g)), (h, g)
