@@ -217,10 +217,9 @@ def cmd_entropy_report(args):
     return 0
 
 
-def build_parser(subparsers=None):
-    """The homglue argument parser. When the dict subparsers is given, each
-    subcommand's own parser is put in it under the subcommand's name as it
-    is added."""
+def build_parser():
+    """The homglue argument parser, and its map from each subcommand's name
+    to that subcommand's own parser (argparse's choices for it)."""
     parser = argparse.ArgumentParser(
         prog="homglue",
         description="Markov-tree gluing, strong tree decompositions, and "
@@ -231,8 +230,6 @@ def build_parser(subparsers=None):
     def add(name, func, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        if subparsers is not None:
-            subparsers[name] = p
         return p
 
     p = add("validate", cmd_validate, help="validate a JSON document")
@@ -262,14 +259,13 @@ def build_parser(subparsers=None):
     p.add_argument("target")
     p.add_argument("--out", default=None)
 
-    return parser
+    return parser, sub.choices
 
 
 # Built once per process: setting up argparse costs more than most jobs.
 # parse_args keeps no state between calls, and usage text is formatted
 # when it is printed, so every call parses as a fresh parser would.
-_SUBPARSERS = {}
-_PARSER = build_parser(_SUBPARSERS)
+_PARSER, _SUBPARSERS = build_parser()
 
 
 def _parse_args(argv):

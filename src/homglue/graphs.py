@@ -154,15 +154,21 @@ def is_connected(g):
     return g.n == 0 or len(bfs(g, [0])[0]) == g.n
 
 
+def _walks(g):
+    """One walk (order, parent) of bfs per component of g, each from the
+    component's lowest vertex, in ascending order of those vertices."""
+    walks, reached = [], set()
+    for root in range(g.n):
+        if root not in reached:
+            walks.append(bfs(g, [root]))
+            reached.update(walks[-1][0])
+    return walks
+
+
 def is_forest(g):
     """True iff g is acyclic: its edge count is its vertex count less its
-    number of components, each found by one walk."""
-    reached, components = set(), 0
-    for v in range(g.n):
-        if v not in reached:
-            reached.update(bfs(g, [v])[0])
-            components += 1
-    return g.num_edges() == g.n - components
+    number of components, one walk each."""
+    return g.num_edges() == g.n - len(_walks(g))
 
 
 def is_tree(g):
@@ -192,10 +198,10 @@ def hom_count(h, g):
     of V(g). The last vertex's candidates are counted, not tried.
 
     Adjacency to the other images is tested against g's neighbour sets,
-    built once per call and only when some vertex of h has two or more
-    earlier neighbours, the one case that tests it. They, like the forest
-    pass's count lists, live for this call alone, so a Graph keeps one
-    adjacency representation, its ascending neighbour tuples.
+    built once per call: an h that reaches the backtracking has a cycle,
+    whose highest vertex has two earlier neighbours. The sets, like the
+    forest pass's count lists, live for this call alone, so a Graph keeps
+    one adjacency representation, its ascending neighbour tuples.
     """
     if h.n == 0:
         raise ValueError("source graph must have at least one vertex")
@@ -216,16 +222,15 @@ def hom_count(h, g):
     # earlier[v] = neighbors of v in h with smaller index (already assigned)
     earlier = [[u for u in h.neighbors(v) if u < v] for v in range(h.n)]
     adj = g._adj
-    sets = list(map(set, adj)) if any(len(ev) > 1 for ev in earlier) else None
-    return _count(0, h.n - 1, earlier, adj, sets, range(g.n), [0] * h.n)
+    return _count(0, h.n - 1, earlier, adj, list(map(set, adj)), range(g.n), [0] * h.n)
 
 
 def _forest_count(h, g):
     """hom(h, g) when h is a forest, or None when h has a cycle.
 
-    Each component of h is walked once with bfs from its lowest vertex;
-    h is a forest iff its edge count is its vertex count less the number
-    of walks. Then each tree is counted in one pass up its walk: a vertex
+    Each component of h is walked once (_walks), as is_forest walks it: h
+    is a forest iff its edge count is its vertex count less the number of
+    walks. Then each tree is counted in one pass up its walk: a vertex
     passes its parent a list over V(g) whose entry at x counts the maps of
     its subtree that send the parent to x. A leaf passes the degrees of g;
     an inner vertex passes, at x, the sum over the neighbours y of x of the
@@ -234,12 +239,7 @@ def _forest_count(h, g):
     isolated vertex, and the trees' counts multiply. All counts are exact
     ints.
     """
-    walks, reached = [], set()
-    for root in range(h.n):
-        if root not in reached:
-            order, parent = bfs(h, [root])
-            reached.update(order)
-            walks.append((order, parent))
+    walks = _walks(h)
     if h.num_edges() != h.n - len(walks):
         return None
     adj = g._adj

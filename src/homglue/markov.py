@@ -24,9 +24,9 @@ class MarkovTree:
 
     This constructor checks and normalizes every bag and tree edge; it is
     the one for Markov trees that enter the program. Once the bags pass,
-    graph(len(bags), tree) builds the bag tree: Graph by default, and a
-    loader's per-load table, which gives equal arguments one Graph, when
-    serialize.strong_from_json reads a document. That load also gives equal
+    graph(len(bags), tree) builds the bag tree: Graph by default, and the
+    table of a load (serialize._Load), which gives equal arguments one
+    Graph, when serialize reads a document. That load also gives equal
     Markov tree documents one MarkovTree, built here once, so one
     decomposition may hold the same object at several bags: like a Graph,
     a MarkovTree is never changed once built. A retraction, derived

@@ -12,10 +12,10 @@ Formats:
                        "mass": [{"key": [...], "num": str, "den": str}, ...]}
                       (index_set strictly ascending; key i is the value at
                        index_set[i]; each key listed once)
-All round trips are bit-exact. One strong decomposition load builds one
-object per distinct graph, Markov tree, tree decomposition and
-sub-decomposition of the document (see strong_from_json and _Load); every
-occurrence still passes every check. Every CLI answer is laid out as
+All round trips are bit-exact. Every kind but a distribution is read by
+one _Load, whose one table gives each distinct piece of a document one
+object (see strong_from_json); every occurrence still passes every check.
+Every CLI answer is laid out as
 json.dumps(doc, indent=1, sort_keys=True) lays it out: a distribution by
 distribution_to_text, every other answer by json_text.
 distribution_to_text joins its atoms' text from column iterators (fixed
@@ -62,15 +62,7 @@ def _bounded_size(doc, key):
 
 
 def graph_from_json(doc):
-    return _graph_from_json(doc, Graph)
-
-
-def _graph_from_json(doc, graph):
-    """The Graph of a graph document, built by graph(n, edges) once n and
-    every endpoint are checked to be ints: Graph, or a _Load's table."""
-    n = _bounded_size(doc, "n")
-    require_ints(doc["edges"], "edge endpoints")
-    return graph(n, tuple(map(tuple, doc["edges"])))
+    return _Load().graph(doc)
 
 
 def markov_to_json(m):
@@ -82,17 +74,7 @@ def markov_to_json(m):
 
 
 def markov_from_json(doc):
-    return _markov_from_json(doc, MarkovTree)
-
-
-def _markov_from_json(doc, markov):
-    """The MarkovTree of a Markov tree document, built by markov(ground_size,
-    bags, tree) once ground_size and every bag element and tree endpoint
-    are checked to be ints: MarkovTree, or a _Load's table."""
-    ground_size = _bounded_size(doc, "ground_size")
-    require_ints(doc["bags"], "bag elements")
-    require_ints(doc["tree"], "tree edge endpoints")
-    return markov(ground_size, tuple(map(tuple, doc["bags"])), tuple(map(tuple, doc["tree"])))
+    return _Load().markov(doc)
 
 
 def tree_decomposition_to_json(d):
@@ -100,13 +82,7 @@ def tree_decomposition_to_json(d):
 
 
 def tree_decomposition_from_json(doc):
-    return _tree_decomposition_from_json(doc, _Load())
-
-
-def _tree_decomposition_from_json(doc, load):
-    return load.decomp(
-        _graph_from_json(doc["host"], load.graph), _markov_from_json(doc["markov"], load.markov)
-    )
+    return _Load().decomp(doc)
 
 
 def strong_to_json(sd):
@@ -121,52 +97,6 @@ def strong_to_json(sd):
     return out
 
 
-class _Load:
-    """The tables of one load, which make its equal parts one object.
-
-    Graphs and Markov trees are keyed by the ints read for them, looked up
-    only once every one of those is checked to be an int: a bool or a
-    float equal to an int seen before is refused, as it is anywhere. The
-    checks that come later, those of Graph and of MarkovTree, are functions
-    of the key alone, so a key seen before has passed them already. Tree
-    decompositions and strong decompositions are keyed by their level and
-    the identities of their parts, which the tables already share, and
-    their constructors' checks are functions of that key too. The tables
-    hold every part they name, so no identity in a key is reused while
-    they live.
-    """
-
-    def __init__(self):
-        self.graphs, self.markovs, self.decomps, self.strongs = {}, {}, {}, {}
-
-    def graph(self, n, edges):
-        g = self.graphs.get((n, edges))
-        if g is None:
-            g = self.graphs[n, edges] = Graph(n, edges)
-        return g
-
-    def markov(self, ground_size, bags, tree):
-        key = ground_size, bags, tree
-        m = self.markovs.get(key)
-        if m is None:
-            m = self.markovs[key] = MarkovTree(ground_size, bags, tree, self.graph)
-        return m
-
-    def decomp(self, host, markov):
-        key = id(host), id(markov)
-        d = self.decomps.get(key)
-        if d is None:
-            d = self.decomps[key] = TreeDecomposition(host, markov)
-        return d
-
-    def strong(self, level, host, decomp, children=()):
-        key = level, id(host), id(decomp), tuple(map(id, children))
-        sd = self.strongs.get(key)
-        if sd is None:
-            sd = self.strongs[key] = StrongDecomposition(level, host, decomp, children)
-        return sd
-
-
 def strong_from_json(doc):
     """The StrongDecomposition of a strong decomposition document.
 
@@ -178,26 +108,75 @@ def strong_from_json(doc):
     read, to an earlier one is that earlier object: validate_strong then
     checks a repeated child once. Every occurrence still passes, in the
     same order, every check that comes before its lookup: the sizes' and
-    the int check of every value it holds. The tables live for this call
+    the int check of every value it holds. The table lives for this call
     alone; two loads share no object.
     """
-    return _strong_from_json(doc, _Load())
+    return _Load().strong(doc)
 
 
-def _strong_from_json(doc, load):
-    host = _graph_from_json(doc["host"], load.graph)
-    payload = doc["payload"]
-    level = _bounded_size(doc, "level")
-    if "base" in payload:
-        markov = _markov_from_json(payload["base"], load.markov)
-        return load.strong(level, host, load.decomp(host, markov))
-    decomp = _tree_decomposition_from_json(payload["decomp"], load)
-    children = tuple(_strong_from_json(c, load) for c in payload["children"])
-    if not children:  # a decomp payload needs children; level 0 is spelt with base
-        raise ValueError(
-            "one child per bag is required" if level else "level 0 requires a base payload only"
-        )
-    return load.strong(level, host, decomp, children)
+class _Load:
+    """One load's reader for every document kind but a distribution, with
+    the one table that makes the load's equal pieces one object.
+
+    Each reader checks its piece, then looks it up under a key tagged with
+    its kind. A graph or Markov tree is keyed by the ints read for it, once
+    each is checked to be an int: a bool or a float equal to an int seen
+    before is refused, as it is anywhere. Graph's and MarkovTree's own
+    checks are functions of that key, so a key seen before has passed them.
+    Tree and strong decompositions are keyed by their level and their
+    parts' identities, and their constructors' checks are functions of that
+    key too. The table holds every piece it names, so no identity in a key
+    is reused while it lives.
+    """
+
+    def __init__(self):
+        self.parts = {}
+
+    def _one(self, key, build, *args):
+        """The part under key, built by build(*args) the first time."""
+        part = self.parts.get(key)
+        if part is None:
+            part = self.parts[key] = build(*args)
+        return part
+
+    def _graph(self, n, edges):
+        # also MarkovTree's hook for its bag tree, so bag trees are shared too
+        return self._one(("graph", n, edges), Graph, n, edges)
+
+    def graph(self, doc):
+        n = _bounded_size(doc, "n")
+        require_ints(doc["edges"], "edge endpoints")
+        return self._graph(n, tuple(map(tuple, doc["edges"])))
+
+    def markov(self, doc):
+        ground_size = _bounded_size(doc, "ground_size")
+        require_ints(doc["bags"], "bag elements")
+        require_ints(doc["tree"], "tree edge endpoints")
+        bags, tree = tuple(map(tuple, doc["bags"])), tuple(map(tuple, doc["tree"]))
+        key = "markov", ground_size, bags, tree
+        return self._one(key, MarkovTree, ground_size, bags, tree, self._graph)
+
+    def _decomp(self, host, markov):
+        return self._one(("decomp", id(host), id(markov)), TreeDecomposition, host, markov)
+
+    def decomp(self, doc):
+        return self._decomp(self.graph(doc["host"]), self.markov(doc["markov"]))
+
+    def strong(self, doc):
+        host = self.graph(doc["host"])
+        payload = doc["payload"]
+        level = _bounded_size(doc, "level")
+        if "base" in payload:
+            decomp, children = self._decomp(host, self.markov(payload["base"])), ()
+        else:
+            decomp = self.decomp(payload["decomp"])
+            children = tuple(map(self.strong, payload["children"]))
+            if not children:  # a decomp payload needs children; level 0 is spelt with base
+                raise ValueError(
+                    "one child per bag is required" if level else "level 0 requires a base payload only"
+                )
+        key = "strong", level, id(host), id(decomp), tuple(map(id, children))
+        return self._one(key, StrongDecomposition, level, host, decomp, children)
 
 
 def distribution_to_json(p):

@@ -408,6 +408,95 @@ def test_a_later_graph_equal_to_an_earlier_one_is_still_checked(tmp_path, capsys
     assert captured.err == "error: cannot parse %s: %s\n" % (path, message)
 
 
+SECOND_HOST = SECOND + ["host"]
+SECOND_MARKOV = SECOND + ["payload", "decomp", "markov"]
+SECOND_PATH_BASE = SECOND_PATH + ["payload", "base"]
+EDGE = "edge endpoints must be integers, not %s"
+TREE = "tree " + EDGE
+BAG = "bag elements must be integers, not %s"
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, path, message",
+    [
+        (_set(_book_doc(), SECOND_HOST_EDGE, [0, True]), SECOND_HOST, EDGE % "bool"),
+        (_set(_book_doc(), SECOND_HOST_EDGE, [0, 1.0]), SECOND_HOST, EDGE % "float"),
+        (_set(_book_doc(), SECOND_BAG_TREE, [[0, True]]), SECOND_MARKOV, TREE % "bool"),
+        (_set(_book_doc(), SECOND_BAG_TREE, [[0, 1.0]]), SECOND_MARKOV, TREE % "float"),
+        (_set(_book_doc(), SECOND_BAG, [0, True, 2]), SECOND_MARKOV, BAG % "bool"),
+        (_set(_book_doc(), SECOND_BAG, [0, 1.0, 2]), SECOND_MARKOV, BAG % "float"),
+        (_set(_book_doc(), SECOND_PATH_BAG, [True, 2]), SECOND_PATH_BASE, BAG % "bool"),
+        (_set(_book_doc(), SECOND_PATH_BAG, [1, 2.0]), SECOND_PATH_BASE, BAG % "float"),
+        (_set(_book_doc(), SECOND_PATH_TREE, [[False, 1]]), SECOND_PATH_BASE, TREE % "bool"),
+        (_set(_book_doc(), SECOND_PATH_TREE, [[0.0, 1]]), SECOND_PATH_BASE, TREE % "float"),
+        (
+            _one_bag_then_n(True),
+            ["payload", "children", 0, "host"],
+            "n must be an integer from 0 to %d, not true" % serialize.MAX_GRAPH_VERTICES,
+        ),
+        (
+            {
+                "level": 0,
+                "host": {"n": 2, "edges": [[0, 1]]},
+                "payload": {"base": {"ground_size": 2, "bags": [], "tree": [[0, 1]]}},
+            },
+            ["payload", "base"],
+            "at least one bag is required",
+        ),
+    ],
+    ids=[
+        "edge-true",
+        "edge-1.0",
+        "tree-true",
+        "tree-1.0",
+        "bag-true",
+        "bag-1.0",
+        "base-bag-true",
+        "base-bag-2.0",
+        "base-tree-false",
+        "base-tree-0.0",
+        "n-true",
+        "no-bags-and-a-tree-edge",
+    ],
+)
+def test_every_loader_refuses_a_faulty_piece_with_one_message(doc, path, message):
+    # each faulty graph or Markov tree piece of the test above, read alone,
+    # as a tree decomposition's part and in its place in a strong
+    # decomposition, after an equal piece when it has one
+    piece = _get(doc, path)
+    host = {"n": 2, "edges": [[0, 1]]}
+    markov = {"ground_size": 2, "bags": [[0, 1]], "tree": []}
+    if "n" in piece:
+        alone, decomp = serialize.graph_from_json, {"host": piece, "markov": markov}
+    else:
+        alone, decomp = serialize.markov_from_json, {"host": host, "markov": piece}
+    for load, loaded in [
+        (alone, piece),
+        (serialize.tree_decomposition_from_json, decomp),
+        (serialize.strong_from_json, doc),
+    ]:
+        with pytest.raises(ValueError) as refused:
+            load(loaded)
+        assert str(refused.value) == message, load.__name__
+
+
+def test_a_tree_decomposition_shares_a_bag_tree_equal_to_its_host():
+    doc = {
+        "host": {"n": 2, "edges": [[0, 1]]},
+        "markov": {"ground_size": 2, "bags": [[0, 1], [1]], "tree": [[0, 1]]},
+    }
+    first = serialize.tree_decomposition_from_json(doc)
+    second = serialize.tree_decomposition_from_json(doc)
+    assert first.markov.bag_tree is first.host
+    assert second.markov.bag_tree is second.host is not first.host
+
+
 def _graphs(sd):
     """Every Graph of sd: at each level its host, its decomposition's host
     and its bag tree."""
